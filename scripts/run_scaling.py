@@ -7,6 +7,7 @@ the simulator makes under any scheduler).
 """
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -38,9 +39,9 @@ def main() -> int:
         resolved = parse_config(args.config, overrides + [f"data.clients={k}"])
         cfg = ExperimentConfig.from_dict(resolved)
         run_dir = harness.execute_run(cfg, args.out)
-        result, _ = harness.run_experiment(cfg)
-        final = result.records[-1]
-        accs = [s.accuracy for s in final.clients]
+        with open(run_dir / harness.ROUNDS_FILE) as fh:
+            records = [json.loads(line) for line in fh]
+        accs = [r["accuracy"] for r in records if r["round"] == cfg.rounds]
         print(f"K={k:<4} mean acc {np.mean(accs):.4f} "
               f"(min {min(accs):.4f}, max {max(accs):.4f}) -> {run_dir}")
 

@@ -23,17 +23,25 @@ def accuracy(pred_labels, clean_labels) -> float:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with tied values sharing their average rank."""
-    order = np.argsort(values, kind="mergesort")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    bounds = np.r_[starts, values.size]
-    ranks_sorted = np.empty(values.size)
-    for s, e in zip(bounds[:-1], bounds[1:]):
-        ranks_sorted[s:e] = 0.5 * (s + e - 1) + 1.0
-    ranks = np.empty(values.size)
-    ranks[order] = ranks_sorted
+    """1-based ranks along the last axis, tied values sharing their average rank."""
+    n = values.shape[-1]
+    order = np.argsort(values, axis=-1, kind="mergesort")
+    ordered = np.take_along_axis(values, order, axis=-1).reshape(-1, n)
+    new_group = np.ones(ordered.shape, dtype=bool)
+    new_group[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    # Every row opens a group, so no tie group straddles two rows.
+    starts = np.flatnonzero(new_group)
+    lengths = np.diff(np.r_[starts, ordered.size])
+    first = starts % n
+    ranks_sorted = np.repeat(0.5 * (2 * first + lengths - 1) + 1.0, lengths)
+    ranks = np.empty(values.shape)
+    np.put_along_axis(ranks, order, ranks_sorted.reshape(values.shape), axis=-1)
     return ranks
+
+
+def _mann_whitney(pos_rank_sum, n_pos, n_neg):
+    """AUC from the rank sum of the positives (Mann-Whitney U / n_pos n_neg)."""
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def roc_auc(scores, labels) -> float | None:
@@ -50,8 +58,7 @@ def roc_auc(scores, labels) -> float | None:
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    ranks = _average_ranks(s)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    return float(_mann_whitney(_average_ranks(s)[pos].sum(), n_pos, n_neg))
 
 
 def pr_auc(scores, labels) -> float | None:
@@ -81,19 +88,21 @@ def pr_auc(scores, labels) -> float | None:
 def multiclass_roc_auc(prob_matrix, labels) -> float | None:
     """Unweighted macro mean of one-vs-rest roc_auc per class.
 
+    All classes are ranked in one pass over the (C, N) score matrix.
     Returns None when any class has no example in `labels`.
     """
     probs = np.asarray(prob_matrix, dtype=np.float64)
     y = np.asarray(labels)
-    if probs.ndim != 2 or probs.shape[0] != y.size:
+    if probs.ndim != 2 or y.ndim != 1 or probs.shape[0] != y.size:
         raise ConfigError("probability matrix rows must match label count")
-    per_class = []
-    for c in range(probs.shape[1]):
-        auc = roc_auc(probs[:, c], (y == c).astype(int))
-        if auc is None:
-            return None
-        per_class.append(auc)
-    return float(np.mean(per_class))
+    pos = y == np.arange(probs.shape[1])[:, np.newaxis]
+    n_pos = pos.sum(axis=1)
+    n_neg = y.size - n_pos
+    if np.any(n_pos == 0) or np.any(n_neg == 0):
+        return None
+    # Ranks are half-integers, so every rank sum is exact in any order.
+    rank_sums = np.where(pos, _average_ranks(probs.T), 0.0).sum(axis=1)
+    return float(np.mean(_mann_whitney(rank_sums, n_pos, n_neg)))
 
 
 @dataclass(frozen=True)

@@ -227,6 +227,30 @@ class SymmetricLossSpec:
 
 
 @dataclass(frozen=True)
+class MixtureKlSpec:
+    """Mean weighted KL from fixed peer distributions to the model's output.
+
+    mixture (N, C) is sum_j w_j softmax_t(peer_j, tau) and mass is sum_j w_j;
+    they are all the gradient needs of the peers.
+    """
+
+    mixture: np.ndarray
+    mass: float
+    tau: float
+
+
+def mixture_spec(peer_probs, peer_weights, tau: float) -> MixtureKlSpec:
+    """Distillation target from tempered peer distributions (J, N, C), weights (J,)."""
+    p = np.asarray(peer_probs, dtype=np.float64)
+    w = np.asarray(peer_weights, dtype=np.float64)
+    if p.ndim != 3:
+        raise ConfigError(f"peer distributions must be J x N x C, got {p.shape}")
+    if w.shape != (p.shape[0],):
+        raise ConfigError("one weight per peer required")
+    return MixtureKlSpec(np.einsum("j,jnc->nc", w, p), w.sum(), tau)
+
+
+@dataclass(frozen=True)
 class ConsensusKlSpec:
     """Mean weighted KL from fixed peer logits to the model's own output.
 
@@ -236,6 +260,10 @@ class ConsensusKlSpec:
     peer_logits: np.ndarray
     peer_weights: np.ndarray
     tau: float
+
+    def mixture(self) -> MixtureKlSpec:
+        """The same loss as a fixed peer mixture, which backward() differentiates."""
+        return mixture_spec(softmax_t(self.peer_logits, self.tau), self.peer_weights, self.tau)
 
 
 def weighted_kl_alignment(own_logits, peer_logits, peer_weights, tau):
@@ -248,27 +276,28 @@ def weighted_kl_alignment(own_logits, peer_logits, peer_weights, tau):
     w = np.asarray(peer_weights, dtype=np.float64)
     if peers.ndim != 3 or peers.shape[1:] != own.shape:
         raise ConfigError(f"peer logits {peers.shape} do not match own {own.shape}")
-    if w.shape != (peers.shape[0],):
-        raise ConfigError("one weight per peer required")
+    p = softmax_t(peers, tau)
+    target = mixture_spec(p, w, tau)
     if peers.shape[0] == 0:
         return 0.0, np.zeros_like(own)
-    n = own.shape[0]
-    q = softmax_t(own, tau)
-    p = softmax_t(peers, tau)
-    log_q = np.log(np.maximum(q, PROB_FLOOR))
     p_log_p = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
     entropy_term = float(np.einsum("j,jnc->", w, p_log_p))
-    mixture = np.einsum("j,jnc->nc", w, p)
-    loss = (entropy_term - float((mixture * log_q).sum())) / n
-    grad = (w.sum() * q - mixture) / (tau * n)
-    return loss, grad
+    log_q = np.log(np.maximum(softmax_t(own, tau), PROB_FLOOR))
+    loss = (entropy_term - float((target.mixture * log_q).sum())) / own.shape[0]
+    return loss, _logit_gradient(own, target)
 
 
 def _logit_gradient(logits: np.ndarray, spec) -> np.ndarray:
     """d(mean loss)/d(logits) for the supported loss specs."""
     n = logits.shape[0]
     if isinstance(spec, ConsensusKlSpec):
-        return weighted_kl_alignment(logits, spec.peer_logits, spec.peer_weights, spec.tau)[1]
+        spec = spec.mixture()
+    if isinstance(spec, MixtureKlSpec):
+        if spec.mixture.shape != logits.shape:
+            raise ConfigError(
+                f"peer distributions {spec.mixture.shape} do not match logits {logits.shape}"
+            )
+        return (spec.mass * softmax_t(logits, spec.tau) - spec.mixture) / (spec.tau * n)
     targets = np.asarray(spec.targets, dtype=np.float64)
     if targets.shape != logits.shape:
         raise ConfigError(f"targets {targets.shape} do not match logits {logits.shape}")

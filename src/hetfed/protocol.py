@@ -26,7 +26,7 @@ import numpy as np
 
 from . import metrics, nn, reweight
 from .data import Dataset, NoisyDataset
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, NumericError, ProtocolError
 
 MESSAGE_KINDS = (
     "model_upload",
@@ -134,19 +134,26 @@ class MessageLog:
 
 @dataclass
 class TrainHistory:
+    """A model and its mean symmetric loss on the client's noisy shard."""
+
     mean_sl: float
     params: nn.ModelParams
 
 
 @dataclass
 class ClientState:
-    """Everything one client owns: model, shard, RNG stream, history."""
+    """Everything one client owns: model, shard, RNG stream, history.
+
+    `evaluated` is the shard loss of the latest evaluation, which the next
+    round's confidence upload reuses; `history` is the one before it.
+    """
 
     client_id: int
     params: nn.ModelParams
     shard: NoisyDataset
     rng: np.random.Generator
     history: TrainHistory | None = None
+    evaluated: TrainHistory | None = None
 
     @property
     def arch(self):
@@ -244,14 +251,18 @@ def private_training(
 def collaborative_training(
     client: ClientState,
     public: Dataset,
-    peer_logits: np.ndarray,
+    peer_probs: np.ndarray,
     peer_weights: np.ndarray,
     cfg: StrategyConfig,
 ) -> None:
-    """Full-batch descent on the weighted KL alignment loss; peers fixed."""
-    if peer_logits.shape[0] == 0:
+    """Full-batch descent on the weighted KL alignment loss; peers fixed.
+
+    peer_probs are the peers' tempered public-set distributions (J, N, C);
+    their weighted mixture is formed once for all collaborative epochs.
+    """
+    if peer_probs.shape[0] == 0:
         return
-    spec = nn.ConsensusKlSpec(peer_logits, peer_weights, cfg.hyperparams.temperature)
+    spec = nn.mixture_spec(peer_probs, peer_weights, cfg.hyperparams.temperature)
     for _ in range(cfg.collab_epochs):
         grad = nn.backward(client.params, public.features, spec)
         client.params = nn.sgd_step(client.params, grad, cfg.hyperparams.lr)
@@ -320,12 +331,22 @@ class Controller:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _map_clients(self, fn, subset=None):
+    def _map_clients(self, phase: str, round_idx: int, fn, subset=None):
+        """fn over the clients in id order; errors name round, client and phase."""
         targets = self.clients if subset is None else subset
+
+        def call(client: ClientState):
+            try:
+                return fn(client)
+            except (ConfigError, NumericError, ProtocolError) as exc:
+                raise type(exc)(
+                    f"round {round_idx}, client {client.client_id}, phase {phase}: {exc}"
+                ) from exc
+
         if self.jobs == 1 or len(targets) == 1:
-            return [fn(c) for c in targets]
+            return [call(c) for c in targets]
         with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            return list(pool.map(fn, targets))
+            return list(pool.map(call, targets))
 
     def _receive(self, msg: RoundMessage, expected_round: int):
         if msg.round_idx != expected_round:
@@ -351,9 +372,12 @@ class Controller:
 
     def _eval_round(self, round_idx: int, extras=None, clamp_events: int = 0) -> RoundRecord:
         hp = self.cfg.hyperparams
-        results = self._map_clients(lambda c: evaluate_client(c, self.test, hp))
+        results = self._map_clients(
+            "eval", round_idx, lambda c: evaluate_client(c, self.test, hp)
+        )
         stats = []
         for client, (acc, roc, pr, sl) in zip(self.clients, results):
+            client.evaluated = TrainHistory(sl, client.params)
             self._receive(
                 RoundMessage("eval_report", round_idx, client.client_id), round_idx
             )
@@ -372,11 +396,6 @@ class Controller:
                 )
             )
         return RoundRecord(round_idx, tuple(stats), clamp_events)
-
-    def _seed_history(self):
-        hp = self.cfg.hyperparams
-        for client in self.clients:
-            client.history = TrainHistory(mean_shard_sl(client, hp), client.params)
 
     # -- strategy rounds --------------------------------------------------
 
@@ -403,7 +422,7 @@ class Controller:
                 (client.params, client.shard.size),
             )
 
-        uploads = self._map_clients(work, selected)
+        uploads = self._map_clients("fedavg", round_idx, work, selected)
         payloads = [self._receive(msg, round_idx) for msg in uploads]
         aggregated = fedavg_aggregate([p for p, _ in payloads], [s for _, s in payloads])
         for client in self.clients:
@@ -416,22 +435,24 @@ class Controller:
             logits = nn.mlp_forward(client.params, self.public.features)
             return RoundMessage("logit_share", round_idx, client.client_id, logits)
 
-        uploads = self._map_clients(share)
+        uploads = self._map_clients("hetero_share", round_idx, share)
         all_logits = np.stack([self._receive(m, round_idx) for m in uploads])
         consensus = all_logits.mean(axis=0)
         # Server shares the averaged knowledge back as a logit share.
         for _ in self.clients:
             self.log.record(RoundMessage("logit_share", round_idx, None))
 
-        peer = consensus[np.newaxis]
+        peer = nn.softmax_t(consensus[np.newaxis], cfg.hyperparams.temperature)
         weight = np.ones(1)
-
-        def work(client: ClientState):
-            collaborative_training(client, self.public, peer, weight, cfg)
-            private_training(client, cfg, cfg.local_epochs, use_sl=False,
-                             dlr_sched=None, epoch_base=0)
-
-        self._map_clients(work)
+        self._map_clients(
+            "distill", round_idx,
+            lambda c: collaborative_training(c, self.public, peer, weight, cfg),
+        )
+        self._map_clients(
+            "private", round_idx,
+            lambda c: private_training(c, cfg, cfg.local_epochs, use_sl=False,
+                                       dlr_sched=None, epoch_base=0),
+        )
 
     def _round_lattice(self, round_idx: int):
         """local_only and the rhfl family share this flag-driven round."""
@@ -444,19 +465,19 @@ class Controller:
             hp = cfg.hyperparams
 
             def phase1(client: ClientState):
-                shard = client.shard
-                probs = nn.softmax_t(nn.mlp_forward(client.params, shard.base.features), 1.0)
-                losses = nn.sl_loss_rows(probs, _shard_onehot(shard), hp)
-                cur_sl = float(losses.mean())
-                hist = client.history
-                delta = hist.mean_sl - cur_sl
+                # The previous evaluation already took the shard loss of
+                # these very parameters.
+                hist, cur = client.history, client.evaluated
+                if cur.params is not client.params:
+                    raise ProtocolError("parameters changed after the last evaluation")
+                delta = hist.mean_sl - cur.mean_sl
                 base_norm = float(np.linalg.norm(hist.params.values))
-                moved = float(np.linalg.norm(client.params.values - hist.params.values))
+                moved = float(np.linalg.norm(cur.params.values - hist.params.values))
                 ratio = moved / base_norm if base_norm > 0 else 0.0
-                client.history = TrainHistory(cur_sl, client.params)
+                client.history = cur
                 report = reweight.ConfidenceReport(
                     client.client_id,
-                    q=reweight.label_quality(losses),
+                    q=reweight.label_quality(cur.mean_sl),
                     p=reweight.learning_efficiency(delta, ratio),
                     f=None,
                     delta_sl=delta,
@@ -471,7 +492,7 @@ class Controller:
                     ),
                 )
 
-            uploads = self._map_clients(phase1)
+            uploads = self._map_clients("phase1", round_idx, phase1)
             reports = []
             shares = []
             for conf_msg, logit_msg in uploads:
@@ -501,7 +522,10 @@ class Controller:
                 clamp_events = result.clamp_events
             self._broadcast("weight_broadcast", round_idx)
 
-            logit_stack = np.stack([s.logits for s in shares])
+            # Each peer is softmaxed once; clients take their peers' slices.
+            peer_probs = nn.softmax_t(
+                np.stack([s.logits for s in shares]), hp.temperature
+            )
             for idx, client in enumerate(self.clients):
                 extras[client.client_id] = {
                     "q": float(qualities[idx]),
@@ -510,14 +534,15 @@ class Controller:
                     "weight": float(weights[idx]),
                 }
 
-            def phase2(pair):
-                idx, client = pair
-                mask = np.arange(k) != idx
+            index = {c.client_id: i for i, c in enumerate(self.clients)}
+
+            def phase2(client: ClientState):
+                mask = np.arange(k) != index[client.client_id]
                 collaborative_training(
-                    client, self.public, logit_stack[mask], weights[mask], cfg
+                    client, self.public, peer_probs[mask], weights[mask], cfg
                 )
 
-            self._map_clients(phase2, list(enumerate(self.clients)))
+            self._map_clients("distill", round_idx, phase2)
 
         epoch_base = (round_idx - 1) * cfg.local_epochs
 
@@ -527,7 +552,7 @@ class Controller:
                 use_sl=flags.sl, dlr_sched=self.dlr_sched, epoch_base=epoch_base,
             )
 
-        self._map_clients(phase3)
+        self._map_clients("private", round_idx, phase3)
         return extras, clamp_events
 
     # -- top level ---------------------------------------------------------
@@ -535,8 +560,9 @@ class Controller:
     def run(self) -> RunResult:
         result = RunResult([], self.log)
         started = time.perf_counter()
-        self._seed_history()
         result.records.append(self._eval_round(0))
+        for client in self.clients:
+            client.history = client.evaluated
         result.round_seconds.append(time.perf_counter() - started)
         for round_idx in range(1, self.cfg.rounds + 1):
             started = time.perf_counter()

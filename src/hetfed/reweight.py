@@ -65,15 +65,11 @@ def dlr_refine(noisy_onehot, pred, s: float) -> np.ndarray:
     return (1.0 - s) * a + s * b
 
 
-def label_quality(sl_losses) -> float:
-    """Reciprocal mean symmetric loss; a near-zero mean maps to 1e9."""
-    losses = np.asarray(sl_losses, dtype=np.float64)
-    if losses.size == 0:
-        raise ConfigError("label quality needs at least one loss value")
-    mean = float(losses.mean())
-    if mean <= QUALITY_MEAN_FLOOR:
+def label_quality(mean_sl: float) -> float:
+    """Reciprocal of the mean symmetric loss; a near-zero mean maps to 1e9."""
+    if mean_sl <= QUALITY_MEAN_FLOOR:
         return 1e9
-    return 1.0 / mean
+    return 1.0 / mean_sl
 
 
 def learning_efficiency(delta_sl: float, update_ratio: float) -> float:

@@ -80,6 +80,15 @@ class TestRunCommand:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "strategy" in capsys.readouterr().err
 
+    def test_diverged_run_names_where_it_failed(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, strategy="rhfl_plus_eccr")
+        argv = ["run", "--config", cfg, "--set", "hyperparams.lr=1e100",
+                "--out", str(tmp_path / "x")]
+        with pytest.warns(RuntimeWarning):
+            assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: NumericError: round 1, client 0, phase private: softmax" in err
+
     def test_jobs_flag_does_not_change_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path, strategy="rhfl_plus_ccr",
                         data={"clients": 3, "shard_size": 30})

@@ -41,6 +41,49 @@ def step_curve_ap_oracle(scores, labels):
     return ap
 
 
+def tie_loop_average_ranks(values):
+    """Reference 1-D ranks: one Python pass per tie group of a sorted copy."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    bounds = np.r_[starts, values.size]
+    ranks_sorted = np.empty(values.size)
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        ranks_sorted[s:e] = 0.5 * (s + e - 1) + 1.0
+    ranks = np.empty(values.size)
+    ranks[order] = ranks_sorted
+    return ranks
+
+
+RANK_INPUTS = {
+    "continuous": lambda rng, shape: rng.normal(size=shape),
+    "integer": lambda rng, shape: rng.integers(0, 4, size=shape).astype(float),
+    "rounded": lambda rng, shape: np.round(rng.normal(size=shape), 1),
+    "all_equal": lambda rng, shape: np.full(shape, 0.25),
+}
+
+
+class TestAverageRanks:
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(RANK_INPUTS)),
+           st.integers(1, 60))
+    @settings(max_examples=80)
+    def test_vector_equals_tie_loop_oracle(self, seed, kind, n):
+        values = RANK_INPUTS[kind](np.random.default_rng(seed), n)
+        assert np.array_equal(metrics._average_ranks(values), tie_loop_average_ranks(values))
+
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(RANK_INPUTS)),
+           st.integers(1, 6), st.integers(1, 40))
+    @settings(max_examples=80)
+    def test_matrix_rows_equal_tie_loop_oracle(self, seed, kind, rows, n):
+        values = RANK_INPUTS[kind](np.random.default_rng(seed), (rows, n))
+        expected = np.stack([tie_loop_average_ranks(row) for row in values])
+        assert np.array_equal(metrics._average_ranks(values), expected)
+
+    def test_length_one(self):
+        assert np.array_equal(metrics._average_ranks(np.array([3.0])), [1.0])
+        assert np.array_equal(metrics._average_ranks(np.zeros((3, 1))), np.ones((3, 1)))
+
+
 class TestAccuracy:
     def test_perfect(self):
         assert metrics.accuracy([0, 1, 2], [0, 1, 2]) == 1.0
@@ -173,6 +216,21 @@ class TestMulticlassRocAuc:
         assert metrics.multiclass_roc_auc(probs, labels) == pytest.approx(
             np.mean(per_class), abs=1e-12
         )
+
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60)
+    def test_tied_scores_match_per_class_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        c = int(rng.integers(3, 6))
+        n = int(rng.integers(c, 40))
+        probs = np.round(rng.dirichlet(np.ones(c), size=n), 1)  # rounding forces ties
+        labels = np.r_[np.arange(c), rng.integers(0, c, size=n - c)]
+        expected = np.mean([
+            pairwise_auc_oracle(probs[:, k].tolist(), (labels == k).astype(int).tolist())
+            for k in range(c)
+        ])
+        assert metrics.multiclass_roc_auc(probs, labels) == pytest.approx(expected, abs=1e-12)
 
 
 class TestEvalResult:

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import record_dicts, small_cfg
 from hetfed import data, harness, nn, protocol, reweight
-from hetfed.errors import ConfigError, ProtocolError
+from hetfed.errors import ConfigError, NumericError, ProtocolError
 from hetfed.harness import _S_INIT, _S_TRAIN
 
 
@@ -306,6 +308,126 @@ class TestLatticeRounds:
         assert record_dicts(res_a) == record_dicts(res_b)
         final = {c.params.values.tobytes() for c in world_a.clients}
         assert len(final) == 1  # everyone holds the aggregated model
+
+
+class TestPeerPath:
+    """The once-per-round peer softmax must reproduce the per-client spec."""
+
+    def _fleet(self, strategy):
+        cfg = small_cfg(strategy=strategy, collab_epochs=3,
+                        archs={"hidden_layers": [[6], [10], [14, 6], [4]]},
+                        data={"clients": 5, "shard_size": 30})
+        world = harness.build_world(cfg)
+        logits = np.stack([nn.mlp_forward(c.params, world.public.features)
+                           for c in world.clients])
+        return cfg, world, logits
+
+    def _spec_descent(self, cfg, params, x, spec):
+        for _ in range(cfg.collab_epochs):
+            params = nn.sgd_step(params, nn.backward(params, x, spec), cfg.hyperparams.lr)
+        return params
+
+    def test_weighted_peers_match_consensus_spec(self):
+        cfg, world, logits = self._fleet("rhfl_plus_eccr")
+        tau = cfg.hyperparams.temperature
+        probs = nn.softmax_t(logits, tau)
+        w = np.random.default_rng(0).dirichlet(np.ones(5))
+        for idx, client in enumerate(world.clients):
+            mask = np.arange(5) != idx
+            spec = nn.ConsensusKlSpec(logits[mask], w[mask], tau)
+            expected = self._spec_descent(cfg, client.params, world.public.features, spec)
+            assert expected.values.tobytes() != client.params.values.tobytes()
+            protocol.collaborative_training(
+                client, world.public, probs[mask], w[mask], cfg.strategy_config()
+            )
+            assert client.params.values.tobytes() == expected.values.tobytes()
+
+    def test_lattice_round_matches_consensus_spec(self):
+        cfg, world, logits = self._fleet("rhfl_plus_eccr")
+        cfg = replace(cfg, rounds=1, local_epochs=0)
+        initial = [c.params for c in world.clients]
+        result = protocol.run_federation(
+            world.clients, cfg.strategy_config(), world.test, world.public
+        )
+        w = np.array([s.weight for s in result.records[1].clients])
+        for idx, (client, params) in enumerate(zip(world.clients, initial)):
+            mask = np.arange(5) != idx
+            spec = nn.ConsensusKlSpec(logits[mask], w[mask], cfg.hyperparams.temperature)
+            expected = self._spec_descent(cfg, params, world.public.features, spec)
+            assert client.params.values.tobytes() == expected.values.tobytes()
+
+    def test_single_consensus_peer_matches_consensus_spec(self):
+        cfg, world, logits = self._fleet("hetero_distill")
+        tau = cfg.hyperparams.temperature
+        consensus = logits.mean(axis=0)[np.newaxis]
+        peer = nn.softmax_t(consensus, tau)
+        for client in world.clients:
+            spec = nn.ConsensusKlSpec(consensus, np.ones(1), tau)
+            expected = self._spec_descent(cfg, client.params, world.public.features, spec)
+            protocol.collaborative_training(
+                client, world.public, peer, np.ones(1), cfg.strategy_config()
+            )
+            assert client.params.values.tobytes() == expected.values.tobytes()
+
+
+class TestShardLossReuse:
+    def test_phase1_makes_no_shard_forward(self, monkeypatch):
+        cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=3, local_epochs=2,
+                        data={"clients": 3, "shard_size": 30})
+        world = harness.build_world(cfg)
+        shards = {id(c.shard.base.features) for c in world.clients}
+        forward = nn.mlp_forward
+        calls = []
+
+        def counted(params, batch):
+            calls.append(id(batch) in shards)
+            return forward(params, batch)
+
+        monkeypatch.setattr(nn, "mlp_forward", counted)
+        protocol.run_federation(world.clients, cfg.strategy_config(), world.test, world.public)
+        # Shard forwards: one per evaluation (rounds 0..3) and one per
+        # refinement epoch; neither history seeding nor phase 1 adds any.
+        k, rounds, epochs = 3, 3, 2
+        assert sum(calls) == k * (rounds + 1) + k * rounds * epochs
+
+    def test_history_and_quality_come_from_the_evaluation(self):
+        cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=3, data={"clients": 3})
+        seeded = harness.build_world(cfg)
+        initial = [c.params for c in seeded.clients]
+        result0 = protocol.run_federation(
+            seeded.clients, replace(cfg.strategy_config(), rounds=0),
+            seeded.test, seeded.public,
+        )
+        for client, params, stats in zip(seeded.clients, initial, result0.records[0].clients):
+            assert client.history.params is params
+            assert client.history.mean_sl == stats.mean_sl_loss
+            assert stats.mean_sl_loss == protocol.mean_shard_sl(client, cfg.hyperparams)
+
+        result, _ = harness.run_experiment(cfg)
+        for prev, rec in zip(result.records, result.records[1:]):
+            for before, now in zip(prev.clients, rec.clients):
+                assert now.q == reweight.label_quality(before.mean_sl_loss)
+
+
+class TestFailureContext:
+    def test_client_errors_name_round_client_and_phase(self):
+        cfg = small_cfg(strategy="rhfl_plus_eccr", hyperparams={"lr": 1e100})
+        for jobs in (1, 2):
+            with pytest.warns(RuntimeWarning), pytest.raises(
+                NumericError, match=r"^round 1, client 0, phase private: softmax input"
+            ):
+                harness.run_experiment(cfg, jobs=jobs)
+
+    def test_error_type_is_kept(self):
+        world = harness.build_world(small_cfg())
+        cfg = small_cfg().strategy_config()
+        controller = protocol.Controller(world.clients, cfg, world.test)
+
+        def fail(client):
+            raise ConfigError("bad shape")
+
+        with pytest.raises(ConfigError, match=r"^round 4, client 1, phase distill: bad shape$"):
+            controller._map_clients("distill", 4, fail, world.clients[1:])
 
 
 class TestDeterminismAndMessages:

@@ -72,11 +72,12 @@ class TestDlrRefine:
 
 class TestQualityAndEfficiency:
     def test_reciprocal_of_mean(self):
-        assert reweight.label_quality([2.0, 2.0]) == 0.5
-        assert reweight.label_quality([1.0, 3.0]) == 0.5
+        assert reweight.label_quality(2.0) == 0.5
+        assert reweight.label_quality(np.mean([1.0, 3.0])) == 0.5
 
     def test_perfect_fit_guard(self):
-        assert reweight.label_quality([0.0, 0.0]) == 1e9
+        assert reweight.label_quality(0.0) == 1e9
+        assert reweight.label_quality(1e-10) == 1e9
 
     def test_efficiency_hand_case(self):
         assert reweight.learning_efficiency(0.5, 0.25) == pytest.approx(0.4)
