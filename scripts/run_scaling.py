@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Scaling test: the same homogeneous-fleet run at growing client counts.
 
-Also re-executes the largest fleet with a different worker count and
-verifies the round logs come out byte-identical (the determinism contract
-the simulator makes under any scheduler).
+Every fleet is one architecture group, so each client count runs as
+stacked kernels over client chunks rather than one client at a time.
 """
 
 import argparse
@@ -44,15 +43,7 @@ def main() -> int:
         accs = [r["accuracy"] for r in records if r["round"] == cfg.rounds]
         print(f"K={k:<4} mean acc {np.mean(accs):.4f} "
               f"(min {min(accs):.4f}, max {max(accs):.4f}) -> {run_dir}")
-
-    # determinism across worker counts on the largest fleet
-    resolved = parse_config(args.config, overrides + [f"data.clients={args.clients[-1]}"])
-    cfg = ExperimentConfig.from_dict(resolved)
-    a = harness.execute_run(cfg, f"{args.out}/jobs1", jobs=1)
-    b = harness.execute_run(cfg, f"{args.out}/jobs4", jobs=4)
-    same = (a / harness.ROUNDS_FILE).read_bytes() == (b / harness.ROUNDS_FILE).read_bytes()
-    print(f"log bytes identical across jobs settings: {same}")
-    return 0 if same else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -32,7 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--noise-rate", type=float, default=None,
                      help="shorthand for --set data.noise.rate=X")
     run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--jobs", type=int, default=1, help="client worker threads")
+    run.add_argument("--jobs", type=int, default=1,
+                     help="accepted, no effect: clients run as stacked groups")
 
     sweep = sub.add_parser("sweep", help="run a grid of experiments")
     sweep.add_argument("--config", action="append", default=[], metavar="FILE")
@@ -57,7 +58,7 @@ def _cmd_run(args) -> int:
     if args.noise_rate is not None:
         overrides.append(f"data.noise.rate={args.noise_rate}")
     cfg = load_config(args.config, overrides)
-    run_dir = harness.execute_run(cfg, args.out, jobs=max(1, args.jobs))
+    run_dir = harness.execute_run(cfg, args.out)
     print(run_dir)
     return 0
 

@@ -10,7 +10,15 @@ class IngestError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """Non-finite values where finite ones are required."""
+    """Non-finite values where finite ones are required.
+
+    For input stacked over a leading client axis, `index` is the position
+    on that axis of the first client whose values are not finite.
+    """
+
+    def __init__(self, message, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class ProtocolError(RuntimeError):

@@ -1,7 +1,10 @@
 """Experiment harness: config -> world -> run -> files.
 
 Each run writes into a content-addressed directory (a hash of the resolved
-config names it), so repeating a finished cell is a no-op. Per-round
+config names it), so repeating a finished cell is a no-op. Files are
+written into a hidden sibling first, which is renamed into place once
+finished, so a crashed or killed run never leaves a directory that looks
+done; discover_runs skips hidden directories. Per-round
 per-client records go to ``rounds.jsonl``; together with the echoed config
 and ``run_meta.json`` these files are byte-identical across re-runs of the
 same resolved config. Wall-clock timings live in a separate
@@ -11,6 +14,8 @@ same resolved config. Wall-clock timings live in a separate
 import csv
 import hashlib
 import json
+import os
+import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -154,14 +159,17 @@ def build_world(cfg: ExperimentConfig) -> World:
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1):
-    """Build the world and execute the configured federation run."""
+    """Build the world and execute the configured federation run.
+
+    jobs is accepted so existing callers keep working and has no effect:
+    the controller runs clients as stacked groups, not on worker threads.
+    """
     world = build_world(cfg)
     result = protocol.run_federation(
         world.clients,
         cfg.strategy_config(),
         world.test,
         world.public,
-        jobs=jobs,
         sampler_seed=(cfg.seed, _S_SAMPLER),
     )
     return result, world
@@ -200,46 +208,56 @@ def _round_lines(result: protocol.RunResult):
 
 
 def execute_run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
-    """Run one cell into its content-addressed directory; skip if finished."""
+    """Run one cell into its content-addressed directory; skip if finished.
+
+    jobs has no effect (see run_experiment).
+    """
     resolved = echo_config(cfg)
     run_dir = Path(out_dir) / run_dir_name(resolved)
     digest = config_hash(resolved)
     done = run_dir / DONE_FILE
     if done.exists() and done.read_text().strip() == digest:
         return run_dir
+    partial = run_dir.with_name(f".{run_dir.name}.partial")
+    shutil.rmtree(partial, ignore_errors=True)
     started = time.perf_counter()
-    result, world = run_experiment(cfg, jobs=jobs)
+    result, world = run_experiment(cfg)
     total = time.perf_counter() - started
-    run_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(run_dir / ROUNDS_FILE, "w") as fh:
-        for line in _round_lines(result):
-            fh.write(json.dumps(line) + "\n")
-    with open(run_dir / CONFIG_FILE, "w") as fh:
-        json.dump(resolved, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    meta = {
-        "config_hash": digest,
-        "clients": len(world.clients),
-        "rounds": cfg.rounds,
-        "strategy": cfg.strategy,
-        "flags": resolved["flags"],
-        "noise_kind": resolved["data"]["noise"]["kind"],
-        "noise_rates": world.noise_rates,
-        "flip_fractions": [c.shard.flip_fraction for c in world.clients],
-        "hidden_layers": [list(map(list, a)) for a in world.archs],
-        "messages": len(result.messages.entries),
-    }
-    with open(run_dir / META_FILE, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    # Timings are the one deliberately non-deterministic artifact.
-    with open(run_dir / TIMING_FILE, "w") as fh:
-        json.dump(
-            {"total_seconds": total, "round_seconds": result.round_seconds}, fh, indent=2
-        )
-        fh.write("\n")
-    done.write_text(digest + "\n")
+    partial.mkdir(parents=True)
+    try:
+        with open(partial / ROUNDS_FILE, "w") as fh:
+            for line in _round_lines(result):
+                fh.write(json.dumps(line) + "\n")
+        with open(partial / CONFIG_FILE, "w") as fh:
+            json.dump(resolved, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        meta = {
+            "config_hash": digest,
+            "clients": len(world.clients),
+            "rounds": cfg.rounds,
+            "strategy": cfg.strategy,
+            "flags": resolved["flags"],
+            "noise_kind": resolved["data"]["noise"]["kind"],
+            "noise_rates": world.noise_rates,
+            "flip_fractions": [c.shard.flip_fraction for c in world.clients],
+            "hidden_layers": [list(map(list, a)) for a in world.archs],
+            "messages": len(result.messages.entries),
+        }
+        with open(partial / META_FILE, "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        # Timings are the one deliberately non-deterministic artifact.
+        with open(partial / TIMING_FILE, "w") as fh:
+            json.dump(
+                {"total_seconds": total, "round_seconds": result.round_seconds}, fh, indent=2
+            )
+            fh.write("\n")
+        (partial / DONE_FILE).write_text(digest + "\n")
+        shutil.rmtree(run_dir, ignore_errors=True)
+        os.replace(partial, run_dir)
+    except BaseException:
+        shutil.rmtree(partial, ignore_errors=True)
+        raise
     return run_dir
 
 
@@ -282,7 +300,7 @@ def run_sweep(base_resolved: dict, grid: dict, out_dir, jobs: int = 1) -> SweepO
     def one(cell: dict):
         label = json.dumps(cell, sort_keys=True)
         try:
-            return label, execute_run(build_cfg(cell), out_dir, jobs=1), None
+            return label, execute_run(build_cfg(cell), out_dir), None
         except Exception as exc:  # cell failures must not kill the sweep
             return label, None, f"{type(exc).__name__}: {exc}"
 
@@ -332,7 +350,10 @@ def discover_runs(roots) -> list[Path]:
             found.append(root)
             continue
         if root.is_dir():
-            found.extend(sorted(p.parent for p in root.glob(f"*/{ROUNDS_FILE}")))
+            found.extend(sorted(
+                p.parent for p in root.glob(f"*/{ROUNDS_FILE}")
+                if not p.parent.name.startswith(".")
+            ))
     return found
 
 

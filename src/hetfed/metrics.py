@@ -5,6 +5,8 @@ one half, which coincides with trapezoidal ROC integration. pr_auc is
 average precision over the descending-score step curve. Metrics that are
 undefined for a label set (single class, missing positives) return None
 rather than a fabricated value, and aggregation skips absent entries.
+accuracy, roc_auc and multiclass_roc_auc also score a stack of K
+predictors against one label vector in one call, one value per predictor.
 """
 
 from dataclasses import dataclass, field
@@ -14,18 +16,19 @@ import numpy as np
 from .errors import ConfigError
 
 
-def accuracy(pred_labels, clean_labels) -> float:
+def accuracy(pred_labels, clean_labels):
+    """Share of predictions equal to the labels; pred_labels may be (K, N)."""
     pred = np.asarray(pred_labels)
     clean = np.asarray(clean_labels)
-    if pred.shape != clean.shape or pred.ndim != 1 or pred.size == 0:
+    if pred.shape[-1:] != clean.shape or clean.ndim != 1 or clean.size == 0:
         raise ConfigError("accuracy needs two equal-length non-empty label vectors")
-    return float((pred == clean).mean())
+    return (pred == clean).mean(axis=-1)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks along the last axis, tied values sharing their average rank."""
     n = values.shape[-1]
-    order = np.argsort(values, axis=-1, kind="mergesort")
+    order = np.argsort(values, axis=-1)
     ordered = np.take_along_axis(values, order, axis=-1).reshape(-1, n)
     new_group = np.ones(ordered.shape, dtype=bool)
     new_group[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
@@ -44,21 +47,24 @@ def _mann_whitney(pos_rank_sum, n_pos, n_neg):
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def roc_auc(scores, labels) -> float | None:
+def roc_auc(scores, labels):
     """P(random positive outranks random negative), ties counted 1/2.
 
-    Returns None when only one class is present.
+    scores may be (K, N), one row per predictor. Returns None when only
+    one class is present.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels)
-    if s.shape != y.shape or s.ndim != 1:
+    if s.shape[-1:] != y.shape or y.ndim != 1 or s.ndim > 2:
         raise ConfigError("scores and labels must be equal-length vectors")
     pos = y == 1
     n_pos = int(pos.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    return float(_mann_whitney(_average_ranks(s)[pos].sum(), n_pos, n_neg))
+    # Ranks are half-integers, so every rank sum is exact in any order.
+    rank_sums = np.where(pos, _average_ranks(s), 0.0).sum(axis=-1)
+    return _mann_whitney(rank_sums, n_pos, n_neg)
 
 
 def pr_auc(scores, labels) -> float | None:
@@ -85,24 +91,25 @@ def pr_auc(scores, labels) -> float | None:
     return float((recall_steps * precision).sum())
 
 
-def multiclass_roc_auc(prob_matrix, labels) -> float | None:
+def multiclass_roc_auc(prob_matrix, labels):
     """Unweighted macro mean of one-vs-rest roc_auc per class.
 
-    All classes are ranked in one pass over the (C, N) score matrix.
+    All classes are ranked in one pass over the (C, N) score matrix, or
+    over (K, C, N) for a (K, N, C) stack of K predictors' probabilities.
     Returns None when any class has no example in `labels`.
     """
     probs = np.asarray(prob_matrix, dtype=np.float64)
     y = np.asarray(labels)
-    if probs.ndim != 2 or y.ndim != 1 or probs.shape[0] != y.size:
+    if probs.ndim not in (2, 3) or y.ndim != 1 or probs.shape[-2] != y.size:
         raise ConfigError("probability matrix rows must match label count")
-    pos = y == np.arange(probs.shape[1])[:, np.newaxis]
+    pos = y == np.arange(probs.shape[-1])[:, np.newaxis]
     n_pos = pos.sum(axis=1)
     n_neg = y.size - n_pos
     if np.any(n_pos == 0) or np.any(n_neg == 0):
         return None
     # Ranks are half-integers, so every rank sum is exact in any order.
-    rank_sums = np.where(pos, _average_ranks(probs.T), 0.0).sum(axis=1)
-    return float(np.mean(_mann_whitney(rank_sums, n_pos, n_neg)))
+    rank_sums = np.where(pos, _average_ranks(np.swapaxes(probs, -1, -2)), 0.0).sum(axis=-1)
+    return np.mean(_mann_whitney(rank_sums, n_pos, n_neg), axis=-1)
 
 
 @dataclass(frozen=True)

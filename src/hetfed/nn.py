@@ -6,7 +6,11 @@ training strategy: cross-entropy, reverse cross-entropy, their weighted
 symmetric combination, and KL divergence against fixed peer distributions.
 
 Everything here is a pure function of its inputs; parameter vectors are
-frozen numpy arrays and may be shared across threads.
+frozen numpy arrays and may be shared across threads. Every kernel also
+takes a stack of same-shaped models, parameters (K, P), and runs all K in
+one pass over a leading client axis; each model's result is bit-identical
+to running it alone, because numpy hands every (rows, fan_in) x
+(fan_in, fan_out) slice to the same BLAS call and reduces each row alike.
 """
 
 from dataclasses import dataclass
@@ -30,7 +34,8 @@ class ModelParams:
     """Flat float64 parameter vector plus the layer shapes that interpret it.
 
     Layout is layer-major: weights (fan_in x fan_out, C order) then biases
-    for layer 0, then layer 1, and so on.
+    for layer 0, then layer 1, and so on. values may also be (K, P): one
+    row per model of a stack of K models with these layer shapes.
     """
 
     layer_dims: LayerDims
@@ -44,29 +49,32 @@ class ModelParams:
             if out_prev != in_next:
                 raise ConfigError(f"layer shapes do not chain: {dims}")
         values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size != param_count(dims):
+        if values.ndim not in (1, 2) or values.shape[-1] != param_count(dims):
             raise ConfigError(
-                f"expected {param_count(dims)} parameter values, got {values.size}"
+                f"expected {param_count(dims)} parameter values per model, got {values.shape}"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise ConfigError("parameter values must be finite")
         values.flags.writeable = False
         object.__setattr__(self, "layer_dims", dims)
         object.__setattr__(self, "values", values)
+        lead = values.shape[:-1]
+        layers = []
+        offset = 0
+        for fan_in, fan_out in dims:
+            w = values[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
+            offset += fan_in * fan_out
+            layers.append((w, values[..., offset : offset + fan_out]))
+            offset += fan_out
+        object.__setattr__(self, "_layers", tuple(layers))
 
     @property
     def size(self) -> int:
         return self.values.size
 
-    def layers(self):
-        """Yield (weight matrix, bias vector) views per layer."""
-        offset = 0
-        for fan_in, fan_out in self.layer_dims:
-            w = self.values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
-            offset += fan_in * fan_out
-            b = self.values[offset : offset + fan_out]
-            offset += fan_out
-            yield w, b
+    def layers(self) -> tuple:
+        """(weights (..., fan_in, fan_out), biases (..., fan_out)) views per layer."""
+        return self._layers
 
 
 @dataclass(frozen=True)
@@ -118,20 +126,22 @@ def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
     return out
 
 
+# A diverging model overflows here; softmax_t reports it as a NumericError.
+@np.errstate(over="ignore", invalid="ignore")
 def _forward_cached(params: ModelParams, batch: np.ndarray):
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigError("batch must be a 2-D feature matrix")
-    if x.shape[1] != params.layer_dims[0][0]:
+    if x.ndim not in (2, 3):
+        raise ConfigError("batch must be a 2-D feature matrix or a stack of them")
+    if x.shape[-1] != params.layer_dims[0][0]:
         raise ConfigError(
-            f"batch has {x.shape[1]} features, model expects {params.layer_dims[0][0]}"
+            f"batch has {x.shape[-1]} features, model expects {params.layer_dims[0][0]}"
         )
-    layers = list(params.layers())
+    layers = params.layers()
     activations = [x]
     pre = []
     h = x
     for idx, (w, b) in enumerate(layers):
-        a = h @ w + b
+        a = h @ w + b[..., np.newaxis, :]
         pre.append(a)
         h = a if idx == len(layers) - 1 else np.maximum(a, 0.0)
         activations.append(h)
@@ -139,7 +149,11 @@ def _forward_cached(params: ModelParams, batch: np.ndarray):
 
 
 def mlp_forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Logits (N x C) of a ReLU MLP with a linear output layer."""
+    """Logits (N x C) of a ReLU MLP with a linear output layer.
+
+    For stacked parameters (K, P) the logits are (K, N, C); the batch is
+    then one (N, d) matrix shared by all K models or a (K, N, d) stack.
+    """
     activations, _ = _forward_cached(params, batch)
     return activations[-1]
 
@@ -149,8 +163,10 @@ def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise NumericError("softmax input contains non-finite values")
+    finite = np.isfinite(z)
+    if not finite.all():
+        index = None if z.ndim < 3 else int(np.argmin(finite.reshape(len(z), -1).all(axis=-1)))
+        raise NumericError("softmax input contains non-finite values", index)
     scaled = z / tau
     scaled = scaled - scaled.max(axis=-1, keepdims=True)
     e = np.exp(scaled)
@@ -231,23 +247,36 @@ class MixtureKlSpec:
     """Mean weighted KL from fixed peer distributions to the model's output.
 
     mixture (N, C) is sum_j w_j softmax_t(peer_j, tau) and mass is sum_j w_j;
-    they are all the gradient needs of the peers.
+    they are all the gradient needs of the peers. For a stack of K models
+    mixture is (K, N, C) and mass (K, 1, 1).
     """
 
     mixture: np.ndarray
-    mass: float
+    mass: float | np.ndarray
     tau: float
 
 
-def mixture_spec(peer_probs, peer_weights, tau: float) -> MixtureKlSpec:
-    """Distillation target from tempered peer distributions (J, N, C), weights (J,)."""
+def mixture_spec(peer_probs, peer_weights, tau: float, own=None) -> MixtureKlSpec:
+    """Distillation target from tempered peer distributions (J, N, C), weights (J,).
+
+    With own (K,), the target is stacked for K models, the k-th of which
+    leaves peer own[k] (itself) out: all K mixtures come from one einsum
+    over a weight matrix with a zero at (k, own[k]).
+    """
     p = np.asarray(peer_probs, dtype=np.float64)
     w = np.asarray(peer_weights, dtype=np.float64)
     if p.ndim != 3:
         raise ConfigError(f"peer distributions must be J x N x C, got {p.shape}")
     if w.shape != (p.shape[0],):
         raise ConfigError("one weight per peer required")
-    return MixtureKlSpec(np.einsum("j,jnc->nc", w, p), w.sum(), tau)
+    if own is None:
+        return MixtureKlSpec(np.einsum("j,jnc->nc", w, p), w.sum(), tau)
+    keep = np.arange(w.size) != np.asarray(own)[:, np.newaxis]
+    # Summing the kept weights alone, in peer order, gives each mass the
+    # bits of a sum over that model's peers; a zero in the sum would not.
+    mass = np.broadcast_to(w, keep.shape)[keep].reshape(len(keep), -1).sum(axis=-1)
+    mixture = np.einsum("kj,jnc->knc", np.where(keep, w, 0.0), p)
+    return MixtureKlSpec(mixture, mass[:, np.newaxis, np.newaxis], tau)
 
 
 @dataclass(frozen=True)
@@ -288,12 +317,12 @@ def weighted_kl_alignment(own_logits, peer_logits, peer_weights, tau):
 
 
 def _logit_gradient(logits: np.ndarray, spec) -> np.ndarray:
-    """d(mean loss)/d(logits) for the supported loss specs."""
-    n = logits.shape[0]
+    """d(mean loss)/d(logits) for the supported loss specs; means are over rows."""
+    n = logits.shape[-2]
     if isinstance(spec, ConsensusKlSpec):
         spec = spec.mixture()
     if isinstance(spec, MixtureKlSpec):
-        if spec.mixture.shape != logits.shape:
+        if np.broadcast_shapes(spec.mixture.shape, logits.shape) != logits.shape:
             raise ConfigError(
                 f"peer distributions {spec.mixture.shape} do not match logits {logits.shape}"
             )
@@ -327,24 +356,29 @@ def loss_value(logits: np.ndarray, spec) -> float:
 
 
 def backward(params: ModelParams, batch, loss_spec) -> np.ndarray:
-    """Flat gradient of the mean batch loss w.r.t. every parameter."""
+    """Flat gradient of the mean batch loss w.r.t. every parameter.
+
+    Stacked parameters (K, P) give stacked gradients (K, P); batch and
+    loss targets are then shared or stacked as for mlp_forward.
+    """
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ConfigError("batch must be a non-empty 2-D matrix")
+    if x.ndim not in (2, 3) or x.shape[-2] == 0:
+        raise ConfigError("batch must be a non-empty 2-D matrix or a stack of them")
     activations, pre = _forward_cached(params, x)
     delta = _logit_gradient(activations[-1], loss_spec)
-    layers = list(params.layers())
+    layers = params.layers()
     grads = [None] * len(layers)
     for idx in range(len(layers) - 1, -1, -1):
         w, _ = layers[idx]
-        grads[idx] = (activations[idx].T @ delta, delta.sum(axis=0))
+        grads[idx] = (activations[idx].swapaxes(-1, -2) @ delta, delta.sum(axis=-2))
         if idx > 0:
-            delta = (delta @ w.T) * (pre[idx - 1] > 0)
+            delta = (delta @ w.swapaxes(-1, -2)) * (pre[idx - 1] > 0)
+    lead = params.values.shape[:-1]
     flat = []
     for gw, gb in grads:
-        flat.append(gw.ravel())
+        flat.append(gw.reshape(*lead, -1))
         flat.append(gb)
-    return np.concatenate(flat)
+    return np.concatenate(flat, axis=-1)
 
 
 def sgd_step(params: ModelParams, grad: np.ndarray, alpha: float) -> ModelParams:

@@ -3,8 +3,10 @@
 A single controller owns all aggregation state and drives synchronous
 rounds over an in-memory message channel. Clients are plain state records;
 their per-round work (training, inference, logit computation) touches only
-their own state and RNG stream, so rounds may fan the work out to a thread
-pool without changing any result. The controller folds uploads in
+their own model, shard and RNG stream. The controller groups the clients
+that share an architecture and a shard size, and runs each phase for a
+whole group as stacked kernels over a leading client axis, which give
+every client the bits it would get alone. The controller folds uploads in
 ascending client id, which pins the floating-point reduction order and
 makes whole runs bit-reproducible for a fixed seed.
 
@@ -19,7 +21,6 @@ Four strategies are implemented:
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -134,26 +135,24 @@ class MessageLog:
 
 @dataclass
 class TrainHistory:
-    """A model and its mean symmetric loss on the client's noisy shard."""
+    """A group's shard losses (K,) and the stacked models they were taken at."""
 
-    mean_sl: float
+    mean_sl: np.ndarray
     params: nn.ModelParams
 
 
 @dataclass
 class ClientState:
-    """Everything one client owns: model, shard, RNG stream, history.
+    """Everything one client owns: model, shard, RNG stream.
 
-    `evaluated` is the shard loss of the latest evaluation, which the next
-    round's confidence upload reuses; `history` is the one before it.
+    During a run the model lives in its group's stacked parameters;
+    Controller.run writes it back here when the run ends.
     """
 
     client_id: int
     params: nn.ModelParams
     shard: NoisyDataset
     rng: np.random.Generator
-    history: TrainHistory | None = None
-    evaluated: TrainHistory | None = None
 
     @property
     def arch(self):
@@ -187,6 +186,87 @@ class RunResult:
     round_seconds: list[float] = field(default_factory=list)
 
 
+# Bytes a chunk of clients may stack in its widest activation: small enough
+# to keep peak memory near that of one big client, large enough to spread
+# numpy's per-call cost over many small ones.
+_CHUNK_BYTES = 1 << 20
+
+
+@dataclass
+class ClientGroup:
+    """Clients with one architecture and one shard size, stacked on a leading axis.
+
+    params (K, P), the shard features (K, S, d) and the noisy one-hot
+    labels (K, S, C) follow `clients`; index holds each client's position
+    in the controller's id order. `evaluated` is the latest evaluation's
+    shard losses, which the next confidence upload reuses; `history` is
+    the one before it.
+    """
+
+    clients: list[ClientState]
+    index: np.ndarray
+    params: nn.ModelParams
+    features: np.ndarray
+    onehot: np.ndarray
+    evaluated: TrainHistory | None = None
+    history: TrainHistory | None = None
+
+    @classmethod
+    def stack(cls, clients, index) -> "ClientGroup":
+        first = clients[0]
+        if any(c.arch != first.arch or c.shard.size != first.shard.size for c in clients):
+            raise ConfigError("a client group needs one architecture and one shard size")
+        classes = first.shard.base.class_count
+        return cls(
+            list(clients),
+            np.asarray(index),
+            nn.ModelParams(first.arch, np.stack([c.params.values for c in clients])),
+            np.stack([c.shard.base.features for c in clients]),
+            np.stack([nn.one_hot(c.shard.noisy_labels, classes) for c in clients]),
+        )
+
+    def select(self, rows) -> "ClientGroup":
+        """The clients at rows (a slice or positions) with their part of every stack."""
+        picked = np.arange(len(self.clients))[rows]
+        return ClientGroup(
+            [self.clients[i] for i in picked],
+            self.index[rows],
+            nn.ModelParams(self.params.layer_dims, self.params.values[rows]),
+            self.features[rows],
+            self.onehot[rows],
+        )
+
+
+def _by_chunk(group: ClientGroup, rows: int, fn) -> list:
+    """fn(part) over consecutive client chunks of the group.
+
+    A chunk holds as many clients as keep its widest activation, rows x
+    the widest layer, near _CHUNK_BYTES; a group that fits is its own
+    chunk. A NumericError's client index is moved from the chunk's client
+    axis to the group's.
+    """
+    width = max(max(dims) for dims in group.params.layer_dims)
+    step = max(1, _CHUNK_BYTES // (8 * rows * width))
+    if step >= len(group.clients):
+        return [fn(group)]
+    out = []
+    for lo in range(0, len(group.clients), step):
+        try:
+            out.append(fn(group.select(slice(lo, lo + step))))
+        except NumericError as exc:
+            if exc.index is not None:
+                exc.index += lo
+            raise
+    return out
+
+
+def _restack(parts: list[nn.ModelParams]) -> nn.ModelParams:
+    """One stack of the chunks' parameters."""
+    if len(parts) == 1:
+        return parts[0]
+    return nn.ModelParams(parts[0].layer_dims, np.concatenate([p.values for p in parts]))
+
+
 def fedavg_aggregate(params_list, sizes) -> nn.ModelParams:
     """Size-weighted elementwise mean of homogeneous parameter vectors."""
     if not params_list or len(params_list) != len(sizes):
@@ -205,92 +285,117 @@ def fedavg_aggregate(params_list, sizes) -> nn.ModelParams:
     return nn.ModelParams(dims, total)
 
 
-def _shard_onehot(shard: NoisyDataset) -> np.ndarray:
-    return nn.one_hot(shard.noisy_labels, shard.base.class_count)
-
-
 def private_training(
-    client: ClientState,
+    group: ClientGroup,
     cfg: StrategyConfig,
     epochs: int,
     use_sl: bool,
     dlr_sched: reweight.DlrSchedule | None,
     epoch_base: int,
 ) -> None:
-    """Minibatch SGD epochs on the client's own noisy shard.
+    """Minibatch SGD epochs of every client of the group on its own noisy shard.
 
-    When a refinement schedule is given, each epoch rebuilds its soft
-    targets from the current predictions before any gradient step; targets
-    then stay fixed for the epoch.
+    Each client draws its batch order from its own RNG stream; the group
+    steps through the batches in lockstep. When a refinement schedule is
+    given, each epoch rebuilds its soft targets from the current
+    predictions before any gradient step; targets then stay fixed for the
+    epoch.
     """
-    shard = client.shard
-    x = shard.base.features
-    onehot = _shard_onehot(shard)
+    size = group.features.shape[1]
     hp = cfg.hyperparams
-    for epoch in range(epochs):
-        if dlr_sched is not None:
-            s = reweight.dlr_weight(epoch_base + epoch + 1, dlr_sched)
-            preds = nn.softmax_t(nn.mlp_forward(client.params, x), 1.0)
-            targets = reweight.dlr_refine(onehot, preds, s)
-        else:
-            targets = onehot
-        perm = client.rng.permutation(shard.size)
-        for start in range(0, shard.size, cfg.batch_size):
-            batch_idx = perm[start : start + cfg.batch_size]
-            batch_targets = targets[batch_idx]
-            if use_sl:
-                spec = nn.SymmetricLossSpec(
-                    batch_targets, hp.lam, hp.gamma, hp.rce_log_floor
-                )
+
+    def train(part: ClientGroup) -> nn.ModelParams:
+        params = part.params
+        clients = np.arange(len(part.clients))[:, np.newaxis]
+        for epoch in range(epochs):
+            if dlr_sched is not None:
+                s = reweight.dlr_weight(epoch_base + epoch + 1, dlr_sched)
+                preds = nn.softmax_t(nn.mlp_forward(params, part.features), 1.0)
+                targets = reweight.dlr_refine(part.onehot, preds, s)
             else:
-                spec = nn.CrossEntropySpec(batch_targets)
-            grad = nn.backward(client.params, x[batch_idx], spec)
-            client.params = nn.sgd_step(client.params, grad, hp.lr)
+                targets = part.onehot
+            # Each epoch's shuffled shards, so every batch is a plain slice.
+            perms = np.stack([c.rng.permutation(size) for c in part.clients])
+            x, targets = part.features[clients, perms], targets[clients, perms]
+            for start in range(0, size, cfg.batch_size):
+                batch = slice(start, start + cfg.batch_size)
+                if use_sl:
+                    spec = nn.SymmetricLossSpec(
+                        targets[:, batch], hp.lam, hp.gamma, hp.rce_log_floor
+                    )
+                else:
+                    spec = nn.CrossEntropySpec(targets[:, batch])
+                grad = nn.backward(params, x[:, batch], spec)
+                params = nn.sgd_step(params, grad, hp.lr)
+        return params
+
+    group.params = _restack(_by_chunk(group, size, train))
 
 
 def collaborative_training(
-    client: ClientState,
+    group: ClientGroup,
     public: Dataset,
     peer_probs: np.ndarray,
     peer_weights: np.ndarray,
     cfg: StrategyConfig,
+    leave_out_own: bool = False,
 ) -> None:
-    """Full-batch descent on the weighted KL alignment loss; peers fixed.
+    """Full-batch descent of every client of the group on its weighted KL
+    alignment loss; peers fixed.
 
-    peer_probs are the peers' tempered public-set distributions (J, N, C);
-    their weighted mixture is formed once for all collaborative epochs.
+    peer_probs are the peers' tempered public-set distributions (J, N, C)
+    and peer_weights (J,) their weights; each client's mixture is formed
+    once for all collaborative epochs. With leave_out_own the peers are the
+    run's clients in id order, and each client leaves its own row out.
     """
-    if peer_probs.shape[0] == 0:
+    if len(peer_probs) == int(leave_out_own):  # no peers but, maybe, itself
         return
-    spec = nn.mixture_spec(peer_probs, peer_weights, cfg.hyperparams.temperature)
-    for _ in range(cfg.collab_epochs):
-        grad = nn.backward(client.params, public.features, spec)
-        client.params = nn.sgd_step(client.params, grad, cfg.hyperparams.lr)
+    hp = cfg.hyperparams
+
+    def distill(part: ClientGroup) -> nn.ModelParams:
+        own = part.index if leave_out_own else None
+        spec = nn.mixture_spec(peer_probs, peer_weights, hp.temperature, own)
+        params = part.params
+        for _ in range(cfg.collab_epochs):
+            params = nn.sgd_step(params, nn.backward(params, public.features, spec), hp.lr)
+        return params
+
+    group.params = _restack(_by_chunk(group, public.size, distill))
 
 
-def mean_shard_sl(client: ClientState, hp: nn.Hyperparams) -> float:
-    """Mean symmetric loss of the current model on the client's noisy shard."""
-    probs = nn.softmax_t(nn.mlp_forward(client.params, client.shard.base.features), 1.0)
-    losses = nn.sl_loss_rows(probs, _shard_onehot(client.shard), hp)
-    return float(losses.mean())
+def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> list[tuple]:
+    """Clean-test metrics plus the shard's mean symmetric loss per client.
 
+    Returns (accuracy, roc_auc, pr_auc, mean_sl) for each client of the
+    group, in group order.
+    """
 
-def evaluate_client(client: ClientState, test: Dataset, hp: nn.Hyperparams):
-    """Clean-test metrics plus the shard's mean symmetric loss."""
-    probs = nn.softmax_t(nn.mlp_forward(client.params, test.features), 1.0)
-    pred = probs.argmax(axis=1)
-    acc = metrics.accuracy(pred, test.labels)
-    if test.class_count == 2:
-        roc = metrics.roc_auc(probs[:, 1], test.labels)
-        pr = metrics.pr_auc(probs[:, 1], test.labels == 1)
-    else:
-        roc = metrics.multiclass_roc_auc(probs, test.labels)
-        pr = None
-    return acc, roc, pr, mean_shard_sl(client, hp)
+    def evaluate(part: ClientGroup) -> list[tuple]:
+        probs = nn.softmax_t(nn.mlp_forward(part.params, test.features), 1.0)
+        acc = metrics.accuracy(probs.argmax(axis=-1), test.labels)
+        if test.class_count == 2:
+            roc = metrics.roc_auc(probs[..., 1], test.labels)
+            pr = [metrics.pr_auc(s, test.labels == 1) for s in probs[..., 1]]
+        else:
+            roc = metrics.multiclass_roc_auc(probs, test.labels)
+            pr = [None] * len(part.clients)
+        shard = nn.softmax_t(nn.mlp_forward(part.params, part.features), 1.0)
+        sl = nn.sl_loss_rows(shard, part.onehot, hp).mean(axis=-1)
+        return [
+            (float(acc[i]), None if roc is None else float(roc[i]), pr[i], float(sl[i]))
+            for i in range(len(part.clients))
+        ]
+
+    rows = max(test.size, group.features.shape[1])
+    return [result for chunk in _by_chunk(group, rows, evaluate) for result in chunk]
 
 
 class Controller:
-    """Synchronous round orchestrator; owns aggregation and the message log."""
+    """Synchronous round orchestrator; owns aggregation and the message log.
+
+    Clients are grouped once, by architecture and shard size; each phase
+    visits the groups in the order of their lowest client id.
+    """
 
     def __init__(
         self,
@@ -298,7 +403,6 @@ class Controller:
         cfg: StrategyConfig,
         test: Dataset,
         public: Dataset | None = None,
-        jobs: int = 1,
         sampler_seed=0,
     ):
         if not clients:
@@ -310,7 +414,6 @@ class Controller:
         self.cfg = cfg
         self.test = test
         self.public = public
-        self.jobs = max(1, jobs)
         self.log = MessageLog()
         self._sampler = np.random.default_rng(sampler_seed)
         needs_public = cfg.strategy == "hetero_distill" or (
@@ -328,25 +431,52 @@ class Controller:
             )
         else:
             self.dlr_sched = None
+        members: dict[tuple, list[int]] = {}
+        for pos, client in enumerate(self.clients):
+            members.setdefault((client.arch, client.shard.size), []).append(pos)
+        self.groups = [
+            ClientGroup.stack([self.clients[pos] for pos in index], index)
+            for index in members.values()
+        ]
 
     # -- plumbing ---------------------------------------------------------
 
-    def _map_clients(self, phase: str, round_idx: int, fn, subset=None):
-        """fn over the clients in id order; errors name round, client and phase."""
-        targets = self.clients if subset is None else subset
+    def _map_groups(self, phase: str, round_idx: int, fn, groups=None) -> list:
+        """fn over the groups in order; errors name round, client and phase.
 
-        def call(client: ClientState):
+        The client named is the one a NumericError's index points at, else
+        the group's first.
+        """
+        out = []
+        for group in self.groups if groups is None else groups:
             try:
-                return fn(client)
+                out.append(fn(group))
             except (ConfigError, NumericError, ProtocolError) as exc:
+                client = group.clients[getattr(exc, "index", None) or 0]
                 raise type(exc)(
                     f"round {round_idx}, client {client.client_id}, phase {phase}: {exc}"
                 ) from exc
+        return out
 
-        if self.jobs == 1 or len(targets) == 1:
-            return [call(c) for c in targets]
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            return list(pool.map(call, targets))
+    def _by_client(self, per_group: list) -> list:
+        """Per-group lists of per-client results, merged into client id order."""
+        out = [None] * len(self.clients)
+        for group, results in zip(self.groups, per_group):
+            for pos, result in zip(group.index, results):
+                out[pos] = result
+        return out
+
+    def _public_logits(self, phase: str, round_idx: int) -> np.ndarray:
+        """Every client's logits on the public set (K, N, C), in id order."""
+        x = self.public.features
+        logits = np.empty((len(self.clients), len(x), self.public.class_count))
+
+        def forward(group: ClientGroup):
+            chunks = _by_chunk(group, len(x), lambda part: nn.mlp_forward(part.params, x))
+            logits[group.index] = np.concatenate(chunks)
+
+        self._map_groups(phase, round_idx, forward)
+        return logits
 
     def _receive(self, msg: RoundMessage, expected_round: int):
         if msg.round_idx != expected_round:
@@ -372,12 +502,15 @@ class Controller:
 
     def _eval_round(self, round_idx: int, extras=None, clamp_events: int = 0) -> RoundRecord:
         hp = self.cfg.hyperparams
-        results = self._map_clients(
-            "eval", round_idx, lambda c: evaluate_client(c, self.test, hp)
-        )
+
+        def evaluate(group: ClientGroup):
+            results = evaluate_client(group, self.test, hp)
+            group.evaluated = TrainHistory(np.array([r[3] for r in results]), group.params)
+            return results
+
+        results = self._by_client(self._map_groups("eval", round_idx, evaluate))
         stats = []
         for client, (acc, roc, pr, sl) in zip(self.clients, results):
-            client.evaluated = TrainHistory(sl, client.params)
             self._receive(
                 RoundMessage("eval_report", round_idx, client.client_id), round_idx
             )
@@ -401,56 +534,66 @@ class Controller:
 
     def _round_fedavg(self, round_idx: int):
         cfg = self.cfg
-        global_params = self.clients[0].params
+        dims = self.groups[0].params.layer_dims
+        global_values = self.groups[0].params.values[0]
         self._broadcast("model_broadcast", round_idx)
-        for client in self.clients:
-            client.params = global_params
+        k = len(self.clients)
         if cfg.participation < 1.0:
-            count = max(1, int(round(cfg.participation * len(self.clients))))
-            chosen = sorted(
-                self._sampler.choice(len(self.clients), size=count, replace=False)
-            )
-            selected = [self.clients[i] for i in chosen]
+            count = max(1, int(round(cfg.participation * k)))
+            chosen = np.sort(self._sampler.choice(k, size=count, replace=False))
         else:
-            selected = self.clients
+            chosen = np.arange(k)
+        selected = []
+        for group in self.groups:
+            rows = np.flatnonzero(np.isin(group.index, chosen))
+            if rows.size:
+                part = group.select(rows)
+                part.params = nn.ModelParams(
+                    dims, np.broadcast_to(global_values, part.params.values.shape)
+                )
+                selected.append(part)
 
-        def work(client: ClientState):
-            private_training(client, cfg, cfg.local_epochs, use_sl=False,
+        def work(part: ClientGroup):
+            private_training(part, cfg, cfg.local_epochs, use_sl=False,
                              dlr_sched=None, epoch_base=0)
-            return RoundMessage(
-                "model_upload", round_idx, client.client_id,
-                (client.params, client.shard.size),
-            )
+            return [
+                RoundMessage(
+                    "model_upload", round_idx, client.client_id,
+                    (nn.ModelParams(dims, values), client.shard.size),
+                )
+                for client, values in zip(part.clients, part.params.values)
+            ]
 
-        uploads = self._map_clients("fedavg", round_idx, work, selected)
+        uploads = [m for msgs in self._map_groups("fedavg", round_idx, work, selected) for m in msgs]
+        uploads.sort(key=lambda msg: msg.sender)
         payloads = [self._receive(msg, round_idx) for msg in uploads]
         aggregated = fedavg_aggregate([p for p, _ in payloads], [s for _, s in payloads])
-        for client in self.clients:
-            client.params = aggregated
+        for group in self.groups:
+            group.params = nn.ModelParams(
+                dims, np.broadcast_to(aggregated.values, group.params.values.shape)
+            )
 
     def _round_hetero(self, round_idx: int):
         cfg = self.cfg
-
-        def share(client: ClientState):
-            logits = nn.mlp_forward(client.params, self.public.features)
-            return RoundMessage("logit_share", round_idx, client.client_id, logits)
-
-        uploads = self._map_clients("hetero_share", round_idx, share)
-        all_logits = np.stack([self._receive(m, round_idx) for m in uploads])
-        consensus = all_logits.mean(axis=0)
+        logits = self._public_logits("hetero_share", round_idx)
+        for pos, client in enumerate(self.clients):
+            self._receive(
+                RoundMessage("logit_share", round_idx, client.client_id, logits[pos]), round_idx
+            )
+        consensus = logits.mean(axis=0)
         # Server shares the averaged knowledge back as a logit share.
         for _ in self.clients:
             self.log.record(RoundMessage("logit_share", round_idx, None))
 
         peer = nn.softmax_t(consensus[np.newaxis], cfg.hyperparams.temperature)
         weight = np.ones(1)
-        self._map_clients(
+        self._map_groups(
             "distill", round_idx,
-            lambda c: collaborative_training(c, self.public, peer, weight, cfg),
+            lambda g: collaborative_training(g, self.public, peer, weight, cfg),
         )
-        self._map_clients(
+        self._map_groups(
             "private", round_idx,
-            lambda c: private_training(c, cfg, cfg.local_epochs, use_sl=False,
+            lambda g: private_training(g, cfg, cfg.local_epochs, use_sl=False,
                                        dlr_sched=None, epoch_base=0),
         )
 
@@ -464,40 +607,44 @@ class Controller:
         if flags.hfl:
             hp = cfg.hyperparams
 
-            def phase1(client: ClientState):
+            def phase1(group: ClientGroup):
                 # The previous evaluation already took the shard loss of
                 # these very parameters.
-                hist, cur = client.history, client.evaluated
-                if cur.params is not client.params:
+                hist, cur = group.history, group.evaluated
+                if cur.params is not group.params:
                     raise ProtocolError("parameters changed after the last evaluation")
-                delta = hist.mean_sl - cur.mean_sl
-                base_norm = float(np.linalg.norm(hist.params.values))
-                moved = float(np.linalg.norm(cur.params.values - hist.params.values))
-                ratio = moved / base_norm if base_norm > 0 else 0.0
-                client.history = cur
-                report = reweight.ConfidenceReport(
-                    client.client_id,
-                    q=reweight.label_quality(cur.mean_sl),
-                    p=reweight.learning_efficiency(delta, ratio),
-                    f=None,
-                    delta_sl=delta,
-                    update_ratio=ratio,
-                )
-                logits = nn.mlp_forward(client.params, self.public.features)
-                return (
+                group.history = cur
+                moved = cur.params.values - hist.params.values
+                reports = []
+                for i, client in enumerate(group.clients):
+                    delta = float(hist.mean_sl[i] - cur.mean_sl[i])
+                    base_norm = float(np.linalg.norm(hist.params.values[i]))
+                    ratio = float(np.linalg.norm(moved[i])) / base_norm if base_norm > 0 else 0.0
+                    reports.append(reweight.ConfidenceReport(
+                        client.client_id,
+                        q=reweight.label_quality(float(cur.mean_sl[i])),
+                        p=reweight.learning_efficiency(delta, ratio),
+                        f=None,
+                        delta_sl=delta,
+                        update_ratio=ratio,
+                    ))
+                return reports
+
+            uploads = self._by_client(self._map_groups("phase1", round_idx, phase1))
+            logits = self._public_logits("phase1", round_idx)
+            reports = []
+            for pos, (client, report) in enumerate(zip(self.clients, uploads)):
+                reports.append(self._receive(
                     RoundMessage("confidence_upload", round_idx, client.client_id, report),
+                    round_idx,
+                ))
+                self._receive(
                     RoundMessage(
                         "logit_share", round_idx, client.client_id,
-                        reweight.LogitShare(client.client_id, logits),
+                        reweight.LogitShare(client.client_id, logits[pos]),
                     ),
+                    round_idx,
                 )
-
-            uploads = self._map_clients("phase1", round_idx, phase1)
-            reports = []
-            shares = []
-            for conf_msg, logit_msg in uploads:
-                reports.append(self._receive(conf_msg, round_idx))
-                shares.append(self._receive(logit_msg, round_idx))
 
             qualities = np.array([r.q for r in reports])
             q_norm = reweight.normalize_quality(qualities)
@@ -522,10 +669,8 @@ class Controller:
                 clamp_events = result.clamp_events
             self._broadcast("weight_broadcast", round_idx)
 
-            # Each peer is softmaxed once; clients take their peers' slices.
-            peer_probs = nn.softmax_t(
-                np.stack([s.logits for s in shares]), hp.temperature
-            )
+            # Each peer is softmaxed once; every client mixes all but itself.
+            peer_probs = nn.softmax_t(logits, hp.temperature)
             for idx, client in enumerate(self.clients):
                 extras[client.client_id] = {
                     "q": float(qualities[idx]),
@@ -534,25 +679,21 @@ class Controller:
                     "weight": float(weights[idx]),
                 }
 
-            index = {c.client_id: i for i, c in enumerate(self.clients)}
-
-            def phase2(client: ClientState):
-                mask = np.arange(k) != index[client.client_id]
-                collaborative_training(
-                    client, self.public, peer_probs[mask], weights[mask], cfg
-                )
-
-            self._map_clients("distill", round_idx, phase2)
-
-        epoch_base = (round_idx - 1) * cfg.local_epochs
-
-        def phase3(client: ClientState):
-            private_training(
-                client, cfg, cfg.local_epochs,
-                use_sl=flags.sl, dlr_sched=self.dlr_sched, epoch_base=epoch_base,
+            self._map_groups(
+                "distill", round_idx,
+                lambda g: collaborative_training(
+                    g, self.public, peer_probs, weights, cfg, leave_out_own=True
+                ),
             )
 
-        self._map_clients("private", round_idx, phase3)
+        epoch_base = (round_idx - 1) * cfg.local_epochs
+        self._map_groups(
+            "private", round_idx,
+            lambda g: private_training(
+                g, cfg, cfg.local_epochs,
+                use_sl=flags.sl, dlr_sched=self.dlr_sched, epoch_base=epoch_base,
+            ),
+        )
         return extras, clamp_events
 
     # -- top level ---------------------------------------------------------
@@ -561,8 +702,8 @@ class Controller:
         result = RunResult([], self.log)
         started = time.perf_counter()
         result.records.append(self._eval_round(0))
-        for client in self.clients:
-            client.history = client.evaluated
+        for group in self.groups:
+            group.history = group.evaluated
         result.round_seconds.append(time.perf_counter() - started)
         for round_idx in range(1, self.cfg.rounds + 1):
             started = time.perf_counter()
@@ -576,6 +717,9 @@ class Controller:
                 extras, clamps = self._round_lattice(round_idx)
             result.records.append(self._eval_round(round_idx, extras, clamps))
             result.round_seconds.append(time.perf_counter() - started)
+        for group in self.groups:
+            for client, values in zip(group.clients, group.params.values):
+                client.params = nn.ModelParams(group.params.layer_dims, values)
         return result
 
 
@@ -584,7 +728,6 @@ def run_federation(
     cfg: StrategyConfig,
     test: Dataset,
     public: Dataset | None = None,
-    jobs: int = 1,
     sampler_seed=0,
 ) -> RunResult:
-    return Controller(clients, cfg, test, public, jobs, sampler_seed).run()
+    return Controller(clients, cfg, test, public, sampler_seed).run()

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import pytest
 
@@ -84,10 +85,37 @@ class TestRunCommand:
         cfg = write_cfg(tmp_path, strategy="rhfl_plus_eccr")
         argv = ["run", "--config", cfg, "--set", "hyperparams.lr=1e100",
                 "--out", str(tmp_path / "x")]
-        with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             assert main(argv) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         err = capsys.readouterr().err
         assert "error: NumericError: round 1, client 0, phase private: softmax" in err
+        assert harness.discover_runs([tmp_path / "x"]) == []
+
+    def test_failed_write_leaves_no_run(self, tmp_path, monkeypatch):
+        cfg = ExperimentConfig.from_dict(resolve_dict(small_doc(strategy="local_only")))
+        out = tmp_path / "runs"
+        # A killed run's leftovers: hidden, so never discovered, and cleared on rerun.
+        stale = out / f".{harness.run_dir_name(harness.echo_config(cfg))}.partial"
+        stale.mkdir(parents=True)
+        (stale / harness.ROUNDS_FILE).write_text("{}\n")
+        assert harness.discover_runs([out]) == []
+
+        def fail(*args, **kwargs):
+            raise OSError("disk full")
+
+        # rounds.jsonl is written before the first json.dump call.
+        monkeypatch.setattr(harness.json, "dump", fail)
+        with pytest.raises(OSError, match="disk full"):
+            harness.execute_run(cfg, out)
+        assert harness.discover_runs([out]) == []
+        assert list(out.iterdir()) == []
+
+        monkeypatch.undo()
+        run_dir = harness.execute_run(cfg, out)
+        assert harness.discover_runs([out]) == [run_dir]
+        assert [p.name for p in out.iterdir()] == [run_dir.name]
 
     def test_jobs_flag_does_not_change_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path, strategy="rhfl_plus_ccr",

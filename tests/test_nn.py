@@ -284,3 +284,93 @@ class TestModelParams:
     def test_nonfinite_rejected(self):
         with pytest.raises(ConfigError):
             nn.ModelParams(((1, 1),), np.array([np.nan, 0.0]))
+
+
+class TestStackedKernels:
+    """K models stacked on a leading axis must give each model its lone bits."""
+
+    K = 5
+
+    def _fleet(self, rng):
+        dims, _ = random_net(rng, max_width=12, depth_choices=(1, 2, 3))
+        values = np.stack([nn.init_params(dims, int(rng.integers(1 << 30))).values
+                           for _ in range(self.K)])
+        return dims, nn.ModelParams(dims, values)
+
+    def _alone(self, dims, stacked, k):
+        return nn.ModelParams(dims, stacked.values[k])
+
+    def test_forward_shared_and_stacked_batches(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            dims, stacked = self._fleet(rng)
+            shared = rng.normal(size=(int(rng.integers(1, 40)), dims[0][0]))
+            own = rng.normal(size=(self.K, int(rng.integers(1, 40)), dims[0][0]))
+            for batch, pick in ((shared, lambda k: shared), (own, lambda k: own[k])):
+                out = nn.mlp_forward(stacked, batch)
+                for k in range(self.K):
+                    alone = nn.mlp_forward(self._alone(dims, stacked, k), pick(k))
+                    assert out[k].tobytes() == alone.tobytes()
+
+    def test_backward_and_sgd_for_every_spec(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            dims, stacked = self._fleet(rng)
+            n, c = int(rng.integers(1, 33)), dims[-1][1]
+            x = rng.normal(size=(self.K, n, dims[0][0]))
+            soft = rng.dirichlet(np.ones(c), size=(self.K, n))
+            peers = nn.softmax_t(rng.normal(size=(self.K, n, c)), 4.0)
+            w = rng.dirichlet(np.ones(self.K))
+            specs = [
+                (nn.CrossEntropySpec(soft), lambda k: nn.CrossEntropySpec(soft[k])),
+                (nn.SymmetricLossSpec(soft, 0.4, 0.9, -4.0),
+                 lambda k: nn.SymmetricLossSpec(soft[k], 0.4, 0.9, -4.0)),
+                (nn.mixture_spec(peers, w, 4.0, np.arange(self.K)),
+                 lambda k: nn.mixture_spec(peers[np.arange(self.K) != k],
+                                           w[np.arange(self.K) != k], 4.0)),
+            ]
+            for spec, alone_spec in specs:
+                # The mixture's peers are shared inputs, so its batch is too.
+                batch = x[0] if isinstance(spec, nn.MixtureKlSpec) else x
+                grad = nn.backward(stacked, batch, spec)
+                stepped = nn.sgd_step(stacked, grad, 0.05)
+                for k in range(self.K):
+                    params = self._alone(dims, stacked, k)
+                    xk = x[0] if batch.ndim == 2 else x[k]
+                    g = nn.backward(params, xk, alone_spec(k))
+                    assert grad[k].tobytes() == g.tobytes()
+                    assert stepped.values[k].tobytes() == nn.sgd_step(params, g, 0.05).values.tobytes()
+
+    def test_mixture_leaves_out_own_row(self):
+        rng = np.random.default_rng(5)
+        for k_total in (1, 2, 5, 9, 17, 100):
+            peers = nn.softmax_t(rng.normal(size=(k_total, 20, 3)), 4.0)
+            w = rng.dirichlet(np.ones(k_total))
+            w[rng.random(k_total) < 0.2] = 0.0  # clamped weights stay in the sums
+            own = rng.permutation(k_total)[: min(k_total, 7)]
+            spec = nn.mixture_spec(peers, w, 4.0, own)
+            for row, k in enumerate(own):
+                mask = np.arange(k_total) != k
+                alone = nn.mixture_spec(peers[mask], w[mask], 4.0)
+                assert spec.mixture[row].tobytes() == alone.mixture.tobytes()
+                assert spec.mass[row, 0, 0] == alone.mass
+
+    def test_stacked_shapes_validated(self):
+        dims = ((2, 3),)
+        with pytest.raises(ConfigError):
+            nn.ModelParams(dims, np.zeros((2, 3, 9)))
+        stacked = nn.ModelParams(dims, np.zeros((2, 9)))
+        assert stacked.layers()[0][0].shape == (2, 2, 3)
+        with pytest.raises(ConfigError):
+            nn.mlp_forward(stacked, np.zeros((2, 4, 3)))
+
+    def test_nonfinite_softmax_names_the_first_stacked_row(self):
+        z = np.zeros((4, 3, 2))
+        z[3, 0, 0] = np.inf
+        z[1, 2, 1] = np.nan
+        with pytest.raises(NumericError) as caught:
+            nn.softmax_t(z, 1.0)
+        assert caught.value.index == 1
+        with pytest.raises(NumericError) as caught:
+            nn.softmax_t(z[1], 1.0)
+        assert caught.value.index is None

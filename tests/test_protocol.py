@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -337,10 +338,11 @@ class TestPeerPath:
             spec = nn.ConsensusKlSpec(logits[mask], w[mask], tau)
             expected = self._spec_descent(cfg, client.params, world.public.features, spec)
             assert expected.values.tobytes() != client.params.values.tobytes()
+            group = protocol.ClientGroup.stack([client], [idx])
             protocol.collaborative_training(
-                client, world.public, probs[mask], w[mask], cfg.strategy_config()
+                group, world.public, probs, w, cfg.strategy_config(), leave_out_own=True
             )
-            assert client.params.values.tobytes() == expected.values.tobytes()
+            assert group.params.values.tobytes() == expected.values.tobytes()
 
     def test_lattice_round_matches_consensus_spec(self):
         cfg, world, logits = self._fleet("rhfl_plus_eccr")
@@ -364,10 +366,92 @@ class TestPeerPath:
         for client in world.clients:
             spec = nn.ConsensusKlSpec(consensus, np.ones(1), tau)
             expected = self._spec_descent(cfg, client.params, world.public.features, spec)
+            group = protocol.ClientGroup.stack([client], [0])
             protocol.collaborative_training(
-                client, world.public, peer, np.ones(1), cfg.strategy_config()
+                group, world.public, peer, np.ones(1), cfg.strategy_config()
             )
-            assert client.params.values.tobytes() == expected.values.tobytes()
+            assert group.params.values.tobytes() == expected.values.tobytes()
+
+
+class TestClientGroups:
+    """Clients are stacked per (architecture, shard size) and chunked."""
+
+    def _unequal_fleet(self, strategy, sizes=(30, 40, 30, 50, 40)):
+        base = small_cfg(strategy=strategy, data={"clients": 1})
+        world = harness.build_world(base)
+        pool = data.gen_blobs(3, 2, 150, 0.5, seed=21)
+        plan = data.PartitionPlan("iid-sized", len(sizes), seed=22, sizes=sizes)
+        clients = [
+            protocol.ClientState(
+                k, nn.init_params(world.clients[0].arch, (0, _S_INIT, k)),
+                data.apply_noise(shard, data.NoiseSpec("symmetric", 0.3, (23, k))),
+                np.random.default_rng((0, _S_TRAIN, k)),
+            )
+            for k, shard in enumerate(data.partition(pool, plan))
+        ]
+        return base, world, clients
+
+    def test_unequal_shards_split_into_groups(self):
+        cfg, world, clients = self._unequal_fleet("local_only")
+        controller = protocol.Controller(clients, cfg.strategy_config(), world.test)
+        assert [list(g.index) for g in controller.groups] == [[0, 2], [1, 4], [3]]
+        result = controller.run()
+        # Without collaboration each client must match its run alone.
+        for client, stats in zip(clients, result.records[-1].clients):
+            _, _, fresh = self._unequal_fleet("local_only")
+            solo = fresh[client.client_id]
+            alone = protocol.run_federation([solo], cfg.strategy_config(), world.test)
+            assert solo.params.values.tobytes() == client.params.values.tobytes()
+            assert alone.records[-1].clients[0] == stats
+
+    def test_unequal_shards_distill_like_the_consensus_spec(self):
+        cfg, world, clients = self._unequal_fleet("rhfl_plus_eccr")
+        cfg = replace(cfg, rounds=1, local_epochs=0, collab_epochs=3)
+        initial = [c.params for c in clients]
+        logits = np.stack([nn.mlp_forward(p, world.public.features) for p in initial])
+        result = protocol.run_federation(clients, cfg.strategy_config(), world.test, world.public)
+        w = np.array([s.weight for s in result.records[1].clients])
+        hp = cfg.hyperparams
+        for idx, (client, params) in enumerate(zip(clients, initial)):
+            mask = np.arange(len(clients)) != idx
+            spec = nn.ConsensusKlSpec(logits[mask], w[mask], hp.temperature)
+            for _ in range(cfg.collab_epochs):
+                grad = nn.backward(params, world.public.features, spec)
+                params = nn.sgd_step(params, grad, hp.lr)
+            assert client.params.values.tobytes() == params.values.tobytes()
+
+    @pytest.mark.parametrize("strategy", ["rhfl_plus_eccr", "hetero_distill", "fedavg"])
+    def test_chunking_does_not_change_results(self, strategy, monkeypatch):
+        cfg = small_cfg(strategy=strategy, rounds=2, participation=0.75,
+                        data={"clients": 4, "shard_size": 30})
+        whole, world_w = harness.run_experiment(cfg)
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1)  # one client per chunk
+        chunked, world_c = harness.run_experiment(cfg)
+        assert record_dicts(whole) == record_dicts(chunked)
+        for a, b in zip(world_w.clients, world_c.clients):
+            assert a.params.values.tobytes() == b.params.values.tobytes()
+
+    def test_single_client_robust_strategy(self):
+        solo = small_cfg(strategy="rhfl_plus_eccr", rounds=3, data={"clients": 1})
+        world, world_n = harness.build_world(solo), harness.build_world(solo)
+        full = solo.strategy_config()
+        result = protocol.run_federation(world.clients, full, world.test, world.public)
+        assert [s.weight for r in result.records[1:] for s in r.clients] == [1.0] * 3
+        assert all(s.f is None for r in result.records[1:] for s in r.clients)
+        # No peers to distill from: training is the same as with hfl off.
+        no_hfl = replace(full, flags=protocol.AblationFlags(False, True, True, "none"))
+        protocol.run_federation(world_n.clients, no_hfl, world_n.test, world_n.public)
+        assert world.clients[0].params.values.tobytes() == world_n.clients[0].params.values.tobytes()
+
+    def test_test_split_missing_a_class(self):
+        cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=2, data={"clients": 3})
+        world = harness.build_world(cfg)
+        keep = world.test.labels != 2
+        test = data.Dataset(world.test.features[keep], world.test.labels[keep], 3)
+        result = protocol.run_federation(world.clients, cfg.strategy_config(), test, world.public)
+        stats = [s for r in result.records for s in r.clients]
+        assert len(stats) == 9
+        assert all(s.roc_auc is None and s.accuracy is not None for s in stats)
 
 
 class TestShardLossReuse:
@@ -375,33 +459,44 @@ class TestShardLossReuse:
         cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=3, local_epochs=2,
                         data={"clients": 3, "shard_size": 30})
         world = harness.build_world(cfg)
-        shards = {id(c.shard.base.features) for c in world.clients}
+        controller = protocol.Controller(
+            world.clients, cfg.strategy_config(), world.test, world.public
+        )
+        shards = [g.features for g in controller.groups]
         forward = nn.mlp_forward
         calls = []
 
         def counted(params, batch):
-            calls.append(id(batch) in shards)
+            calls.append(any(np.shares_memory(batch, f) for f in shards))
             return forward(params, batch)
 
         monkeypatch.setattr(nn, "mlp_forward", counted)
-        protocol.run_federation(world.clients, cfg.strategy_config(), world.test, world.public)
-        # Shard forwards: one per evaluation (rounds 0..3) and one per
-        # refinement epoch; neither history seeding nor phase 1 adds any.
-        k, rounds, epochs = 3, 3, 2
-        assert sum(calls) == k * (rounds + 1) + k * rounds * epochs
+        controller.run()
+        # Shard forwards per group: one per evaluation (rounds 0..3) and one
+        # per refinement epoch; neither history seeding nor phase 1 adds any.
+        rounds, epochs = 3, 2
+        assert sum(calls) == len(controller.groups) * ((rounds + 1) + rounds * epochs)
 
     def test_history_and_quality_come_from_the_evaluation(self):
         cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=3, data={"clients": 3})
         seeded = harness.build_world(cfg)
-        initial = [c.params for c in seeded.clients]
-        result0 = protocol.run_federation(
+        initial = np.stack([c.params.values for c in seeded.clients])
+        controller = protocol.Controller(
             seeded.clients, replace(cfg.strategy_config(), rounds=0),
             seeded.test, seeded.public,
         )
-        for client, params, stats in zip(seeded.clients, initial, result0.records[0].clients):
-            assert client.history.params is params
-            assert client.history.mean_sl == stats.mean_sl_loss
-            assert stats.mean_sl_loss == protocol.mean_shard_sl(client, cfg.hyperparams)
+        result0 = controller.run()
+        for group in controller.groups:
+            assert group.history is group.evaluated
+            assert group.history.params is group.params
+            assert group.params.values.tobytes() == initial[group.index].tobytes()
+            for client, mean_sl in zip(group.clients, group.history.mean_sl):
+                stats = result0.records[0].clients[client.client_id]
+                shard = client.shard
+                probs = nn.softmax_t(nn.mlp_forward(client.params, shard.base.features), 1.0)
+                onehot = nn.one_hot(shard.noisy_labels, shard.base.class_count)
+                alone = float(nn.sl_loss_rows(probs, onehot, cfg.hyperparams).mean())
+                assert stats.mean_sl_loss == mean_sl == alone
 
         result, _ = harness.run_experiment(cfg)
         for prev, rec in zip(result.records, result.records[1:]):
@@ -413,21 +508,47 @@ class TestFailureContext:
     def test_client_errors_name_round_client_and_phase(self):
         cfg = small_cfg(strategy="rhfl_plus_eccr", hyperparams={"lr": 1e100})
         for jobs in (1, 2):
-            with pytest.warns(RuntimeWarning), pytest.raises(
+            with warnings.catch_warnings(record=True) as caught, pytest.raises(
                 NumericError, match=r"^round 1, client 0, phase private: softmax input"
             ):
+                warnings.simplefilter("always")
                 harness.run_experiment(cfg, jobs=jobs)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_error_type_is_kept(self):
         world = harness.build_world(small_cfg())
         cfg = small_cfg().strategy_config()
         controller = protocol.Controller(world.clients, cfg, world.test)
+        (group,) = controller.groups
 
-        def fail(client):
+        def fail(group):
             raise ConfigError("bad shape")
 
         with pytest.raises(ConfigError, match=r"^round 4, client 1, phase distill: bad shape$"):
-            controller._map_clients("distill", 4, fail, world.clients[1:])
+            controller._map_groups("distill", 4, fail, [group.select(slice(1, None))])
+
+    def test_lowest_diverged_client_is_named(self):
+        cfg = small_cfg(strategy="local_only", data={"clients": 4})
+        world = harness.build_world(cfg)
+        for client in world.clients[2:]:
+            client.params = nn.ModelParams(client.arch, np.full(client.params.size, 1e200))
+        with pytest.raises(NumericError, match=r"^round 0, client 2, phase eval: softmax"):
+            protocol.run_federation(world.clients, cfg.strategy_config(), world.test)
+
+    def test_chunk_errors_are_rebased_to_the_group(self):
+        world = harness.build_world(small_cfg(data={"clients": 4}))
+        (group,) = protocol.Controller(
+            world.clients, small_cfg().strategy_config(), world.test
+        ).groups
+
+        def fail_third(part):
+            if part.index[0] == 2:
+                raise NumericError("boom", index=0)
+
+        # So many rows that every chunk holds one client.
+        with pytest.raises(NumericError) as caught:
+            protocol._by_chunk(group, 1 << 30, fail_third)
+        assert caught.value.index == 2
 
 
 class TestDeterminismAndMessages:
