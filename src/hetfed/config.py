@@ -176,6 +176,20 @@ def _nest(dotted: str, value) -> dict:
     return doc
 
 
+def apply_overrides(doc: dict, items, source: str) -> dict:
+    """doc with every override merged in, in order; doc itself is not changed.
+
+    An item is a ``dotted.key=value`` string or a (dotted key, value) pair.
+    Each key is checked against the schema, and errors name `source`.
+    """
+    for item in items:
+        key, value = parse_set_override(item) if isinstance(item, str) else item
+        patch = _nest(key, value)
+        _walk_keys(patch, SCHEMA, source)
+        doc = _deep_merge(doc, patch)
+    return doc
+
+
 def parse_config(paths, overrides=()) -> dict:
     """Merge config files in order, apply overrides, and resolve defaults.
 
@@ -195,11 +209,7 @@ def parse_config(paths, overrides=()) -> dict:
             raise ConfigError(f"config file {path} must hold a JSON object")
         _walk_keys(doc, SCHEMA, str(path))
         merged = _deep_merge(merged, doc)
-    for item in overrides:
-        key, value = parse_set_override(item) if isinstance(item, str) else item
-        patch = _nest(key, value)
-        _walk_keys(patch, SCHEMA, "<cli>")
-        merged = _deep_merge(merged, patch)
+    merged = apply_overrides(merged, overrides, "<cli>")
     if "seed" not in merged and SEED_ENV_VAR in os.environ:
         try:
             merged["seed"] = int(os.environ[SEED_ENV_VAR])
@@ -306,7 +316,7 @@ class ExperimentConfig:
             resolved=resolved,
         )
 
-    def strategy_config(self, fail_round=None, fail_client=None) -> StrategyConfig:
+    def strategy_config(self) -> StrategyConfig:
         return StrategyConfig(
             strategy=self.strategy,
             rounds=self.rounds,
@@ -316,8 +326,6 @@ class ExperimentConfig:
             hyperparams=self.hyperparams,
             flags=self.flags,
             participation=self.participation,
-            fail_round=fail_round,
-            fail_client=fail_client,
         )
 
 

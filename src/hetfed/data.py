@@ -1,7 +1,7 @@
 """Dataset construction, ingestion, partitioning, and label-noise injection.
 
-Datasets are immutable once built (arrays are frozen), so shards and the
-public pool can be shared freely across client threads. Noise injection
+Datasets are immutable once built (arrays are frozen), so every client and
+phase reads the shards and the public pool without copying them. Noise injection
 keeps the clean labels alongside the corrupted ones; training only ever
 sees the noisy vector while evaluation uses the clean one.
 """
@@ -159,8 +159,12 @@ def _read_exact(path: str) -> bytes:
         return fh.read()
 
 
-def load_idx(images_path: str, labels_path: str, class_count: int | None = None) -> Dataset:
-    """Load a big-endian IDX image/label file pair; pixels scaled to [0, 1]."""
+def load_idx(images_path: str, labels_path: str, class_count: int) -> Dataset:
+    """Load a big-endian IDX image/label file pair; pixels scaled to [0, 1].
+
+    Labels must lie in [0, class_count); the error for one that does not
+    names its byte offset in the label file.
+    """
     raw = _read_exact(images_path)
     if len(raw) < 16:
         raise IngestError(f"{images_path}: truncated header at byte {len(raw)}")
@@ -194,20 +198,18 @@ def load_idx(images_path: str, labels_path: str, class_count: int | None = None)
         raise IngestError(
             f"image count {count} does not match label count {count_l}"
         )
-    c = int(labels.max()) + 1 if class_count is None else class_count
-    bad = np.flatnonzero(labels >= c)
+    bad = np.flatnonzero(labels >= class_count)
     if bad.size:
         raise IngestError(
-            f"{labels_path}: label {labels[bad[0]]} >= {c} at item {bad[0]} "
+            f"{labels_path}: label {labels[bad[0]]} >= {class_count} at item {bad[0]} "
             f"(byte {8 + bad[0]})"
         )
-    return Dataset(features, labels, c)
+    return Dataset(features, labels, class_count)
 
 
 @dataclass(frozen=True)
 class CsvSchema:
     class_count: int
-    feature_count: int | None = None
 
 
 def load_csv(path: str, schema: CsvSchema) -> Dataset:
@@ -218,7 +220,7 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
             header = next(reader)
         except StopIteration:
             raise IngestError(f"{path}: empty file") from None
-        width = schema.feature_count if schema.feature_count is not None else len(header) - 1
+        width = len(header) - 1
         expected = ["label"] + [f"f{i}" for i in range(width)]
         if [h.strip() for h in header] != expected:
             raise IngestError(f"{path}: line 1: header must be {','.join(expected)}")
@@ -355,8 +357,3 @@ def random_split(ds: Dataset, take: int, seed) -> tuple[Dataset, Dataset | None]
     taken = ds.subset(perm[:take])
     rest = ds.subset(np.sort(perm[take:])) if take < ds.size else None
     return taken, rest
-
-
-def sample_public(ds: Dataset, n_pub: int, seed) -> Dataset:
-    """Uniform public sample; labels ride along but distillation ignores them."""
-    return random_split(ds, n_pub, seed)[0]

@@ -22,4 +22,4 @@ class NumericError(ArithmeticError):
 
 
 class ProtocolError(RuntimeError):
-    """Violation of the round protocol: stale messages, dropouts, shape clashes."""
+    """Violation of the round protocol: heterogeneous aggregation, state changed out of turn."""

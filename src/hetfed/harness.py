@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data as datahub
-from . import metrics, nn, protocol
-from .config import SCHEMA, ExperimentConfig, _deep_merge, _nest, _walk_keys, echo_config
+from . import nn, protocol
+from .config import ExperimentConfig, apply_overrides, echo_config
 from .errors import ConfigError
 
 # Stream tags keep every consumer of the experiment seed independent.
@@ -70,7 +70,7 @@ def _base_dataset(cfg: ExperimentConfig) -> datahub.Dataset:
     if d.source == "idx":
         if not d.idx_images or not d.idx_labels:
             raise ConfigError("idx source needs data.idx_images and data.idx_labels")
-        return datahub.load_idx(d.idx_images, d.idx_labels)
+        return datahub.load_idx(d.idx_images, d.idx_labels, d.classes)
     if not d.csv_path:
         raise ConfigError("csv source needs data.csv_path")
     return datahub.load_csv(d.csv_path, datahub.CsvSchema(d.classes))
@@ -158,12 +158,8 @@ def build_world(cfg: ExperimentConfig) -> World:
     return World(clients, public, test, [float(r) for r in rates], archs)
 
 
-def run_experiment(cfg: ExperimentConfig, jobs: int = 1):
-    """Build the world and execute the configured federation run.
-
-    jobs is accepted so existing callers keep working and has no effect:
-    the controller runs clients as stacked groups, not on worker threads.
-    """
+def run_experiment(cfg: ExperimentConfig):
+    """Build the world and execute the configured federation run."""
     world = build_world(cfg)
     result = protocol.run_federation(
         world.clients,
@@ -207,11 +203,8 @@ def _round_lines(result: protocol.RunResult):
             }
 
 
-def execute_run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
-    """Run one cell into its content-addressed directory; skip if finished.
-
-    jobs has no effect (see run_experiment).
-    """
+def execute_run(cfg: ExperimentConfig, out_dir) -> Path:
+    """Run one cell into its content-addressed directory; skip if finished."""
     resolved = echo_config(cfg)
     run_dir = Path(out_dir) / run_dir_name(resolved)
     digest = config_hash(resolved)
@@ -241,7 +234,7 @@ def execute_run(cfg: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
             "noise_rates": world.noise_rates,
             "flip_fractions": [c.shard.flip_fraction for c in world.clients],
             "hidden_layers": [list(map(list, a)) for a in world.archs],
-            "messages": len(result.messages.entries),
+            "messages": result.messages,
         }
         with open(partial / META_FILE, "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
@@ -291,11 +284,7 @@ def run_sweep(base_resolved: dict, grid: dict, out_dir, jobs: int = 1) -> SweepO
 
     def build_cfg(cell: dict) -> ExperimentConfig:
         doc = json.loads(json.dumps(base_resolved))
-        for key, value in cell.items():
-            patch = _nest(key, value)
-            _walk_keys(patch, SCHEMA, "<grid>")
-            doc = _deep_merge(doc, patch)
-        return ExperimentConfig.from_dict(doc)
+        return ExperimentConfig.from_dict(apply_overrides(doc, cell.items(), "<grid>"))
 
     def one(cell: dict):
         label = json.dumps(cell, sort_keys=True)
@@ -383,8 +372,7 @@ def summarize(run_dirs, out_path, which: str = "final") -> list[dict]:
         def row_for(round_idx: int, variant: str):
             recs = per_round[round_idx]
             accs = {c: recs[c]["accuracy"] for c in client_ids}
-            per_client = {c: (accs[c], None, None, 0.0) for c in client_ids}
-            avg = metrics.EvalResult.from_per_client(per_client).accuracy
+            avg = float(np.mean(list(accs.values())))
             noise = resolved["data"]["noise"]
             row = {
                 "run": run_dir.name,

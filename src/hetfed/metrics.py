@@ -1,15 +1,13 @@
-"""Evaluation metrics: accuracy, ranking AUCs, and per-round aggregation.
+"""Evaluation metrics: accuracy and ranking AUCs.
 
 roc_auc uses the rank-sum (Mann-Whitney) formulation with ties counted as
 one half, which coincides with trapezoidal ROC integration. pr_auc is
 average precision over the descending-score step curve. Metrics that are
 undefined for a label set (single class, missing positives) return None
-rather than a fabricated value, and aggregation skips absent entries.
+rather than a fabricated value.
 accuracy, roc_auc and multiclass_roc_auc also score a stack of K
 predictors against one label vector in one call, one value per predictor.
 """
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,33 +108,3 @@ def multiclass_roc_auc(prob_matrix, labels):
     # Ranks are half-integers, so every rank sum is exact in any order.
     rank_sums = np.where(pos, _average_ranks(np.swapaxes(probs, -1, -2)), 0.0).sum(axis=-1)
     return np.mean(_mann_whitney(rank_sums, n_pos, n_neg), axis=-1)
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Cross-client evaluation snapshot for one round.
-
-    Aggregate fields are unweighted means over the clients that reported a
-    value; metrics absent everywhere stay None.
-    """
-
-    accuracy: float
-    roc_auc: float | None
-    pr_auc: float | None
-    mean_sl_loss: float
-    per_client: dict = field(default_factory=dict)
-
-    @staticmethod
-    def from_per_client(per_client: dict) -> "EvalResult":
-        """Build the aggregate from {client_id: (acc, roc, pr, sl)} entries."""
-        if not per_client:
-            raise ConfigError("at least one client result required")
-
-        def mean_of(idx):
-            vals = [v[idx] for v in per_client.values() if v[idx] is not None]
-            return float(np.mean(vals)) if vals else None
-
-        acc = mean_of(0)
-        if acc is None:
-            raise ConfigError("accuracy must be present for every client")
-        return EvalResult(acc, mean_of(1), mean_of(2), mean_of(3), dict(per_client))

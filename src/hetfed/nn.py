@@ -188,39 +188,20 @@ def _floored_log(x: np.ndarray, floor: float) -> np.ndarray:
     return np.maximum(np.where(x > 0, np.log(safe), floor), floor)
 
 
-def ce_loss(pred, target) -> float:
-    """Cross entropy -sum(target * log pred), pred clamped at 1e-12."""
+def _ce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Per-row cross entropy -sum(target * log pred), pred clamped at 1e-12."""
+    return -(target * np.log(np.maximum(pred, PROB_FLOOR))).sum(axis=-1)
+
+
+def sl_loss(pred, target, h: Hyperparams):
+    """Symmetric loss lam * CE + gamma * RCE per row of distributions (N x C).
+
+    RCE is the reverse cross entropy -sum(pred * log* target) with the log
+    floored at h.rce_log_floor. A single distribution gives a scalar.
+    """
     p, t = _check_pair(pred, target)
-    return float(-(t * np.log(np.maximum(p, PROB_FLOOR))).sum())
-
-
-def rce_loss(pred, target, floor: float) -> float:
-    """Reverse cross entropy -sum(pred * log* target) with a clamped log."""
-    if floor >= 0:
-        raise ConfigError("rce log floor must be negative")
-    p, t = _check_pair(pred, target)
-    return float(-(p * _floored_log(t, floor)).sum())
-
-
-def sl_loss(pred, target, h: Hyperparams) -> float:
-    """Symmetric loss: lam * CE + gamma * RCE."""
-    return h.lam * ce_loss(pred, target) + h.gamma * rce_loss(pred, target, h.rce_log_floor)
-
-
-def sl_loss_rows(pred: np.ndarray, target: np.ndarray, h: Hyperparams) -> np.ndarray:
-    """Per-row symmetric loss for matrices of distributions (N x C)."""
-    p, t = _check_pair(pred, target)
-    ce = -(t * np.log(np.maximum(p, PROB_FLOOR))).sum(axis=-1)
     rce = -(p * _floored_log(t, h.rce_log_floor)).sum(axis=-1)
-    return h.lam * ce + h.gamma * rce
-
-
-def kl_div(p, q) -> float:
-    """KL(p || q) with q clamped at 1e-12 and 0*log0 treated as 0."""
-    pa, qa = _check_pair(p, q)
-    qa = np.maximum(qa, PROB_FLOOR)
-    terms = np.where(pa > 0, pa * (np.log(np.where(pa > 0, pa, 1.0)) - np.log(qa)), 0.0)
-    return float(terms.sum())
+    return h.lam * _ce(p, t) + h.gamma * rce
 
 
 @dataclass(frozen=True)
@@ -295,27 +276,6 @@ class ConsensusKlSpec:
         return mixture_spec(softmax_t(self.peer_logits, self.tau), self.peer_weights, self.tau)
 
 
-def weighted_kl_alignment(own_logits, peer_logits, peer_weights, tau):
-    """Mean over rows of sum_j w_j KL(softmax_t(peer_j) || softmax_t(own)).
-
-    Returns (loss, gradient w.r.t. own logits); peers are constants.
-    """
-    own = np.asarray(own_logits, dtype=np.float64)
-    peers = np.asarray(peer_logits, dtype=np.float64)
-    w = np.asarray(peer_weights, dtype=np.float64)
-    if peers.ndim != 3 or peers.shape[1:] != own.shape:
-        raise ConfigError(f"peer logits {peers.shape} do not match own {own.shape}")
-    p = softmax_t(peers, tau)
-    target = mixture_spec(p, w, tau)
-    if peers.shape[0] == 0:
-        return 0.0, np.zeros_like(own)
-    p_log_p = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-    entropy_term = float(np.einsum("j,jnc->", w, p_log_p))
-    log_q = np.log(np.maximum(softmax_t(own, tau), PROB_FLOOR))
-    loss = (entropy_term - float((target.mixture * log_q).sum())) / own.shape[0]
-    return loss, _logit_gradient(own, target)
-
-
 def _logit_gradient(logits: np.ndarray, spec) -> np.ndarray:
     """d(mean loss)/d(logits) for the supported loss specs; means are over rows."""
     n = logits.shape[-2]
@@ -343,16 +303,24 @@ def _logit_gradient(logits: np.ndarray, spec) -> np.ndarray:
 
 
 def loss_value(logits: np.ndarray, spec) -> float:
-    """Mean loss over the batch for a loss spec (matches backward())."""
-    if isinstance(spec, ConsensusKlSpec):
-        return weighted_kl_alignment(logits, spec.peer_logits, spec.peer_weights, spec.tau)[0]
-    targets = np.asarray(spec.targets, dtype=np.float64)
+    """Mean loss over the batch for a loss spec (matches backward()).
+
+    For a ConsensusKlSpec it is the mean over rows of
+    sum_j w_j KL(softmax_t(peer_j) || softmax_t(logits)); peers are constants.
+    """
     q = softmax_t(logits, spec.tau)
-    ce = -(targets * np.log(np.maximum(q, PROB_FLOOR))).sum(axis=-1)
+    if isinstance(spec, ConsensusKlSpec):
+        peers = np.asarray(spec.peer_logits, dtype=np.float64)
+        if peers.ndim != 3 or peers.shape[1:] != q.shape:
+            raise ConfigError(f"peer logits {peers.shape} do not match own {q.shape}")
+        p = softmax_t(peers, spec.tau)
+        kl = _ce(q, p) - _ce(p, p)  # (J, N): KL(p_j || q) = CE(q; p_j) - H(p_j)
+        return float(np.einsum("j,jn->", spec.peer_weights, kl)) / q.shape[0]
+    targets = np.asarray(spec.targets, dtype=np.float64)
     if isinstance(spec, CrossEntropySpec):
-        return float(ce.mean())
-    rce = -(q * _floored_log(targets, spec.floor)).sum(axis=-1)
-    return float((spec.lam * ce + spec.gamma * rce).mean())
+        return float(_ce(q, targets).mean())
+    h = Hyperparams(lam=spec.lam, gamma=spec.gamma, rce_log_floor=spec.floor)
+    return float(sl_loss(q, targets, h).mean())
 
 
 def backward(params: ModelParams, batch, loss_spec) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Round-based federation engine.
 
 A single controller owns all aggregation state and drives synchronous
-rounds over an in-memory message channel. Clients are plain state records;
-their per-round work (training, inference, logit computation) touches only
-their own model, shard and RNG stream. The controller groups the clients
+rounds, counting the messages a deployment of the round would exchange.
+Clients are plain state records; their per-round work (training,
+inference, logit computation) touches only their own model, shard and RNG
+stream. The controller groups the clients
 that share an architecture and a shard size, and runs each phase for a
 whole group as stacked kernels over a leading client axis, which give
 every client the bits it would get alone. The controller folds uploads in
@@ -21,22 +22,13 @@ Four strategies are implemented:
 """
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import metrics, nn, reweight
 from .data import Dataset, NoisyDataset
 from .errors import ConfigError, NumericError, ProtocolError
-
-MESSAGE_KINDS = (
-    "model_upload",
-    "logit_share",
-    "confidence_upload",
-    "weight_broadcast",
-    "model_broadcast",
-    "eval_report",
-)
 
 STRATEGIES = (
     "local_only",
@@ -97,8 +89,6 @@ class StrategyConfig:
     hyperparams: nn.Hyperparams
     flags: AblationFlags
     participation: float = 1.0
-    fail_round: int | None = None
-    fail_client: int | None = None
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -109,28 +99,6 @@ class StrategyConfig:
             raise ConfigError("batch_size must be positive")
         if not 0.0 < self.participation <= 1.0:
             raise ConfigError("participation must lie in (0, 1]")
-
-
-@dataclass(frozen=True)
-class RoundMessage:
-    kind: str
-    round_idx: int
-    sender: int | None
-    payload: object = None
-
-    def __post_init__(self):
-        if self.kind not in MESSAGE_KINDS:
-            raise ConfigError(f"unknown message kind {self.kind!r}")
-
-
-class MessageLog:
-    """Ordered trace of every message the controller sent or accepted."""
-
-    def __init__(self):
-        self.entries: list[tuple[int, int, str, int | None]] = []
-
-    def record(self, msg: RoundMessage):
-        self.entries.append((len(self.entries), msg.round_idx, msg.kind, msg.sender))
 
 
 @dataclass
@@ -182,8 +150,8 @@ class RoundRecord:
 @dataclass
 class RunResult:
     records: list[RoundRecord]
-    messages: MessageLog
-    round_seconds: list[float] = field(default_factory=list)
+    messages: int
+    round_seconds: list[float]
 
 
 # Bytes a chunk of clients may stack in its widest activation: small enough
@@ -380,7 +348,7 @@ def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> li
             roc = metrics.multiclass_roc_auc(probs, test.labels)
             pr = [None] * len(part.clients)
         shard = nn.softmax_t(nn.mlp_forward(part.params, part.features), 1.0)
-        sl = nn.sl_loss_rows(shard, part.onehot, hp).mean(axis=-1)
+        sl = nn.sl_loss(shard, part.onehot, hp).mean(axis=-1)
         return [
             (float(acc[i]), None if roc is None else float(roc[i]), pr[i], float(sl[i]))
             for i in range(len(part.clients))
@@ -391,7 +359,7 @@ def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> li
 
 
 class Controller:
-    """Synchronous round orchestrator; owns aggregation and the message log.
+    """Synchronous round orchestrator; owns aggregation and the message count.
 
     Clients are grouped once, by architecture and shard size; each phase
     visits the groups in the order of their lowest client id.
@@ -414,7 +382,7 @@ class Controller:
         self.cfg = cfg
         self.test = test
         self.public = public
-        self.log = MessageLog()
+        self.messages = 0
         self._sampler = np.random.default_rng(sampler_seed)
         needs_public = cfg.strategy == "hetero_distill" or (
             cfg.strategy not in ("local_only", "fedavg") and cfg.flags.hfl
@@ -478,26 +446,6 @@ class Controller:
         self._map_groups(phase, round_idx, forward)
         return logits
 
-    def _receive(self, msg: RoundMessage, expected_round: int):
-        if msg.round_idx != expected_round:
-            raise ProtocolError(
-                f"stale {msg.kind} from client {msg.sender}: "
-                f"round {msg.round_idx}, expected {expected_round}"
-            )
-        self.log.record(msg)
-        return msg.payload
-
-    def _broadcast(self, kind: str, round_idx: int):
-        for _ in self.clients:
-            self.log.record(RoundMessage(kind, round_idx, None))
-
-    def _check_failure(self, round_idx: int):
-        if self.cfg.fail_round == round_idx and self.cfg.fail_client is not None:
-            raise ProtocolError(
-                f"client {self.cfg.fail_client} failed during round {round_idx}; "
-                "round aborted without aggregation"
-            )
-
     # -- evaluation -------------------------------------------------------
 
     def _eval_round(self, round_idx: int, extras=None, clamp_events: int = 0) -> RoundRecord:
@@ -509,11 +457,9 @@ class Controller:
             return results
 
         results = self._by_client(self._map_groups("eval", round_idx, evaluate))
+        self.messages += len(self.clients)  # one report per client
         stats = []
         for client, (acc, roc, pr, sl) in zip(self.clients, results):
-            self._receive(
-                RoundMessage("eval_report", round_idx, client.client_id), round_idx
-            )
             extra = (extras or {}).get(client.client_id, {})
             stats.append(
                 ClientRoundStats(
@@ -536,8 +482,8 @@ class Controller:
         cfg = self.cfg
         dims = self.groups[0].params.layer_dims
         global_values = self.groups[0].params.values[0]
-        self._broadcast("model_broadcast", round_idx)
         k = len(self.clients)
+        self.messages += k  # the global model to every client
         if cfg.participation < 1.0:
             count = max(1, int(round(cfg.participation * k)))
             chosen = np.sort(self._sampler.choice(k, size=count, replace=False))
@@ -557,17 +503,14 @@ class Controller:
             private_training(part, cfg, cfg.local_epochs, use_sl=False,
                              dlr_sched=None, epoch_base=0)
             return [
-                RoundMessage(
-                    "model_upload", round_idx, client.client_id,
-                    (nn.ModelParams(dims, values), client.shard.size),
-                )
+                (client.client_id, nn.ModelParams(dims, values), client.shard.size)
                 for client, values in zip(part.clients, part.params.values)
             ]
 
-        uploads = [m for msgs in self._map_groups("fedavg", round_idx, work, selected) for m in msgs]
-        uploads.sort(key=lambda msg: msg.sender)
-        payloads = [self._receive(msg, round_idx) for msg in uploads]
-        aggregated = fedavg_aggregate([p for p, _ in payloads], [s for _, s in payloads])
+        uploads = [u for ups in self._map_groups("fedavg", round_idx, work, selected) for u in ups]
+        uploads.sort(key=lambda upload: upload[0])
+        self.messages += len(uploads)
+        aggregated = fedavg_aggregate([p for _, p, _ in uploads], [s for _, _, s in uploads])
         for group in self.groups:
             group.params = nn.ModelParams(
                 dims, np.broadcast_to(aggregated.values, group.params.values.shape)
@@ -576,14 +519,9 @@ class Controller:
     def _round_hetero(self, round_idx: int):
         cfg = self.cfg
         logits = self._public_logits("hetero_share", round_idx)
-        for pos, client in enumerate(self.clients):
-            self._receive(
-                RoundMessage("logit_share", round_idx, client.client_id, logits[pos]), round_idx
-            )
         consensus = logits.mean(axis=0)
-        # Server shares the averaged knowledge back as a logit share.
-        for _ in self.clients:
-            self.log.record(RoundMessage("logit_share", round_idx, None))
+        # Every client shares its logits; the server shares the average back.
+        self.messages += 2 * len(self.clients)
 
         peer = nn.softmax_t(consensus[np.newaxis], cfg.hyperparams.temperature)
         weight = np.ones(1)
@@ -624,27 +562,13 @@ class Controller:
                         client.client_id,
                         q=reweight.label_quality(float(cur.mean_sl[i])),
                         p=reweight.learning_efficiency(delta, ratio),
-                        f=None,
                         delta_sl=delta,
                         update_ratio=ratio,
                     ))
                 return reports
 
-            uploads = self._by_client(self._map_groups("phase1", round_idx, phase1))
+            reports = self._by_client(self._map_groups("phase1", round_idx, phase1))
             logits = self._public_logits("phase1", round_idx)
-            reports = []
-            for pos, (client, report) in enumerate(zip(self.clients, uploads)):
-                reports.append(self._receive(
-                    RoundMessage("confidence_upload", round_idx, client.client_id, report),
-                    round_idx,
-                ))
-                self._receive(
-                    RoundMessage(
-                        "logit_share", round_idx, client.client_id,
-                        reweight.LogitShare(client.client_id, logits[pos]),
-                    ),
-                    round_idx,
-                )
 
             qualities = np.array([r.q for r in reports])
             q_norm = reweight.normalize_quality(qualities)
@@ -667,7 +591,9 @@ class Controller:
                 result = reweight.confidence_weights(np.array(f_scores), hp.eta_conf)
                 weights = result.weights
                 clamp_events = result.clamp_events
-            self._broadcast("weight_broadcast", round_idx)
+            # Each client uploads its report and its logits; the server
+            # broadcasts the weights.
+            self.messages += 3 * k
 
             # Each peer is softmaxed once; every client mixes all but itself.
             peer_probs = nn.softmax_t(logits, hp.temperature)
@@ -699,15 +625,13 @@ class Controller:
     # -- top level ---------------------------------------------------------
 
     def run(self) -> RunResult:
-        result = RunResult([], self.log)
         started = time.perf_counter()
-        result.records.append(self._eval_round(0))
+        records = [self._eval_round(0)]
         for group in self.groups:
             group.history = group.evaluated
-        result.round_seconds.append(time.perf_counter() - started)
+        seconds = [time.perf_counter() - started]
         for round_idx in range(1, self.cfg.rounds + 1):
             started = time.perf_counter()
-            self._check_failure(round_idx)
             extras, clamps = {}, 0
             if self.cfg.strategy == "fedavg":
                 self._round_fedavg(round_idx)
@@ -715,12 +639,12 @@ class Controller:
                 self._round_hetero(round_idx)
             else:
                 extras, clamps = self._round_lattice(round_idx)
-            result.records.append(self._eval_round(round_idx, extras, clamps))
-            result.round_seconds.append(time.perf_counter() - started)
+            records.append(self._eval_round(round_idx, extras, clamps))
+            seconds.append(time.perf_counter() - started)
         for group in self.groups:
             for client, values in zip(group.clients, group.params.values):
                 client.params = nn.ModelParams(group.params.layer_dims, values)
-        return result
+        return RunResult(records, self.messages, seconds)
 
 
 def run_federation(

@@ -3,16 +3,15 @@
 This module holds the round-by-round mathematics of the robust strategy:
 the epoch schedule that mixes model predictions into noisy labels, the
 label-quality / learning-efficiency statistics each client reports, the
-two confidence variants built from them, the normalization of confidences
-into collaboration weights, and the weighted distillation loss itself.
+two confidence variants built from them, and the normalization of
+confidences into collaboration weights. The weighted distillation loss
+these weights enter is nn.ConsensusKlSpec.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from . import nn
 from .errors import ConfigError
 
 QUALITY_MEAN_FLOOR = 1e-9
@@ -102,13 +101,12 @@ def normalize_quality(qualities) -> np.ndarray:
 @dataclass(frozen=True)
 class ConfidenceReport:
     """Per-client statistics uploaded each round: raw label quality, the
-    efficiency score, the confidence once the server fills it in, and the
-    two raw ingredients behind the efficiency score."""
+    efficiency score, and the two raw ingredients behind the efficiency
+    score."""
 
     client_id: int
     q: float
     p: float
-    f: float | None
     delta_sl: float
     update_ratio: float
 
@@ -148,49 +146,3 @@ def confidence_weights(f, eta_conf: float) -> WeightResult:
     if total <= 0:
         return WeightResult(uniform_weights(k), clamped)
     return WeightResult(raw / total, clamped)
-
-
-@dataclass(frozen=True)
-class LogitShare:
-    """One client's logits over the public dataset for one round."""
-
-    client_id: int
-    logits: np.ndarray
-
-    def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=np.float64)
-        if logits.ndim != 2:
-            raise ConfigError("logit share must be an N x C matrix")
-        object.__setattr__(self, "logits", logits)
-
-
-def collaborative_loss(
-    own: LogitShare,
-    all_shares: Sequence[LogitShare],
-    weights,
-    tau: float,
-) -> float:
-    """Mean over public samples of sum_{j != own} w_j * KL(peer_j || own).
-
-    Distributions are tempered with tau on both sides; the peer weights are
-    applied exactly as given (no renormalization after excluding self).
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if w.size != len(all_shares):
-        raise ConfigError("one weight per logit share required")
-    peer_logits = []
-    peer_weights = []
-    for share, weight in zip(all_shares, w):
-        if share.logits.shape != own.logits.shape:
-            raise ConfigError(
-                f"logit shapes differ: {share.logits.shape} vs {own.logits.shape}"
-            )
-        if share.client_id != own.client_id:
-            peer_logits.append(share.logits)
-            peer_weights.append(weight)
-    if not peer_logits:
-        return 0.0
-    loss, _ = nn.weighted_kl_alignment(
-        own.logits, np.stack(peer_logits), np.asarray(peer_weights), tau
-    )
-    return loss

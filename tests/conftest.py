@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from hetfed.config import ExperimentConfig, resolve_dict
 
 
@@ -40,6 +42,15 @@ def small_doc(**overrides) -> dict:
 
 def small_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig.from_dict(resolve_dict(small_doc(**overrides)))
+
+
+def kl_div(p, q) -> float:
+    """Oracle KL(p || q) of two distributions, q clamped at 1e-12, 0 log 0 = 0."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.maximum(np.asarray(q, dtype=np.float64), 1e-12)
+    if p.shape != q.shape:
+        raise ValueError(f"distribution shapes differ: {p.shape} vs {q.shape}")
+    return float(sum(pi * (np.log(pi) - np.log(qi)) for pi, qi in zip(p, q) if pi > 0))
 
 
 def record_dicts(result):

@@ -286,7 +286,7 @@ def test_c09_ablation_grid(tmp_path):
     ok(f"9 ablation grid: 6 rows x 2 noise types + Table-layout CSV ({elapsed:.0f}s)")
 
 
-def test_c10_scaling_determinism(tmp_path):
+def test_c10_scaling_determinism(tmp_path, monkeypatch):
     started = time.perf_counter()
     doc = {
         "seed": 3, "strategy": "rhfl_plus_eccr", "rounds": 5, "local_epochs": 1,
@@ -298,8 +298,9 @@ def test_c10_scaling_determinism(tmp_path):
         "archs": {"hidden_layers": [[12]]},
     }
     cfg = ExperimentConfig.from_dict(resolve_dict(doc))
-    dir_a = harness.execute_run(cfg, tmp_path / "jobs1", jobs=1)
-    dir_b = harness.execute_run(cfg, tmp_path / "jobs4", jobs=4)
+    dir_a = harness.execute_run(cfg, tmp_path / "grouped")
+    monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1)  # one client per chunk
+    dir_b = harness.execute_run(cfg, tmp_path / "one_per_chunk")
     bytes_a = (dir_a / harness.ROUNDS_FILE).read_bytes()
     bytes_b = (dir_b / harness.ROUNDS_FILE).read_bytes()
     assert bytes_a == bytes_b
@@ -307,7 +308,7 @@ def test_c10_scaling_determinism(tmp_path):
     assert len(lines) == 6 * 100  # pre-train eval + 5 rounds, 100 clients
     elapsed = time.perf_counter() - started
     assert elapsed < 600.0
-    ok(f"10 scaling: K=100 bitwise-identical logs across jobs settings ({elapsed:.0f}s)")
+    ok(f"10 scaling: K=100 bitwise-identical logs across chunk sizes ({elapsed:.0f}s)")
 
 
 def test_c11_random_noise_rate_harness(tmp_path):

@@ -236,6 +236,32 @@ class TestFileSources:
         )
         assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
 
+    def _idx_cfg(self, tmp_path, labels):
+        from test_data import write_idx_pair
+        import numpy as np
+
+        images = np.random.default_rng(0).integers(0, 256, size=(len(labels), 3, 3))
+        img, lbl = write_idx_pair(tmp_path, images, labels)
+        return write_cfg(
+            tmp_path, rounds=1,
+            data={"source": "idx", "idx_images": img, "idx_labels": lbl, "classes": 3,
+                  "clients": 2, "shard_size": 60, "n_public": 30, "test_size": 80},
+            archs={"hidden_layers": [[6]]},
+        )
+
+    def test_idx_labels_missing_the_top_class_keep_every_output(self, tmp_path):
+        cfg = self._idx_cfg(tmp_path, [0, 1] * 150)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 0
+        run_dir = next((tmp_path / "runs").iterdir())
+        meta = json.loads((run_dir / harness.META_FILE).read_text())
+        assert meta["hidden_layers"] == [[[9, 6], [6, 3]]] * 2
+
+    def test_idx_label_outside_classes_names_its_byte(self, tmp_path, capsys):
+        cfg = self._idx_cfg(tmp_path, [0, 1, 2] * 99 + [3, 0, 1])
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert "label 3 >= 3 at item 297 (byte 305)" in err
+
     def test_csv_source_runs_end_to_end(self, tmp_path):
         import numpy as np
 

@@ -50,7 +50,7 @@ class TestIdx:
     def test_four_image_fixture(self, tmp_path):
         images = np.arange(4 * 2 * 2, dtype=np.uint8).reshape(4, 2, 2)
         img, lbl = write_idx_pair(tmp_path, images, [0, 1, 2, 1])
-        ds = data.load_idx(img, lbl)
+        ds = data.load_idx(img, lbl, class_count=3)
         assert ds.size == 4
         assert ds.class_count == 3
         assert np.allclose(ds.features[1], np.array([4, 5, 6, 7]) / 255.0)
@@ -61,14 +61,14 @@ class TestIdx:
         bad = tmp_path / "bad.idx"
         bad.write_bytes(struct.pack(">IIII", 0xDEAD, 1, 2, 2) + bytes(4))
         with pytest.raises(IngestError, match="magic"):
-            data.load_idx(str(bad), lbl)
+            data.load_idx(str(bad), lbl, class_count=1)
 
     def test_truncated_payload(self, tmp_path):
         img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 1])
         short = tmp_path / "short.idx"
         short.write_bytes(struct.pack(">IIII", 0x803, 2, 2, 2) + bytes(5))
         with pytest.raises(IngestError, match="byte"):
-            data.load_idx(str(short), lbl)
+            data.load_idx(str(short), lbl, class_count=2)
 
     def test_label_out_of_range(self, tmp_path):
         img, lbl = write_idx_pair(tmp_path, np.zeros((2, 2, 2), np.uint8), [0, 5])
@@ -235,20 +235,20 @@ class TestNoise:
 class TestPublicSplit:
     def test_full_sample_is_permutation(self):
         ds = data.gen_blobs(2, 2, 10, 0.3, seed=0)
-        pub = data.sample_public(ds, ds.size, seed=5)
+        pub = data.random_split(ds, ds.size, seed=5)[0]
         assert sorted(map(tuple, pub.features)) == sorted(map(tuple, ds.features))
 
     def test_zero_sample_rejected(self):
         ds = data.gen_blobs(2, 2, 10, 0.3, seed=0)
         with pytest.raises(ConfigError):
-            data.sample_public(ds, 0, seed=0)
+            data.random_split(ds, 0, seed=0)
         with pytest.raises(ConfigError):
-            data.sample_public(ds, ds.size + 1, seed=0)
+            data.random_split(ds, ds.size + 1, seed=0)
 
     def test_deterministic(self):
         ds = data.gen_blobs(2, 2, 50, 0.3, seed=0)
-        a = data.sample_public(ds, 20, seed=11)
-        b = data.sample_public(ds, 20, seed=11)
+        a = data.random_split(ds, 20, seed=11)[0]
+        b = data.random_split(ds, 20, seed=11)[0]
         assert a.features.tobytes() == b.features.tobytes()
 
     def test_split_pools_disjoint(self):

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetfed import metrics
+from hetfed import harness, metrics
 from hetfed.errors import ConfigError
 
 
@@ -233,24 +235,28 @@ class TestMulticlassRocAuc:
         assert metrics.multiclass_roc_auc(probs, labels) == pytest.approx(expected, abs=1e-12)
 
 
+def summarized_avg(tmp_path, accuracies) -> float:
+    """The avg column harness.summarize gives a run with these final accuracies."""
+    run = tmp_path / "run"
+    run.mkdir()
+    resolved = {
+        "strategy": "local_only", "seed": 0,
+        "flags": {"hfl": False, "sl": False, "dlr": False, "reweight": "none"},
+        "data": {"noise": {"kind": "none", "rate": 0.0}},
+    }
+    (run / harness.CONFIG_FILE).write_text(json.dumps(resolved))
+    lines = [{"round": 1, "client": c, "accuracy": acc} for c, acc in enumerate(accuracies)]
+    (run / harness.ROUNDS_FILE).write_text("".join(json.dumps(x) + "\n" for x in lines))
+    (row,) = harness.summarize([run], tmp_path / "summary.csv")
+    return row["avg"]
+
+
 class TestEvalResult:
-    def test_average_is_client_mean(self):
-        per_client = {
-            0: (0.8, 0.9, 0.7, 1.0),
-            1: (0.6, 0.5, None, 2.0),
-        }
-        agg = metrics.EvalResult.from_per_client(per_client)
-        assert agg.accuracy == pytest.approx(0.7, abs=1e-12)
-        assert agg.roc_auc == pytest.approx(0.7, abs=1e-12)
-        assert agg.pr_auc == pytest.approx(0.7, abs=1e-12)  # absent entries skipped
-        assert agg.mean_sl_loss == pytest.approx(1.5, abs=1e-12)
+    """The unweighted client mean of a round's accuracies, as summarize reports it."""
 
-    def test_metric_absent_everywhere_stays_none(self):
-        agg = metrics.EvalResult.from_per_client({0: (0.5, None, None, 0.1)})
-        assert agg.roc_auc is None and agg.pr_auc is None
+    def test_average_is_client_mean(self, tmp_path):
+        assert summarized_avg(tmp_path, [0.8, 0.6]) == pytest.approx(0.7, abs=1e-12)
 
-    def test_four_client_average(self):
-        per_client = {i: (acc, None, None, 0.0)
-                      for i, acc in enumerate([0.80, 0.82, 0.74, 0.80])}
-        agg = metrics.EvalResult.from_per_client(per_client)
-        assert agg.accuracy == pytest.approx(0.79, abs=1e-12)
+    def test_four_client_average(self, tmp_path):
+        avg = summarized_avg(tmp_path, [0.80, 0.82, 0.74, 0.80])
+        assert avg == pytest.approx(0.79, abs=1e-12)

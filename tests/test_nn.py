@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import kl_div
 from hetfed import nn
 from hetfed.errors import ConfigError, NumericError
 
@@ -95,30 +96,35 @@ class TestSoftmax:
         assert np.allclose(nn.softmax_t(z[perm], tau), probs[perm], rtol=0, atol=1e-15)
 
 
+# The symmetric loss with one of its two terms switched off.
+CE_ONLY = nn.Hyperparams(lam=1.0, gamma=0.0)
+RCE_ONLY = nn.Hyperparams(lam=0.0, gamma=1.0)
+
+
 class TestLosses:
     def test_ce_perfect_prediction(self):
         onehot = nn.one_hot(np.array([2]), 4)[0]
-        assert nn.ce_loss(onehot, onehot) < 1e-9
+        assert nn.sl_loss(onehot, onehot, CE_ONLY) < 1e-9
 
     def test_ce_uniform_vs_onehot(self):
         target = nn.one_hot(np.array([0]), 10)[0]
-        assert nn.ce_loss(np.full(10, 0.1), target) == pytest.approx(np.log(10), abs=1e-12)
+        assert nn.sl_loss(np.full(10, 0.1), target, CE_ONLY) == pytest.approx(np.log(10), abs=1e-12)
 
     def test_ce_soft(self):
-        assert nn.ce_loss([0.5, 0.5], [0.5, 0.5]) == pytest.approx(np.log(2), abs=1e-12)
+        assert nn.sl_loss([0.5, 0.5], [0.5, 0.5], CE_ONLY) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_rce_matching_onehot(self):
         onehot = nn.one_hot(np.array([1]), 3)[0]
-        assert nn.rce_loss(onehot, onehot, -4.0) == 0.0
+        assert nn.sl_loss(onehot, onehot, RCE_ONLY) == 0.0
 
     def test_rce_uniform_pred(self):
         target = nn.one_hot(np.array([5]), 10)[0]
-        assert nn.rce_loss(np.full(10, 0.1), target, -4.0) == pytest.approx(3.6, abs=1e-12)
+        assert nn.sl_loss(np.full(10, 0.1), target, RCE_ONLY) == pytest.approx(3.6, abs=1e-12)
 
     def test_rce_disjoint_onehots(self):
         pred = nn.one_hot(np.array([0]), 4)[0]
         target = nn.one_hot(np.array([2]), 4)[0]
-        assert nn.rce_loss(pred, target, -4.0) == pytest.approx(4.0, abs=1e-12)
+        assert nn.sl_loss(pred, target, RCE_ONLY) == pytest.approx(4.0, abs=1e-12)
 
     def test_sl_table_values(self):
         h = nn.Hyperparams()
@@ -137,30 +143,49 @@ class TestLosses:
         rng = np.random.default_rng(3)
         pred = rng.dirichlet(np.ones(6))
         target = nn.one_hot(np.array([4]), 6)[0]
-        assert nn.sl_loss(pred, target, h) == pytest.approx(0.7 * nn.ce_loss(pred, target), abs=0)
+        assert nn.sl_loss(pred, target, h) == pytest.approx(0.7 * nn.sl_loss(pred, target, CE_ONLY), abs=0)
+
+    def test_sl_rows_are_single_row_losses(self):
+        rng = np.random.default_rng(4)
+        pred = rng.dirichlet(np.ones(5), size=7)
+        target = nn.one_hot(rng.integers(0, 5, size=7), 5)
+        h = nn.Hyperparams()
+        rows = nn.sl_loss(pred, target, h)
+        assert rows.shape == (7,)
+        assert rows.tolist() == [nn.sl_loss(p, t, h) for p, t in zip(pred, target)]
 
     def test_kl_zero_for_identical(self):
-        assert nn.kl_div([0.3, 0.7], [0.3, 0.7]) == pytest.approx(0.0, abs=1e-12)
+        assert kl_div([0.3, 0.7], [0.3, 0.7]) == pytest.approx(0.0, abs=1e-12)
+        logits = np.random.default_rng(5).normal(size=(4, 3))
+        spec = nn.ConsensusKlSpec(logits[np.newaxis], np.ones(1), 2.0)
+        assert nn.loss_value(logits, spec) == pytest.approx(0.0, abs=1e-12)
 
     def test_kl_hand_cases(self):
-        assert nn.kl_div([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2), abs=1e-12)
+        # The oracle on hand cases; no finite logits give the first one.
+        assert kl_div([1.0, 0.0], [0.5, 0.5]) == pytest.approx(np.log(2), abs=1e-12)
         expected = 0.5 * np.log(2) + 0.5 * np.log(2 / 3)
-        assert nn.kl_div([0.5, 0.5], [0.25, 0.75]) == pytest.approx(expected, abs=1e-12)
+        assert kl_div([0.5, 0.5], [0.25, 0.75]) == pytest.approx(expected, abs=1e-12)
+        # The KL loss on logits whose softmax gives the second case.
+        spec = nn.ConsensusKlSpec(np.zeros((1, 1, 2)), np.ones(1), 1.0)
+        own = np.log([[0.25, 0.75]])
+        assert nn.loss_value(own, spec) == pytest.approx(expected, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
-            nn.ce_loss([0.5, 0.5], [1.0, 0.0, 0.0])
+            nn.sl_loss([0.5, 0.5], [1.0, 0.0, 0.0], nn.Hyperparams())
         with pytest.raises(ConfigError):
-            nn.kl_div([0.5, 0.5], [1.0, 0.0, 0.0])
+            nn.loss_value(np.zeros((1, 2)), nn.ConsensusKlSpec(np.zeros((1, 1, 3)), np.ones(1), 1.0))
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60)
     def test_kl_nonnegative_on_simplex(self, seed):
         rng = np.random.default_rng(seed)
         c = int(rng.integers(2, 8))
-        p = rng.dirichlet(np.ones(c))
-        q = rng.dirichlet(np.ones(c))
-        assert nn.kl_div(p, q) >= 0.0
+        own, peer = rng.normal(size=(2, 1, c)) * 3
+        loss = nn.loss_value(own, nn.ConsensusKlSpec(peer[np.newaxis], np.ones(1), 1.0))
+        assert loss >= 0.0
+        oracle = kl_div(nn.softmax_t(peer[0], 1.0), nn.softmax_t(own[0], 1.0))
+        assert loss == pytest.approx(oracle, abs=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40)

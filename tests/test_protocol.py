@@ -1,13 +1,18 @@
+import json
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import record_dicts, small_cfg
 from hetfed import data, harness, nn, protocol, reweight
+from hetfed.config import load_config
 from hetfed.errors import ConfigError, NumericError, ProtocolError
 from hetfed.harness import _S_INIT, _S_TRAIN
+
+BASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "base.json"
 
 
 class TestFedavgAggregate:
@@ -495,7 +500,7 @@ class TestShardLossReuse:
                 shard = client.shard
                 probs = nn.softmax_t(nn.mlp_forward(client.params, shard.base.features), 1.0)
                 onehot = nn.one_hot(shard.noisy_labels, shard.base.class_count)
-                alone = float(nn.sl_loss_rows(probs, onehot, cfg.hyperparams).mean())
+                alone = float(nn.sl_loss(probs, onehot, cfg.hyperparams).mean())
                 assert stats.mean_sl_loss == mean_sl == alone
 
         result, _ = harness.run_experiment(cfg)
@@ -507,13 +512,12 @@ class TestShardLossReuse:
 class TestFailureContext:
     def test_client_errors_name_round_client_and_phase(self):
         cfg = small_cfg(strategy="rhfl_plus_eccr", hyperparams={"lr": 1e100})
-        for jobs in (1, 2):
-            with warnings.catch_warnings(record=True) as caught, pytest.raises(
-                NumericError, match=r"^round 1, client 0, phase private: softmax input"
-            ):
-                warnings.simplefilter("always")
-                harness.run_experiment(cfg, jobs=jobs)
-            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        with warnings.catch_warnings(record=True) as caught, pytest.raises(
+            NumericError, match=r"^round 1, client 0, phase private: softmax input"
+        ):
+            warnings.simplefilter("always")
+            harness.run_experiment(cfg)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_error_type_is_kept(self):
         world = harness.build_world(small_cfg())
@@ -558,35 +562,47 @@ class TestDeterminismAndMessages:
         res_b, _ = harness.run_experiment(cfg)
         assert record_dicts(res_a) == record_dicts(res_b)
 
-    def test_jobs_do_not_change_records(self):
+    def test_chunk_size_does_not_change_records(self, monkeypatch):
         cfg = small_cfg(strategy="rhfl_plus_ccr", rounds=3, data={"clients": 4})
-        res_a, _ = harness.run_experiment(cfg, jobs=1)
-        res_b, _ = harness.run_experiment(cfg, jobs=4)
+        res_a, _ = harness.run_experiment(cfg)
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1)  # one client per chunk
+        res_b, _ = harness.run_experiment(cfg)
         assert record_dicts(res_a) == record_dicts(res_b)
 
-    def test_round_barrier_ordering(self):
-        cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=3)
-        result, _ = harness.run_experiment(cfg)
-        rounds_in_order = [entry[1] for entry in result.messages.entries]
-        assert rounds_in_order == sorted(rounds_in_order)
+    # configs/base.json at 3 rounds: K = 4 clients, R = 3 rounds. Every run
+    # sends (R + 1) K evaluation reports; a round adds K model broadcasts
+    # plus one upload per chosen client (fedavg), K logit shares plus K
+    # consensus shares (hetero_distill), K confidence reports, K logit
+    # shares and K weight broadcasts (hfl on), or nothing (hfl off).
+    @pytest.mark.parametrize("strategy, overrides, expected", [
+        ("local_only", [], 4 * 4),
+        ("fedavg", ["participation=0.5", "archs.hidden_layers=[[16]]"], 4 * 4 + 3 * (4 + 2)),
+        ("rhfl", [], 4 * 4 + 3 * 3 * 4),
+        ("rhfl", ["flags.hfl=false"], 4 * 4),
+        ("hetero_distill", [], 4 * 4 + 3 * 2 * 4),
+    ])
+    def test_run_meta_counts_messages(self, tmp_path, strategy, overrides, expected):
+        cfg = load_config([BASE_CONFIG], [f"strategy={strategy}", "rounds=3", *overrides])
+        run_dir = harness.execute_run(cfg, tmp_path)
+        meta = json.loads((run_dir / harness.META_FILE).read_text())
+        assert meta["messages"] == expected
 
-    def test_stale_message_rejected(self):
-        cfg = small_cfg(strategy="local_only", rounds=1)
-        _, world = harness.run_experiment(cfg)
-        controller = protocol.Controller(
-            world.clients, small_cfg(strategy="local_only").strategy_config(),
-            world.test,
-        )
-        msg = protocol.RoundMessage("model_upload", 3, 0)
-        with pytest.raises(ProtocolError, match="stale"):
-            controller._receive(msg, expected_round=5)
-
-    def test_simulated_dropout_aborts_round(self):
+    def test_simulated_dropout_aborts_round(self, monkeypatch):
         cfg = small_cfg(strategy="fedavg", rounds=4)
         world = harness.build_world(cfg)
-        strategy_cfg = cfg.strategy_config(fail_round=2, fail_client=1)
-        with pytest.raises(ProtocolError, match="client 1.*round 2"):
-            protocol.run_federation(world.clients, strategy_cfg, world.test, world.public)
+        train = protocol.private_training
+        calls = []
+
+        def drop_out(part, *args, **kwargs):
+            calls.append(part.index.tolist())
+            if len(calls) == 2:  # the second round's local training
+                raise ProtocolError("client 1 dropped out")
+            return train(part, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "private_training", drop_out)
+        with pytest.raises(ProtocolError, match=r"^round 2, client 0, phase fedavg: client 1 dropped"):
+            protocol.run_federation(world.clients, cfg.strategy_config(), world.test, world.public)
+        assert calls == [[0, 1], [0, 1]]
 
     def test_t_zero_gives_only_pretraining_eval(self):
         cfg = small_cfg(strategy="local_only", rounds=0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import kl_div
 from hetfed import nn, reweight
 from hetfed.errors import ConfigError
 
@@ -147,47 +148,48 @@ class TestConfidenceWeights:
             assert result.weights.argmax() == f.argmax()
 
 
-class TestCollaborativeLoss:
-    def _shares(self, rng, k, n, c):
-        return [reweight.LogitShare(i, rng.normal(size=(n, c))) for i in range(k)]
+def collaborative_loss(logits, own: int, weights, tau: float) -> float:
+    """Client own's distillation loss: its KL to every other client's logits."""
+    peers = np.arange(len(logits)) != own
+    spec = nn.ConsensusKlSpec(logits[peers], np.asarray(weights)[peers], tau)
+    return nn.loss_value(logits[own], spec)
 
+
+class TestCollaborativeLoss:
     def test_zero_when_all_agree(self):
         logits = np.random.default_rng(0).normal(size=(5, 3))
-        shares = [reweight.LogitShare(i, logits) for i in range(4)]
+        shares = np.stack([logits] * 4)
         w = np.full(4, 0.25)
-        assert reweight.collaborative_loss(shares[0], shares, w, 4.0) == pytest.approx(0.0, abs=1e-9)
+        assert collaborative_loss(shares, 0, w, 4.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_client_reduction_to_kl(self):
-        rng = np.random.default_rng(1)
-        shares = self._shares(rng, 2, 1, 4)
+        shares = np.random.default_rng(1).normal(size=(2, 1, 4))
         w = np.array([1.0, 1.0])  # uniform over the post-exclusion peer set
-        loss = reweight.collaborative_loss(shares[0], shares, w, 4.0)
-        peer = nn.softmax_t(shares[1].logits[0], 4.0)
-        own = nn.softmax_t(shares[0].logits[0], 4.0)
-        assert loss == pytest.approx(nn.kl_div(peer, own), abs=1e-12)
+        loss = collaborative_loss(shares, 0, w, 4.0)
+        peer = nn.softmax_t(shares[1][0], 4.0)
+        own = nn.softmax_t(shares[0][0], 4.0)
+        assert loss == pytest.approx(kl_div(peer, own), abs=1e-12)
 
     def test_temperature_cancellation(self):
-        rng = np.random.default_rng(2)
         tau = 4.0
-        shares = self._shares(rng, 3, 6, 5)
-        scaled = [reweight.LogitShare(s.client_id, s.logits * tau) for s in shares]
+        shares = np.random.default_rng(2).normal(size=(3, 6, 5))
         w = np.array([0.2, 0.3, 0.5])
-        a = reweight.collaborative_loss(scaled[1], scaled, w, tau)
-        b = reweight.collaborative_loss(shares[1], shares, w, 1.0)
+        a = collaborative_loss(shares * tau, 1, w, tau)
+        b = collaborative_loss(shares, 1, w, 1.0)
         assert a == pytest.approx(b, abs=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            shares = self._shares(rng, 4, 3, 3)
+            shares = rng.normal(size=(4, 3, 3))
             w = rng.dirichlet(np.ones(4))
-            assert reweight.collaborative_loss(shares[2], shares, w, 4.0) >= 0.0
+            assert collaborative_loss(shares, 2, w, 4.0) >= 0.0
 
     def test_shape_mismatch(self):
-        a = reweight.LogitShare(0, np.zeros((3, 2)))
-        b = reweight.LogitShare(1, np.zeros((4, 2)))
+        own = np.zeros((3, 2))
+        peers = np.zeros((1, 4, 2))
         with pytest.raises(ConfigError):
-            reweight.collaborative_loss(a, [a, b], np.array([0.5, 0.5]), 1.0)
+            nn.loss_value(own, nn.ConsensusKlSpec(peers, np.array([0.5]), 1.0))
 
 
 class TestQualityNormalization:
