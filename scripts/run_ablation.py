@@ -20,7 +20,6 @@ def main() -> int:
     parser.add_argument("--out", default="runs/ablation")
     parser.add_argument("--rates", type=float, nargs="+", default=[0.1, 0.2])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
-    parser.add_argument("--jobs", type=int, default=1)
     args = parser.parse_args()
 
     base = parse_config(args.config)
@@ -30,7 +29,7 @@ def main() -> int:
         "mu": args.rates,
         "seed": args.seeds,
     }
-    outcome = harness.run_sweep(base, grid, args.out, jobs=args.jobs)
+    outcome = harness.run_sweep(base, grid, args.out)
     if outcome.failures:
         for label, error in sorted(outcome.failures.items()):
             print(f"FAILED {label}: {error}", file=sys.stderr)

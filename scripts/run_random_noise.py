@@ -7,6 +7,7 @@ local-only baseline on final mean accuracy and ROC AUC.
 """
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -39,14 +40,15 @@ def main() -> int:
                 args.config, overrides + [f"strategy={strategy}", f"seed={seed}"]
             )
             cfg = ExperimentConfig.from_dict(resolved)
-            harness.execute_run(cfg, args.out)
-            result, world = harness.run_experiment(cfg)
-            final = result.records[-1]
-            accs.append(np.mean([s.accuracy for s in final.clients]))
-            aucs.append(np.mean([s.roc_auc for s in final.clients
-                                 if s.roc_auc is not None]))
+            run_dir = harness.execute_run(cfg, args.out)
+            with open(run_dir / harness.ROUNDS_FILE) as fh:
+                final = [r for r in map(json.loads, fh) if r["round"] == cfg.rounds]
+            accs.append(np.mean([r["accuracy"] for r in final]))
+            aucs.append(np.mean([r["roc_auc"] for r in final if r["roc_auc"] is not None]))
             if strategy == "local_only" and seed == args.seeds[0]:
-                rates = ", ".join(f"{r:.3f}" for r in world.noise_rates)
+                with open(run_dir / harness.META_FILE) as fh:
+                    noise_rates = json.load(fh)["noise_rates"]
+                rates = ", ".join(f"{r:.3f}" for r in noise_rates)
                 print(f"per-client noise rates (seed {seed}): [{rates}]")
         print(f"{strategy:<16} acc {np.mean(accs):.4f}  roc_auc {np.mean(aucs):.4f}")
     return 0

@@ -3,7 +3,7 @@
 Subcommands::
 
     hetfed run --config base.json [--config overlay.json] [--set k=v]... --out DIR
-    hetfed sweep --config base.json --grid grid.json --out DIR [--jobs N]
+    hetfed sweep --config base.json --grid grid.json --out DIR
     hetfed summarize --runs DIR [--runs DIR]... --format csv [--out FILE]
 
 Exit codes: 0 all cells succeeded, 1 any run failure, 2 configuration error.
@@ -40,7 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--set", action="append", default=[], dest="overrides")
     sweep.add_argument("--grid", required=True, help="JSON file of axis lists")
     sweep.add_argument("--out", required=True)
-    sweep.add_argument("--jobs", type=int, default=1, help="concurrent cells")
+    sweep.add_argument("--jobs", type=int, default=1,
+                       help="accepted, no effect: cells run one after another")
 
     summ = sub.add_parser("summarize", help="tabulate finished runs")
     summ.add_argument("--runs", action="append", required=True, metavar="DIR",
@@ -74,7 +75,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"grid file not found: {args.grid}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"grid file {args.grid} is not valid JSON: {exc}") from None
-    outcome = harness.run_sweep(resolved, grid, args.out, jobs=max(1, args.jobs))
+    outcome = harness.run_sweep(resolved, grid, args.out)
     for run_dir in outcome.run_dirs:
         print(run_dir)
     if outcome.failures:

@@ -16,6 +16,7 @@ from . import nn
 from .data import NOISE_KINDS, PARTITION_SCHEMES
 from .errors import ConfigError
 from .protocol import AblationFlags, STRATEGIES, StrategyConfig, resolve_flags
+from .reweight import REWEIGHT_MODES
 
 SEED_ENV_VAR = "HETFED_SEED"
 
@@ -55,7 +56,7 @@ SCHEMA = {
         "hfl": _Field(bool, None),
         "sl": _Field(bool, None),
         "dlr": _Field(bool, None),
-        "reweight": _Field(str, None, choices=("none", "ccr", "eccr")),
+        "reweight": _Field(str, None, choices=REWEIGHT_MODES),
     },
     "data": {
         "source": _Field(str, "blobs", choices=DATA_SOURCES),

@@ -17,7 +17,6 @@ import json
 import os
 import shutil
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -85,7 +84,7 @@ def build_world(cfg: ExperimentConfig) -> World:
     """Assemble disjoint test/public/private pools and the client fleet."""
     d = cfg.data
     base = _base_dataset(cfg)
-    needs_public = cfg.flags.hfl or cfg.strategy == "hetero_distill"
+    needs_public = cfg.flags.hfl
     if needs_public and d.n_public < 1:
         raise ConfigError(
             f"strategy {cfg.strategy!r} distills over a public dataset; set data.n_public >= 1"
@@ -276,35 +275,18 @@ class SweepOutcome:
     failures: dict[str, str]
 
 
-def run_sweep(base_resolved: dict, grid: dict, out_dir, jobs: int = 1) -> SweepOutcome:
-    """Execute every grid cell; failures are recorded, not fatal."""
+def run_sweep(base_resolved: dict, grid: dict, out_dir) -> SweepOutcome:
+    """Execute every grid cell in order; failures are recorded, not fatal."""
     cells = expand_grid(grid)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def build_cfg(cell: dict) -> ExperimentConfig:
-        doc = json.loads(json.dumps(base_resolved))
-        return ExperimentConfig.from_dict(apply_overrides(doc, cell.items(), "<grid>"))
-
-    def one(cell: dict):
-        label = json.dumps(cell, sort_keys=True)
-        try:
-            return label, execute_run(build_cfg(cell), out_dir), None
-        except Exception as exc:  # cell failures must not kill the sweep
-            return label, None, f"{type(exc).__name__}: {exc}"
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, cells))
-    else:
-        results = [one(cell) for cell in cells]
-
     outcome = SweepOutcome([], {})
-    for label, run_dir, error in results:
-        if error is None:
-            outcome.run_dirs.append(run_dir)
-        else:
-            outcome.failures[label] = error
+    for cell in cells:
+        try:
+            doc = apply_overrides(json.loads(json.dumps(base_resolved)), cell.items(), "<grid>")
+            outcome.run_dirs.append(execute_run(ExperimentConfig.from_dict(doc), out_dir))
+        except Exception as exc:  # cell failures must not kill the sweep
+            outcome.failures[json.dumps(cell, sort_keys=True)] = f"{type(exc).__name__}: {exc}"
     report = {
         "cells": len(cells),
         "failed": sorted(outcome.failures),

@@ -21,8 +21,9 @@ Four strategies are implemented:
   (hfl / sl / dlr / reweight) that also expresses every ablation row.
 """
 
+import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -39,8 +40,6 @@ STRATEGIES = (
     "rhfl_plus_eccr",
 )
 
-REWEIGHT_MODES = ("none", "ccr", "eccr")
-
 
 @dataclass(frozen=True)
 class AblationFlags:
@@ -52,7 +51,7 @@ class AblationFlags:
     reweight: str = "none"
 
     def __post_init__(self):
-        if self.reweight not in REWEIGHT_MODES:
+        if self.reweight not in reweight.REWEIGHT_MODES:
             raise ConfigError(f"unknown reweight mode {self.reweight!r}")
 
 
@@ -65,17 +64,32 @@ STRATEGY_FLAGS = {
     "rhfl_plus_eccr": AblationFlags(hfl=True, sl=True, dlr=True, reweight="eccr"),
 }
 
+# Strategies whose rounds read no flag; their presets only record what they do.
+FIXED_FLAG_STRATEGIES = ("fedavg", "hetero_distill")
+
 
 def resolve_flags(strategy: str, overrides: dict | None = None) -> AblationFlags:
-    """Strategy presets overlaid with any explicit flag overrides."""
+    """Strategy presets overlaid with any explicit flag overrides.
+
+    A fedavg or hetero_distill override must equal the preset (as every
+    echoed config's does), since those strategies would ignore it.
+    """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    flags = STRATEGY_FLAGS[strategy]
-    if overrides:
-        unknown = set(overrides) - {"hfl", "sl", "dlr", "reweight"}
-        if unknown:
-            raise ConfigError(f"unknown ablation flags: {sorted(unknown)}")
-        flags = replace(flags, **overrides)
+    preset = STRATEGY_FLAGS[strategy]
+    if not overrides:
+        return preset
+    unknown = set(overrides) - {"hfl", "sl", "dlr", "reweight"}
+    if unknown:
+        raise ConfigError(f"unknown ablation flags: {sorted(unknown)}")
+    flags = replace(preset, **overrides)
+    if strategy in FIXED_FLAG_STRATEGIES:
+        for name, value in overrides.items():
+            if value != getattr(preset, name):
+                raise ConfigError(
+                    f"strategy {strategy!r} ignores flags: flags.{name}={json.dumps(value)} "
+                    f"differs from its preset {json.dumps(getattr(preset, name))}"
+                )
     return flags
 
 
@@ -91,8 +105,7 @@ class StrategyConfig:
     participation: float = 1.0
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
+        resolve_flags(self.strategy, asdict(self.flags))
         if self.rounds < 0 or self.local_epochs < 0 or self.collab_epochs < 0:
             raise ConfigError("round and epoch counts must be non-negative")
         if self.batch_size < 1:
@@ -331,31 +344,43 @@ def collaborative_training(
     group.params = _restack(_by_chunk(group, public.size, distill))
 
 
-def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> list[tuple]:
-    """Clean-test metrics plus the shard's mean symmetric loss per client.
+def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> tuple:
+    """Clean-test metrics plus the shard's mean symmetric loss, as columns.
 
-    Returns (accuracy, roc_auc, pr_auc, mean_sl) for each client of the
-    group, in group order.
+    Returns (accuracy, roc_auc, pr_auc, mean_sl), each (K,) over the
+    group's clients in group order. roc_auc is None when the test split
+    misses a class; pr_auc is None unless the task is binary and the test
+    split holds a positive.
     """
 
-    def evaluate(part: ClientGroup) -> list[tuple]:
+    def evaluate(part: ClientGroup) -> tuple:
         probs = nn.softmax_t(nn.mlp_forward(part.params, test.features), 1.0)
         acc = metrics.accuracy(probs.argmax(axis=-1), test.labels)
+        pr = None
         if test.class_count == 2:
             roc = metrics.roc_auc(probs[..., 1], test.labels)
-            pr = [metrics.pr_auc(s, test.labels == 1) for s in probs[..., 1]]
+            scores = [metrics.pr_auc(s, test.labels == 1) for s in probs[..., 1]]
+            if scores[0] is not None:
+                pr = np.array(scores)
         else:
             roc = metrics.multiclass_roc_auc(probs, test.labels)
-            pr = [None] * len(part.clients)
         shard = nn.softmax_t(nn.mlp_forward(part.params, part.features), 1.0)
         sl = nn.sl_loss(shard, part.onehot, hp).mean(axis=-1)
-        return [
-            (float(acc[i]), None if roc is None else float(roc[i]), pr[i], float(sl[i]))
-            for i in range(len(part.clients))
-        ]
+        return acc, roc, pr, sl
 
     rows = max(test.size, group.features.shape[1])
-    return [result for chunk in _by_chunk(group, rows, evaluate) for result in chunk]
+    chunks = _by_chunk(group, rows, evaluate)
+    return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*chunks))
+
+
+def _row_norms(values: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of a (K, P) stack.
+
+    A stacked (1, P) @ (P, 1) matmul takes BLAS's dot per row, as
+    np.linalg.norm does, so each norm has the bits of that client's alone;
+    an einsum sums in another order.
+    """
+    return np.sqrt(values[:, np.newaxis, :] @ values[:, :, np.newaxis]).ravel()
 
 
 class Controller:
@@ -384,10 +409,7 @@ class Controller:
         self.public = public
         self.messages = 0
         self._sampler = np.random.default_rng(sampler_seed)
-        needs_public = cfg.strategy == "hetero_distill" or (
-            cfg.strategy not in ("local_only", "fedavg") and cfg.flags.hfl
-        )
-        if needs_public and public is None:
+        if cfg.flags.hfl and public is None:
             raise ConfigError(f"strategy {cfg.strategy!r} requires a public dataset")
         if cfg.strategy == "fedavg":
             archs = {c.arch for c in self.clients}
@@ -412,69 +434,72 @@ class Controller:
     def _map_groups(self, phase: str, round_idx: int, fn, groups=None) -> list:
         """fn over the groups in order; errors name round, client and phase.
 
-        The client named is the one a NumericError's index points at, else
-        the group's first.
+        The client named is the one a NumericError's index points at; an
+        error without an index names every client of its group.
         """
         out = []
         for group in self.groups if groups is None else groups:
             try:
                 out.append(fn(group))
             except (ConfigError, NumericError, ProtocolError) as exc:
-                client = group.clients[getattr(exc, "index", None) or 0]
-                raise type(exc)(
-                    f"round {round_idx}, client {client.client_id}, phase {phase}: {exc}"
-                ) from exc
+                ids = [c.client_id for c in group.clients]
+                index = getattr(exc, "index", None)
+                if index is not None:
+                    ids = [ids[index]]
+                who = f"client {ids[0]}" if len(ids) == 1 else f"clients {ids}"
+                raise type(exc)(f"round {round_idx}, {who}, phase {phase}: {exc}") from exc
         return out
 
-    def _by_client(self, per_group: list) -> list:
-        """Per-group lists of per-client results, merged into client id order."""
-        out = [None] * len(self.clients)
-        for group, results in zip(self.groups, per_group):
-            for pos, result in zip(group.index, results):
-                out[pos] = result
-        return out
+    def _by_client(self, per_group: list[tuple]) -> list:
+        """Each group's (K_g, ...) result columns scattered into (K, ...)
+        columns in client id order; a column the groups return as None
+        stays None."""
+        columns = []
+        for parts in zip(*per_group):
+            column = None
+            if parts[0] is not None:
+                column = np.empty((len(self.clients), *parts[0].shape[1:]))
+                for group, part in zip(self.groups, parts):
+                    column[group.index] = part
+            columns.append(column)
+        return columns
 
     def _public_logits(self, phase: str, round_idx: int) -> np.ndarray:
         """Every client's logits on the public set (K, N, C), in id order."""
         x = self.public.features
-        logits = np.empty((len(self.clients), len(x), self.public.class_count))
 
         def forward(group: ClientGroup):
             chunks = _by_chunk(group, len(x), lambda part: nn.mlp_forward(part.params, x))
-            logits[group.index] = np.concatenate(chunks)
+            return (np.concatenate(chunks),)
 
-        self._map_groups(phase, round_idx, forward)
+        (logits,) = self._by_client(self._map_groups(phase, round_idx, forward))
         return logits
 
     # -- evaluation -------------------------------------------------------
 
-    def _eval_round(self, round_idx: int, extras=None, clamp_events: int = 0) -> RoundRecord:
+    def _eval_round(self, round_idx: int, confidence: tuple | None = None) -> RoundRecord:
+        """Evaluate every client and record the round.
+
+        confidence is the round's reweight.confidence_step result, if the
+        round had a confidence step.
+        """
         hp = self.cfg.hyperparams
 
         def evaluate(group: ClientGroup):
-            results = evaluate_client(group, self.test, hp)
-            group.evaluated = TrainHistory(np.array([r[3] for r in results]), group.params)
-            return results
+            columns = evaluate_client(group, self.test, hp)
+            group.evaluated = TrainHistory(columns[3], group.params)
+            return columns
 
-        results = self._by_client(self._map_groups("eval", round_idx, evaluate))
+        columns = self._by_client(self._map_groups("eval", round_idx, evaluate))
         self.messages += len(self.clients)  # one report per client
-        stats = []
-        for client, (acc, roc, pr, sl) in zip(self.clients, results):
-            extra = (extras or {}).get(client.client_id, {})
-            stats.append(
-                ClientRoundStats(
-                    client.client_id,
-                    acc,
-                    roc,
-                    pr,
-                    sl,
-                    extra.get("q"),
-                    extra.get("p"),
-                    extra.get("f"),
-                    extra.get("weight"),
-                )
-            )
-        return RoundRecord(round_idx, tuple(stats), clamp_events)
+        *weighting, clamp_events = confidence or (None, None, None, None, 0)
+        k = len(self.clients)
+        rows = zip(*(
+            [None] * k if column is None else column.tolist()
+            for column in columns + weighting
+        ))
+        stats = tuple(ClientRoundStats(c.client_id, *row) for c, row in zip(self.clients, rows))
+        return RoundRecord(round_idx, stats, clamp_events)
 
     # -- strategy rounds --------------------------------------------------
 
@@ -535,12 +560,14 @@ class Controller:
                                        dlr_sched=None, epoch_base=0),
         )
 
-    def _round_lattice(self, round_idx: int):
-        """local_only and the rhfl family share this flag-driven round."""
+    def _round_lattice(self, round_idx: int) -> tuple | None:
+        """local_only and the rhfl family share this flag-driven round.
+
+        Returns the round's confidence step, or None with hfl off.
+        """
         cfg = self.cfg
         flags = cfg.flags
-        extras: dict[int, dict] = {}
-        clamp_events = 0
+        confidence = None
 
         if flags.hfl:
             hp = cfg.hyperparams
@@ -552,59 +579,23 @@ class Controller:
                 if cur.params is not group.params:
                     raise ProtocolError("parameters changed after the last evaluation")
                 group.history = cur
-                moved = cur.params.values - hist.params.values
-                reports = []
-                for i, client in enumerate(group.clients):
-                    delta = float(hist.mean_sl[i] - cur.mean_sl[i])
-                    base_norm = float(np.linalg.norm(hist.params.values[i]))
-                    ratio = float(np.linalg.norm(moved[i])) / base_norm if base_norm > 0 else 0.0
-                    reports.append(reweight.ConfidenceReport(
-                        client.client_id,
-                        q=reweight.label_quality(float(cur.mean_sl[i])),
-                        p=reweight.learning_efficiency(delta, ratio),
-                        delta_sl=delta,
-                        update_ratio=ratio,
-                    ))
-                return reports
+                moved = _row_norms(cur.params.values - hist.params.values)
+                base = _row_norms(hist.params.values)
+                ratio = np.divide(moved, base, out=np.zeros_like(base), where=base > 0)
+                return hist.mean_sl, cur.mean_sl, ratio
 
-            reports = self._by_client(self._map_groups("phase1", round_idx, phase1))
+            prev_sl, cur_sl, ratio = self._by_client(self._map_groups("phase1", round_idx, phase1))
             logits = self._public_logits("phase1", round_idx)
-
-            qualities = np.array([r.q for r in reports])
-            q_norm = reweight.normalize_quality(qualities)
-            k = len(self.clients)
-            f_scores: list[float | None]
-            if flags.reweight == "none" or k < 2:
-                weights = reweight.uniform_weights(k)
-                f_scores = [None] * k
-            else:
-                if flags.reweight == "eccr":
-                    f_scores = [
-                        reweight.client_confidence_eccr(qn, r.p)
-                        for qn, r in zip(q_norm, reports)
-                    ]
-                else:
-                    f_scores = [
-                        reweight.client_confidence_ccr(qn, r.delta_sl)
-                        for qn, r in zip(q_norm, reports)
-                    ]
-                result = reweight.confidence_weights(np.array(f_scores), hp.eta_conf)
-                weights = result.weights
-                clamp_events = result.clamp_events
+            confidence = reweight.confidence_step(
+                flags.reweight, prev_sl, cur_sl, ratio, hp.eta_conf
+            )
+            weights = confidence[3]
             # Each client uploads its report and its logits; the server
             # broadcasts the weights.
-            self.messages += 3 * k
+            self.messages += 3 * len(self.clients)
 
             # Each peer is softmaxed once; every client mixes all but itself.
             peer_probs = nn.softmax_t(logits, hp.temperature)
-            for idx, client in enumerate(self.clients):
-                extras[client.client_id] = {
-                    "q": float(qualities[idx]),
-                    "p": float(reports[idx].p),
-                    "f": None if f_scores[idx] is None else float(f_scores[idx]),
-                    "weight": float(weights[idx]),
-                }
-
             self._map_groups(
                 "distill", round_idx,
                 lambda g: collaborative_training(
@@ -620,7 +611,7 @@ class Controller:
                 use_sl=flags.sl, dlr_sched=self.dlr_sched, epoch_base=epoch_base,
             ),
         )
-        return extras, clamp_events
+        return confidence
 
     # -- top level ---------------------------------------------------------
 
@@ -632,14 +623,14 @@ class Controller:
         seconds = [time.perf_counter() - started]
         for round_idx in range(1, self.cfg.rounds + 1):
             started = time.perf_counter()
-            extras, clamps = {}, 0
+            confidence = None
             if self.cfg.strategy == "fedavg":
                 self._round_fedavg(round_idx)
             elif self.cfg.strategy == "hetero_distill":
                 self._round_hetero(round_idx)
             else:
-                extras, clamps = self._round_lattice(round_idx)
-            records.append(self._eval_round(round_idx, extras, clamps))
+                confidence = self._round_lattice(round_idx)
+            records.append(self._eval_round(round_idx, confidence))
             seconds.append(time.perf_counter() - started)
         for group in self.groups:
             for client, values in zip(group.clients, group.params.values):

@@ -4,8 +4,10 @@ This module holds the round-by-round mathematics of the robust strategy:
 the epoch schedule that mixes model predictions into noisy labels, the
 label-quality / learning-efficiency statistics each client reports, the
 two confidence variants built from them, and the normalization of
-confidences into collaboration weights. The weighted distillation loss
-these weights enter is nn.ConsensusKlSpec.
+confidences into collaboration weights. confidence_step is the whole
+per-round confidence policy over (K,) client columns; the formulas it is
+built from work elementwise, on scalars or arrays alike. The weights
+enter distillation through nn.mixture_spec.
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,8 @@ import numpy as np
 from .errors import ConfigError
 
 QUALITY_MEAN_FLOOR = 1e-9
+
+REWEIGHT_MODES = ("none", "ccr", "eccr")
 
 
 @dataclass(frozen=True)
@@ -64,30 +68,32 @@ def dlr_refine(noisy_onehot, pred, s: float) -> np.ndarray:
     return (1.0 - s) * a + s * b
 
 
-def label_quality(mean_sl: float) -> float:
-    """Reciprocal of the mean symmetric loss; a near-zero mean maps to 1e9."""
-    if mean_sl <= QUALITY_MEAN_FLOOR:
-        return 1e9
-    return 1.0 / mean_sl
+def label_quality(mean_sl):
+    """Reciprocal of the mean symmetric loss, elementwise; a near-zero mean maps to 1e9."""
+    sl = np.asarray(mean_sl, dtype=np.float64)
+    return np.where(sl <= QUALITY_MEAN_FLOOR, 1e9, 1.0 / np.maximum(sl, QUALITY_MEAN_FLOOR))
 
 
-def learning_efficiency(delta_sl: float, update_ratio: float) -> float:
-    """Loss improvement discounted by normalized parameter movement."""
-    if update_ratio < 0:
+def learning_efficiency(delta_sl, update_ratio):
+    """Loss improvement discounted by normalized parameter movement, elementwise."""
+    ratio = np.asarray(update_ratio, dtype=np.float64)
+    if np.any(ratio < 0):
         raise ConfigError("update ratio must be non-negative")
-    return delta_sl / (update_ratio + 1.0)
+    return np.asarray(delta_sl, dtype=np.float64) / (ratio + 1.0)
 
 
-def client_confidence_eccr(q_norm: float, p: float) -> float:
-    if q_norm < 0:
+def client_confidence_eccr(q_norm, p):
+    q = np.asarray(q_norm, dtype=np.float64)
+    if np.any(q < 0):
         raise ConfigError("normalized quality must be non-negative")
-    return q_norm * p
+    return q * p
 
 
-def client_confidence_ccr(q_norm: float, delta_sl: float) -> float:
-    if q_norm < 0:
+def client_confidence_ccr(q_norm, delta_sl):
+    q = np.asarray(q_norm, dtype=np.float64)
+    if np.any(q < 0):
         raise ConfigError("normalized quality must be non-negative")
-    return q_norm * delta_sl
+    return q * delta_sl
 
 
 def normalize_quality(qualities) -> np.ndarray:
@@ -96,19 +102,6 @@ def normalize_quality(qualities) -> np.ndarray:
     if total <= 0:
         raise ConfigError("quality values must have a positive sum")
     return q / total
-
-
-@dataclass(frozen=True)
-class ConfidenceReport:
-    """Per-client statistics uploaded each round: raw label quality, the
-    efficiency score, and the two raw ingredients behind the efficiency
-    score."""
-
-    client_id: int
-    q: float
-    p: float
-    delta_sl: float
-    update_ratio: float
 
 
 @dataclass(frozen=True)
@@ -146,3 +139,32 @@ def confidence_weights(f, eta_conf: float) -> WeightResult:
     if total <= 0:
         return WeightResult(uniform_weights(k), clamped)
     return WeightResult(raw / total, clamped)
+
+
+def confidence_step(mode: str, prev_sl, cur_sl, update_ratio, eta_conf: float):
+    """One round's confidence statistics and collaboration weights.
+
+    prev_sl and cur_sl are each client's mean shard SL at the previous and
+    the latest evaluation, and update_ratio is how far its parameters moved
+    in between, relative to their older norm; all are (K,), in client id
+    order. Returns (q, p, f, weights, clamp_events): label quality,
+    learning efficiency, confidence (CCR: normalized quality x SL drop;
+    ECCR: normalized quality x efficiency), weights and clamp count.
+    Under mode "none", or with one client, f is None and the weights are
+    uniform.
+    """
+    if mode not in REWEIGHT_MODES:
+        raise ConfigError(f"unknown reweight mode {mode!r}")
+    cur = np.asarray(cur_sl, dtype=np.float64)
+    delta = np.asarray(prev_sl, dtype=np.float64) - cur
+    q = label_quality(cur)
+    p = learning_efficiency(delta, update_ratio)
+    if mode == "none" or q.size < 2:
+        return q, p, None, uniform_weights(q.size), 0
+    q_norm = normalize_quality(q)
+    if mode == "eccr":
+        f = client_confidence_eccr(q_norm, p)
+    else:
+        f = client_confidence_ccr(q_norm, delta)
+    result = confidence_weights(f, eta_conf)
+    return q, p, f, result.weights, result.clamp_events

@@ -117,6 +117,34 @@ class TestRunCommand:
         assert harness.discover_runs([out]) == [run_dir]
         assert [p.name for p in out.iterdir()] == [run_dir.name]
 
+    @pytest.mark.parametrize("strategy, flags", [
+        ("hetero_distill", ["flags.sl=true", "flags.dlr=true", 'flags.reweight="eccr"']),
+        ("fedavg", ["flags.sl=true"]),
+        ("fedavg", ["flags.hfl=true"]),
+    ])
+    def test_ignored_flag_overrides_are_rejected(self, tmp_path, capsys, strategy, flags):
+        cfg = write_cfg(tmp_path, strategy=strategy)
+        argv = ["run", "--config", cfg, "--out", str(tmp_path / "x")]
+        for item in flags:
+            argv += ["--set", item]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"strategy {strategy!r} ignores flags: {flags[0]} differs from its preset" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("strategy", ["fedavg", "hetero_distill"])
+    def test_echoed_preset_flags_rerun_in_place(self, tmp_path, strategy):
+        cfg = write_cfg(tmp_path, strategy=strategy)
+        out = tmp_path / "runs"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        (run_dir,) = out.iterdir()
+        stamp = (run_dir / harness.DONE_FILE).stat().st_mtime_ns
+        echoed = tmp_path / "echoed.json"
+        echoed.write_bytes((run_dir / harness.CONFIG_FILE).read_bytes())
+        assert main(["run", "--config", str(echoed), "--out", str(out)]) == 0
+        assert list(out.iterdir()) == [run_dir]
+        assert (run_dir / harness.DONE_FILE).stat().st_mtime_ns == stamp  # skipped
+
     def test_jobs_flag_does_not_change_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path, strategy="rhfl_plus_ccr",
                         data={"clients": 3, "shard_size": 30})

@@ -237,6 +237,54 @@ class TestLatticeRounds:
             for stats in rec.clients:
                 assert stats.weight == pytest.approx(0.25, abs=1e-15)
 
+    def test_hfl_without_public_set_rejected(self):
+        cfg = small_cfg(strategy="local_only", flags={"hfl": True})
+        world = harness.build_world(cfg)
+        with pytest.raises(ConfigError, match="requires a public dataset"):
+            protocol.run_federation(world.clients, cfg.strategy_config(), world.test)
+
+    def test_fixed_flag_strategies_reject_other_flags(self):
+        def strategy_config(strategy, flags):
+            return protocol.StrategyConfig(strategy, 1, 1, 1, 16, nn.Hyperparams(), flags)
+
+        with pytest.raises(ConfigError, match=r"^strategy 'fedavg' ignores flags: flags.hfl=true"):
+            strategy_config("fedavg", protocol.AblationFlags(hfl=True))
+        with pytest.raises(ConfigError, match=r"'hetero_distill' ignores flags: flags.hfl=false"):
+            strategy_config("hetero_distill", protocol.AblationFlags())
+        with pytest.raises(ConfigError, match=r"'fedavg' ignores flags: flags.reweight=\"ccr\""):
+            small_cfg(strategy="fedavg", flags={"reweight": "ccr"})
+        strategy_config("hetero_distill", protocol.AblationFlags(hfl=True))
+        small_cfg(strategy="fedavg", flags={"hfl": False, "sl": False, "dlr": False, "reweight": "none"})
+
+    def test_update_ratio_matches_per_client_norms(self, monkeypatch):
+        cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=1, data={"clients": 3})
+        world = harness.build_world(cfg)
+        controller = protocol.Controller(
+            world.clients, cfg.strategy_config(), world.test, world.public
+        )
+        controller._eval_round(0)
+        (group,) = controller.groups
+        cur = group.evaluated.params.values
+        prev = cur + np.random.default_rng(0).normal(scale=0.1, size=cur.shape)
+        prev[1] = 0.0  # client 1's previous model is all zeros
+        prev[2] = cur[2]  # client 2 did not move
+        group.history = protocol.TrainHistory(
+            group.evaluated.mean_sl, nn.ModelParams(group.params.layer_dims, prev)
+        )
+        ratios = []
+        step = reweight.confidence_step
+
+        def spy(mode, prev_sl, cur_sl, ratio, eta):
+            ratios.append(ratio)
+            return step(mode, prev_sl, cur_sl, ratio, eta)
+
+        monkeypatch.setattr(reweight, "confidence_step", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            controller._round_lattice(1)
+        first = float(np.linalg.norm(cur[0] - prev[0])) / float(np.linalg.norm(prev[0]))
+        assert ratios[0].tolist() == [first, 0.0, 0.0]
+
     def test_dlr_epoch_numbering_matches_schedule(self):
         """Replicate the refinement trajectory by hand, epoch indices 1..T*E."""
         cfg = small_cfg(strategy="rhfl_plus_eccr",
@@ -600,7 +648,8 @@ class TestDeterminismAndMessages:
             return train(part, *args, **kwargs)
 
         monkeypatch.setattr(protocol, "private_training", drop_out)
-        with pytest.raises(ProtocolError, match=r"^round 2, client 0, phase fedavg: client 1 dropped"):
+        # The error carries no client index, so the whole group is named.
+        with pytest.raises(ProtocolError, match=r"^round 2, clients \[0, 1\], phase fedavg: client 1 dropped"):
             protocol.run_federation(world.clients, cfg.strategy_config(), world.test, world.public)
         assert calls == [[0, 1], [0, 1]]
 

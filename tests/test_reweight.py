@@ -107,6 +107,69 @@ class TestConfidence:
             reweight.client_confidence_eccr(q_norm, p)
 
 
+def per_client_step(mode, prev_sl, cur_sl, ratio, eta):
+    """The confidence step client by client, from the scalar formulas."""
+    q = [float(reweight.label_quality(float(c))) for c in cur_sl]
+    delta = [float(a) - float(c) for a, c in zip(prev_sl, cur_sl)]
+    p = [float(reweight.learning_efficiency(d, float(r))) for d, r in zip(delta, ratio)]
+    if mode == "none" or len(q) < 2:
+        return q, p, None, [1.0 / len(q)] * len(q), 0
+    q_norm = reweight.normalize_quality(q)
+    if mode == "eccr":
+        f = [float(reweight.client_confidence_eccr(float(n), pk)) for n, pk in zip(q_norm, p)]
+    else:
+        f = [float(reweight.client_confidence_ccr(float(n), d)) for n, d in zip(q_norm, delta)]
+    result = reweight.confidence_weights(np.array(f), eta)
+    return q, p, f, result.weights.tolist(), result.clamp_events
+
+
+class TestConfidenceStep:
+    def check(self, mode, prev_sl, cur_sl, ratio, eta=1.2):
+        q, p, f, weights, clamps = reweight.confidence_step(mode, prev_sl, cur_sl, ratio, eta)
+        expected = per_client_step(mode, prev_sl, cur_sl, ratio, eta)
+        # Lists of Python floats compare bit for bit (up to the sign of zero).
+        got = (q.tolist(), p.tolist(), None if f is None else f.tolist(), weights.tolist(), clamps)
+        assert got == expected
+        assert [np.array(a).tobytes() for a in got[:2]] == [np.array(a).tobytes() for a in expected[:2]]
+        return got
+
+    @given(st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200)
+    def test_matches_per_client_formulas(self, seed):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 12))
+        cur = rng.exponential(size=k)
+        prev = cur + rng.normal(scale=0.3, size=k)
+        ratio = np.where(rng.random(k) < 0.2, 0.0, rng.exponential(size=k))
+        mode = ("none", "ccr", "eccr")[int(rng.integers(3))]
+        self.check(mode, prev, cur, ratio, float(rng.uniform(0.1, 10.0)))
+
+    @pytest.mark.parametrize("mode", ["none", "ccr", "eccr"])
+    def test_uniform_without_confidence(self, mode):
+        # reweight none, and a single client under any mode
+        k = 1 if mode != "none" else 4
+        q, p, f, weights, clamps = self.check(mode, np.full(k, 0.9), np.full(k, 0.7), np.zeros(k))
+        assert f is None and weights == [1.0 / k] * k and clamps == 0
+
+    def test_all_zero_confidence_is_uniform(self):
+        sl = np.array([0.4, 0.8, 1.3])
+        _, _, f, weights, clamps = self.check("eccr", sl, sl, np.array([0.1, 0.0, 2.0]))
+        assert f == [0.0, 0.0, 0.0] and weights == [1 / 3] * 3 and clamps == 0
+
+    def test_negative_raw_weight_is_clamped(self):
+        prev = np.array([0.5, 2.0, 0.61, 0.7])
+        cur = np.array([0.6, 0.5, 0.6, 0.6])
+        _, _, _, weights, clamps = self.check("ccr", prev, cur, np.full(4, 0.5), eta=8.0)
+        assert clamps == 1 and weights[0] == 0.0
+
+    @pytest.mark.parametrize("mode", ["ccr", "eccr"])
+    def test_loss_at_the_quality_floor(self, mode):
+        floor = reweight.QUALITY_MEAN_FLOOR
+        cur = np.array([0.0, floor, 2 * floor, 0.5])
+        q, *_ = self.check(mode, cur + 0.1, cur, np.full(4, 0.25))
+        assert q[:2] == [1e9, 1e9] and q[2] == 1.0 / (2 * floor)
+
+
 class TestConfidenceWeights:
     def test_equal_scores_give_uniform(self):
         result = reweight.confidence_weights(np.full(4, 0.7), 1.2)
