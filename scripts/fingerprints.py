@@ -1,0 +1,98 @@
+#!/usr/bin/env python3
+"""Output fingerprints of a fixed list of runs, for comparing two checkouts.
+
+Prints one line per run directory, ``<sha256>  <label>``: the hash of its
+rounds.jsonl, run_meta.json and resolved_config.json, in that order. A
+sweep adds one line for its sweep_report.json. timing.json is left out; it
+is the one file that differs between runs. The list covers the
+benchmark's workload inputs at seeds 0 and 1, configs/base.json under
+every cell of configs/comparison_grid.json, the six ablation rows, and
+configs/base.json variants that reach other code: 8 clients over 4
+repeating architectures, fedavg at participation 0.5, a binary task,
+one client, and label-skew shards.
+
+It imports hetfed from the path, so two checkouts compare with
+
+    PYTHONPATH=src python3 scripts/fingerprints.py > new.txt
+    PYTHONPATH=/other/checkout/src python3 scripts/fingerprints.py > old.txt
+    diff old.txt new.txt
+"""
+
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from hetfed import harness
+from hetfed.config import ExperimentConfig, apply_overrides, parse_config
+
+ROOT = Path(__file__).resolve().parent.parent
+BASE = ROOT / "configs" / "base.json"
+GRID = json.loads((ROOT / "configs" / "comparison_grid.json").read_text())
+RUN_FILES = (harness.ROUNDS_FILE, harness.META_FILE, harness.CONFIG_FILE)
+
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import WORKLOADS  # noqa: E402
+
+VARIANTS = {
+    "repeating_archs_8": ["data.clients=8", "data.shard_size=200"],
+    "fedavg_half": ["strategy=fedavg", "participation=0.5", "archs.hidden_layers=[[16]]"],
+    "binary": ["data.classes=2", "data.per_class=1200"],
+    "single_client": ["data.clients=1"],
+    "label_skew": ["data.scheme=\"label-skew\"", "data.concentration=0.5"],
+}
+
+
+def _dotted(doc: dict, prefix: str = "") -> list:
+    """A nested override document as (dotted key, value) pairs."""
+    items = []
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            items += _dotted(value, f"{prefix}{key}.")
+        else:
+            items.append((f"{prefix}{key}", value))
+    return items
+
+
+def _digest(paths) -> str:
+    sha = hashlib.sha256()
+    for path in paths:
+        sha.update(path.read_bytes())
+    return sha.hexdigest()
+
+
+def cases():
+    """(label, resolved config, grid or None) for every fingerprinted case."""
+    base = parse_config([BASE])
+    for name in ("sweep_desk", "fleet100", "train_wide"):
+        workload = WORKLOADS[name]
+        for seed in (0, 1):
+            doc = apply_overrides(base, [*_dotted(workload.overrides), ("seed", seed)], name)
+            grid = None
+            if workload.grid is not None:
+                grid = {**json.loads((ROOT / workload.grid).read_text()), "seed": [seed]}
+            yield f"{name}_s{seed}", doc, grid
+    yield "base_grid", base, GRID
+    yield "ablation", base, {"flags": harness.ablation_rows()}
+    for label, overrides in VARIANTS.items():
+        yield label, parse_config([BASE], overrides), None
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, doc, grid in cases():
+            out = Path(tmp) / label
+            if grid is None:
+                run_dirs = [harness.execute_run(ExperimentConfig.from_dict(doc), out)]
+            else:
+                outcome = harness.run_sweep(doc, grid, out)
+                run_dirs = outcome.run_dirs
+                print(f"{_digest([out / 'sweep_report.json'])}  {label}/sweep_report.json")
+            for run_dir in run_dirs:
+                print(f"{_digest(run_dir / f for f in RUN_FILES)}  {label}/{run_dir.name}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,12 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator.
+
+Work stacked over a leading client axis may say which clients an error
+concerns: a NumericError carries the rows it found non-finite, and
+`stacked_rows` tags any other error raised inside one block's work with
+that block's rows, as an attribute `rows`.
+"""
+
+from contextlib import contextmanager
 
 
 class ConfigError(ValueError):
@@ -12,14 +20,31 @@ class IngestError(ValueError):
 class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required.
 
-    For input stacked over a leading client axis, `index` is the position
-    on that axis of the first client whose values are not finite.
+    For input stacked over a leading client axis, `rows` lists the
+    positions on that axis of the clients whose values are not finite, and
+    `index` is the first of them.
     """
 
-    def __init__(self, message, index: int | None = None):
+    def __init__(self, message, index: int | None = None, rows=()):
         super().__init__(message)
-        self.index = index
+        self.rows = [int(row) for row in rows] or ([] if index is None else [index])
+
+    @property
+    def index(self) -> int | None:
+        return self.rows[0] if self.rows else None
 
 
 class ProtocolError(RuntimeError):
     """Violation of the round protocol: heterogeneous aggregation, state changed out of turn."""
+
+
+@contextmanager
+def stacked_rows(rows: slice):
+    """Errors raised inside concern the clients at `rows` of a stacked axis,
+    unless they already name rows of their own."""
+    try:
+        yield
+    except (ConfigError, NumericError, ProtocolError) as exc:
+        if not getattr(exc, "rows", None):
+            exc.rows = list(range(rows.start, rows.stop))
+        raise

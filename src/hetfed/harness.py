@@ -241,7 +241,12 @@ def execute_run(cfg: ExperimentConfig, out_dir) -> Path:
         # Timings are the one deliberately non-deterministic artifact.
         with open(partial / TIMING_FILE, "w") as fh:
             json.dump(
-                {"total_seconds": total, "round_seconds": result.round_seconds}, fh, indent=2
+                {
+                    "total_seconds": total,
+                    "round_seconds": result.round_seconds,
+                    "phase_seconds": result.phase_seconds,
+                },
+                fh, indent=2,
             )
             fh.write("\n")
         (partial / DONE_FILE).write_text(digest + "\n")

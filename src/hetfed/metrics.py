@@ -23,21 +23,36 @@ def accuracy(pred_labels, clean_labels):
     return (pred == clean).mean(axis=-1)
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks along the last axis, tied values sharing their average rank."""
+def _positive_rank_sums(values: np.ndarray, positive) -> np.ndarray:
+    """Per row of values (..., n), the sum of the 1-based ranks of the
+    entries that positive (broadcast to values) flags, tied values sharing
+    their average rank.
+
+    Read straight from the sorted order: a flagged entry at sorted position
+    i adds i + 1, and each run of tied values then moves its flagged
+    entries to the run's average rank. Every term is a half-integer, so
+    every sum is exact in any order.
+    """
     n = values.shape[-1]
-    order = np.argsort(values, axis=-1)
-    ordered = np.take_along_axis(values, order, axis=-1).reshape(-1, n)
-    new_group = np.ones(ordered.shape, dtype=bool)
-    new_group[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    # Every row opens a group, so no tie group straddles two rows.
-    starts = np.flatnonzero(new_group)
-    lengths = np.diff(np.r_[starts, ordered.size])
-    first = starts % n
-    ranks_sorted = np.repeat(0.5 * (2 * first + lengths - 1) + 1.0, lengths)
-    ranks = np.empty(values.shape)
-    np.put_along_axis(ranks, order, ranks_sorted.reshape(values.shape), axis=-1)
-    return ranks
+    rows = values.size // n
+    order = np.argsort(values, axis=-1).reshape(rows, n)
+    order += (np.arange(rows) * n)[:, np.newaxis]  # positions in the flattened rows
+    ordered = np.ascontiguousarray(values).reshape(-1)[order]
+    flags = np.broadcast_to(positive, values.shape).reshape(-1)[order]
+    sums = flags @ np.arange(1.0, n + 1)
+    tied = np.zeros(ordered.shape, dtype=bool)  # equal to the entry before it
+    np.equal(ordered[:, 1:], ordered[:, :-1], out=tied[:, 1:])
+    tied = tied.ravel()
+    if tied.any():
+        member = tied.copy()
+        member[:-1] |= tied[1:]
+        members = np.flatnonzero(member)
+        opens = np.flatnonzero(~tied[members])  # every run opens on an untied entry
+        lengths = np.diff(opens, append=members.size)
+        # The run's average rank less each member's own rank i + 1.
+        shift = np.repeat(members[opens] + (lengths - 1) / 2, lengths) - members
+        sums += np.bincount(members // n, weights=flags.ravel()[members] * shift, minlength=rows)
+    return sums.reshape(values.shape[:-1])
 
 
 def _mann_whitney(pos_rank_sum, n_pos, n_neg):
@@ -60,9 +75,7 @@ def roc_auc(scores, labels):
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    # Ranks are half-integers, so every rank sum is exact in any order.
-    rank_sums = np.where(pos, _average_ranks(s), 0.0).sum(axis=-1)
-    return _mann_whitney(rank_sums, n_pos, n_neg)
+    return _mann_whitney(_positive_rank_sums(s, pos), n_pos, n_neg)
 
 
 def pr_auc(scores, labels) -> float | None:
@@ -105,6 +118,5 @@ def multiclass_roc_auc(prob_matrix, labels):
     n_neg = y.size - n_pos
     if np.any(n_pos == 0) or np.any(n_neg == 0):
         return None
-    # Ranks are half-integers, so every rank sum is exact in any order.
-    rank_sums = np.where(pos, _average_ranks(np.swapaxes(probs, -1, -2)), 0.0).sum(axis=-1)
+    rank_sums = _positive_rank_sums(np.swapaxes(probs, -1, -2), pos)
     return np.mean(_mann_whitney(rank_sums, n_pos, n_neg), axis=-1)

@@ -6,11 +6,20 @@ training strategy: cross-entropy, reverse cross-entropy, their weighted
 symmetric combination, and KL divergence against fixed peer distributions.
 
 Everything here is a pure function of its inputs; parameter vectors are
-frozen numpy arrays and may be shared across threads. Every kernel also
-takes a stack of same-shaped models, parameters (K, P), and runs all K in
-one pass over a leading client axis; each model's result is bit-identical
-to running it alone, because numpy hands every (rows, fan_in) x
-(fan_in, fan_out) slice to the same BLAS call and reduces each row alike.
+frozen numpy arrays. Every kernel also takes a stack of same-shaped
+models, parameters (K, P), and runs all K in one pass over a leading
+client axis; each model's result is bit-identical to running it alone,
+because numpy hands every (rows, fan_in) x (fan_in, fan_out) slice to the
+same BLAS call and reduces each row alike.
+
+The cohort kernels (cohort_forward, cohort_sgd_epoch, cohort_distill) run
+models of several architectures at once. A cohort is a sequence of
+blocks, one stack per architecture, whose rows follow each other on one
+client axis. Each block runs its own matmuls; the softmax, its finite
+check and the logit gradient then run once over the whole cohort's
+logits, which are elementwise or row-wise along the class axis, so
+every model still gets its lone bits. backward() is the composition of
+the same forward, logit-gradient and backprop functions.
 """
 
 from dataclasses import dataclass
@@ -18,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, stacked_rows
 
 PROB_FLOOR = 1e-12
 
@@ -27,6 +36,19 @@ LayerDims = tuple[tuple[int, int], ...]
 
 def param_count(layer_dims: Sequence[tuple[int, int]]) -> int:
     return sum(fan_in * fan_out + fan_out for fan_in, fan_out in layer_dims)
+
+
+def _layer_views(values: np.ndarray, dims: LayerDims) -> tuple:
+    """(weights (..., fan_in, fan_out), biases (..., fan_out)) views of values per layer."""
+    lead = values.shape[:-1]
+    layers = []
+    offset = 0
+    for fan_in, fan_out in dims:
+        w = values[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
+        offset += fan_in * fan_out
+        layers.append((w, values[..., offset : offset + fan_out]))
+        offset += fan_out
+    return tuple(layers)
 
 
 @dataclass(frozen=True)
@@ -58,15 +80,7 @@ class ModelParams:
         values.flags.writeable = False
         object.__setattr__(self, "layer_dims", dims)
         object.__setattr__(self, "values", values)
-        lead = values.shape[:-1]
-        layers = []
-        offset = 0
-        for fan_in, fan_out in dims:
-            w = values[..., offset : offset + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
-            offset += fan_in * fan_out
-            layers.append((w, values[..., offset : offset + fan_out]))
-            offset += fan_out
-        object.__setattr__(self, "_layers", tuple(layers))
+        object.__setattr__(self, "_layers", _layer_views(values, dims))
 
     @property
     def size(self) -> int:
@@ -126,9 +140,7 @@ def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
     return out
 
 
-# A diverging model overflows here; softmax_t reports it as a NumericError.
-@np.errstate(over="ignore", invalid="ignore")
-def _forward_cached(params: ModelParams, batch: np.ndarray):
+def _checked_batch(params: ModelParams, batch) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ConfigError("batch must be a 2-D feature matrix or a stack of them")
@@ -136,16 +148,32 @@ def _forward_cached(params: ModelParams, batch: np.ndarray):
         raise ConfigError(
             f"batch has {x.shape[-1]} features, model expects {params.layer_dims[0][0]}"
         )
-    layers = params.layers()
+    return x
+
+
+def _forward(layers, x: np.ndarray):
+    """Every layer's input activations plus the logits, and its pre-activations."""
     activations = [x]
     pre = []
     h = x
+    last = len(layers) - 1
     for idx, (w, b) in enumerate(layers):
-        a = h @ w + b[..., np.newaxis, :]
+        a = h @ w
+        a += b[..., np.newaxis, :]
         pre.append(a)
-        h = a if idx == len(layers) - 1 else np.maximum(a, 0.0)
+        h = a if idx == last else np.maximum(a, 0.0)
         activations.append(h)
     return activations, pre
+
+
+# A diverging model overflows in its forward and backward passes; the
+# next softmax_t reports it as a NumericError.
+_OVERFLOW_IS_CAUGHT_LATER = dict(over="ignore", invalid="ignore")
+
+
+@np.errstate(**_OVERFLOW_IS_CAUGHT_LATER)
+def _forward_cached(params: ModelParams, batch: np.ndarray):
+    return _forward(params.layers(), _checked_batch(params, batch))
 
 
 def mlp_forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
@@ -165,12 +193,18 @@ def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
     z = np.asarray(logits, dtype=np.float64)
     finite = np.isfinite(z)
     if not finite.all():
-        index = None if z.ndim < 3 else int(np.argmin(finite.reshape(len(z), -1).all(axis=-1)))
-        raise NumericError("softmax input contains non-finite values", index)
+        rows = [] if z.ndim < 3 else np.flatnonzero(~finite.reshape(len(z), -1).all(axis=-1))
+        raise NumericError("softmax input contains non-finite values", rows=rows)
     scaled = z / tau
-    scaled = scaled - scaled.max(axis=-1, keepdims=True)
-    e = np.exp(scaled)
-    return e / e.sum(axis=-1, keepdims=True)
+    # A max is exact in any order; one np.maximum pass per class is much
+    # cheaper than a reduction along a short last axis.
+    top = scaled[..., 0]
+    for c in range(1, scaled.shape[-1]):
+        top = np.maximum(top, scaled[..., c])
+    scaled -= top[..., np.newaxis]
+    e = np.exp(scaled, out=scaled)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _check_pair(pred, target) -> tuple[np.ndarray, np.ndarray]:
@@ -276,6 +310,18 @@ class ConsensusKlSpec:
         return mixture_spec(softmax_t(self.peer_logits, self.tau), self.peer_weights, self.tau)
 
 
+def _target_gradient(q, targets, mass, log_targets, lam, gamma, scale):
+    """d(mean loss)/d(logits) against fixed target rows, from the model's
+    softmax q: cross-entropy when log_targets is None, else the symmetric
+    loss. mass is the targets' row sums, log_targets their floored log,
+    and scale is tau times the batch rows."""
+    ce_grad = q * mass - targets
+    if log_targets is None:
+        return ce_grad / scale
+    rce_grad = -q * (log_targets - (q * log_targets).sum(axis=-1, keepdims=True))
+    return (lam * ce_grad + gamma * rce_grad) / scale
+
+
 def _logit_gradient(logits: np.ndarray, spec) -> np.ndarray:
     """d(mean loss)/d(logits) for the supported loss specs; means are over rows."""
     n = logits.shape[-2]
@@ -287,19 +333,17 @@ def _logit_gradient(logits: np.ndarray, spec) -> np.ndarray:
                 f"peer distributions {spec.mixture.shape} do not match logits {logits.shape}"
             )
         return (spec.mass * softmax_t(logits, spec.tau) - spec.mixture) / (spec.tau * n)
+    if not isinstance(spec, (CrossEntropySpec, SymmetricLossSpec)):
+        raise ConfigError(f"unknown loss spec {type(spec).__name__}")
     targets = np.asarray(spec.targets, dtype=np.float64)
     if targets.shape != logits.shape:
         raise ConfigError(f"targets {targets.shape} do not match logits {logits.shape}")
     q = softmax_t(logits, spec.tau)
     mass = targets.sum(axis=-1, keepdims=True)
-    ce_grad = q * mass - targets
     if isinstance(spec, CrossEntropySpec):
-        return ce_grad / (spec.tau * n)
-    if isinstance(spec, SymmetricLossSpec):
-        a = _floored_log(targets, spec.floor)
-        rce_grad = -q * (a - (q * a).sum(axis=-1, keepdims=True))
-        return (spec.lam * ce_grad + spec.gamma * rce_grad) / (spec.tau * n)
-    raise ConfigError(f"unknown loss spec {type(spec).__name__}")
+        return _target_gradient(q, targets, mass, None, 0.0, 0.0, spec.tau * n)
+    log_targets = _floored_log(targets, spec.floor)
+    return _target_gradient(q, targets, mass, log_targets, spec.lam, spec.gamma, spec.tau * n)
 
 
 def loss_value(logits: np.ndarray, spec) -> float:
@@ -323,6 +367,17 @@ def loss_value(logits: np.ndarray, spec) -> float:
     return float(sl_loss(q, targets, h).mean())
 
 
+def _backprop(layers, activations, pre, delta, grads) -> None:
+    """Each layer's (weight, bias) gradient for the logit gradient delta,
+    written into that layer's views in grads."""
+    for idx in range(len(layers) - 1, -1, -1):
+        gw, gb = grads[idx]
+        np.matmul(activations[idx].swapaxes(-1, -2), delta, out=gw)
+        np.add.reduce(delta, axis=-2, out=gb)
+        if idx > 0:
+            delta = (delta @ layers[idx][0].swapaxes(-1, -2)) * (pre[idx - 1] > 0)
+
+
 def backward(params: ModelParams, batch, loss_spec) -> np.ndarray:
     """Flat gradient of the mean batch loss w.r.t. every parameter.
 
@@ -334,19 +389,9 @@ def backward(params: ModelParams, batch, loss_spec) -> np.ndarray:
         raise ConfigError("batch must be a non-empty 2-D matrix or a stack of them")
     activations, pre = _forward_cached(params, x)
     delta = _logit_gradient(activations[-1], loss_spec)
-    layers = params.layers()
-    grads = [None] * len(layers)
-    for idx in range(len(layers) - 1, -1, -1):
-        w, _ = layers[idx]
-        grads[idx] = (activations[idx].swapaxes(-1, -2) @ delta, delta.sum(axis=-2))
-        if idx > 0:
-            delta = (delta @ w.swapaxes(-1, -2)) * (pre[idx - 1] > 0)
-    lead = params.values.shape[:-1]
-    flat = []
-    for gw, gb in grads:
-        flat.append(gw.reshape(*lead, -1))
-        flat.append(gb)
-    return np.concatenate(flat, axis=-1)
+    grad = np.empty(params.values.shape)
+    _backprop(params.layers(), activations, pre, delta, _layer_views(grad, params.layer_dims))
+    return grad
 
 
 def sgd_step(params: ModelParams, grad: np.ndarray, alpha: float) -> ModelParams:
@@ -355,3 +400,118 @@ def sgd_step(params: ModelParams, grad: np.ndarray, alpha: float) -> ModelParams
     if g.shape != params.values.shape:
         raise ConfigError(f"gradient length {g.size} != parameter length {params.size}")
     return ModelParams(params.layer_dims, params.values - alpha * g)
+
+
+# -- cohorts: blocks of stacked models, one architecture each ---------------
+
+
+def block_rows(blocks) -> list[slice]:
+    """The contiguous range of cohort rows each block's stack covers."""
+    bounds = np.cumsum([0] + [len(block.values) for block in blocks]).tolist()
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _rows_of(x: np.ndarray, rows: slice) -> np.ndarray:
+    """A block's part of a batch: a shared (N, d) batch whole, a stack its rows."""
+    return x if x.ndim == 2 else x[rows]
+
+
+def cohort_forward(blocks, batch) -> np.ndarray:
+    """Logits (K, N, C) of a cohort, rows in block order.
+
+    batch is one (N, d) matrix shared by all K models or a (K, N, d) stack.
+    """
+    x = np.asarray(batch, dtype=np.float64)
+    logits = []
+    for block, rows in zip(blocks, block_rows(blocks)):
+        with stacked_rows(rows):
+            logits.append(mlp_forward(block, _rows_of(x, rows)))
+    return logits[0] if len(logits) == 1 else np.concatenate(logits)
+
+
+class _Descent:
+    """A writable copy of a cohort's parameters, stepped in place.
+
+    All blocks' values share one flat buffer, and their gradients another,
+    so one update steps the whole cohort. The input is checked and the
+    parameters copied once, when the descent starts; result() validates
+    them once, at its end.
+    """
+
+    def __init__(self, blocks, x: np.ndarray):
+        self.blocks = blocks
+        self.rows = block_rows(blocks)
+        for block, rows in zip(blocks, self.rows):
+            with stacked_rows(rows):
+                _checked_batch(block, x)
+        self.flat = np.concatenate([block.values.ravel() for block in blocks])
+        self.grad = np.empty_like(self.flat)
+        self.values, self.layers, self.grad_layers = [], [], []
+        start = 0
+        for block in blocks:
+            span = slice(start, start + block.values.size)
+            start = span.stop
+            values = self.flat[span].reshape(block.values.shape)
+            self.values.append(values)
+            self.layers.append(_layer_views(values, block.layer_dims))
+            grad = self.grad[span].reshape(block.values.shape)
+            self.grad_layers.append(_layer_views(grad, block.layer_dims))
+
+    def forward(self, x: np.ndarray):
+        """The cohort's logits (K, n, C) and each block's forward cache."""
+        caches = [_forward(layers, _rows_of(x, rows)) for layers, rows in zip(self.layers, self.rows)]
+        if len(caches) == 1:
+            return caches[0][0][-1], caches
+        return np.concatenate([activations[-1] for activations, _ in caches]), caches
+
+    def step(self, caches, delta: np.ndarray, lr: float) -> None:
+        """Backpropagate each block's rows of delta, then update every block."""
+        for layers, grads, rows, (activations, pre) in zip(
+            self.layers, self.grad_layers, self.rows, caches
+        ):
+            _backprop(layers, activations, pre, delta[rows], grads)
+        self.flat -= lr * self.grad
+
+    def result(self) -> tuple:
+        out = []
+        for block, values, rows in zip(self.blocks, self.values, self.rows):
+            with stacked_rows(rows):
+                out.append(ModelParams(block.layer_dims, values))
+        return tuple(out)
+
+
+@np.errstate(**_OVERFLOW_IS_CAUGHT_LATER)
+def cohort_sgd_epoch(blocks, x, targets, batch_size: int, h: Hyperparams, symmetric: bool) -> tuple:
+    """One epoch of minibatch SGD of a cohort; returns the new blocks.
+
+    Row k trains on its own (S, d) rows of x (K, S, d) against the fixed
+    target rows (K, S, C), in consecutive batches of batch_size: the mean
+    symmetric loss (lam, gamma, rce_log_floor of h) when symmetric, else
+    cross-entropy, at learning rate h.lr. The targets' mass and floored log
+    are taken once for the epoch.
+    """
+    descent = _Descent(blocks, x)
+    mass = targets.sum(axis=-1, keepdims=True)
+    log_targets = _floored_log(targets, h.rce_log_floor) if symmetric else None
+    for start in range(0, x.shape[1], batch_size):
+        batch = slice(start, start + batch_size)
+        logits, caches = descent.forward(x[:, batch])
+        delta = _target_gradient(
+            softmax_t(logits, 1.0), targets[:, batch], mass[:, batch],
+            None if log_targets is None else log_targets[:, batch],
+            h.lam, h.gamma, 1.0 * logits.shape[-2],
+        )
+        descent.step(caches, delta, h.lr)
+    return descent.result()
+
+
+@np.errstate(**_OVERFLOW_IS_CAUGHT_LATER)
+def cohort_distill(blocks, x, spec: MixtureKlSpec, steps: int, lr: float) -> tuple:
+    """steps full-batch descent steps of a cohort on one shared batch x
+    (N, d) against a fixed peer mixture stacked in row order; returns the
+    new blocks."""
+    descent = _Descent(blocks, x)
+    for _ in range(steps):
+        logits, caches = descent.forward(x)
+        descent.step(caches, _logit_gradient(logits, spec), lr)
+    return descent.result()

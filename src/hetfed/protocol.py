@@ -4,12 +4,13 @@ A single controller owns all aggregation state and drives synchronous
 rounds, counting the messages a deployment of the round would exchange.
 Clients are plain state records; their per-round work (training,
 inference, logit computation) touches only their own model, shard and RNG
-stream. The controller groups the clients
-that share an architecture and a shard size, and runs each phase for a
-whole group as stacked kernels over a leading client axis, which give
-every client the bits it would get alone. The controller folds uploads in
-ascending client id, which pins the floating-point reduction order and
-makes whole runs bit-reproducible for a fixed seed.
+stream. The controller groups the clients that share a shard size into
+cohorts, and runs each phase for a whole cohort at once: each
+architecture's models run their matmuls as one stack (a block), and the
+softmax and the loss gradient run once over the logits of every block.
+Every client gets the bits it would get alone. The controller folds
+uploads in ascending client id, which pins the floating-point reduction
+order and makes whole runs bit-reproducible for a fixed seed.
 
 Four strategies are implemented:
 
@@ -116,10 +117,23 @@ class StrategyConfig:
 
 @dataclass
 class TrainHistory:
-    """A group's shard losses (K,) and the stacked models they were taken at."""
+    """A group's shard losses (K,) and the parameter blocks they were taken at.
+
+    One stacked ModelParams stands for the one block of a group with one
+    architecture.
+    """
 
     mean_sl: np.ndarray
-    params: nn.ModelParams
+    blocks: tuple
+
+    def __post_init__(self):
+        if isinstance(self.blocks, nn.ModelParams):
+            self.blocks = (self.blocks,)
+
+    @property
+    def params(self) -> nn.ModelParams:
+        """The stacked parameters of a group with one architecture."""
+        return _one_block(self.blocks)
 
 
 @dataclass
@@ -165,28 +179,37 @@ class RunResult:
     records: list[RoundRecord]
     messages: int
     round_seconds: list[float]
+    phase_seconds: list[dict[str, float]]  # per round, seconds per phase
 
 
-# Bytes a chunk of clients may stack in its widest activation: small enough
-# to keep peak memory near that of one big client, large enough to spread
+# Bytes a chunk of clients may hold in its working set: small enough to
+# keep peak memory near that of one big client, large enough to spread
 # numpy's per-call cost over many small ones.
-_CHUNK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 21
+
+
+def _one_block(blocks: tuple) -> nn.ModelParams:
+    if len(blocks) != 1:
+        raise ProtocolError(f"expected one architecture, the group holds {len(blocks)}")
+    return blocks[0]
 
 
 @dataclass
 class ClientGroup:
-    """Clients with one architecture and one shard size, stacked on a leading axis.
+    """The clients with one shard size (a cohort), stacked on a row axis.
 
-    params (K, P), the shard features (K, S, d) and the noisy one-hot
-    labels (K, S, C) follow `clients`; index holds each client's position
-    in the controller's id order. `evaluated` is the latest evaluation's
-    shard losses, which the next confidence upload reuses; `history` is
-    the one before it.
+    Rows run block by block: `blocks` holds one stacked ModelParams
+    (k_b, P_b) per architecture, each over a contiguous range of rows, in
+    the order in which the architectures first appear. The shard features
+    (K, S, d), the noisy one-hot labels (K, S, C) and `clients` follow the
+    rows; index maps each row to its client's position in the controller's
+    id order. `evaluated` is the latest evaluation's shard losses, which
+    the next confidence upload reuses; `history` is the one before it.
     """
 
     clients: list[ClientState]
     index: np.ndarray
-    params: nn.ModelParams
+    blocks: tuple
     features: np.ndarray
     onehot: np.ndarray
     evaluated: TrainHistory | None = None
@@ -194,58 +217,95 @@ class ClientGroup:
 
     @classmethod
     def stack(cls, clients, index) -> "ClientGroup":
-        first = clients[0]
-        if any(c.arch != first.arch or c.shard.size != first.shard.size for c in clients):
-            raise ConfigError("a client group needs one architecture and one shard size")
-        classes = first.shard.base.class_count
+        if any(c.shard.size != clients[0].shard.size for c in clients):
+            raise ConfigError("a client group needs one shard size")
+        by_arch: dict[tuple, list] = {}
+        for client, pos in zip(clients, index):
+            by_arch.setdefault(client.arch, []).append((client, pos))
+        rows = [row for members in by_arch.values() for row in members]
+        clients = [client for client, _ in rows]
+        classes = clients[0].shard.base.class_count
         return cls(
-            list(clients),
-            np.asarray(index),
-            nn.ModelParams(first.arch, np.stack([c.params.values for c in clients])),
+            clients,
+            np.array([pos for _, pos in rows]),
+            tuple(
+                nn.ModelParams(arch, np.stack([c.params.values for c, _ in members]))
+                for arch, members in by_arch.items()
+            ),
             np.stack([c.shard.base.features for c in clients]),
             np.stack([nn.one_hot(c.shard.noisy_labels, classes) for c in clients]),
         )
 
+    @property
+    def params(self) -> nn.ModelParams:
+        """The stacked parameters of a group with one architecture."""
+        return _one_block(self.blocks)
+
     def select(self, rows) -> "ClientGroup":
-        """The clients at rows (a slice or positions) with their part of every stack."""
+        """The rows at `rows` (a slice or ascending positions) with their part
+        of every stack."""
         picked = np.arange(len(self.clients))[rows]
+        blocks = []
+        for block, span in zip(self.blocks, nn.block_rows(self.blocks)):
+            mine = picked[(picked >= span.start) & (picked < span.stop)] - span.start
+            if mine.size:
+                blocks.append(nn.ModelParams(block.layer_dims, block.values[mine]))
         return ClientGroup(
             [self.clients[i] for i in picked],
             self.index[rows],
-            nn.ModelParams(self.params.layer_dims, self.params.values[rows]),
+            tuple(blocks),
             self.features[rows],
             self.onehot[rows],
         )
 
 
-def _by_chunk(group: ClientGroup, rows: int, fn) -> list:
-    """fn(part) over consecutive client chunks of the group.
+def _working_width(dims) -> int:
+    """Values per row that a forward and backward pass hold at once: each
+    layer's input activations, pre-activations and deltas."""
+    return sum(fan_in + 2 * fan_out for fan_in, fan_out in dims)
 
-    A chunk holds as many clients as keep its widest activation, rows x
-    the widest layer, near _CHUNK_BYTES; a group that fits is its own
-    chunk. A NumericError's client index is moved from the chunk's client
-    axis to the group's.
+
+def _by_chunk(group: ClientGroup, rows: int, fn) -> list:
+    """fn(part) over consecutive, even row ranges of the group.
+
+    A chunk holds as many clients as keep its working set, rows x the
+    widest block's working width, near _CHUNK_BYTES; a group that fits
+    is its own chunk. The rows an error names are moved from the chunk's
+    row axis to the group's.
     """
-    width = max(max(dims) for dims in group.params.layer_dims)
-    step = max(1, _CHUNK_BYTES // (8 * rows * width))
-    if step >= len(group.clients):
+    per_client = 8 * rows * max(_working_width(b.layer_dims) for b in group.blocks)
+    k = len(group.clients)
+    chunks = -(-k // max(1, _CHUNK_BYTES // per_client))
+    if chunks == 1:
         return [fn(group)]
+    step = -(-k // chunks)
     out = []
-    for lo in range(0, len(group.clients), step):
+    for lo in range(0, k, step):
         try:
             out.append(fn(group.select(slice(lo, lo + step))))
-        except NumericError as exc:
-            if exc.index is not None:
-                exc.index += lo
+        except (ConfigError, NumericError, ProtocolError) as exc:
+            if getattr(exc, "rows", None):
+                exc.rows = [row + lo for row in exc.rows]
             raise
     return out
 
 
-def _restack(parts: list[nn.ModelParams]) -> nn.ModelParams:
-    """One stack of the chunks' parameters."""
+def _restack(parts: list[tuple]) -> tuple:
+    """One tuple of blocks from the chunks' blocks, joining each block that
+    a chunk boundary cut."""
     if len(parts) == 1:
         return parts[0]
-    return nn.ModelParams(parts[0].layer_dims, np.concatenate([p.values for p in parts]))
+    runs: list[list] = []
+    for block in (block for part in parts for block in part):
+        if runs and runs[-1][0].layer_dims == block.layer_dims:
+            runs[-1].append(block)
+        else:
+            runs.append([block])
+    return tuple(
+        run[0] if len(run) == 1
+        else nn.ModelParams(run[0].layer_dims, np.concatenate([b.values for b in run]))
+        for run in runs
+    )
 
 
 def fedavg_aggregate(params_list, sizes) -> nn.ModelParams:
@@ -285,32 +345,23 @@ def private_training(
     size = group.features.shape[1]
     hp = cfg.hyperparams
 
-    def train(part: ClientGroup) -> nn.ModelParams:
-        params = part.params
+    def train(part: ClientGroup) -> tuple:
+        blocks = part.blocks
         clients = np.arange(len(part.clients))[:, np.newaxis]
         for epoch in range(epochs):
             if dlr_sched is not None:
                 s = reweight.dlr_weight(epoch_base + epoch + 1, dlr_sched)
-                preds = nn.softmax_t(nn.mlp_forward(params, part.features), 1.0)
+                preds = nn.softmax_t(nn.cohort_forward(blocks, part.features), 1.0)
                 targets = reweight.dlr_refine(part.onehot, preds, s)
             else:
                 targets = part.onehot
             # Each epoch's shuffled shards, so every batch is a plain slice.
             perms = np.stack([c.rng.permutation(size) for c in part.clients])
             x, targets = part.features[clients, perms], targets[clients, perms]
-            for start in range(0, size, cfg.batch_size):
-                batch = slice(start, start + cfg.batch_size)
-                if use_sl:
-                    spec = nn.SymmetricLossSpec(
-                        targets[:, batch], hp.lam, hp.gamma, hp.rce_log_floor
-                    )
-                else:
-                    spec = nn.CrossEntropySpec(targets[:, batch])
-                grad = nn.backward(params, x[:, batch], spec)
-                params = nn.sgd_step(params, grad, hp.lr)
-        return params
+            blocks = nn.cohort_sgd_epoch(blocks, x, targets, cfg.batch_size, hp, use_sl)
+        return blocks
 
-    group.params = _restack(_by_chunk(group, size, train))
+    group.blocks = _restack(_by_chunk(group, size, train))
 
 
 def collaborative_training(
@@ -333,15 +384,12 @@ def collaborative_training(
         return
     hp = cfg.hyperparams
 
-    def distill(part: ClientGroup) -> nn.ModelParams:
+    def distill(part: ClientGroup) -> tuple:
         own = part.index if leave_out_own else None
         spec = nn.mixture_spec(peer_probs, peer_weights, hp.temperature, own)
-        params = part.params
-        for _ in range(cfg.collab_epochs):
-            params = nn.sgd_step(params, nn.backward(params, public.features, spec), hp.lr)
-        return params
+        return nn.cohort_distill(part.blocks, public.features, spec, cfg.collab_epochs, hp.lr)
 
-    group.params = _restack(_by_chunk(group, public.size, distill))
+    group.blocks = _restack(_by_chunk(group, public.size, distill))
 
 
 def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> tuple:
@@ -354,7 +402,7 @@ def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> tu
     """
 
     def evaluate(part: ClientGroup) -> tuple:
-        probs = nn.softmax_t(nn.mlp_forward(part.params, test.features), 1.0)
+        probs = nn.softmax_t(nn.cohort_forward(part.blocks, test.features), 1.0)
         acc = metrics.accuracy(probs.argmax(axis=-1), test.labels)
         pr = None
         if test.class_count == 2:
@@ -364,7 +412,7 @@ def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> tu
                 pr = np.array(scores)
         else:
             roc = metrics.multiclass_roc_auc(probs, test.labels)
-        shard = nn.softmax_t(nn.mlp_forward(part.params, part.features), 1.0)
+        shard = nn.softmax_t(nn.cohort_forward(part.blocks, part.features), 1.0)
         sl = nn.sl_loss(shard, part.onehot, hp).mean(axis=-1)
         return acc, roc, pr, sl
 
@@ -386,7 +434,7 @@ def _row_norms(values: np.ndarray) -> np.ndarray:
 class Controller:
     """Synchronous round orchestrator; owns aggregation and the message count.
 
-    Clients are grouped once, by architecture and shard size; each phase
+    Clients are grouped once, by shard size, into cohorts; each phase
     visits the groups in the order of their lowest client id.
     """
 
@@ -421,33 +469,39 @@ class Controller:
             )
         else:
             self.dlr_sched = None
-        members: dict[tuple, list[int]] = {}
+        members: dict[int, list[int]] = {}
         for pos, client in enumerate(self.clients):
-            members.setdefault((client.arch, client.shard.size), []).append(pos)
+            members.setdefault(client.shard.size, []).append(pos)
         self.groups = [
             ClientGroup.stack([self.clients[pos] for pos in index], index)
             for index in members.values()
         ]
+        self._phase_seconds: dict[str, float] = {}  # the current round's
 
     # -- plumbing ---------------------------------------------------------
 
     def _map_groups(self, phase: str, round_idx: int, fn, groups=None) -> list:
-        """fn over the groups in order; errors name round, client and phase.
+        """fn over the groups in order, timed into the round's phase
+        seconds; errors name round, client and phase.
 
-        The client named is the one a NumericError's index points at; an
-        error without an index names every client of its group.
+        A NumericError names the lowest client id among its non-finite
+        rows; an error raised in one block's work names that block's
+        clients, and any other error every client of its group.
         """
+        started = time.perf_counter()
         out = []
         for group in self.groups if groups is None else groups:
             try:
                 out.append(fn(group))
             except (ConfigError, NumericError, ProtocolError) as exc:
-                ids = [c.client_id for c in group.clients]
-                index = getattr(exc, "index", None)
-                if index is not None:
-                    ids = [ids[index]]
+                rows = getattr(exc, "rows", None) or range(len(group.clients))
+                ids = sorted(group.clients[row].client_id for row in rows)
+                if isinstance(exc, NumericError) and exc.rows:
+                    ids = ids[:1]
                 who = f"client {ids[0]}" if len(ids) == 1 else f"clients {ids}"
                 raise type(exc)(f"round {round_idx}, {who}, phase {phase}: {exc}") from exc
+        seconds = self._phase_seconds
+        seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - started
         return out
 
     def _by_client(self, per_group: list[tuple]) -> list:
@@ -469,7 +523,7 @@ class Controller:
         x = self.public.features
 
         def forward(group: ClientGroup):
-            chunks = _by_chunk(group, len(x), lambda part: nn.mlp_forward(part.params, x))
+            chunks = _by_chunk(group, len(x), lambda part: nn.cohort_forward(part.blocks, x))
             return (np.concatenate(chunks),)
 
         (logits,) = self._by_client(self._map_groups(phase, round_idx, forward))
@@ -487,7 +541,7 @@ class Controller:
 
         def evaluate(group: ClientGroup):
             columns = evaluate_client(group, self.test, hp)
-            group.evaluated = TrainHistory(columns[3], group.params)
+            group.evaluated = TrainHistory(columns[3], group.blocks)
             return columns
 
         columns = self._by_client(self._map_groups("eval", round_idx, evaluate))
@@ -519,9 +573,9 @@ class Controller:
             rows = np.flatnonzero(np.isin(group.index, chosen))
             if rows.size:
                 part = group.select(rows)
-                part.params = nn.ModelParams(
+                part.blocks = (nn.ModelParams(
                     dims, np.broadcast_to(global_values, part.params.values.shape)
-                )
+                ),)
                 selected.append(part)
 
         def work(part: ClientGroup):
@@ -537,9 +591,9 @@ class Controller:
         self.messages += len(uploads)
         aggregated = fedavg_aggregate([p for _, p, _ in uploads], [s for _, _, s in uploads])
         for group in self.groups:
-            group.params = nn.ModelParams(
+            group.blocks = (nn.ModelParams(
                 dims, np.broadcast_to(aggregated.values, group.params.values.shape)
-            )
+            ),)
 
     def _round_hetero(self, round_idx: int):
         cfg = self.cfg
@@ -576,11 +630,12 @@ class Controller:
                 # The previous evaluation already took the shard loss of
                 # these very parameters.
                 hist, cur = group.history, group.evaluated
-                if cur.params is not group.params:
+                if cur.blocks is not group.blocks:
                     raise ProtocolError("parameters changed after the last evaluation")
                 group.history = cur
-                moved = _row_norms(cur.params.values - hist.params.values)
-                base = _row_norms(hist.params.values)
+                pairs = list(zip(cur.blocks, hist.blocks))
+                moved = np.concatenate([_row_norms(c.values - h.values) for c, h in pairs])
+                base = np.concatenate([_row_norms(h.values) for _, h in pairs])
                 ratio = np.divide(moved, base, out=np.zeros_like(base), where=base > 0)
                 return hist.mean_sl, cur.mean_sl, ratio
 
@@ -617,12 +672,15 @@ class Controller:
 
     def run(self) -> RunResult:
         started = time.perf_counter()
+        self._phase_seconds = {}
         records = [self._eval_round(0)]
         for group in self.groups:
             group.history = group.evaluated
         seconds = [time.perf_counter() - started]
+        phases = [self._phase_seconds]
         for round_idx in range(1, self.cfg.rounds + 1):
             started = time.perf_counter()
+            self._phase_seconds = {}
             confidence = None
             if self.cfg.strategy == "fedavg":
                 self._round_fedavg(round_idx)
@@ -632,10 +690,12 @@ class Controller:
                 confidence = self._round_lattice(round_idx)
             records.append(self._eval_round(round_idx, confidence))
             seconds.append(time.perf_counter() - started)
+            phases.append(self._phase_seconds)
         for group in self.groups:
-            for client, values in zip(group.clients, group.params.values):
-                client.params = nn.ModelParams(group.params.layer_dims, values)
-        return RunResult(records, self.messages, seconds)
+            models = ((block.layer_dims, values) for block in group.blocks for values in block.values)
+            for client, (dims, values) in zip(group.clients, models):
+                client.params = nn.ModelParams(dims, values)
+        return RunResult(records, self.messages, seconds, phases)
 
 
 def run_federation(

@@ -65,25 +65,38 @@ RANK_INPUTS = {
 }
 
 
+def rank_sums_oracle(values, positive):
+    """Per-row sums of the tie-loop average ranks of the flagged entries."""
+    ranks = np.apply_along_axis(tie_loop_average_ranks, -1, values)
+    return np.where(positive, ranks, 0.0).sum(axis=-1)
+
+
 class TestAverageRanks:
+    """metrics._positive_rank_sums against sums of the tie-loop ranks."""
+
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(RANK_INPUTS)),
            st.integers(1, 60))
     @settings(max_examples=80)
     def test_vector_equals_tie_loop_oracle(self, seed, kind, n):
-        values = RANK_INPUTS[kind](np.random.default_rng(seed), n)
-        assert np.array_equal(metrics._average_ranks(values), tie_loop_average_ranks(values))
+        rng = np.random.default_rng(seed)
+        values = RANK_INPUTS[kind](rng, n)
+        positive = rng.random(n) < 0.5
+        expected = rank_sums_oracle(values, positive)
+        assert np.array_equal(metrics._positive_rank_sums(values, positive), expected)
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(RANK_INPUTS)),
            st.integers(1, 6), st.integers(1, 40))
     @settings(max_examples=80)
     def test_matrix_rows_equal_tie_loop_oracle(self, seed, kind, rows, n):
-        values = RANK_INPUTS[kind](np.random.default_rng(seed), (rows, n))
-        expected = np.stack([tie_loop_average_ranks(row) for row in values])
-        assert np.array_equal(metrics._average_ranks(values), expected)
+        rng = np.random.default_rng(seed)
+        values = RANK_INPUTS[kind](rng, (rows, n))
+        for positive in (rng.random((rows, n)) < 0.5, rng.random(n) < 0.5):
+            expected = rank_sums_oracle(values, positive)
+            assert np.array_equal(metrics._positive_rank_sums(values, positive), expected)
 
     def test_length_one(self):
-        assert np.array_equal(metrics._average_ranks(np.array([3.0])), [1.0])
-        assert np.array_equal(metrics._average_ranks(np.zeros((3, 1))), np.ones((3, 1)))
+        assert np.array_equal(metrics._positive_rank_sums(np.array([3.0]), [True]), 1.0)
+        assert np.array_equal(metrics._positive_rank_sums(np.zeros((3, 1)), [True]), np.ones(3))
 
 
 class TestAccuracy:

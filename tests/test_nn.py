@@ -399,3 +399,82 @@ class TestStackedKernels:
         with pytest.raises(NumericError) as caught:
             nn.softmax_t(z[1], 1.0)
         assert caught.value.index is None
+
+
+class TestCohortKernels:
+    """Blocks of several architectures, stepped together, must give every
+    model the bits of nn.backward and nn.sgd_step run on it alone."""
+
+    def _cohort(self, rng, d=3, c=4):
+        blocks = []
+        for _ in range(int(rng.integers(1, 4))):
+            hidden = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(1, 3)))]
+            widths = [d, *hidden, c]
+            dims = tuple(zip(widths[:-1], widths[1:]))
+            k = int(rng.integers(1, 4))
+            values = np.stack([nn.init_params(dims, int(rng.integers(1 << 30))).values
+                               for _ in range(k)])
+            blocks.append(nn.ModelParams(dims, values))
+        return tuple(blocks)
+
+    def _alone(self, blocks):
+        return [nn.ModelParams(b.layer_dims, v) for b in blocks for v in b.values]
+
+    def test_sgd_epoch_matches_backward_steps(self):
+        rng = np.random.default_rng(7)
+        h = nn.Hyperparams(lr=0.05)
+        for _ in range(10):
+            blocks = self._cohort(rng)
+            k = sum(len(b.values) for b in blocks)
+            size, batch = int(rng.integers(1, 50)), int(rng.integers(1, 17))
+            x = rng.normal(size=(k, size, 3))
+            targets = rng.dirichlet(np.ones(4), size=(k, size))
+            for symmetric in (False, True):
+                stepped = nn.cohort_sgd_epoch(blocks, x, targets, batch, h, symmetric)
+                for row, (params, new) in enumerate(zip(self._alone(blocks), self._alone(stepped))):
+                    for start in range(0, size, batch):
+                        t = targets[row, start : start + batch]
+                        spec = (nn.SymmetricLossSpec(t, h.lam, h.gamma, h.rce_log_floor)
+                                if symmetric else nn.CrossEntropySpec(t))
+                        grad = nn.backward(params, x[row, start : start + batch], spec)
+                        params = nn.sgd_step(params, grad, h.lr)
+                    assert new.layer_dims == params.layer_dims
+                    assert new.values.tobytes() == params.values.tobytes()
+
+    def test_distill_matches_backward_steps(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10):
+            blocks = self._cohort(rng)
+            k = sum(len(b.values) for b in blocks)
+            x = rng.normal(size=(int(rng.integers(1, 30)), 3))
+            peers = nn.softmax_t(rng.normal(size=(k, len(x), 4)), 4.0)
+            w = rng.dirichlet(np.ones(k))
+            own = rng.permutation(k)  # rows in block order leave out any peer
+            spec = nn.mixture_spec(peers, w, 4.0, own)
+            stepped = nn.cohort_distill(blocks, x, spec, 3, 0.1)
+            for row, (params, new) in enumerate(zip(self._alone(blocks), self._alone(stepped))):
+                keep = np.arange(k) != own[row]
+                alone = nn.mixture_spec(peers[keep], w[keep], 4.0)
+                for _ in range(3):
+                    params = nn.sgd_step(params, nn.backward(params, x, alone), 0.1)
+                assert new.values.tobytes() == params.values.tobytes()
+
+    def test_forward_rows_follow_the_blocks(self):
+        rng = np.random.default_rng(9)
+        blocks = self._cohort(rng)
+        x = rng.normal(size=(12, 3))
+        logits = nn.cohort_forward(blocks, x)
+        for row, params in enumerate(self._alone(blocks)):
+            assert logits[row].tobytes() == nn.mlp_forward(params, x).tobytes()
+
+    def test_block_errors_name_the_block_rows(self):
+        wide = nn.ModelParams(((3, 2),), np.zeros((2, 8)))
+        narrow = nn.ModelParams(((2, 2),), np.zeros((1, 6)))
+        with pytest.raises(ConfigError, match="model expects 2") as caught:
+            nn.cohort_forward((wide, narrow), np.zeros((4, 3)))
+        assert caught.value.rows == [2]
+        logits = np.zeros((3, 2, 2))
+        logits[[0, 2], 0, 1] = np.nan
+        with pytest.raises(NumericError) as caught:
+            nn.softmax_t(logits, 1.0)
+        assert (caught.value.rows, caught.value.index) == ([0, 2], 0)

@@ -507,6 +507,76 @@ class TestClientGroups:
         assert all(s.roc_auc is None and s.accuracy is not None for s in stats)
 
 
+class TestCohorts:
+    """Clients of one shard size share a group, one block per architecture."""
+
+    ARCHS = {"hidden_layers": [[6], [10], [14, 6], [4]]}
+
+    def _cfg(self, strategy, **overrides):
+        # Eight clients over four architectures: blocks {0, 4}, {1, 5}, ...
+        return small_cfg(strategy=strategy, rounds=2, local_epochs=2, archs=self.ARCHS,
+                         data={"clients": 8, "shard_size": 30}, **overrides)
+
+    def test_repeating_architectures_form_blocks(self):
+        cfg = self._cfg("rhfl_plus_eccr")
+        world = harness.build_world(cfg)
+        (group,) = protocol.Controller(
+            world.clients, cfg.strategy_config(), world.test, world.public
+        ).groups
+        assert group.index.tolist() == [0, 4, 1, 5, 2, 6, 3, 7]
+        assert [len(block.values) for block in group.blocks] == [2, 2, 2, 2]
+
+    def test_base_config_is_one_group_of_four_blocks(self):
+        cfg = load_config([BASE_CONFIG])
+        world = harness.build_world(cfg)
+        (group,) = protocol.Controller(
+            world.clients, cfg.strategy_config(), world.test, world.public
+        ).groups
+        assert [block.layer_dims for block in group.blocks] == world.archs
+
+    @pytest.mark.parametrize("strategy", ["rhfl_plus_eccr", "hetero_distill", "local_only"])
+    def test_chunking_does_not_change_results(self, strategy, monkeypatch):
+        cfg = self._cfg(strategy)
+        whole, world_w = harness.run_experiment(cfg)
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1)  # one client per chunk
+        chunked, world_c = harness.run_experiment(cfg)
+        assert record_dicts(whole) == record_dicts(chunked)
+        for a, b in zip(world_w.clients, world_c.clients):
+            assert a.params.values.tobytes() == b.params.values.tobytes()
+
+    @pytest.mark.parametrize("flags", [
+        {"hfl": False, "sl": False, "dlr": False, "reweight": "none"},
+        {"hfl": False, "sl": True, "dlr": True, "reweight": "none"},
+    ])
+    def test_every_client_trains_as_if_alone(self, flags):
+        cfg = self._cfg("rhfl_plus_eccr", flags=flags)
+        result, world = harness.run_experiment(cfg)
+        fresh = harness.build_world(cfg)
+        for client, stats in zip(fresh.clients, result.records[-1].clients):
+            alone = protocol.run_federation([client], cfg.strategy_config(), fresh.test)
+            trained = world.clients[client.client_id].params.values
+            assert client.params.values.tobytes() == trained.tobytes()
+            assert alone.records[-1].clients[0] == stats
+
+    def test_lowest_diverged_client_is_named(self):
+        cfg = self._cfg("local_only")
+        world = harness.build_world(cfg)
+        for client in (world.clients[1], world.clients[4]):  # rows 2 and 1
+            client.params = nn.ModelParams(client.arch, np.full(client.params.size, 1e200))
+        with pytest.raises(NumericError, match=r"^round 0, client 1, phase eval: softmax"):
+            protocol.run_federation(world.clients, cfg.strategy_config(), world.test)
+
+    def test_block_errors_name_the_block_clients(self):
+        cfg = self._cfg("local_only")
+        world = harness.build_world(cfg)
+        for client in (world.clients[1], world.clients[5]):
+            client.params = nn.init_params(((3, 10), (10, 3)), client.client_id)
+        with pytest.raises(
+            ConfigError, match=r"^round 0, clients \[1, 5\], phase eval: batch has 2 features"
+        ):
+            protocol.run_federation(world.clients, cfg.strategy_config(), world.test)
+
+
 class TestShardLossReuse:
     def test_phase1_makes_no_shard_forward(self, monkeypatch):
         cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=3, local_epochs=2,
@@ -652,6 +722,19 @@ class TestDeterminismAndMessages:
         with pytest.raises(ProtocolError, match=r"^round 2, clients \[0, 1\], phase fedavg: client 1 dropped"):
             protocol.run_federation(world.clients, cfg.strategy_config(), world.test, world.public)
         assert calls == [[0, 1], [0, 1]]
+
+    @pytest.mark.parametrize("strategy, phases", [
+        ("local_only", {"private", "eval"}),
+        ("fedavg", {"fedavg", "eval"}),
+        ("hetero_distill", {"hetero_share", "distill", "private", "eval"}),
+        ("rhfl_plus_eccr", {"phase1", "distill", "private", "eval"}),
+    ])
+    def test_timing_records_phase_seconds(self, tmp_path, strategy, phases):
+        run_dir = harness.execute_run(small_cfg(strategy=strategy, rounds=2), tmp_path)
+        timing = json.loads((run_dir / harness.TIMING_FILE).read_text())
+        assert [set(r) for r in timing["phase_seconds"]] == [{"eval"}, phases, phases]
+        for per_phase, total in zip(timing["phase_seconds"], timing["round_seconds"]):
+            assert sum(per_phase.values()) <= total
 
     def test_t_zero_gives_only_pretraining_eval(self):
         cfg = small_cfg(strategy="local_only", rounds=0)
