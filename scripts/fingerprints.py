@@ -24,7 +24,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from hetfed import harness
+from hetfed import cli, harness
 from hetfed.config import ExperimentConfig, apply_overrides, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,6 +80,7 @@ def cases():
 
 
 def main() -> int:
+    cli.keep_heap()
     with tempfile.TemporaryDirectory() as tmp:
         for label, doc, grid in cases():
             out = Path(tmp) / label

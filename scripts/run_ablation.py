@@ -10,11 +10,12 @@ accuracy and the client average.
 import argparse
 import sys
 
-from hetfed import harness
+from hetfed import cli, harness
 from hetfed.config import parse_config
 
 
 def main() -> int:
+    cli.keep_heap()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", action="append", default=["configs/base.json"])
     parser.add_argument("--out", default="runs/ablation")

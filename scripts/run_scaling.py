@@ -11,11 +11,12 @@ import sys
 
 import numpy as np
 
-from hetfed import harness
+from hetfed import cli, harness
 from hetfed.config import ExperimentConfig, parse_config
 
 
 def main() -> int:
+    cli.keep_heap()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", action="append", default=["configs/base.json"])
     parser.add_argument("--out", default="runs/scaling")

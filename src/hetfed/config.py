@@ -101,7 +101,7 @@ def _walk_keys(doc: dict, schema: dict, source: str, path: str = ""):
 
 def _check_leaf(value, field: _Field, path: str, source: str):
     if value is None:
-        if field.default is None or field.required:
+        if field.default is None:
             return
         raise ConfigError(f"key {path!r} in {source} may not be null")
     kind = field.kind
@@ -283,7 +283,9 @@ class ExperimentConfig:
         noise_doc = resolved["data"]["noise"]
         rng_range = noise_doc["random_range"]
         if rng_range is not None:
-            if len(rng_range) != 2:
+            if len(rng_range) != 2 or not all(
+                isinstance(r, (int, float)) and not isinstance(r, bool) for r in rng_range
+            ):
                 raise ConfigError("noise.random_range must be [lo, hi]")
             lo, hi = float(rng_range[0]), float(rng_range[1])
             if not 0.0 <= lo <= hi <= 1.0:
@@ -297,9 +299,17 @@ class ExperimentConfig:
             d["shard_size"], d["scheme"], d["concentration"], d["n_public"],
             d["test_size"], noise,
         )
-        hidden = tuple(tuple(int(w) for w in layer) for layer in resolved["archs"]["hidden_layers"])
+        hidden = resolved["archs"]["hidden_layers"]
         if not hidden:
             raise ConfigError("archs.hidden_layers must list at least one architecture")
+        for layer in hidden:
+            if not isinstance(layer, (list, tuple)) or not all(
+                isinstance(w, int) and not isinstance(w, bool) and w > 0 for w in layer
+            ):
+                raise ConfigError(
+                    f"archs.hidden_layers entry {layer!r} must be a list of positive integer widths"
+                )
+        hidden = tuple(tuple(layer) for layer in hidden)
         if resolved["seed"] < 0:
             raise ConfigError("seed must be non-negative")
         return ExperimentConfig(

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import os
+import resource
 import shutil
 import time
 from dataclasses import dataclass
@@ -212,9 +213,11 @@ def execute_run(cfg: ExperimentConfig, out_dir) -> Path:
         return run_dir
     partial = run_dir.with_name(f".{run_dir.name}.partial")
     shutil.rmtree(partial, ignore_errors=True)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     started = time.perf_counter()
     result, world = run_experiment(cfg)
     total = time.perf_counter() - started
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     partial.mkdir(parents=True)
     try:
         with open(partial / ROUNDS_FILE, "w") as fh:
@@ -245,6 +248,7 @@ def execute_run(cfg: ExperimentConfig, out_dir) -> Path:
                     "total_seconds": total,
                     "round_seconds": result.round_seconds,
                     "phase_seconds": result.phase_seconds,
+                    "minor_faults": faults,
                 },
                 fh, indent=2,
             )

@@ -1,5 +1,9 @@
 import csv
 import json
+import platform
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import pytest
@@ -80,6 +84,61 @@ class TestRunCommand:
         bad.write_text(json.dumps({"seed": 0}))  # missing strategy
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "strategy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        "seed=null",
+        "archs.hidden_layers=[[0]]",
+        'archs.hidden_layers=[["a"]]',
+        'data.noise.random_range=["a",0.1]',
+    ])
+    def test_invalid_values_are_config_errors(self, tmp_path, capsys, override):
+        cfg = write_cfg(tmp_path)
+        argv = ["run", "--config", cfg, "--set", override, "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                        reason="the heap policy is set through glibc's mallopt")
+    def test_repeated_runs_reuse_the_heap(self, tmp_path):
+        """A run in a process that ran it before faults in almost no new pages.
+
+        The policy is process-wide, so the runs go in a process of their own.
+        Without it, whether a run re-faults depends on where long-lived
+        objects sit in the heap, so the policy is also checked directly:
+        24 MiB of 3 MiB blocks, freed and asked for again, come back without
+        faults. (numpy asks for huge pages only from 4 MiB up.)
+        """
+        cfg = write_cfg(
+            tmp_path, strategy="rhfl_plus_eccr", rounds=1, hyperparams={"lr": 0.1},
+            data={"per_class": 2500, "clients": 40, "shard_size": 60,
+                  "n_public": 100, "test_size": 500},
+            archs={"hidden_layers": [[12]]},
+        )
+        script = textwrap.dedent("""
+            import json, resource, sys
+            from pathlib import Path
+            import numpy as np
+            from hetfed.cli import main
+            cfg, out = sys.argv[1], Path(sys.argv[2])
+            for rep in range(3):
+                assert main(["run", "--config", cfg, "--out", str(out / str(rep))]) == 0
+            timing = next((out / "2").iterdir()) / "timing.json"
+            blocks = [np.ones(3 << 17) for _ in range(8)]
+            del blocks
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            blocks = [np.ones(3 << 17) for _ in range(8)]
+            block = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+            print(json.loads(timing.read_text())["minor_faults"], block)
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", script, cfg, str(tmp_path / "runs")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        run_faults, block_faults = map(int, done.stdout.split()[-2:])
+        assert run_faults < 200
+        assert block_faults < 200
 
     def test_diverged_run_names_where_it_failed(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, strategy="rhfl_plus_eccr")

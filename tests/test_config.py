@@ -129,6 +129,13 @@ class TestExperimentConfig:
                               "data": {"noise": {"random_range": [0.5, 0.1]}}})
             )
 
+    def test_architecture_without_hidden_layer(self):
+        cfg = ExperimentConfig.from_dict(
+            resolve_dict({"seed": 0, "strategy": "local_only",
+                          "archs": {"hidden_layers": [[]]}})
+        )
+        assert cfg.hidden_layers == ((),)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(["/no/such/file.json"])
