@@ -9,21 +9,27 @@ accuracy and the client average.
 
 import argparse
 import sys
+from pathlib import Path
 
 from hetfed import cli, harness
 from hetfed.config import parse_config
 
 
+BASE = Path(__file__).resolve().parent.parent / "configs" / "base.json"
+
+
 def main() -> int:
     cli.keep_heap()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", action="append", default=["configs/base.json"])
+    parser.add_argument("--config", action="append", metavar="FILE",
+                        help="config files, merged in order (default: configs/base.json)")
     parser.add_argument("--out", default="runs/ablation")
     parser.add_argument("--rates", type=float, nargs="+", default=[0.1, 0.2])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0])
     args = parser.parse_args()
+    configs = args.config or [BASE]
 
-    base = parse_config(args.config)
+    base = parse_config(configs)
     grid = {
         "flags": harness.ablation_rows(),
         "noise_type": ["pairflip", "symmetric"],

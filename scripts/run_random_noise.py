@@ -9,6 +9,7 @@ local-only baseline on final mean accuracy and ROC AUC.
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -16,15 +17,20 @@ from hetfed import cli, harness
 from hetfed.config import ExperimentConfig, parse_config
 
 
+BASE = Path(__file__).resolve().parent.parent / "configs" / "base.json"
+
+
 def main() -> int:
     cli.keep_heap()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", action="append", default=["configs/base.json"])
+    parser.add_argument("--config", action="append", metavar="FILE",
+                        help="config files, merged in order (default: configs/base.json)")
     parser.add_argument("--out", default="runs/random_noise")
     parser.add_argument("--clients", type=int, default=10)
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     args = parser.parse_args()
+    configs = args.config or [BASE]
 
     overrides = [
         f"rounds={args.rounds}",
@@ -38,7 +44,7 @@ def main() -> int:
         accs, aucs = [], []
         for seed in args.seeds:
             resolved = parse_config(
-                args.config, overrides + [f"strategy={strategy}", f"seed={seed}"]
+                configs, overrides + [f"strategy={strategy}", f"seed={seed}"]
             )
             cfg = ExperimentConfig.from_dict(resolved)
             run_dir = harness.execute_run(cfg, args.out)

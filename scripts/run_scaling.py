@@ -8,6 +8,7 @@ stacked kernels over client chunks rather than one client at a time.
 import argparse
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -15,15 +16,20 @@ from hetfed import cli, harness
 from hetfed.config import ExperimentConfig, parse_config
 
 
+BASE = Path(__file__).resolve().parent.parent / "configs" / "base.json"
+
+
 def main() -> int:
     cli.keep_heap()
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", action="append", default=["configs/base.json"])
+    parser.add_argument("--config", action="append", metavar="FILE",
+                        help="config files, merged in order (default: configs/base.json)")
     parser.add_argument("--out", default="runs/scaling")
     parser.add_argument("--clients", type=int, nargs="+", default=[10, 25, 50, 100])
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--shard-size", type=int, default=60)
     args = parser.parse_args()
+    configs = args.config or [BASE]
 
     overrides = [
         f"rounds={args.rounds}",
@@ -36,7 +42,7 @@ def main() -> int:
         "archs.hidden_layers=[[12]]",
     ]
     for k in args.clients:
-        resolved = parse_config(args.config, overrides + [f"data.clients={k}"])
+        resolved = parse_config(configs, overrides + [f"data.clients={k}"])
         cfg = ExperimentConfig.from_dict(resolved)
         run_dir = harness.execute_run(cfg, args.out)
         with open(run_dir / harness.ROUNDS_FILE) as fh:

@@ -207,12 +207,7 @@ def load_idx(images_path: str, labels_path: str, class_count: int) -> Dataset:
     return Dataset(features, labels, class_count)
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    class_count: int
-
-
-def load_csv(path: str, schema: CsvSchema) -> Dataset:
+def load_csv(path: str, class_count: int) -> Dataset:
     """Load `label,f0,f1,...` rows; features min-max scaled per column."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -236,9 +231,9 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
                 values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise IngestError(f"{path}: line {lineno}: {exc}") from None
-            if not 0 <= label < schema.class_count:
+            if not 0 <= label < class_count:
                 raise IngestError(
-                    f"{path}: line {lineno}: label {label} outside [0, {schema.class_count})"
+                    f"{path}: line {lineno}: label {label} outside [0, {class_count})"
                 )
             labels.append(label)
             rows.append(values)
@@ -249,7 +244,7 @@ def load_csv(path: str, schema: CsvSchema) -> Dataset:
     span = features.max(axis=0) - lo
     span[span == 0] = 1.0
     features = (features - lo) / span
-    return Dataset(features, np.asarray(labels), schema.class_count)
+    return Dataset(features, np.asarray(labels), class_count)
 
 
 def _partition_indices(ds: Dataset, plan: PartitionPlan) -> list[np.ndarray]:

@@ -73,7 +73,7 @@ def _base_dataset(cfg: ExperimentConfig) -> datahub.Dataset:
         return datahub.load_idx(d.idx_images, d.idx_labels, d.classes)
     if not d.csv_path:
         raise ConfigError("csv source needs data.csv_path")
-    return datahub.load_csv(d.csv_path, datahub.CsvSchema(d.classes))
+    return datahub.load_csv(d.csv_path, d.classes)
 
 
 def _layer_dims(dims: int, hidden: tuple[int, ...], classes: int):

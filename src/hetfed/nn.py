@@ -5,20 +5,17 @@ linear output), tempered softmax, and the loss family used by every
 training strategy: cross-entropy, reverse cross-entropy, their weighted
 symmetric combination, and KL divergence against fixed peer distributions.
 
-Everything here is a pure function of its inputs; parameter vectors are
-frozen numpy arrays. Every kernel also takes a stack of same-shaped
-models, parameters (K, P), and runs all K in one pass over a leading
-client axis; each model's result is bit-identical to running it alone,
-because numpy hands every (rows, fan_in) x (fan_in, fan_out) slice to the
-same BLAS call and reduces each row alike.
-
-The cohort kernels (cohort_forward, cohort_sgd_epoch, cohort_distill) run
-models of several architectures at once. A cohort is a sequence of
-blocks, one stack per architecture, whose rows follow each other on one
-client axis. Each block runs its own matmuls; the softmax, its finite
-check and the logit gradient then run once over the whole cohort's
-logits, which are elementwise or row-wise along the class axis, so
-every model still gets its lone bits. backward() is the composition of
+A ModelParams is one model, frozen; mlp_forward, backward and sgd_step
+are pure functions of it. A Cohort holds many models, of one or more
+architectures, in one writable buffer: each architecture's models form a
+block whose (k, P) values run their matmuls as one stack, and the blocks'
+rows follow each other on one client axis. cohort_sgd_epoch and
+cohort_distill step a cohort in place. Each block runs its own matmuls;
+the softmax, its finite check and the logit gradient then run once over
+the whole cohort's logits, which are elementwise or row-wise along the
+class axis, so every model gets the bits it would get alone: numpy hands
+every (rows, fan_in) x (fan_in, fan_out) slice of a stack to the same
+BLAS call and reduces each row alike. backward() is the composition of
 the same forward, logit-gradient and backprop functions.
 """
 
@@ -56,8 +53,7 @@ class ModelParams:
     """Flat float64 parameter vector plus the layer shapes that interpret it.
 
     Layout is layer-major: weights (fan_in x fan_out, C order) then biases
-    for layer 0, then layer 1, and so on. values may also be (K, P): one
-    row per model of a stack of K models with these layer shapes.
+    for layer 0, then layer 1, and so on.
     """
 
     layer_dims: LayerDims
@@ -71,10 +67,8 @@ class ModelParams:
             if out_prev != in_next:
                 raise ConfigError(f"layer shapes do not chain: {dims}")
         values = np.ascontiguousarray(self.values, dtype=np.float64)
-        if values.ndim not in (1, 2) or values.shape[-1] != param_count(dims):
-            raise ConfigError(
-                f"expected {param_count(dims)} parameter values per model, got {values.shape}"
-            )
+        if values.shape != (param_count(dims),):
+            raise ConfigError(f"expected {param_count(dims)} parameter values, got {values.shape}")
         if not np.isfinite(values).all():
             raise ConfigError("parameter values must be finite")
         values.flags.writeable = False
@@ -87,7 +81,7 @@ class ModelParams:
         return self.values.size
 
     def layers(self) -> tuple:
-        """(weights (..., fan_in, fan_out), biases (..., fan_out)) views per layer."""
+        """(weights (fan_in, fan_out), biases (fan_out,)) views per layer."""
         return self._layers
 
 
@@ -142,13 +136,15 @@ def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
 
 def _checked_batch(params: ModelParams, batch) -> np.ndarray:
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ConfigError("batch must be a 2-D feature matrix or a stack of them")
-    if x.shape[-1] != params.layer_dims[0][0]:
-        raise ConfigError(
-            f"batch has {x.shape[-1]} features, model expects {params.layer_dims[0][0]}"
-        )
+    if x.ndim != 2:
+        raise ConfigError("batch must be a 2-D feature matrix")
+    _check_features(x, params.layer_dims)
     return x
+
+
+def _check_features(x: np.ndarray, dims: LayerDims) -> None:
+    if x.shape[-1] != dims[0][0]:
+        raise ConfigError(f"batch has {x.shape[-1]} features, model expects {dims[0][0]}")
 
 
 def _forward(layers, x: np.ndarray):
@@ -177,11 +173,7 @@ def _forward_cached(params: ModelParams, batch: np.ndarray):
 
 
 def mlp_forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Logits (N x C) of a ReLU MLP with a linear output layer.
-
-    For stacked parameters (K, P) the logits are (K, N, C); the batch is
-    then one (N, d) matrix shared by all K models or a (K, N, d) stack.
-    """
+    """Logits (N x C) of a ReLU MLP with a linear output layer."""
     activations, _ = _forward_cached(params, batch)
     return activations[-1]
 
@@ -379,14 +371,10 @@ def _backprop(layers, activations, pre, delta, grads) -> None:
 
 
 def backward(params: ModelParams, batch, loss_spec) -> np.ndarray:
-    """Flat gradient of the mean batch loss w.r.t. every parameter.
-
-    Stacked parameters (K, P) give stacked gradients (K, P); batch and
-    loss targets are then shared or stacked as for mlp_forward.
-    """
+    """Flat gradient of the mean batch loss w.r.t. every parameter."""
     x = np.asarray(batch, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-2] == 0:
-        raise ConfigError("batch must be a non-empty 2-D matrix or a stack of them")
+    if x.ndim != 2 or len(x) == 0:
+        raise ConfigError("batch must be a non-empty 2-D matrix")
     activations, pre = _forward_cached(params, x)
     delta = _logit_gradient(activations[-1], loss_spec)
     grad = np.empty(params.values.shape)
@@ -402,116 +390,168 @@ def sgd_step(params: ModelParams, grad: np.ndarray, alpha: float) -> ModelParams
     return ModelParams(params.layer_dims, params.values - alpha * g)
 
 
-# -- cohorts: blocks of stacked models, one architecture each ---------------
+# -- cohorts: many models in one writable buffer ----------------------------
 
 
-def block_rows(blocks) -> list[slice]:
-    """The contiguous range of cohort rows each block's stack covers."""
-    bounds = np.cumsum([0] + [len(block.values) for block in blocks]).tolist()
-    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+class Cohort:
+    """Models of one or more architectures in one writable buffer.
 
-
-def _rows_of(x: np.ndarray, rows: slice) -> np.ndarray:
-    """A block's part of a batch: a shared (N, d) batch whole, a stack its rows."""
-    return x if x.ndim == 2 else x[rows]
-
-
-def cohort_forward(blocks, batch) -> np.ndarray:
-    """Logits (K, N, C) of a cohort, rows in block order.
-
-    batch is one (N, d) matrix shared by all K models or a (K, N, d) stack.
-    """
-    x = np.asarray(batch, dtype=np.float64)
-    logits = []
-    for block, rows in zip(blocks, block_rows(blocks)):
-        with stacked_rows(rows):
-            logits.append(mlp_forward(block, _rows_of(x, rows)))
-    return logits[0] if len(logits) == 1 else np.concatenate(logits)
-
-
-class _Descent:
-    """A writable copy of a cohort's parameters, stepped in place.
-
-    All blocks' values share one flat buffer, and their gradients another,
-    so one update steps the whole cohort. The input is checked and the
-    parameters copied once, when the descent starts; result() validates
-    them once, at its end.
+    Rows run block by block: block b holds counts[b] models with layer
+    shapes dims[b], and its (k_b, P_b) values, stacks[b], follow block
+    b-1's in `values`. A range of rows is therefore a range of the buffer;
+    take() returns it as a cohort that views it. cohort_sgd_epoch and
+    cohort_distill step a cohort in place.
     """
 
-    def __init__(self, blocks, x: np.ndarray):
-        self.blocks = blocks
-        self.rows = block_rows(blocks)
-        for block, rows in zip(blocks, self.rows):
-            with stacked_rows(rows):
-                _checked_batch(block, x)
-        self.flat = np.concatenate([block.values.ravel() for block in blocks])
-        self.grad = np.empty_like(self.flat)
-        self.values, self.layers, self.grad_layers = [], [], []
+    def __init__(self, dims, counts, values: np.ndarray):
+        self.dims = tuple(dims)
+        self.counts = tuple(counts)
+        sizes = [k * param_count(layer_dims) for layer_dims, k in zip(self.dims, self.counts)]
+        if values.shape != (sum(sizes),):
+            raise ConfigError(f"expected {sum(sizes)} parameter values, got {values.shape}")
+        self.values = values
+        self.stacks, self.rows, self._layers = [], [], []
+        start = row = 0
+        for layer_dims, k, size in zip(self.dims, self.counts, sizes):
+            stack = values[start : start + size].reshape(k, -1)
+            self.stacks.append(stack)
+            self.rows.append(slice(row, row + k))
+            self._layers.append(_layer_views(stack, layer_dims))
+            start += size
+            row += k
+
+    @classmethod
+    def of(cls, models) -> "Cohort":
+        """The models in order, each run of one architecture forming a block."""
+        dims, counts = [], []
+        for model in models:
+            if dims and dims[-1] == model.layer_dims:
+                counts[-1] += 1
+            else:
+                dims.append(model.layer_dims)
+                counts.append(1)
+        return cls(dims, counts, np.concatenate([model.values for model in models]))
+
+    def __len__(self) -> int:
+        return self.rows[-1].stop
+
+    def take(self, lo: int, hi: int) -> "Cohort":
+        """Rows lo to hi - 1, viewing this cohort's buffer."""
+        dims, counts, spans = [], [], []
         start = 0
-        for block in blocks:
-            span = slice(start, start + block.values.size)
-            start = span.stop
-            values = self.flat[span].reshape(block.values.shape)
-            self.values.append(values)
-            self.layers.append(_layer_views(values, block.layer_dims))
-            grad = self.grad[span].reshape(block.values.shape)
-            self.grad_layers.append(_layer_views(grad, block.layer_dims))
+        for layer_dims, rows, stack in zip(self.dims, self.rows, self.stacks):
+            a, b = max(lo, rows.start), min(hi, rows.stop)
+            if a < b:
+                dims.append(layer_dims)
+                counts.append(b - a)
+                width = stack.shape[1]
+                spans.append((start + (a - rows.start) * width, start + (b - rows.start) * width))
+            start += stack.size
+        return Cohort(dims, counts, self.values[spans[0][0] : spans[-1][1]])
 
-    def forward(self, x: np.ndarray):
+    def gather(self, rows) -> "Cohort":
+        """A copy of the rows at ascending positions `rows`."""
+        rows = np.asarray(rows)
+        dims, counts, parts = [], [], []
+        for layer_dims, span, stack in zip(self.dims, self.rows, self.stacks):
+            mine = rows[(rows >= span.start) & (rows < span.stop)] - span.start
+            if mine.size:
+                dims.append(layer_dims)
+                counts.append(mine.size)
+                parts.append(stack[mine].ravel())
+        return Cohort(dims, counts, np.concatenate(parts))
+
+    def copy(self) -> "Cohort":
+        return Cohort(self.dims, self.counts, self.values.copy())
+
+    def models(self) -> list[ModelParams]:
+        """Every row as a ModelParams of its own, in row order."""
+        return [
+            ModelParams(layer_dims, values.copy())
+            for layer_dims, stack in zip(self.dims, self.stacks)
+            for values in stack
+        ]
+
+    @np.errstate(**_OVERFLOW_IS_CAUGHT_LATER)
+    def forward(self, batch) -> np.ndarray:
+        """Logits (K, N, C), rows in block order.
+
+        batch is one (N, d) matrix shared by all K models or a (K, N, d) stack.
+        """
+        return self._pass(self._checked(batch))[0]
+
+    def _checked(self, batch) -> np.ndarray:
+        x = np.asarray(batch, dtype=np.float64)
+        if x.ndim not in (2, 3) or (x.ndim == 3 and len(x) != len(self)):
+            raise ConfigError(f"batch must be a 2-D feature matrix or a stack of {len(self)}")
+        for layer_dims, rows in zip(self.dims, self.rows):
+            with stacked_rows(rows):
+                _check_features(x, layer_dims)
+        return x
+
+    def _pass(self, x: np.ndarray):
         """The cohort's logits (K, n, C) and each block's forward cache."""
-        caches = [_forward(layers, _rows_of(x, rows)) for layers, rows in zip(self.layers, self.rows)]
+        caches = [
+            _forward(layers, x if x.ndim == 2 else x[rows])
+            for layers, rows in zip(self._layers, self.rows)
+        ]
         if len(caches) == 1:
             return caches[0][0][-1], caches
         return np.concatenate([activations[-1] for activations, _ in caches]), caches
 
-    def step(self, caches, delta: np.ndarray, lr: float) -> None:
-        """Backpropagate each block's rows of delta, then update every block."""
+    def _step(self, caches, delta: np.ndarray, grad: "Cohort", lr: float) -> None:
+        """Backpropagate each block's rows of delta into grad, then update every block."""
         for layers, grads, rows, (activations, pre) in zip(
-            self.layers, self.grad_layers, self.rows, caches
+            self._layers, grad._layers, self.rows, caches
         ):
             _backprop(layers, activations, pre, delta[rows], grads)
-        self.flat -= lr * self.grad
+        self.values -= lr * grad.values
 
-    def result(self) -> tuple:
-        out = []
-        for block, values, rows in zip(self.blocks, self.values, self.rows):
-            with stacked_rows(rows):
-                out.append(ModelParams(block.layer_dims, values))
-        return tuple(out)
+    def _check_finite(self) -> None:
+        if np.isfinite(self.values).all():
+            return
+        for stack, rows in zip(self.stacks, self.rows):
+            if not np.isfinite(stack).all():
+                with stacked_rows(rows):
+                    raise ConfigError("parameter values must be finite")
 
 
 @np.errstate(**_OVERFLOW_IS_CAUGHT_LATER)
-def cohort_sgd_epoch(blocks, x, targets, batch_size: int, h: Hyperparams, symmetric: bool) -> tuple:
-    """One epoch of minibatch SGD of a cohort; returns the new blocks.
+def cohort_sgd_epoch(
+    cohort: Cohort, x, targets, batch_size: int, h: Hyperparams, symmetric: bool
+) -> None:
+    """One epoch of minibatch SGD of a cohort, in place.
 
     Row k trains on its own (S, d) rows of x (K, S, d) against the fixed
     target rows (K, S, C), in consecutive batches of batch_size: the mean
     symmetric loss (lam, gamma, rce_log_floor of h) when symmetric, else
-    cross-entropy, at learning rate h.lr. The targets' mass and floored log
-    are taken once for the epoch.
+    cross-entropy, at learning rate h.lr. The input is checked and the
+    targets' mass and floored log taken once for the epoch; the parameters
+    are checked to be finite at its end.
     """
-    descent = _Descent(blocks, x)
+    x = cohort._checked(x)
+    grad = Cohort(cohort.dims, cohort.counts, np.empty_like(cohort.values))
     mass = targets.sum(axis=-1, keepdims=True)
     log_targets = _floored_log(targets, h.rce_log_floor) if symmetric else None
     for start in range(0, x.shape[1], batch_size):
         batch = slice(start, start + batch_size)
-        logits, caches = descent.forward(x[:, batch])
+        logits, caches = cohort._pass(x[:, batch])
         delta = _target_gradient(
             softmax_t(logits, 1.0), targets[:, batch], mass[:, batch],
             None if log_targets is None else log_targets[:, batch],
             h.lam, h.gamma, 1.0 * logits.shape[-2],
         )
-        descent.step(caches, delta, h.lr)
-    return descent.result()
+        cohort._step(caches, delta, grad, h.lr)
+    cohort._check_finite()
 
 
 @np.errstate(**_OVERFLOW_IS_CAUGHT_LATER)
-def cohort_distill(blocks, x, spec: MixtureKlSpec, steps: int, lr: float) -> tuple:
-    """steps full-batch descent steps of a cohort on one shared batch x
-    (N, d) against a fixed peer mixture stacked in row order; returns the
-    new blocks."""
-    descent = _Descent(blocks, x)
+def cohort_distill(cohort: Cohort, x, spec: MixtureKlSpec, steps: int, lr: float) -> None:
+    """steps full-batch descent steps of a cohort, in place, on one shared
+    batch x (N, d) against a fixed peer mixture stacked in row order."""
+    x = cohort._checked(x)
+    grad = Cohort(cohort.dims, cohort.counts, np.empty_like(cohort.values))
     for _ in range(steps):
-        logits, caches = descent.forward(x)
-        descent.step(caches, _logit_gradient(logits, spec), lr)
-    return descent.result()
+        logits, caches = cohort._pass(x)
+        cohort._step(caches, _logit_gradient(logits, spec), grad, lr)
+    cohort._check_finite()

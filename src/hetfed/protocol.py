@@ -4,11 +4,13 @@ A single controller owns all aggregation state and drives synchronous
 rounds, counting the messages a deployment of the round would exchange.
 Clients are plain state records; their per-round work (training,
 inference, logit computation) touches only their own model, shard and RNG
-stream. The controller groups the clients that share a shard size into
-cohorts, and runs each phase for a whole cohort at once: each
-architecture's models run their matmuls as one stack (a block), and the
-softmax and the loss gradient run once over the logits of every block.
-Every client gets the bits it would get alone. The controller folds
+stream. The controller groups the clients that share a shard size, and
+keeps each group's models in one nn.Cohort, built once and stepped in
+place by every phase: each architecture's models run their matmuls as
+one stack (a block), and the softmax and the loss gradient run once over
+the logits of every block. A phase runs a group in chunks of consecutive
+rows, each a view of the group's cohort. Every client gets the bits it
+would get alone. The controller folds
 uploads in ascending client id, which pins the floating-point reduction
 order and makes whole runs bit-reproducible for a fixed seed.
 
@@ -116,32 +118,11 @@ class StrategyConfig:
 
 
 @dataclass
-class TrainHistory:
-    """A group's shard losses (K,) and the parameter blocks they were taken at.
-
-    One stacked ModelParams stands for the one block of a group with one
-    architecture.
-    """
-
-    mean_sl: np.ndarray
-    blocks: tuple
-
-    def __post_init__(self):
-        if isinstance(self.blocks, nn.ModelParams):
-            self.blocks = (self.blocks,)
-
-    @property
-    def params(self) -> nn.ModelParams:
-        """The stacked parameters of a group with one architecture."""
-        return _one_block(self.blocks)
-
-
-@dataclass
 class ClientState:
     """Everything one client owns: model, shard, RNG stream.
 
-    During a run the model lives in its group's stacked parameters;
-    Controller.run writes it back here when the run ends.
+    During a run the model lives in its group's cohort; Controller.run
+    writes it back here when the run ends.
     """
 
     client_id: int
@@ -188,32 +169,26 @@ class RunResult:
 _CHUNK_BYTES = 1 << 21
 
 
-def _one_block(blocks: tuple) -> nn.ModelParams:
-    if len(blocks) != 1:
-        raise ProtocolError(f"expected one architecture, the group holds {len(blocks)}")
-    return blocks[0]
-
-
 @dataclass
 class ClientGroup:
-    """The clients with one shard size (a cohort), stacked on a row axis.
+    """The clients with one shard size, stacked on a row axis.
 
-    Rows run block by block: `blocks` holds one stacked ModelParams
-    (k_b, P_b) per architecture, each over a contiguous range of rows, in
-    the order in which the architectures first appear. The shard features
-    (K, S, d), the noisy one-hot labels (K, S, C) and `clients` follow the
-    rows; index maps each row to its client's position in the controller's
-    id order. `evaluated` is the latest evaluation's shard losses, which
-    the next confidence upload reuses; `history` is the one before it.
+    `cohort` holds their models, one block per architecture in the order
+    in which the architectures first appear. The shard features (K, S, d),
+    the noisy one-hot labels (K, S, C) and `clients` follow its rows;
+    index maps each row to its client's position in the controller's id
+    order. `evaluated` is the latest evaluation's shard losses (K,) and a
+    copy of the cohort they were taken at, which the next confidence
+    upload reuses; `history` is the one before it.
     """
 
     clients: list[ClientState]
     index: np.ndarray
-    blocks: tuple
+    cohort: nn.Cohort
     features: np.ndarray
     onehot: np.ndarray
-    evaluated: TrainHistory | None = None
-    history: TrainHistory | None = None
+    evaluated: tuple | None = None
+    history: tuple | None = None
 
     @classmethod
     def stack(cls, clients, index) -> "ClientGroup":
@@ -228,34 +203,25 @@ class ClientGroup:
         return cls(
             clients,
             np.array([pos for _, pos in rows]),
-            tuple(
-                nn.ModelParams(arch, np.stack([c.params.values for c, _ in members]))
-                for arch, members in by_arch.items()
-            ),
+            nn.Cohort.of([c.params for c in clients]),
             np.stack([c.shard.base.features for c in clients]),
             np.stack([nn.one_hot(c.shard.noisy_labels, classes) for c in clients]),
         )
 
-    @property
-    def params(self) -> nn.ModelParams:
-        """The stacked parameters of a group with one architecture."""
-        return _one_block(self.blocks)
-
-    def select(self, rows) -> "ClientGroup":
-        """The rows at `rows` (a slice or ascending positions) with their part
-        of every stack."""
-        picked = np.arange(len(self.clients))[rows]
-        blocks = []
-        for block, span in zip(self.blocks, nn.block_rows(self.blocks)):
-            mine = picked[(picked >= span.start) & (picked < span.stop)] - span.start
-            if mine.size:
-                blocks.append(nn.ModelParams(block.layer_dims, block.values[mine]))
+    def take(self, lo: int, hi: int) -> "ClientGroup":
+        """Rows lo to hi - 1, whose cohort views this group's: stepping it
+        steps these clients' models here."""
+        rows = slice(lo, hi)
         return ClientGroup(
-            [self.clients[i] for i in picked],
-            self.index[rows],
-            tuple(blocks),
-            self.features[rows],
-            self.onehot[rows],
+            self.clients[rows], self.index[rows], self.cohort.take(lo, hi),
+            self.features[rows], self.onehot[rows],
+        )
+
+    def gather(self, rows: np.ndarray) -> "ClientGroup":
+        """A copy of the rows at ascending positions `rows`."""
+        return ClientGroup(
+            [self.clients[i] for i in rows], self.index[rows], self.cohort.gather(rows),
+            self.features[rows], self.onehot[rows],
         )
 
 
@@ -273,7 +239,7 @@ def _by_chunk(group: ClientGroup, rows: int, fn) -> list:
     is its own chunk. The rows an error names are moved from the chunk's
     row axis to the group's.
     """
-    per_client = 8 * rows * max(_working_width(b.layer_dims) for b in group.blocks)
+    per_client = 8 * rows * max(_working_width(dims) for dims in group.cohort.dims)
     k = len(group.clients)
     chunks = -(-k // max(1, _CHUNK_BYTES // per_client))
     if chunks == 1:
@@ -282,30 +248,12 @@ def _by_chunk(group: ClientGroup, rows: int, fn) -> list:
     out = []
     for lo in range(0, k, step):
         try:
-            out.append(fn(group.select(slice(lo, lo + step))))
+            out.append(fn(group.take(lo, lo + step)))
         except (ConfigError, NumericError, ProtocolError) as exc:
             if getattr(exc, "rows", None):
                 exc.rows = [row + lo for row in exc.rows]
             raise
     return out
-
-
-def _restack(parts: list[tuple]) -> tuple:
-    """One tuple of blocks from the chunks' blocks, joining each block that
-    a chunk boundary cut."""
-    if len(parts) == 1:
-        return parts[0]
-    runs: list[list] = []
-    for block in (block for part in parts for block in part):
-        if runs and runs[-1][0].layer_dims == block.layer_dims:
-            runs[-1].append(block)
-        else:
-            runs.append([block])
-    return tuple(
-        run[0] if len(run) == 1
-        else nn.ModelParams(run[0].layer_dims, np.concatenate([b.values for b in run]))
-        for run in runs
-    )
 
 
 def fedavg_aggregate(params_list, sizes) -> nn.ModelParams:
@@ -345,23 +293,21 @@ def private_training(
     size = group.features.shape[1]
     hp = cfg.hyperparams
 
-    def train(part: ClientGroup) -> tuple:
-        blocks = part.blocks
+    def train(part: ClientGroup) -> None:
         clients = np.arange(len(part.clients))[:, np.newaxis]
         for epoch in range(epochs):
             if dlr_sched is not None:
                 s = reweight.dlr_weight(epoch_base + epoch + 1, dlr_sched)
-                preds = nn.softmax_t(nn.cohort_forward(blocks, part.features), 1.0)
+                preds = nn.softmax_t(part.cohort.forward(part.features), 1.0)
                 targets = reweight.dlr_refine(part.onehot, preds, s)
             else:
                 targets = part.onehot
             # Each epoch's shuffled shards, so every batch is a plain slice.
             perms = np.stack([c.rng.permutation(size) for c in part.clients])
             x, targets = part.features[clients, perms], targets[clients, perms]
-            blocks = nn.cohort_sgd_epoch(blocks, x, targets, cfg.batch_size, hp, use_sl)
-        return blocks
+            nn.cohort_sgd_epoch(part.cohort, x, targets, cfg.batch_size, hp, use_sl)
 
-    group.blocks = _restack(_by_chunk(group, size, train))
+    _by_chunk(group, size, train)
 
 
 def collaborative_training(
@@ -384,12 +330,12 @@ def collaborative_training(
         return
     hp = cfg.hyperparams
 
-    def distill(part: ClientGroup) -> tuple:
+    def distill(part: ClientGroup) -> None:
         own = part.index if leave_out_own else None
         spec = nn.mixture_spec(peer_probs, peer_weights, hp.temperature, own)
-        return nn.cohort_distill(part.blocks, public.features, spec, cfg.collab_epochs, hp.lr)
+        nn.cohort_distill(part.cohort, public.features, spec, cfg.collab_epochs, hp.lr)
 
-    group.blocks = _restack(_by_chunk(group, public.size, distill))
+    _by_chunk(group, public.size, distill)
 
 
 def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> tuple:
@@ -402,7 +348,7 @@ def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> tu
     """
 
     def evaluate(part: ClientGroup) -> tuple:
-        probs = nn.softmax_t(nn.cohort_forward(part.blocks, test.features), 1.0)
+        probs = nn.softmax_t(part.cohort.forward(test.features), 1.0)
         acc = metrics.accuracy(probs.argmax(axis=-1), test.labels)
         pr = None
         if test.class_count == 2:
@@ -412,7 +358,7 @@ def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> tu
                 pr = np.array(scores)
         else:
             roc = metrics.multiclass_roc_auc(probs, test.labels)
-        shard = nn.softmax_t(nn.cohort_forward(part.blocks, part.features), 1.0)
+        shard = nn.softmax_t(part.cohort.forward(part.features), 1.0)
         sl = nn.sl_loss(shard, part.onehot, hp).mean(axis=-1)
         return acc, roc, pr, sl
 
@@ -523,7 +469,7 @@ class Controller:
         x = self.public.features
 
         def forward(group: ClientGroup):
-            chunks = _by_chunk(group, len(x), lambda part: nn.cohort_forward(part.blocks, x))
+            chunks = _by_chunk(group, len(x), lambda part: part.cohort.forward(x))
             return (np.concatenate(chunks),)
 
         (logits,) = self._by_client(self._map_groups(phase, round_idx, forward))
@@ -541,7 +487,7 @@ class Controller:
 
         def evaluate(group: ClientGroup):
             columns = evaluate_client(group, self.test, hp)
-            group.evaluated = TrainHistory(columns[3], group.blocks)
+            group.evaluated = columns[3], group.cohort.copy()
             return columns
 
         columns = self._by_client(self._map_groups("eval", round_idx, evaluate))
@@ -559,8 +505,7 @@ class Controller:
 
     def _round_fedavg(self, round_idx: int):
         cfg = self.cfg
-        dims = self.groups[0].params.layer_dims
-        global_values = self.groups[0].params.values[0]
+        global_values = self.groups[0].cohort.stacks[0][0]  # the lowest client id's
         k = len(self.clients)
         self.messages += k  # the global model to every client
         if cfg.participation < 1.0:
@@ -572,18 +517,16 @@ class Controller:
         for group in self.groups:
             rows = np.flatnonzero(np.isin(group.index, chosen))
             if rows.size:
-                part = group.select(rows)
-                part.blocks = (nn.ModelParams(
-                    dims, np.broadcast_to(global_values, part.params.values.shape)
-                ),)
+                part = group.gather(rows)
+                part.cohort.stacks[0][:] = global_values
                 selected.append(part)
 
         def work(part: ClientGroup):
             private_training(part, cfg, cfg.local_epochs, use_sl=False,
                              dlr_sched=None, epoch_base=0)
             return [
-                (client.client_id, nn.ModelParams(dims, values), client.shard.size)
-                for client, values in zip(part.clients, part.params.values)
+                (client.client_id, params, client.shard.size)
+                for client, params in zip(part.clients, part.cohort.models())
             ]
 
         uploads = [u for ups in self._map_groups("fedavg", round_idx, work, selected) for u in ups]
@@ -591,9 +534,7 @@ class Controller:
         self.messages += len(uploads)
         aggregated = fedavg_aggregate([p for _, p, _ in uploads], [s for _, _, s in uploads])
         for group in self.groups:
-            group.blocks = (nn.ModelParams(
-                dims, np.broadcast_to(aggregated.values, group.params.values.shape)
-            ),)
+            group.cohort.stacks[0][:] = aggregated.values
 
     def _round_hetero(self, round_idx: int):
         cfg = self.cfg
@@ -629,15 +570,15 @@ class Controller:
             def phase1(group: ClientGroup):
                 # The previous evaluation already took the shard loss of
                 # these very parameters.
-                hist, cur = group.history, group.evaluated
-                if cur.blocks is not group.blocks:
+                (prev_sl, hist), (cur_sl, cur) = group.history, group.evaluated
+                if not np.array_equal(cur.values, group.cohort.values):
                     raise ProtocolError("parameters changed after the last evaluation")
-                group.history = cur
-                pairs = list(zip(cur.blocks, hist.blocks))
-                moved = np.concatenate([_row_norms(c.values - h.values) for c, h in pairs])
-                base = np.concatenate([_row_norms(h.values) for _, h in pairs])
+                group.history = group.evaluated
+                pairs = list(zip(cur.stacks, hist.stacks))
+                moved = np.concatenate([_row_norms(c - h) for c, h in pairs])
+                base = np.concatenate([_row_norms(h) for _, h in pairs])
                 ratio = np.divide(moved, base, out=np.zeros_like(base), where=base > 0)
-                return hist.mean_sl, cur.mean_sl, ratio
+                return prev_sl, cur_sl, ratio
 
             prev_sl, cur_sl, ratio = self._by_client(self._map_groups("phase1", round_idx, phase1))
             logits = self._public_logits("phase1", round_idx)
@@ -692,9 +633,8 @@ class Controller:
             seconds.append(time.perf_counter() - started)
             phases.append(self._phase_seconds)
         for group in self.groups:
-            models = ((block.layer_dims, values) for block in group.blocks for values in block.values)
-            for client, (dims, values) in zip(group.clients, models):
-                client.params = nn.ModelParams(dims, values)
+            for client, params in zip(group.clients, group.cohort.models()):
+                client.params = params
         return RunResult(records, self.messages, seconds, phases)
 
 

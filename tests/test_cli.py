@@ -1,10 +1,12 @@
 import csv
 import json
+import os
 import platform
 import subprocess
 import sys
 import textwrap
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +15,8 @@ from hetfed import harness
 from hetfed.cli import main
 from hetfed.config import ExperimentConfig, resolve_dict
 from hetfed.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_cfg(tmp_path, name="cfg.json", **overrides):
@@ -139,6 +143,14 @@ class TestRunCommand:
         run_faults, block_faults = map(int, done.stdout.split()[-2:])
         assert run_faults < 200
         assert block_faults < 200
+
+    @pytest.mark.parametrize("config", [{"scheme": "iid-sized"}, {"scheme": "sized"}])
+    def test_config_schemes_are_iid_equal_and_label_skew(self, tmp_path, capsys, config):
+        cfg = write_cfg(tmp_path, data=config)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "'data.scheme'" in err and "['iid-equal', 'label-skew']" in err
+        assert not (tmp_path / "x").exists()
 
     def test_diverged_run_names_where_it_failed(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, strategy="rhfl_plus_eccr")
@@ -426,3 +438,23 @@ class TestRandomNoiseAssignment:
         assert len(meta["noise_rates"]) == 2
         assert all(0.0 <= r <= 0.5 for r in meta["noise_rates"])
         assert meta["noise_rates"] != [0.0, 0.0]
+
+
+class TestScripts:
+    def test_default_config_is_found_from_any_directory(self, tmp_path):
+        """The scripts default to the repository's configs/base.json, and a
+        --config given replaces that default rather than layering over it."""
+        script = ROOT / "scripts" / "run_scaling.py"
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        (tmp_path / "own.json").write_text(json.dumps({"seed": 3, "strategy": "local_only"}))
+        for extra, prefix in (([], "rhfl_plus_eccr_pairflip0.2_s0_"),
+                              (["--config", "own.json"], "local_only_none0.0_s3_")):
+            out = tmp_path / prefix
+            done = subprocess.run(
+                [sys.executable, str(script), "--clients", "2", "--rounds", "1",
+                 "--out", out.name, *extra],
+                cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            assert [run.name.startswith(prefix) for run in out.iterdir()] == [True]

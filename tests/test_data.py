@@ -80,7 +80,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "toy.csv"
         path.write_text("label,f0,f1\n0,0.0,2.0\n1,1.0,4.0\n1,2.0,6.0\n")
-        ds = data.load_csv(str(path), data.CsvSchema(class_count=2))
+        ds = data.load_csv(str(path), 2)
         assert ds.size == 3
         assert np.allclose(ds.features[:, 0], [0.0, 0.5, 1.0])
         assert np.allclose(ds.features[:, 1], [0.0, 0.5, 1.0])
@@ -89,19 +89,19 @@ class TestCsv:
         path = tmp_path / "empty.csv"
         path.write_text("label,f0\n")
         with pytest.raises(IngestError, match="no data rows"):
-            data.load_csv(str(path), data.CsvSchema(class_count=2))
+            data.load_csv(str(path), 2)
 
     def test_label_equal_to_class_count_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("label,f0\n0,1.0\n2,2.0\n")
         with pytest.raises(IngestError, match="line 3"):
-            data.load_csv(str(path), data.CsvSchema(class_count=2))
+            data.load_csv(str(path), 2)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("cls,f0\n0,1.0\n")
         with pytest.raises(IngestError, match="header"):
-            data.load_csv(str(path), data.CsvSchema(class_count=2))
+            data.load_csv(str(path), 2)
 
 
 class TestPartition:

@@ -316,55 +316,18 @@ class TestStackedKernels:
 
     K = 5
 
-    def _fleet(self, rng):
-        dims, _ = random_net(rng, max_width=12, depth_choices=(1, 2, 3))
-        values = np.stack([nn.init_params(dims, int(rng.integers(1 << 30))).values
-                           for _ in range(self.K)])
-        return dims, nn.ModelParams(dims, values)
-
-    def _alone(self, dims, stacked, k):
-        return nn.ModelParams(dims, stacked.values[k])
-
     def test_forward_shared_and_stacked_batches(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            dims, stacked = self._fleet(rng)
+            dims, _ = random_net(rng, max_width=12, depth_choices=(1, 2, 3))
+            models = [nn.init_params(dims, int(rng.integers(1 << 30))) for _ in range(self.K)]
+            cohort = nn.Cohort.of(models)
             shared = rng.normal(size=(int(rng.integers(1, 40)), dims[0][0]))
             own = rng.normal(size=(self.K, int(rng.integers(1, 40)), dims[0][0]))
             for batch, pick in ((shared, lambda k: shared), (own, lambda k: own[k])):
-                out = nn.mlp_forward(stacked, batch)
-                for k in range(self.K):
-                    alone = nn.mlp_forward(self._alone(dims, stacked, k), pick(k))
-                    assert out[k].tobytes() == alone.tobytes()
-
-    def test_backward_and_sgd_for_every_spec(self):
-        rng = np.random.default_rng(4)
-        for _ in range(10):
-            dims, stacked = self._fleet(rng)
-            n, c = int(rng.integers(1, 33)), dims[-1][1]
-            x = rng.normal(size=(self.K, n, dims[0][0]))
-            soft = rng.dirichlet(np.ones(c), size=(self.K, n))
-            peers = nn.softmax_t(rng.normal(size=(self.K, n, c)), 4.0)
-            w = rng.dirichlet(np.ones(self.K))
-            specs = [
-                (nn.CrossEntropySpec(soft), lambda k: nn.CrossEntropySpec(soft[k])),
-                (nn.SymmetricLossSpec(soft, 0.4, 0.9, -4.0),
-                 lambda k: nn.SymmetricLossSpec(soft[k], 0.4, 0.9, -4.0)),
-                (nn.mixture_spec(peers, w, 4.0, np.arange(self.K)),
-                 lambda k: nn.mixture_spec(peers[np.arange(self.K) != k],
-                                           w[np.arange(self.K) != k], 4.0)),
-            ]
-            for spec, alone_spec in specs:
-                # The mixture's peers are shared inputs, so its batch is too.
-                batch = x[0] if isinstance(spec, nn.MixtureKlSpec) else x
-                grad = nn.backward(stacked, batch, spec)
-                stepped = nn.sgd_step(stacked, grad, 0.05)
-                for k in range(self.K):
-                    params = self._alone(dims, stacked, k)
-                    xk = x[0] if batch.ndim == 2 else x[k]
-                    g = nn.backward(params, xk, alone_spec(k))
-                    assert grad[k].tobytes() == g.tobytes()
-                    assert stepped.values[k].tobytes() == nn.sgd_step(params, g, 0.05).values.tobytes()
+                out = cohort.forward(batch)
+                for k, params in enumerate(models):
+                    assert out[k].tobytes() == nn.mlp_forward(params, pick(k)).tobytes()
 
     def test_mixture_leaves_out_own_row(self):
         rng = np.random.default_rng(5)
@@ -383,11 +346,14 @@ class TestStackedKernels:
     def test_stacked_shapes_validated(self):
         dims = ((2, 3),)
         with pytest.raises(ConfigError):
-            nn.ModelParams(dims, np.zeros((2, 3, 9)))
-        stacked = nn.ModelParams(dims, np.zeros((2, 9)))
-        assert stacked.layers()[0][0].shape == (2, 2, 3)
+            nn.ModelParams(dims, np.zeros((2, 9)))  # a stack of models is a Cohort
         with pytest.raises(ConfigError):
-            nn.mlp_forward(stacked, np.zeros((2, 4, 3)))
+            nn.Cohort((dims,), (2,), np.zeros(17))
+        cohort = nn.Cohort((dims,), (2,), np.zeros(18))
+        assert cohort.stacks[0].shape == (2, 9)
+        for batch in (np.zeros((2, 4, 3)), np.zeros((3, 4, 2)), np.zeros(2)):
+            with pytest.raises(ConfigError):
+                cohort.forward(batch)
 
     def test_nonfinite_softmax_names_the_first_stacked_row(self):
         z = np.zeros((4, 3, 2))
@@ -402,36 +368,32 @@ class TestStackedKernels:
 
 
 class TestCohortKernels:
-    """Blocks of several architectures, stepped together, must give every
-    model the bits of nn.backward and nn.sgd_step run on it alone."""
+    """Blocks of several architectures, stepped together in one buffer, must
+    give every model the bits of nn.backward and nn.sgd_step run on it alone."""
 
     def _cohort(self, rng, d=3, c=4):
-        blocks = []
+        models = []
         for _ in range(int(rng.integers(1, 4))):
             hidden = [int(rng.integers(2, 9)) for _ in range(int(rng.integers(1, 3)))]
             widths = [d, *hidden, c]
             dims = tuple(zip(widths[:-1], widths[1:]))
-            k = int(rng.integers(1, 4))
-            values = np.stack([nn.init_params(dims, int(rng.integers(1 << 30))).values
-                               for _ in range(k)])
-            blocks.append(nn.ModelParams(dims, values))
-        return tuple(blocks)
-
-    def _alone(self, blocks):
-        return [nn.ModelParams(b.layer_dims, v) for b in blocks for v in b.values]
+            models += [nn.init_params(dims, int(rng.integers(1 << 30)))
+                       for _ in range(int(rng.integers(1, 4)))]
+        return nn.Cohort.of(models)
 
     def test_sgd_epoch_matches_backward_steps(self):
         rng = np.random.default_rng(7)
         h = nn.Hyperparams(lr=0.05)
         for _ in range(10):
-            blocks = self._cohort(rng)
-            k = sum(len(b.values) for b in blocks)
+            cohort = self._cohort(rng)
+            k = len(cohort)
             size, batch = int(rng.integers(1, 50)), int(rng.integers(1, 17))
             x = rng.normal(size=(k, size, 3))
             targets = rng.dirichlet(np.ones(4), size=(k, size))
             for symmetric in (False, True):
-                stepped = nn.cohort_sgd_epoch(blocks, x, targets, batch, h, symmetric)
-                for row, (params, new) in enumerate(zip(self._alone(blocks), self._alone(stepped))):
+                stepped = cohort.copy()
+                assert nn.cohort_sgd_epoch(stepped, x, targets, batch, h, symmetric) is None
+                for row, (params, new) in enumerate(zip(cohort.models(), stepped.models())):
                     for start in range(0, size, batch):
                         t = targets[row, start : start + batch]
                         spec = (nn.SymmetricLossSpec(t, h.lam, h.gamma, h.rce_log_floor)
@@ -444,15 +406,16 @@ class TestCohortKernels:
     def test_distill_matches_backward_steps(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
-            blocks = self._cohort(rng)
-            k = sum(len(b.values) for b in blocks)
+            cohort = self._cohort(rng)
+            k = len(cohort)
             x = rng.normal(size=(int(rng.integers(1, 30)), 3))
             peers = nn.softmax_t(rng.normal(size=(k, len(x), 4)), 4.0)
             w = rng.dirichlet(np.ones(k))
             own = rng.permutation(k)  # rows in block order leave out any peer
             spec = nn.mixture_spec(peers, w, 4.0, own)
-            stepped = nn.cohort_distill(blocks, x, spec, 3, 0.1)
-            for row, (params, new) in enumerate(zip(self._alone(blocks), self._alone(stepped))):
+            stepped = cohort.copy()
+            assert nn.cohort_distill(stepped, x, spec, 3, 0.1) is None
+            for row, (params, new) in enumerate(zip(cohort.models(), stepped.models())):
                 keep = np.arange(k) != own[row]
                 alone = nn.mixture_spec(peers[keep], w[keep], 4.0)
                 for _ in range(3):
@@ -461,20 +424,51 @@ class TestCohortKernels:
 
     def test_forward_rows_follow_the_blocks(self):
         rng = np.random.default_rng(9)
-        blocks = self._cohort(rng)
+        cohort = self._cohort(rng)
         x = rng.normal(size=(12, 3))
-        logits = nn.cohort_forward(blocks, x)
-        for row, params in enumerate(self._alone(blocks)):
+        logits = cohort.forward(x)
+        for row, params in enumerate(cohort.models()):
             assert logits[row].tobytes() == nn.mlp_forward(params, x).tobytes()
 
     def test_block_errors_name_the_block_rows(self):
-        wide = nn.ModelParams(((3, 2),), np.zeros((2, 8)))
-        narrow = nn.ModelParams(((2, 2),), np.zeros((1, 6)))
+        cohort = nn.Cohort((((3, 2),), ((2, 2),)), (2, 1), np.zeros(22))
         with pytest.raises(ConfigError, match="model expects 2") as caught:
-            nn.cohort_forward((wide, narrow), np.zeros((4, 3)))
+            cohort.forward(np.zeros((4, 3)))
         assert caught.value.rows == [2]
         logits = np.zeros((3, 2, 2))
         logits[[0, 2], 0, 1] = np.nan
         with pytest.raises(NumericError) as caught:
             nn.softmax_t(logits, 1.0)
         assert (caught.value.rows, caught.value.index) == ([0, 2], 0)
+        cohort = nn.Cohort((((3, 2),), ((3, 3), (3, 2))), (2, 1), np.zeros(36))
+        cohort.stacks[1][0, 3] = np.inf
+        spec = nn.mixture_spec(np.full((1, 4, 2), 0.5), np.ones(1), 1.0)
+        with pytest.raises(ConfigError, match="must be finite") as caught:
+            nn.cohort_distill(cohort, np.zeros((4, 3)), spec, 0, 0.1)
+        assert caught.value.rows == [2]
+
+    def test_a_range_of_rows_is_a_view(self):
+        rng = np.random.default_rng(10)
+        cohort = self._cohort(rng)
+        while len(cohort) < 3 or len(cohort.dims) < 2:
+            cohort = self._cohort(rng)
+        for lo in range(len(cohort)):
+            for hi in range(lo + 1, len(cohort) + 1):
+                part = cohort.take(lo, hi)
+                assert np.shares_memory(part.values, cohort.values)
+                expected = cohort.models()[lo:hi]
+                assert [(p.layer_dims, p.values.tobytes()) for p in part.models()] == [
+                    (p.layer_dims, p.values.tobytes()) for p in expected
+                ]
+                gathered = cohort.gather(np.arange(lo, hi))
+                assert not np.shares_memory(gathered.values, cohort.values)
+                assert gathered.values.tobytes() == part.values.tobytes()
+                assert (gathered.dims, gathered.counts) == (part.dims, part.counts)
+        x = rng.normal(size=(len(cohort), 6, 3))
+        targets = rng.dirichlet(np.ones(4), size=(len(cohort), 6))
+        whole = cohort.copy()
+        h = nn.Hyperparams(lr=0.05)
+        nn.cohort_sgd_epoch(whole, x, targets, 4, h, True)
+        for lo, hi in ((0, 1), (1, len(cohort))):
+            nn.cohort_sgd_epoch(cohort.take(lo, hi), x[lo:hi], targets[lo:hi], 4, h, True)
+        assert whole.values.tobytes() == cohort.values.tobytes()

@@ -10,7 +10,7 @@ from conftest import record_dicts, small_cfg
 from hetfed import data, harness, nn, protocol, reweight
 from hetfed.config import load_config
 from hetfed.errors import ConfigError, NumericError, ProtocolError
-from hetfed.harness import _S_INIT, _S_TRAIN
+from hetfed.harness import _S_INIT, _S_SAMPLER, _S_TRAIN
 
 BASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "base.json"
 
@@ -264,13 +264,14 @@ class TestLatticeRounds:
         )
         controller._eval_round(0)
         (group,) = controller.groups
-        cur = group.evaluated.params.values
-        prev = cur + np.random.default_rng(0).normal(scale=0.1, size=cur.shape)
+        mean_sl, snapshot = group.evaluated
+        cur = snapshot.stacks[0]
+        history = snapshot.copy()
+        prev = history.stacks[0]
+        prev += np.random.default_rng(0).normal(scale=0.1, size=cur.shape)
         prev[1] = 0.0  # client 1's previous model is all zeros
         prev[2] = cur[2]  # client 2 did not move
-        group.history = protocol.TrainHistory(
-            group.evaluated.mean_sl, nn.ModelParams(group.params.layer_dims, prev)
-        )
+        group.history = mean_sl, history
         ratios = []
         step = reweight.confidence_step
 
@@ -395,7 +396,7 @@ class TestPeerPath:
             protocol.collaborative_training(
                 group, world.public, probs, w, cfg.strategy_config(), leave_out_own=True
             )
-            assert group.params.values.tobytes() == expected.values.tobytes()
+            assert group.cohort.values.tobytes() == expected.values.tobytes()
 
     def test_lattice_round_matches_consensus_spec(self):
         cfg, world, logits = self._fleet("rhfl_plus_eccr")
@@ -423,7 +424,7 @@ class TestPeerPath:
             protocol.collaborative_training(
                 group, world.public, peer, np.ones(1), cfg.strategy_config()
             )
-            assert group.params.values.tobytes() == expected.values.tobytes()
+            assert group.cohort.values.tobytes() == expected.values.tobytes()
 
 
 class TestClientGroups:
@@ -524,7 +525,7 @@ class TestCohorts:
             world.clients, cfg.strategy_config(), world.test, world.public
         ).groups
         assert group.index.tolist() == [0, 4, 1, 5, 2, 6, 3, 7]
-        assert [len(block.values) for block in group.blocks] == [2, 2, 2, 2]
+        assert group.cohort.counts == (2, 2, 2, 2)
 
     def test_base_config_is_one_group_of_four_blocks(self):
         cfg = load_config([BASE_CONFIG])
@@ -532,7 +533,7 @@ class TestCohorts:
         (group,) = protocol.Controller(
             world.clients, cfg.strategy_config(), world.test, world.public
         ).groups
-        assert [block.layer_dims for block in group.blocks] == world.archs
+        assert list(group.cohort.dims) == world.archs
 
     @pytest.mark.parametrize("strategy", ["rhfl_plus_eccr", "hetero_distill", "local_only"])
     def test_chunking_does_not_change_results(self, strategy, monkeypatch):
@@ -557,6 +558,34 @@ class TestCohorts:
             trained = world.clients[client.client_id].params.values
             assert client.params.values.tobytes() == trained.tobytes()
             assert alone.records[-1].clients[0] == stats
+
+    @pytest.mark.parametrize("strategy", ["rhfl_plus_eccr", "hetero_distill"])
+    def test_chunks_may_cut_blocks(self, strategy, monkeypatch):
+        cfg = self._cfg(strategy)
+        whole, world_w = harness.run_experiment(cfg)
+        world = harness.build_world(cfg)
+        controller = protocol.Controller(
+            world.clients, cfg.strategy_config(), world.test, world.public,
+            sampler_seed=(cfg.seed, _S_SAMPLER),
+        )
+        (group,) = controller.groups
+        width = max(protocol._working_width(dims) for dims in group.cohort.dims)
+        # Private training runs rows [0, 3), [3, 6), [6, 8) over blocks of 2.
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * 8 * 30 * width)
+        epoch = nn.cohort_sgd_epoch
+        parts = []
+
+        def spy(cohort, *args):
+            parts.append(cohort.counts)
+            return epoch(cohort, *args)
+
+        monkeypatch.setattr(nn, "cohort_sgd_epoch", spy)
+        chunked = controller.run()
+        assert parts[:6] == [(2, 1)] * 2 + [(1, 2)] * 2 + [(2,)] * 2  # two epochs per chunk
+        assert record_dicts(whole) == record_dicts(chunked)
+        for a, b in zip(world_w.clients, world.clients):
+            assert a.params.values.tobytes() == b.params.values.tobytes()
+            assert not np.shares_memory(b.params.values, group.cohort.values)
 
     def test_lowest_diverged_client_is_named(self):
         cfg = self._cfg("local_only")
@@ -586,14 +615,14 @@ class TestShardLossReuse:
             world.clients, cfg.strategy_config(), world.test, world.public
         )
         shards = [g.features for g in controller.groups]
-        forward = nn.mlp_forward
+        forward = nn.Cohort.forward
         calls = []
 
-        def counted(params, batch):
+        def counted(cohort, batch):
             calls.append(any(np.shares_memory(batch, f) for f in shards))
-            return forward(params, batch)
+            return forward(cohort, batch)
 
-        monkeypatch.setattr(nn, "mlp_forward", counted)
+        monkeypatch.setattr(nn.Cohort, "forward", counted)
         controller.run()
         # Shard forwards per group: one per evaluation (rounds 0..3) and one
         # per refinement epoch; neither history seeding nor phase 1 adds any.
@@ -611,9 +640,11 @@ class TestShardLossReuse:
         result0 = controller.run()
         for group in controller.groups:
             assert group.history is group.evaluated
-            assert group.history.params is group.params
-            assert group.params.values.tobytes() == initial[group.index].tobytes()
-            for client, mean_sl in zip(group.clients, group.history.mean_sl):
+            sl, snapshot = group.history
+            assert not np.shares_memory(snapshot.values, group.cohort.values)
+            assert snapshot.values.tobytes() == group.cohort.values.tobytes()
+            assert group.cohort.values.tobytes() == initial[group.index].tobytes()
+            for client, mean_sl in zip(group.clients, sl):
                 stats = result0.records[0].clients[client.client_id]
                 shard = client.shard
                 probs = nn.softmax_t(nn.mlp_forward(client.params, shard.base.features), 1.0)
@@ -637,6 +668,17 @@ class TestFailureContext:
             harness.run_experiment(cfg)
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_failed_run_leaves_client_states_alone(self):
+        cfg = small_cfg(strategy="rhfl_plus_eccr", hyperparams={"lr": 1e100})
+        world = harness.build_world(cfg)
+        before = [(c.params, c.params.values.tobytes()) for c in world.clients]
+        with warnings.catch_warnings(), pytest.raises(NumericError, match="phase private"):
+            warnings.simplefilter("ignore")
+            protocol.run_federation(world.clients, cfg.strategy_config(), world.test, world.public)
+        # Distillation had stepped the cohort before private training failed.
+        for client, (params, values) in zip(world.clients, before):
+            assert client.params is params and params.values.tobytes() == values
+
     def test_error_type_is_kept(self):
         world = harness.build_world(small_cfg())
         cfg = small_cfg().strategy_config()
@@ -647,7 +689,7 @@ class TestFailureContext:
             raise ConfigError("bad shape")
 
         with pytest.raises(ConfigError, match=r"^round 4, client 1, phase distill: bad shape$"):
-            controller._map_groups("distill", 4, fail, [group.select(slice(1, None))])
+            controller._map_groups("distill", 4, fail, [group.take(1, len(group.clients))])
 
     def test_lowest_diverged_client_is_named(self):
         cfg = small_cfg(strategy="local_only", data={"clients": 4})
