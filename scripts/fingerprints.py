@@ -9,7 +9,8 @@ benchmark's workload inputs at seeds 0 and 1, configs/base.json under
 every cell of configs/comparison_grid.json, the six ablation rows, and
 configs/base.json variants that reach other code: 8 clients over 4
 repeating architectures, fedavg at participation 0.5, a binary task,
-one client, and label-skew shards.
+one client, label-skew shards, and random per-client noise rates with
+eta_conf 8, which clamps confidence weights in 16 of its 20 rounds.
 
 It imports hetfed from the path, so two checkouts compare with
 
@@ -41,6 +42,10 @@ VARIANTS = {
     "binary": ["data.classes=2", "data.per_class=1200"],
     "single_client": ["data.clients=1"],
     "label_skew": ["data.scheme=\"label-skew\"", "data.concentration=0.5"],
+    "random_noise_eta8": [
+        "data.noise.kind=\"symmetric\"", "data.noise.random_range=[0.2,0.6]",
+        "hyperparams.eta_conf=8",
+    ],
 }
 
 

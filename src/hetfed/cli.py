@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="shorthand for --set data.noise.rate=X")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--jobs", type=int, default=1,
-                     help="accepted, no effect: clients run as stacked groups")
+                     help="accepted, no effect: clients run as one stacked cohort")
 
     sweep = sub.add_parser("sweep", help="run a grid of experiments")
     sweep.add_argument("--config", action="append", default=[], metavar="FILE")

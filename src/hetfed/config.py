@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 
 from . import nn
-from .data import NOISE_KINDS
+from .data import NOISE_KINDS, PARTITION_SCHEMES
 from .errors import ConfigError
 from .protocol import AblationFlags, STRATEGIES, StrategyConfig, resolve_flags
 from .reweight import REWEIGHT_MODES
@@ -21,10 +21,6 @@ from .reweight import REWEIGHT_MODES
 SEED_ENV_VAR = "HETFED_SEED"
 
 DATA_SOURCES = ("blobs", "idx", "csv")
-
-# Every config shard holds data.shard_size rows, so data.PartitionPlan's
-# "iid-sized", which takes one size per client, has no config form.
-CONFIG_SCHEMES = ("iid-equal", "label-skew")
 
 _MISSING = object()
 
@@ -73,7 +69,7 @@ SCHEMA = {
         "csv_path": _Field(str, None),
         "clients": _Field(int, 4),
         "shard_size": _Field(int, 400),
-        "scheme": _Field(str, "iid-equal", choices=CONFIG_SCHEMES),
+        "scheme": _Field(str, "iid-equal", choices=PARTITION_SCHEMES),
         "concentration": _Field(float, None),
         "n_public": _Field(int, 150),
         "test_size": _Field(int, 600),

