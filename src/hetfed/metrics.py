@@ -4,7 +4,11 @@ roc_auc uses the rank-sum (Mann-Whitney) formulation with ties counted as
 one half, which coincides with trapezoidal ROC integration. pr_auc is
 average precision over the descending-score step curve. Metrics that are
 undefined for a label set (single class, missing positives) return None
-rather than a fabricated value.
+rather than a fabricated value; a NaN score has no rank, so the AUCs
+raise ConfigError on one (+-inf rank as usual).
+The AUCs rank each row with one sort: of packed uint64 keys, which carry
+the positive flags, when no score is negative (probabilities never are),
+else by argsort.
 accuracy, roc_auc and multiclass_roc_auc also score a stack of K
 predictors against one label vector in one call, one value per predictor.
 """
@@ -23,22 +27,50 @@ def accuracy(pred_labels, clean_labels):
     return (pred == clean).mean(axis=-1)
 
 
+def _sorted_rows(values: np.ndarray, positive) -> tuple:
+    """Each row of float64 values (..., n) in ascending order, with
+    positive (broadcast to values) carried along: (ordered, flags), both
+    (rows, n), where neighbours in ordered are equal exactly where the
+    sorted values are.
+
+    When no value is negative, as for probabilities, one sort of packed
+    uint64 keys does the work of an argsort: a non-negative double's bits
+    order like its value, so each key is those bits shifted left by one,
+    which also drops the sign of -0.0, with the flag in bit 0; ordered is
+    then the keys without their flags. Otherwise values are ranked by
+    argsort. NaN has no rank and raises.
+    """
+    n = values.shape[-1]
+    rows = values.size // n
+    low = values.min()
+    if np.isnan(low):
+        raise ConfigError("scores must not be NaN")
+    if low >= 0:
+        keys = np.empty(values.shape, dtype=np.uint64)
+        np.left_shift(values.view(np.uint64), 1, out=keys)
+        keys |= positive
+        keys.sort(axis=-1)
+        keys = keys.reshape(rows, n)
+        return keys >> 1, keys & 1
+    order = np.argsort(values, axis=-1).reshape(rows, n)
+    order += (np.arange(rows) * n)[:, np.newaxis]  # positions in the flattened rows
+    flags = np.broadcast_to(positive, values.shape).reshape(-1)[order]
+    return np.ascontiguousarray(values).reshape(-1)[order], flags
+
+
 def _positive_rank_sums(values: np.ndarray, positive) -> np.ndarray:
-    """Per row of values (..., n), the sum of the 1-based ranks of the
-    entries that positive (broadcast to values) flags, tied values sharing
-    their average rank.
+    """Per row of float64 values (..., n), the sum of the 1-based ranks of
+    the entries that positive (broadcast to values) flags, tied values
+    sharing their average rank.
 
     Read straight from the sorted order: a flagged entry at sorted position
     i adds i + 1, and each run of tied values then moves its flagged
     entries to the run's average rank. Every term is a half-integer, so
-    every sum is exact in any order.
+    every sum is exact in any order, and the order of entries inside a
+    run does not matter.
     """
-    n = values.shape[-1]
-    rows = values.size // n
-    order = np.argsort(values, axis=-1).reshape(rows, n)
-    order += (np.arange(rows) * n)[:, np.newaxis]  # positions in the flattened rows
-    ordered = np.ascontiguousarray(values).reshape(-1)[order]
-    flags = np.broadcast_to(positive, values.shape).reshape(-1)[order]
+    ordered, flags = _sorted_rows(values, positive)
+    rows, n = ordered.shape
     sums = flags @ np.arange(1.0, n + 1)
     tied = np.zeros(ordered.shape, dtype=bool)  # equal to the entry before it
     np.equal(ordered[:, 1:], ordered[:, :-1], out=tied[:, 1:])
@@ -90,9 +122,9 @@ def pr_auc(scores, labels) -> float | None:
     n_pos = int(y.sum())
     if n_pos == 0:
         return None
-    order = np.argsort(-s, kind="mergesort")
-    s_ord = s[order]
-    y_ord = y[order]
+    ordered, flags = _sorted_rows(s, y)
+    s_ord = ordered[0, ::-1]  # descending; the order inside a tie is immaterial
+    y_ord = flags[0, ::-1]
     boundaries = np.flatnonzero(np.r_[s_ord[1:] != s_ord[:-1], True])
     tp = np.cumsum(y_ord)[boundaries]
     retrieved = boundaries + 1.0

@@ -17,7 +17,10 @@ elementwise or row-wise along the class axis, so every model gets the
 bits it would get alone: numpy hands every (rows, fan_in) x (fan_in,
 fan_out) slice of a stack to the same BLAS call and reduces each row
 alike. tests/oracle.py is the per-model reference they are checked
-against.
+against. softmax_t reduces over the class axis by whole class planes
+(elementwise maxima and, for 2 to 7 classes, adds), which give each row
+the bits of a reduction along that axis without a short inner loop per
+row.
 """
 
 from dataclasses import dataclass
@@ -153,7 +156,11 @@ _OVERFLOW_IS_CAUGHT_LATER = dict(over="ignore", invalid="ignore")
 
 
 def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature softmax over the last axis, max-shifted for stability."""
+    """Temperature softmax over the last axis, max-shifted for stability.
+
+    Its bits are those of the plain formula: subtract the row max, exp,
+    divide by e.sum(axis=-1).
+    """
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
     z = np.asarray(logits, dtype=np.float64)
@@ -162,14 +169,24 @@ def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
         rows = [] if z.ndim < 3 else np.flatnonzero(~finite.reshape(len(z), -1).all(axis=-1))
         raise NumericError("softmax input contains non-finite values", rows=rows)
     scaled = z / tau
-    # A max is exact in any order; one np.maximum pass per class is much
-    # cheaper than a reduction along a short last axis.
-    top = scaled[..., 0]
-    for c in range(1, scaled.shape[-1]):
-        top = np.maximum(top, scaled[..., c])
+    # Whole class planes, views of the buffer that becomes the output: a
+    # max is exact in any order, and below 8 terms numpy's pairwise sum
+    # adds one term after another, so per-plane maxima and adds give each
+    # row the bits of a reduction along the last axis without its short
+    # inner loop per row.
+    planes = [scaled[..., c] for c in range(scaled.shape[-1])]
+    top = planes[0]
+    for plane in planes[1:]:
+        top = np.maximum(top, plane)
     scaled -= top[..., np.newaxis]
     e = np.exp(scaled, out=scaled)
-    e /= e.sum(axis=-1, keepdims=True)
+    if 1 < len(planes) < 8:
+        total = planes[0] + planes[1]
+        for plane in planes[2:]:
+            total += plane
+        e /= total[..., np.newaxis]
+    else:
+        e /= e.sum(axis=-1, keepdims=True)
     return e
 
 

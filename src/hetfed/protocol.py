@@ -27,6 +27,7 @@ Four strategies are implemented:
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -431,19 +432,25 @@ class Controller:
         clients, and any other error every client of the group.
         """
         group = self.group if group is None else group
+        with self._timed(phase):
+            try:
+                return fn(group)
+            except (ConfigError, NumericError, ProtocolError) as exc:
+                rows = getattr(exc, "rows", None) or range(len(group.clients))
+                ids = sorted(group.clients[row].client_id for row in rows)
+                if isinstance(exc, NumericError) and exc.rows:
+                    ids = ids[:1]
+                who = f"client {ids[0]}" if len(ids) == 1 else f"clients {ids}"
+                raise type(exc)(f"round {round_idx}, {who}, phase {phase}: {exc}") from exc
+
+    @contextmanager
+    def _timed(self, phase: str):
+        """Time the block into the round's phase seconds; a block that
+        raises is not counted."""
         started = time.perf_counter()
-        try:
-            out = fn(group)
-        except (ConfigError, NumericError, ProtocolError) as exc:
-            rows = getattr(exc, "rows", None) or range(len(group.clients))
-            ids = sorted(group.clients[row].client_id for row in rows)
-            if isinstance(exc, NumericError) and exc.rows:
-                ids = ids[:1]
-            who = f"client {ids[0]}" if len(ids) == 1 else f"clients {ids}"
-            raise type(exc)(f"round {round_idx}, {who}, phase {phase}: {exc}") from exc
+        yield
         seconds = self._phase_seconds
         seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - started
-        return out
 
     def _by_client(self, columns: tuple) -> list:
         """The group's (K, ...) result columns in client id order; a column
@@ -465,7 +472,7 @@ class Controller:
             chunks = _by_chunk(group, len(x), lambda part: part.cohort.forward(x))
             return (np.concatenate(chunks),)
 
-        (logits,) = self._by_client(self._in_phase(phase, round_idx, forward))
+        (logits,) = self._in_phase(phase, round_idx, lambda g: self._by_client(forward(g)))
         return logits
 
     # -- evaluation -------------------------------------------------------
@@ -483,16 +490,19 @@ class Controller:
             group.evaluated = columns[3], group.cohort.copy()
             return columns
 
-        columns = self._by_client(self._in_phase("eval", round_idx, evaluate))
+        columns = self._in_phase("eval", round_idx, lambda g: self._by_client(evaluate(g)))
         self.messages += len(self.clients)  # one report per client
-        *weighting, clamp_events = confidence or (None, None, None, None, 0)
-        k = len(self.clients)
-        rows = zip(*(
-            [None] * k if column is None else column.tolist()
-            for column in columns + weighting
-        ))
-        stats = tuple(ClientRoundStats(c.client_id, *row) for c, row in zip(self.clients, rows))
-        return RoundRecord(round_idx, stats, clamp_events)
+        with self._timed("eval"):
+            *weighting, clamp_events = confidence or (None, None, None, None, 0)
+            k = len(self.clients)
+            rows = zip(*(
+                [None] * k if column is None else column.tolist()
+                for column in columns + weighting
+            ))
+            stats = tuple(
+                ClientRoundStats(c.client_id, *row) for c, row in zip(self.clients, rows)
+            )
+            return RoundRecord(round_idx, stats, clamp_events)
 
     # -- strategy rounds --------------------------------------------------
 
@@ -525,11 +535,12 @@ class Controller:
     def _round_hetero(self, round_idx: int):
         cfg = self.cfg
         logits = self._public_logits("hetero_share", round_idx)
-        consensus = logits.mean(axis=0)
         # Every client shares its logits; the server shares the average back.
         self.messages += 2 * len(self.clients)
 
-        peer = nn.softmax_t(consensus[np.newaxis], cfg.hyperparams.temperature)
+        with self._timed("distill"):
+            consensus = logits.mean(axis=0)
+            peer = nn.softmax_t(consensus[np.newaxis], cfg.hyperparams.temperature)
         weight = np.ones(1)
         self._in_phase(
             "distill", round_idx,
@@ -566,18 +577,22 @@ class Controller:
                 ratio = np.divide(moved, base, out=np.zeros_like(base), where=base > 0)
                 return prev_sl, cur_sl, ratio
 
-            prev_sl, cur_sl, ratio = self._by_client(self._in_phase("phase1", round_idx, phase1))
-            logits = self._public_logits("phase1", round_idx)
-            confidence = reweight.confidence_step(
-                flags.reweight, prev_sl, cur_sl, ratio, hp.eta_conf
+            prev_sl, cur_sl, ratio = self._in_phase(
+                "phase1", round_idx, lambda g: self._by_client(phase1(g))
             )
+            logits = self._public_logits("phase1", round_idx)
+            with self._timed("phase1"):
+                confidence = reweight.confidence_step(
+                    flags.reweight, prev_sl, cur_sl, ratio, hp.eta_conf
+                )
             weights = confidence[3]
             # Each client uploads its report and its logits; the server
             # broadcasts the weights.
             self.messages += 3 * len(self.clients)
 
             # Each peer is softmaxed once; every client mixes all but itself.
-            peer_probs = nn.softmax_t(logits, hp.temperature)
+            with self._timed("distill"):
+                peer_probs = nn.softmax_t(logits, hp.temperature)
             self._in_phase(
                 "distill", round_idx,
                 lambda g: collaborative_training(

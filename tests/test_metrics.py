@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hetfed import harness, metrics
+from hetfed import harness, metrics, nn
 from hetfed.errors import ConfigError
 
 
@@ -57,11 +57,22 @@ def tie_loop_average_ranks(values):
     return ranks
 
 
+def softmax_rows(rng, shape):
+    return nn.softmax_t(3 * rng.normal(size=shape), 1.0)
+
+
 RANK_INPUTS = {
     "continuous": lambda rng, shape: rng.normal(size=shape),
     "integer": lambda rng, shape: rng.integers(0, 4, size=shape).astype(float),
     "rounded": lambda rng, shape: np.round(rng.normal(size=shape), 1),
     "all_equal": lambda rng, shape: np.full(shape, 0.25),
+    "softmax": softmax_rows,
+    "signed_zeros": lambda rng, shape: rng.choice([-0.0, 0.0, 0.5, 2.0], size=shape),
+    "subnormal": lambda rng, shape: rng.choice(
+        [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300], size=shape
+    ),
+    "with_inf": lambda rng, shape: np.where(rng.random(shape) < 0.3, np.inf, rng.random(shape)),
+    "tied_softmax": lambda rng, shape: np.round(softmax_rows(rng, shape), 1),
 }
 
 
@@ -69,6 +80,18 @@ def rank_sums_oracle(values, positive):
     """Per-row sums of the tie-loop average ranks of the flagged entries."""
     ranks = np.apply_along_axis(tie_loop_average_ranks, -1, values)
     return np.where(positive, ranks, 0.0).sum(axis=-1)
+
+
+def assert_both_paths_match_oracle(values, positive):
+    """Rank sums of values and of -values, bitwise against the oracle.
+
+    Non-negative values take the packed-key sort and any negative one the
+    argsort, so each input with a non-zero entry drives both paths.
+    """
+    for signed in (values, -values):
+        expected = rank_sums_oracle(signed, positive)
+        actual = metrics._positive_rank_sums(signed, positive)
+        assert actual.tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
 
 
 class TestAverageRanks:
@@ -83,6 +106,7 @@ class TestAverageRanks:
         positive = rng.random(n) < 0.5
         expected = rank_sums_oracle(values, positive)
         assert np.array_equal(metrics._positive_rank_sums(values, positive), expected)
+        assert_both_paths_match_oracle(values, positive)
 
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(RANK_INPUTS)),
            st.integers(1, 6), st.integers(1, 40))
@@ -93,6 +117,19 @@ class TestAverageRanks:
         for positive in (rng.random((rows, n)) < 0.5, rng.random(n) < 0.5):
             expected = rank_sums_oracle(values, positive)
             assert np.array_equal(metrics._positive_rank_sums(values, positive), expected)
+            assert_both_paths_match_oracle(values, positive)
+
+    @pytest.mark.parametrize("n", [1, 2, 37])
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(sorted(RANK_INPUTS)),
+           st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=40)
+    def test_stacks_with_shared_flags_equal_tie_loop_oracle(self, n, seed, kind, k, c):
+        """(K, C, N) score stacks against one (C, N) flag matrix, as
+        multiclass_roc_auc ranks them; the rows are the classes' score
+        columns of K (K, N, C) predictors, so not contiguous."""
+        rng = np.random.default_rng(seed)
+        values = np.swapaxes(RANK_INPUTS[kind](rng, (k, n, c)), -1, -2)
+        assert_both_paths_match_oracle(values, rng.random((c, n)) < 0.5)
 
     def test_length_one(self):
         assert np.array_equal(metrics._positive_rank_sums(np.array([3.0]), [True]), 1.0)
@@ -137,6 +174,21 @@ class TestRocAuc:
     def test_single_class_absent(self):
         assert metrics.roc_auc([0.1, 0.2], [1, 1]) is None
         assert metrics.roc_auc([0.1, 0.2], [0, 0]) is None
+
+    @pytest.mark.parametrize("scores", [
+        [np.nan, 0.2, 0.1, 0.3], [[0.9, 0.2, 0.1, 0.3], [0.9, -0.2, np.nan, 0.3]],
+    ])
+    def test_nan_scores_raise(self, scores):
+        with pytest.raises(ConfigError, match="NaN"):
+            metrics.roc_auc(scores, [1, 0, 1, 0])
+
+    def test_infinite_scores_rank(self):
+        scores = [np.inf, -np.inf, 0.5, np.inf, -np.inf, 0.0]
+        labels = [1, 0, 1, 0, 1, 0]
+        assert metrics.roc_auc(scores, labels) == pairwise_auc_oracle(scores, labels)
+        assert metrics.roc_auc(np.abs(scores), labels) == pairwise_auc_oracle(
+            np.abs(scores).tolist(), labels
+        )
 
     @given(st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=60)
@@ -188,6 +240,20 @@ class TestPrAuc:
     def test_no_positives(self):
         assert metrics.pr_auc([0.4, 0.5], [0, 0]) is None
 
+    @pytest.mark.parametrize("scores", [[np.nan, 0.2, 0.1, 0.3], [0.9, -0.2, np.nan, 0.3]])
+    def test_nan_scores_raise(self, scores):
+        with pytest.raises(ConfigError, match="NaN"):
+            metrics.pr_auc(scores, [1, 0, 1, 0])
+
+    @pytest.mark.parametrize("scores", [
+        [np.inf, -np.inf, 0.5, np.inf, -np.inf, 0.0], [np.inf, 0.0, 0.5, np.inf, -0.0, 0.5],
+    ])
+    def test_infinite_scores_rank(self, scores):
+        labels = [1, 0, 1, 0, 1, 1]
+        assert metrics.pr_auc(scores, labels) == pytest.approx(
+            step_curve_ap_oracle(scores, labels), abs=1e-12
+        )
+
     def test_constant_scores_give_prevalence(self):
         assert metrics.pr_auc([0.3] * 10, [1, 1, 0, 0, 0, 0, 0, 0, 0, 1]) == pytest.approx(0.3)
 
@@ -219,6 +285,13 @@ class TestMulticlassRocAuc:
     def test_missing_class(self):
         probs = np.full((4, 3), 1 / 3)
         assert metrics.multiclass_roc_auc(probs, [0, 1, 0, 1]) is None
+
+    @pytest.mark.parametrize("shape", [(6, 3), (2, 6, 3)])
+    def test_nan_scores_raise(self, shape):
+        probs = np.full(shape, 1 / 3)
+        probs[..., -1, 2] = np.nan
+        with pytest.raises(ConfigError, match="NaN"):
+            metrics.multiclass_roc_auc(probs, [0, 1, 2, 0, 1, 2])
 
     def test_matches_per_class_oracle(self):
         rng = np.random.default_rng(123)

@@ -81,7 +81,35 @@ class TestForward:
             forward(params, np.zeros((2, 4)))
 
 
+def reduction_softmax(logits, tau):
+    """The softmax as one reduction along the class axis: max shift, exp,
+    then division by e.sum(axis=-1, keepdims=True)."""
+    scaled = np.asarray(logits, dtype=np.float64) / tau
+    scaled -= scaled.max(axis=-1, keepdims=True)
+    e = np.exp(scaled, out=scaled)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
+
+
+def logit_layouts(rng, shape):
+    """Logits of one shape laid out three ways: contiguous, every other
+    row and class of a larger array, and with the class axis outermost."""
+    yield rng.normal(size=shape) * 5
+    doubled = tuple(2 * n for n in shape)
+    yield (rng.normal(size=doubled) * 5)[tuple(slice(None, None, 2) for _ in shape)]
+    yield np.moveaxis(rng.normal(size=shape[-1:] + shape[:-1]) * 5, 0, -1)
+
+
 class TestSoftmax:
+    @pytest.mark.parametrize("classes", [1, 2, 3, 7, 8, 9, 10, 17])
+    @pytest.mark.parametrize("lead", [(33,), (4, 13)])
+    def test_bits_match_a_reduction_along_the_class_axis(self, classes, lead):
+        rng = np.random.default_rng(classes)
+        for logits in logit_layouts(rng, (*lead, classes)):
+            for tau in (1.0, 4.0):
+                probs = nn.softmax_t(logits, tau)
+                assert probs.tobytes() == reduction_softmax(logits, tau).tobytes()
+
     def test_uniform_on_equal_logits(self):
         assert np.allclose(nn.softmax_t(np.zeros(3), 1.0), 1 / 3)
 

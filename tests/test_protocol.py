@@ -2,13 +2,14 @@ import json
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracle
 from conftest import record_dicts, small_cfg
-from hetfed import data, harness, nn, protocol, reweight
+from hetfed import data, harness, metrics, nn, protocol, reweight
 from hetfed.config import load_config
 from hetfed.errors import ConfigError, NumericError, ProtocolError
 from hetfed.harness import _S_INIT, _S_SAMPLER, _S_TRAIN
@@ -755,11 +756,76 @@ class TestDeterminismAndMessages:
         for per_phase, total in zip(timing["phase_seconds"], timing["round_seconds"]):
             assert sum(per_phase.values()) <= total
 
+    # One piece of a round's work each, and the phase it belongs to.
+    @pytest.mark.parametrize("strategy, piece, phase", [
+        ("rhfl_plus_eccr", "peer softmax", "distill"),
+        ("hetero_distill", "peer softmax", "distill"),
+        ("rhfl_plus_eccr", "confidence step", "phase1"),
+        ("rhfl_plus_eccr", "round record", "eval"),
+        ("local_only", "round record", "eval"),
+    ])
+    def test_round_seconds_fall_in_phases(self, monkeypatch, strategy, piece, phase):
+        """A clock that moves only inside one piece of work: its seconds
+        land in that piece's phase, and every round's seconds are the sum
+        of its phase seconds."""
+        cfg = small_cfg(strategy=strategy, rounds=2)
+        world = harness.build_world(cfg)
+        now = [0.0]
+        monkeypatch.setattr(protocol, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+
+        def ticking(fn, when=lambda *args: True):
+            def call(*args):
+                if when(*args):
+                    now[0] += 1.0
+                return fn(*args)
+            return call
+
+        if piece == "peer softmax":
+            # Tempered softmaxes: the peers' and, inside distillation, the models'.
+            temperature = cfg.hyperparams.temperature
+            tempered = ticking(nn.softmax_t, lambda z, tau: tau == temperature)
+            monkeypatch.setattr(nn, "softmax_t", tempered)
+        elif piece == "confidence step":
+            monkeypatch.setattr(reweight, "confidence_step", ticking(reweight.confidence_step))
+        else:
+            monkeypatch.setattr(protocol, "RoundRecord", ticking(protocol.RoundRecord))
+        result = protocol.run_federation(
+            world.clients, cfg.strategy_config(), world.test, world.public
+        )
+        assert now[0] > 0
+        assert sum(per_phase.get(phase, 0.0) for per_phase in result.phase_seconds) == now[0]
+        for per_phase, total in zip(result.phase_seconds, result.round_seconds):
+            assert sum(per_phase.values()) == total
+
     def test_t_zero_gives_only_pretraining_eval(self):
         cfg = small_cfg(strategy="local_only", rounds=0)
         result, _ = harness.run_experiment(cfg)
         assert len(result.records) == 1
         assert result.records[0].round_idx == 0
+
+
+class NumpyWithoutArgsort:
+    """numpy as a module sees it, but with argsort raising."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def argsort(*args, **kwargs):
+        raise AssertionError("argsort on the run path")
+
+
+class TestRankingPath:
+    @pytest.mark.parametrize("overrides", [[], ["data.classes=2", "data.per_class=1200"]])
+    def test_runs_rank_without_argsort(self, monkeypatch, overrides):
+        """Probabilities are never negative, so every AUC of a run ranks
+        by one sort of packed keys; argsort is the slower path."""
+        monkeypatch.setattr(metrics, "np", NumpyWithoutArgsort())
+        cfg = load_config([BASE_CONFIG], ["rounds=2", *overrides])
+        result, _ = harness.run_experiment(cfg)
+        stats = [s for record in result.records for s in record.clients]
+        assert all(s.roc_auc is not None for s in stats)
+        assert all((s.pr_auc is not None) == (cfg.data.classes == 2) for s in stats)
 
 
 class TestWorldBuilding:
