@@ -36,6 +36,11 @@ def keep_heap() -> None:
     only when 256 MiB lie free at its top. The cost: memory a run frees
     stays with the process until it exits.
 
+    Measured: removing only the call in main() moved fleet100's run_s
+    (bench/run.py --seconds 10, 2 vCPUs, 6 alternated pairs) from
+    0.163-0.190 s to 0.224-0.256 s in one set and from 0.186-0.206 s to
+    0.245-0.306 s in another; the policy won every pair.
+
     The policy is process-wide, so entry points call this, not the
     library. Where the C library has no ``mallopt`` it does nothing.
     """

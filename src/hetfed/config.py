@@ -219,12 +219,6 @@ def parse_config(paths, overrides=()) -> dict:
     return _fill_defaults(merged, SCHEMA)
 
 
-def resolve_dict(doc: dict, source: str = "<dict>") -> dict:
-    """Validate a plain config dict and fill in schema defaults."""
-    _walk_keys(doc, SCHEMA, source)
-    return _fill_defaults(doc, SCHEMA)
-
-
 @dataclass(frozen=True)
 class NoiseConfig:
     kind: str
@@ -290,6 +284,10 @@ class ExperimentConfig:
             lo, hi = float(rng_range[0]), float(rng_range[1])
             if not 0.0 <= lo <= hi <= 1.0:
                 raise ConfigError(f"invalid noise range [{lo}, {hi}]")
+            if noise_doc["kind"] == "none":
+                raise ConfigError(
+                    "noise.random_range needs noise.kind symmetric or pairflip, not none"
+                )
             rng_range = (lo, hi)
         noise = NoiseConfig(noise_doc["kind"], float(noise_doc["rate"]), rng_range)
         d = resolved["data"]

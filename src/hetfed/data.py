@@ -59,26 +59,12 @@ class Dataset:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    kind: str
-    rate: float
-    seed: object = None
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if not 0.0 <= self.rate <= 1.0:
-            raise ConfigError(f"noise rate must lie in [0, 1], got {self.rate}")
-
-
-@dataclass(frozen=True)
 class NoisyDataset:
     """A dataset plus a corrupted label vector; clean labels stay hidden
     from training and are only consulted by evaluation code."""
 
     base: Dataset
     noisy_labels: np.ndarray
-    spec: NoiseSpec
     flipped: np.ndarray
     flip_fraction: float
 
@@ -101,10 +87,12 @@ class NoisyDataset:
 
 @dataclass(frozen=True)
 class PartitionPlan:
+    """client_count disjoint shards of shard_size rows each."""
+
     scheme: str
     client_count: int
     seed: object
-    sizes: tuple | None = None
+    shard_size: int
     concentration: float | None = None
 
     def __post_init__(self):
@@ -112,11 +100,8 @@ class PartitionPlan:
             raise ConfigError(f"unknown partition scheme {self.scheme!r}")
         if self.client_count < 1:
             raise ConfigError("client_count must be at least 1")
-        if self.sizes is not None:
-            sizes = tuple(int(s) for s in self.sizes)
-            if len(sizes) != self.client_count or any(s < 1 for s in sizes):
-                raise ConfigError("sizes must give a positive size per client")
-            object.__setattr__(self, "sizes", sizes)
+        if self.shard_size < 1:
+            raise ConfigError("shard_size must be at least 1")
         if self.scheme == "label-skew" and (
             self.concentration is None or self.concentration <= 0
         ):
@@ -250,34 +235,19 @@ def load_csv(path: str, class_count: int) -> Dataset:
 def _partition_indices(ds: Dataset, plan: PartitionPlan) -> list[np.ndarray]:
     rng = np.random.default_rng(plan.seed)
     n = ds.size
-    k = plan.client_count
-    if plan.scheme == "iid-equal":
-        if plan.sizes is not None and len(set(plan.sizes)) > 1:
-            raise ConfigError("iid-equal shards must share one size")
-        sizes = list(plan.sizes) if plan.sizes is not None else [n // k] * k
-    else:
-        if plan.sizes is None:
-            raise ConfigError(f"{plan.scheme} partitioning requires explicit sizes")
-        sizes = list(plan.sizes)
-    if sum(sizes) > n:
-        raise ConfigError(f"requested {sum(sizes)} samples but dataset has {n}")
-    if any(s == 0 for s in sizes):
-        raise ConfigError("every client needs at least one sample")
+    k, size = plan.client_count, plan.shard_size
+    if k * size > n:
+        raise ConfigError(f"requested {k * size} samples but dataset has {n}")
 
     if plan.scheme == "iid-equal":
         perm = rng.permutation(n)
-        shards = []
-        offset = 0
-        for s in sizes:
-            shards.append(np.sort(perm[offset : offset + s]))
-            offset += s
-        return shards
+        return [np.sort(perm[i * size : (i + 1) * size]) for i in range(k)]
 
     # label-skew: each client draws a Dirichlet class mix and fills its
     # quota from per-class pools, spilling to whatever classes remain.
     pools = [rng.permutation(np.flatnonzero(ds.labels == c)).tolist() for c in range(ds.class_count)]
     shards = []
-    for size in sizes:
+    for _ in range(k):
         mix = rng.dirichlet(np.full(ds.class_count, plan.concentration))
         want = np.floor(mix * size).astype(int)
         remainder = size - want.sum()
@@ -307,38 +277,23 @@ def partition(ds: Dataset, plan: PartitionPlan) -> list[Dataset]:
     return [ds.subset(idx) for idx in _partition_indices(ds, plan)]
 
 
-def inject_symmetric(ds: Dataset, mu: float, seed) -> NoisyDataset:
-    """Flip each label with probability mu to a uniform other class."""
-    if not 0.0 <= mu <= 1.0:
-        raise ConfigError(f"noise rate must lie in [0, 1], got {mu}")
+def apply_noise(ds: Dataset, kind: str, rate: float, seed) -> NoisyDataset:
+    """Flip each label with probability rate: to a uniform other class
+    (symmetric) or to the next class, cyclically (pairflip). Kind "none"
+    keeps every label."""
+    if kind not in NOISE_KINDS:
+        raise ConfigError(f"unknown noise kind {kind!r}")
+    if not 0.0 <= rate <= 1.0:
+        raise ConfigError(f"noise rate must lie in [0, 1], got {rate}")
+    if kind == "none":
+        return NoisyDataset(ds, ds.labels.copy(), np.zeros(ds.size, dtype=bool), 0.0)
     if ds.class_count < 2:
-        raise ConfigError("symmetric noise needs at least two classes")
+        raise ConfigError(f"{kind} noise needs at least two classes")
     rng = np.random.default_rng(seed)
-    flip = rng.random(ds.size) < mu
-    offsets = rng.integers(1, ds.class_count, size=ds.size)
-    noisy = np.where(flip, (ds.labels + offsets) % ds.class_count, ds.labels)
-    return NoisyDataset(ds, noisy, NoiseSpec("symmetric", mu, seed), flip, float(flip.mean()))
-
-
-def inject_pairflip(ds: Dataset, mu: float, seed) -> NoisyDataset:
-    """Flip each label with probability mu to the next class (cyclic)."""
-    if not 0.0 <= mu <= 1.0:
-        raise ConfigError(f"noise rate must lie in [0, 1], got {mu}")
-    if ds.class_count < 2:
-        raise ConfigError("pairflip noise needs at least two classes")
-    rng = np.random.default_rng(seed)
-    flip = rng.random(ds.size) < mu
-    noisy = np.where(flip, (ds.labels + 1) % ds.class_count, ds.labels)
-    return NoisyDataset(ds, noisy, NoiseSpec("pairflip", mu, seed), flip, float(flip.mean()))
-
-
-def apply_noise(ds: Dataset, spec: NoiseSpec) -> NoisyDataset:
-    if spec.kind == "symmetric":
-        return inject_symmetric(ds, spec.rate, spec.seed)
-    if spec.kind == "pairflip":
-        return inject_pairflip(ds, spec.rate, spec.seed)
-    clean = ds.labels.copy()
-    return NoisyDataset(ds, clean, spec, np.zeros(ds.size, dtype=bool), 0.0)
+    flip = rng.random(ds.size) < rate
+    shift = rng.integers(1, ds.class_count, size=ds.size) if kind == "symmetric" else 1
+    noisy = np.where(flip, (ds.labels + shift) % ds.class_count, ds.labels)
+    return NoisyDataset(ds, noisy, flip, float(flip.mean()))
 
 
 def random_split(ds: Dataset, take: int, seed) -> tuple[Dataset, Dataset | None]:

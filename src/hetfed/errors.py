@@ -21,21 +21,16 @@ class NumericError(ArithmeticError):
     """Non-finite values where finite ones are required.
 
     For input stacked over a leading client axis, `rows` lists the
-    positions on that axis of the clients whose values are not finite, and
-    `index` is the first of them.
+    positions on that axis of the clients whose values are not finite.
     """
 
-    def __init__(self, message, index: int | None = None, rows=()):
+    def __init__(self, message, rows=()):
         super().__init__(message)
-        self.rows = [int(row) for row in rows] or ([] if index is None else [index])
-
-    @property
-    def index(self) -> int | None:
-        return self.rows[0] if self.rows else None
+        self.rows = [int(row) for row in rows]
 
 
 class ProtocolError(RuntimeError):
-    """Violation of the round protocol: heterogeneous aggregation, state changed out of turn."""
+    """Violation of the round protocol: bad aggregation input, state changed out of turn."""
 
 
 @contextmanager

@@ -106,7 +106,7 @@ def build_world(cfg: ExperimentConfig) -> World:
         scheme=d.scheme,
         client_count=d.clients,
         seed=(cfg.seed, _S_PARTITION),
-        sizes=(d.shard_size,) * d.clients,
+        shard_size=d.shard_size,
         concentration=d.concentration,
     )
     shards = datahub.partition(rest, plan)
@@ -115,10 +115,8 @@ def build_world(cfg: ExperimentConfig) -> World:
     if noise.random_range is not None:
         lo, hi = noise.random_range
         rates = random_noise_assignment(d.clients, lo, hi, (cfg.seed, _S_RATES)).tolist()
-        kind = noise.kind if noise.kind != "none" else "symmetric"
     else:
         rates = [noise.rate] * d.clients
-        kind = noise.kind
 
     if cfg.strategy == "fedavg":
         if len(set(cfg.hidden_layers)) > 1:
@@ -144,9 +142,7 @@ def build_world(cfg: ExperimentConfig) -> World:
 
     clients = []
     for k in range(d.clients):
-        noisy = datahub.apply_noise(
-            shards[k], datahub.NoiseSpec(kind, rates[k], (cfg.seed, _S_NOISE, k))
-        )
+        noisy = datahub.apply_noise(shards[k], noise.kind, rates[k], (cfg.seed, _S_NOISE, k))
         clients.append(
             protocol.ClientState(
                 client_id=k,

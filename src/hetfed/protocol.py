@@ -10,8 +10,8 @@ nn.Cohort, built once and stepped in place by every phase: each
 architecture's models run their matmuls as one stack (a block), and the
 softmax and the loss gradient run once over the logits of every block. A
 phase runs the group in chunks of consecutive rows, each a view of the
-group's cohort. Every client gets the bits it would get alone. The
-controller folds uploads in ascending client id, which pins the
+group's cohort. Every client gets the bits it would get alone. FedAvg
+folds its participants' rows in ascending client id, which pins the
 floating-point reduction order and makes whole runs bit-reproducible for
 a fixed seed.
 
@@ -259,22 +259,19 @@ def _by_chunk(group: ClientGroup, rows: int, fn) -> list:
     return out
 
 
-def fedavg_aggregate(params_list, sizes) -> nn.ModelParams:
-    """Size-weighted elementwise mean of homogeneous parameter vectors."""
-    if not params_list or len(params_list) != len(sizes):
+def fedavg_aggregate(rows: np.ndarray, sizes) -> np.ndarray:
+    """Size-weighted mean of the rows of an (n, P) parameter stack,
+    folded in row order; returns the (P,) values."""
+    if not len(rows) or len(rows) != len(sizes):
         raise ProtocolError("one size per parameter vector required")
-    dims = params_list[0].layer_dims
-    for p in params_list[1:]:
-        if p.layer_dims != dims:
-            raise ProtocolError(f"heterogeneous shapes in aggregation: {p.layer_dims} vs {dims}")
     weights = np.asarray(sizes, dtype=np.float64)
     if np.any(weights <= 0):
         raise ProtocolError("aggregation sizes must be positive")
     weights = weights / weights.sum()
-    total = np.zeros_like(params_list[0].values)
-    for p, w in zip(params_list, weights):
-        total = total + w * p.values
-    return nn.ModelParams(dims, total)
+    total = np.zeros_like(rows[0])
+    for row, w in zip(rows, weights):
+        total = total + w * row
+    return total
 
 
 def private_training(
@@ -516,21 +513,18 @@ class Controller:
             chosen = np.sort(self._sampler.choice(k, size=count, replace=False))
         else:
             chosen = np.arange(k)
+        # One architecture, one block: the rows run in client id order.
         part = group.gather(np.flatnonzero(np.isin(group.index, chosen)))
         part.cohort.stacks[0][:] = group.cohort.stacks[0][0]  # the lowest client id's
-
-        def work(part: ClientGroup):
-            private_training(part, cfg, cfg.local_epochs, use_sl=False,
-                             dlr_sched=None, epoch_base=0)
-            return [
-                (client.client_id, params, client.shard.size)
-                for client, params in zip(part.clients, part.cohort.models())
-            ]
-
-        uploads = sorted(self._in_phase("fedavg", round_idx, work, part), key=lambda u: u[0])
-        self.messages += len(uploads)
-        aggregated = fedavg_aggregate([p for _, p, _ in uploads], [s for _, _, s in uploads])
-        group.cohort.stacks[0][:] = aggregated.values
+        self._in_phase(
+            "fedavg", round_idx,
+            lambda g: private_training(g, cfg, cfg.local_epochs, use_sl=False,
+                                       dlr_sched=None, epoch_base=0),
+            part,
+        )
+        self.messages += len(part.clients)
+        sizes = [client.shard.size for client in part.clients]
+        group.cohort.stacks[0][:] = fedavg_aggregate(part.cohort.stacks[0], sizes)
 
     def _round_hetero(self, round_idx: int):
         cfg = self.cfg

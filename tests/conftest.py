@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from hetfed.config import ExperimentConfig, resolve_dict
+from hetfed.config import ExperimentConfig, parse_config
 
 
 def small_doc(**overrides) -> dict:
@@ -41,7 +41,7 @@ def small_doc(**overrides) -> dict:
 
 
 def small_cfg(**overrides) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(resolve_dict(small_doc(**overrides)))
+    return ExperimentConfig.from_dict(parse_config([], small_doc(**overrides).items()))
 
 
 def kl_div(p, q) -> float:

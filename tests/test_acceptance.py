@@ -13,7 +13,7 @@ import pytest
 import oracle
 from conftest import small_doc
 from hetfed import data, harness, metrics, nn, protocol, reweight
-from hetfed.config import ExperimentConfig, resolve_dict
+from hetfed.config import ExperimentConfig, parse_config
 from hetfed.harness import _S_INIT, _S_TRAIN
 from test_metrics import pairwise_auc_oracle, step_curve_ap_oracle
 from test_protocol import centralized_sgd
@@ -114,13 +114,13 @@ def test_c02_loss_formula_oracle():
 def test_c03_noise_statistics():
     started = time.perf_counter()
     ds = data.gen_blobs(10, 2, 10_000, 0.3, seed=5)  # N = 100000
-    sym = data.inject_symmetric(ds, 0.2, seed=6)
+    sym = data.apply_noise(ds, "symmetric", 0.2, seed=6)
     assert 0.195 <= sym.flip_fraction <= 0.205
     offsets = (sym.noisy_labels[sym.flipped] - ds.labels[sym.flipped]) % 10
     shares = np.bincount(offsets, minlength=10)[1:] / sym.flipped.sum()
     assert np.all(np.abs(shares - 1 / 9) <= 0.1 / 9)
 
-    pf = data.inject_pairflip(ds, 0.2, seed=7)
+    pf = data.apply_noise(ds, "pairflip", 0.2, seed=7)
     assert 0.195 <= pf.flip_fraction <= 0.205
     assert np.array_equal(pf.noisy_labels[pf.flipped], (ds.labels[pf.flipped] + 1) % 10)
     elapsed = time.perf_counter() - started
@@ -139,12 +139,12 @@ def test_c04_aggregation_oracle():
                  for _ in range(k)]
         sizes = rng.integers(1, 100, size=k)
         manual = sum(p.values * s for p, s in zip(plist, sizes)) / sizes.sum()
-        agg = protocol.fedavg_aggregate(plist, sizes.tolist())
-        assert np.allclose(agg.values, manual, atol=1e-12, rtol=0)
+        agg = protocol.fedavg_aggregate(np.stack([p.values for p in plist]), sizes.tolist())
+        assert np.allclose(agg, manual, atol=1e-12, rtol=0)
 
     doc = small_doc(strategy="fedavg", rounds=10, local_epochs=1,
                     data={"clients": 1, "shard_size": 60})
-    cfg = ExperimentConfig.from_dict(resolve_dict(doc))
+    cfg = ExperimentConfig.from_dict(parse_config([], doc.items()))
     _, world = harness.run_experiment(cfg)
     oracle = centralized_sgd(cfg, world.clients[0].shard, world.clients[0].arch, 10, 1)
     assert world.clients[0].params.values.tobytes() == oracle.values.tobytes()
@@ -249,7 +249,7 @@ def test_c08_desk_scale_ordering():
     def mean_final(strategy):
         finals = []
         for seed in range(5):
-            cfg = ExperimentConfig.from_dict(resolve_dict(desk_doc(strategy, seed)))
+            cfg = ExperimentConfig.from_dict(parse_config([], desk_doc(strategy, seed).items()))
             result, _ = harness.run_experiment(cfg)
             finals.append(np.mean([s.accuracy for s in result.records[-1].clients]))
         return float(np.mean(finals))
@@ -267,7 +267,7 @@ def test_c08_desk_scale_ordering():
 
 def test_c09_ablation_grid(tmp_path):
     started = time.perf_counter()
-    base = resolve_dict(desk_doc("rhfl_plus_eccr", seed=0, rounds=8))
+    base = parse_config([], desk_doc("rhfl_plus_eccr", seed=0, rounds=8).items())
     grid = {
         "flags": harness.ablation_rows(),
         "noise_type": ["pairflip", "symmetric"],
@@ -299,7 +299,7 @@ def test_c10_scaling_determinism(tmp_path, monkeypatch):
                   "test_size": 500, "noise": {"kind": "symmetric", "rate": 0.2}},
         "archs": {"hidden_layers": [[12]]},
     }
-    cfg = ExperimentConfig.from_dict(resolve_dict(doc))
+    cfg = ExperimentConfig.from_dict(parse_config([], doc.items()))
     dir_a = harness.execute_run(cfg, tmp_path / "grouped")
     monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1)  # one client per chunk
     dir_b = harness.execute_run(cfg, tmp_path / "one_per_chunk")
@@ -322,7 +322,7 @@ def test_c11_random_noise_rate_harness(tmp_path):
                     data={"clients": 4, "shard_size": 25,
                           "noise": {"kind": "symmetric", "rate": 0.0,
                                     "random_range": [0.0, 0.5]}})
-    cfg = ExperimentConfig.from_dict(resolve_dict(doc))
+    cfg = ExperimentConfig.from_dict(parse_config([], doc.items()))
     run_dir = harness.execute_run(cfg, tmp_path / "rand")
     meta = json.loads((run_dir / harness.META_FILE).read_text())
     rates = meta["noise_rates"]

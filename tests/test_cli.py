@@ -13,7 +13,7 @@ import pytest
 from conftest import small_doc
 from hetfed import harness
 from hetfed.cli import main
-from hetfed.config import ExperimentConfig, resolve_dict
+from hetfed.config import ExperimentConfig, parse_config
 from hetfed.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,6 +102,17 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("configuration error:")
         assert not (tmp_path / "x").exists()
 
+    def test_random_noise_range_needs_a_flipping_kind(self, tmp_path, capsys):
+        """Per-client noise rates need a kind that flips labels, so that
+        run_meta.json's noise_kind names the noise the run applied."""
+        cfg = write_cfg(tmp_path)
+        argv = ["run", "--config", cfg, "--set", 'data.noise.kind="none"',
+                "--set", "data.noise.random_range=[0.3,0.5]", "--out", str(tmp_path / "x")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "random_range" in err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                         reason="the heap policy is set through glibc's mallopt")
     def test_repeated_runs_reuse_the_heap(self, tmp_path):
@@ -165,7 +176,7 @@ class TestRunCommand:
         assert harness.discover_runs([tmp_path / "x"]) == []
 
     def test_failed_write_leaves_no_run(self, tmp_path, monkeypatch):
-        cfg = ExperimentConfig.from_dict(resolve_dict(small_doc(strategy="local_only")))
+        cfg = ExperimentConfig.from_dict(parse_config([], small_doc(strategy="local_only").items()))
         out = tmp_path / "runs"
         # A killed run's leftovers: hidden, so never discovered, and cleared on rerun.
         stale = out / f".{harness.run_dir_name(harness.echo_config(cfg))}.partial"
@@ -432,7 +443,7 @@ class TestRandomNoiseAssignment:
         doc = small_doc(rounds=1,
                         data={"noise": {"kind": "symmetric", "rate": 0.0,
                                         "random_range": [0.0, 0.5]}})
-        cfg = ExperimentConfig.from_dict(resolve_dict(doc))
+        cfg = ExperimentConfig.from_dict(parse_config([], doc.items()))
         run_dir = harness.execute_run(cfg, tmp_path / "runs")
         meta = json.loads((run_dir / harness.META_FILE).read_text())
         assert len(meta["noise_rates"]) == 2

@@ -9,7 +9,6 @@ from hetfed.config import (
     load_config,
     parse_config,
     parse_set_override,
-    resolve_dict,
 )
 from hetfed.errors import ConfigError
 
@@ -94,22 +93,22 @@ class TestOverrideParsing:
 class TestExperimentConfig:
     def test_strategy_presets_fill_flags(self):
         cfg = ExperimentConfig.from_dict(
-            resolve_dict({"seed": 0, "strategy": "rhfl_plus_ccr"})
+            parse_config([], {"seed": 0, "strategy": "rhfl_plus_ccr"}.items())
         )
         assert cfg.flags.hfl and cfg.flags.sl and cfg.flags.dlr
         assert cfg.flags.reweight == "ccr"
 
     def test_explicit_flags_override_presets(self):
         cfg = ExperimentConfig.from_dict(
-            resolve_dict({"seed": 0, "strategy": "rhfl_plus_eccr",
-                          "flags": {"dlr": False}})
+            parse_config([], {"seed": 0, "strategy": "rhfl_plus_eccr",
+                              "flags": {"dlr": False}}.items())
         )
         assert cfg.flags.dlr is False
         assert cfg.flags.reweight == "eccr"
 
     def test_echo_contains_resolved_flags(self):
         cfg = ExperimentConfig.from_dict(
-            resolve_dict({"seed": 0, "strategy": "rhfl"})
+            parse_config([], {"seed": 0, "strategy": "rhfl"}.items())
         )
         doc = echo_config(cfg)
         assert doc["flags"] == {"hfl": True, "sl": True, "dlr": False, "reweight": "ccr"}
@@ -125,14 +124,14 @@ class TestExperimentConfig:
     def test_invalid_noise_range(self):
         with pytest.raises(ConfigError, match="range"):
             ExperimentConfig.from_dict(
-                resolve_dict({"seed": 0, "strategy": "local_only",
-                              "data": {"noise": {"random_range": [0.5, 0.1]}}})
+                parse_config([], {"seed": 0, "strategy": "local_only",
+                                  "data": {"noise": {"random_range": [0.5, 0.1]}}}.items())
             )
 
     def test_architecture_without_hidden_layer(self):
         cfg = ExperimentConfig.from_dict(
-            resolve_dict({"seed": 0, "strategy": "local_only",
-                          "archs": {"hidden_layers": [[]]}})
+            parse_config([], {"seed": 0, "strategy": "local_only",
+                              "archs": {"hidden_layers": [[]]}}.items())
         )
         assert cfg.hidden_layers == ((),)
 

@@ -107,7 +107,7 @@ class TestCsv:
 class TestPartition:
     def test_single_client_gets_everything(self):
         ds = data.gen_blobs(2, 2, 10, 0.3, seed=0)
-        plan = data.PartitionPlan("iid-equal", 1, seed=0)
+        plan = data.PartitionPlan("iid-equal", 1, seed=0, shard_size=ds.size)
         shards = data.partition(ds, plan)
         assert len(shards) == 1
         assert shards[0].size == ds.size
@@ -115,7 +115,7 @@ class TestPartition:
 
     def test_even_split_disjoint(self):
         ds = data.gen_blobs(4, 2, 100, 0.3, seed=0)
-        plan = data.PartitionPlan("iid-equal", 4, seed=1)
+        plan = data.PartitionPlan("iid-equal", 4, seed=1, shard_size=ds.size // 4)
         idx_sets = [set(map(tuple, s.features)) for s in data.partition(ds, plan)]
         sizes = [len(s) for s in idx_sets]
         assert all(s.size == 100 for s in data.partition(ds, plan))
@@ -126,13 +126,13 @@ class TestPartition:
 
     def test_oversized_request_rejected(self):
         ds = data.gen_blobs(2, 2, 10, 0.3, seed=0)
-        plan = data.PartitionPlan("iid-equal", 2, seed=0, sizes=(15, 15))
+        plan = data.PartitionPlan("iid-equal", 2, seed=0, shard_size=15)
         with pytest.raises(ConfigError):
             data.partition(ds, plan)
 
     def test_reproducible_from_plan(self):
         ds = data.gen_blobs(3, 2, 30, 0.3, seed=0)
-        plan = data.PartitionPlan("label-skew", 3, seed=7, sizes=(20, 20, 20), concentration=0.5)
+        plan = data.PartitionPlan("label-skew", 3, seed=7, shard_size=20, concentration=0.5)
         a = data.partition(ds, plan)
         b = data.partition(ds, plan)
         for sa, sb in zip(a, b):
@@ -148,7 +148,7 @@ class TestPartition:
             vals = []
             for seed in range(50):
                 plan = data.PartitionPlan(
-                    scheme, 3, seed=seed, sizes=(100, 100, 100), concentration=concentration
+                    scheme, 3, seed=seed, shard_size=100, concentration=concentration
                 )
                 for shard in data.partition(ds, plan):
                     props = np.bincount(shard.labels, minlength=3) / shard.size
@@ -161,27 +161,61 @@ class TestPartition:
 
     def test_low_concentration_is_skewed(self):
         ds = data.gen_blobs(3, 2, 120, 0.3, seed=0)
-        plan = data.PartitionPlan("label-skew", 3, seed=3, sizes=(80, 80, 80), concentration=0.05)
+        plan = data.PartitionPlan("label-skew", 3, seed=3, shard_size=80, concentration=0.05)
         shards = data.partition(ds, plan)
         maxprops = [np.bincount(s.labels, minlength=3).max() / s.size for s in shards]
         assert max(maxprops) > 0.7
 
 
+def symmetric_reference(labels, classes, mu, seed):
+    """Symmetric noise, drawn as written: one uniform per label, then one
+    offset in [1, classes) per label; flipped labels move by the offset."""
+    rng = np.random.default_rng(seed)
+    flip = rng.random(labels.size) < mu
+    offsets = rng.integers(1, classes, size=labels.size)
+    return np.where(flip, (labels + offsets) % classes, labels), flip
+
+
+def pairflip_reference(labels, classes, mu, seed):
+    """Pair-flip noise, drawn as written: one uniform per label; flipped
+    labels move to the next class."""
+    rng = np.random.default_rng(seed)
+    flip = rng.random(labels.size) < mu
+    return np.where(flip, (labels + 1) % classes, labels), flip
+
+
 class TestNoise:
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_draws_match_the_written_out_formulas(self, classes):
+        ds = data.gen_blobs(classes, 2, 37, 0.3, seed=classes)
+        references = {"symmetric": symmetric_reference, "pairflip": pairflip_reference}
+        for seed in range(10):
+            for rate in (0.0, 0.2, 1.0):
+                for kind, reference in references.items():
+                    noisy = data.apply_noise(ds, kind, rate, seed)
+                    labels, flip = reference(ds.labels, classes, rate, seed)
+                    assert noisy.noisy_labels.dtype == labels.dtype == np.int64
+                    assert noisy.noisy_labels.tobytes() == labels.tobytes()
+                    assert noisy.flipped.tobytes() == flip.tobytes()
+                    assert noisy.flip_fraction == float(flip.mean())
+                clean = data.apply_noise(ds, "none", rate, seed)
+                assert clean.noisy_labels.tobytes() == ds.labels.tobytes()
+                assert not clean.flipped.any() and clean.flip_fraction == 0.0
+
     def test_symmetric_zero_rate(self):
         ds = data.gen_blobs(3, 2, 20, 0.3, seed=0)
-        noisy = data.inject_symmetric(ds, 0.0, seed=1)
+        noisy = data.apply_noise(ds, "symmetric", 0.0, seed=1)
         assert np.array_equal(noisy.noisy_labels, ds.labels)
         assert noisy.flip_fraction == 0.0
 
     def test_symmetric_full_rate_binary(self):
         ds = data.gen_blobs(2, 2, 50, 0.3, seed=0)
-        noisy = data.inject_symmetric(ds, 1.0, seed=1)
+        noisy = data.apply_noise(ds, "symmetric", 1.0, seed=1)
         assert np.all(noisy.noisy_labels != ds.labels)
 
     def test_symmetric_statistics(self):
         ds = data.gen_blobs(10, 2, 10_000, 0.3, seed=0)
-        noisy = data.inject_symmetric(ds, 0.2, seed=2)
+        noisy = data.apply_noise(ds, "symmetric", 0.2, seed=2)
         assert 0.185 <= noisy.flip_fraction <= 0.215
         dest = noisy.noisy_labels[noisy.flipped]
         src = ds.labels[noisy.flipped]
@@ -192,12 +226,12 @@ class TestNoise:
 
     def test_pairflip_forced(self):
         ds = data.gen_blobs(10, 2, 10, 0.3, seed=0)
-        noisy = data.inject_pairflip(ds, 1.0, seed=1)
+        noisy = data.apply_noise(ds, "pairflip", 1.0, seed=1)
         assert np.array_equal(noisy.noisy_labels, (ds.labels + 1) % 10)
 
     def test_pairflip_statistics_and_destination(self):
         ds = data.gen_blobs(10, 2, 10_000, 0.3, seed=0)
-        noisy = data.inject_pairflip(ds, 0.2, seed=3)
+        noisy = data.apply_noise(ds, "pairflip", 0.2, seed=3)
         assert 0.185 <= noisy.flip_fraction <= 0.215
         flipped = noisy.flipped
         assert np.array_equal(
@@ -207,28 +241,28 @@ class TestNoise:
     def test_clean_labels_untouched(self):
         ds = data.gen_blobs(4, 2, 100, 0.3, seed=0)
         before = ds.labels.copy()
-        data.inject_symmetric(ds, 0.5, seed=9)
-        data.inject_pairflip(ds, 0.5, seed=9)
+        data.apply_noise(ds, "symmetric", 0.5, seed=9)
+        data.apply_noise(ds, "pairflip", 0.5, seed=9)
         assert np.array_equal(ds.labels, before)
 
     def test_flip_probability_calibrated(self):
         # mean sample flip fraction over 10 seeds stays within 0.002 of mu
         ds = data.gen_blobs(5, 2, 20_000, 0.3, seed=0)
-        for inject in (data.inject_symmetric, data.inject_pairflip):
+        for kind in ("symmetric", "pairflip"):
             for mu in (0.1, 0.3):
-                fracs = [inject(ds, mu, seed=s).flip_fraction for s in range(10)]
+                fracs = [data.apply_noise(ds, kind, mu, seed=s).flip_fraction for s in range(10)]
                 assert abs(np.mean(fracs) - mu) < 0.002
 
     def test_rate_bounds(self):
         ds = data.gen_blobs(2, 2, 5, 0.3, seed=0)
         with pytest.raises(ConfigError):
-            data.inject_symmetric(ds, 1.2, seed=0)
+            data.apply_noise(ds, "symmetric", 1.2, seed=0)
         with pytest.raises(ConfigError):
-            data.inject_pairflip(ds, -0.1, seed=0)
+            data.apply_noise(ds, "pairflip", -0.1, seed=0)
 
     def test_none_spec(self):
         ds = data.gen_blobs(2, 2, 5, 0.3, seed=0)
-        noisy = data.apply_noise(ds, data.NoiseSpec("none", 0.0))
+        noisy = data.apply_noise(ds, "none", 0.0, seed=None)
         assert np.array_equal(noisy.noisy_labels, ds.labels)
 
 

@@ -443,10 +443,10 @@ class TestStackedKernels:
         z[1, 2, 1] = np.nan
         with pytest.raises(NumericError) as caught:
             nn.softmax_t(z, 1.0)
-        assert caught.value.index == 1
+        assert caught.value.rows[0] == 1
         with pytest.raises(NumericError) as caught:
             nn.softmax_t(z[1], 1.0)
-        assert caught.value.index is None
+        assert caught.value.rows == []
 
 
 class TestCohortKernels:
@@ -520,7 +520,7 @@ class TestCohortKernels:
         logits[[0, 2], 0, 1] = np.nan
         with pytest.raises(NumericError) as caught:
             nn.softmax_t(logits, 1.0)
-        assert (caught.value.rows, caught.value.index) == ([0, 2], 0)
+        assert caught.value.rows == [0, 2]
         cohort = nn.Cohort((((3, 2),), ((3, 3), (3, 2))), (2, 1), np.zeros(36))
         cohort.stacks[1][0, 3] = np.inf
         spec = nn.mixture_spec(np.full((1, 4, 2), 0.5), np.ones(1), 1.0)

@@ -19,29 +19,19 @@ BASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "base.json"
 
 class TestFedavgAggregate:
     def test_midpoint(self):
-        dims = ((1, 1),)
-        a = nn.ModelParams(dims, np.array([0.0, 2.0]))
-        b = nn.ModelParams(dims, np.array([2.0, 4.0]))
-        agg = protocol.fedavg_aggregate([a, b], [10, 10])
-        assert np.allclose(agg.values, [1.0, 3.0], atol=0)
+        rows = np.array([[0.0, 2.0], [2.0, 4.0]])
+        agg = protocol.fedavg_aggregate(rows, [10, 10])
+        assert np.allclose(agg, [1.0, 3.0], atol=0)
 
     def test_single_client_identity(self):
         params = nn.init_params(((3, 2),), 0)
-        agg = protocol.fedavg_aggregate([params], [17])
-        assert np.array_equal(agg.values, params.values)
+        agg = protocol.fedavg_aggregate(params.values[np.newaxis], [17])
+        assert np.array_equal(agg, params.values)
 
     def test_size_weighted(self):
-        dims = ((0, 1),)  # zero-input layer: one bias parameter
-        a = nn.ModelParams(dims, np.array([0.0]))
-        b = nn.ModelParams(dims, np.array([4.0]))
-        agg = protocol.fedavg_aggregate([a, b], [1, 3])
-        assert np.allclose(agg.values, [3.0], atol=0)
-
-    def test_heterogeneous_shapes_rejected(self):
-        a = nn.init_params(((2, 2),), 0)
-        b = nn.init_params(((2, 3),), 0)
-        with pytest.raises(ProtocolError):
-            protocol.fedavg_aggregate([a, b], [1, 1])
+        rows = np.array([[0.0], [4.0]])  # one bias parameter each
+        agg = protocol.fedavg_aggregate(rows, [1, 3])
+        assert np.allclose(agg, [3.0], atol=0)
 
     def test_random_instances_match_manual_mean(self):
         rng = np.random.default_rng(0)
@@ -54,8 +44,8 @@ class TestFedavgAggregate:
             ]
             sizes = rng.integers(1, 50, size=k)
             manual = sum(p.values * s for p, s in zip(plist, sizes)) / sizes.sum()
-            agg = protocol.fedavg_aggregate(plist, sizes.tolist())
-            assert np.allclose(agg.values, manual, atol=1e-12, rtol=0)
+            agg = protocol.fedavg_aggregate(np.stack([p.values for p in plist]), sizes.tolist())
+            assert np.allclose(agg, manual, atol=1e-12, rtol=0)
 
 
 def centralized_sgd(cfg, shard, layer_dims, rounds, epochs):
@@ -92,7 +82,7 @@ class TestFedavgRounds:
     def test_identical_clients_aggregate_to_their_params(self):
         base = data.gen_blobs(2, 2, 60, 0.4, seed=0)
         test, rest = data.random_split(base, 30, seed=1)
-        shard = data.inject_pairflip(rest.subset(np.arange(40)), 0.2, seed=2)
+        shard = data.apply_noise(rest.subset(np.arange(40)), "pairflip", 0.2, seed=2)
         dims = ((2, 6), (6, 2))
         init = nn.init_params(dims, 3)
         clients = [
@@ -151,7 +141,7 @@ class TestHeteroRounds:
         base = data.gen_blobs(3, 2, 60, 0.4, seed=0)
         test, rest = data.random_split(base, 30, seed=1)
         public, rest = data.random_split(rest, 20, seed=2)
-        shard = data.inject_pairflip(rest.subset(np.arange(40)), 0.2, seed=3)
+        shard = data.apply_noise(rest.subset(np.arange(40)), "pairflip", 0.2, seed=3)
         dims = ((2, 5), (5, 3))
         init = nn.init_params(dims, 7)
         # two clients: the consensus mean of two equal matrices is exact
@@ -210,7 +200,7 @@ class TestLatticeRounds:
         base = data.gen_blobs(3, 2, 80, 0.4, seed=0)
         test, rest = data.random_split(base, 40, seed=1)
         public, rest = data.random_split(rest, 20, seed=2)
-        shard = data.inject_pairflip(rest.subset(np.arange(50)), 0.2, seed=3)
+        shard = data.apply_noise(rest.subset(np.arange(50)), "pairflip", 0.2, seed=3)
         dims = ((2, 6), (6, 3))
         init = nn.init_params(dims, 11)
 
@@ -444,7 +434,7 @@ class TestClientGroups:
             start += size
             clients.append(protocol.ClientState(
                 k, nn.init_params(world.clients[0].arch, (0, _S_INIT, k)),
-                data.apply_noise(shard, data.NoiseSpec("symmetric", 0.3, (23, k))),
+                data.apply_noise(shard, "symmetric", 0.3, (23, k)),
                 np.random.default_rng((0, _S_TRAIN, k)),
             ))
         with pytest.raises(ConfigError, match=r"one size, got sizes \[30, 40, 50\]"):
@@ -685,12 +675,12 @@ class TestFailureContext:
 
         def fail_third(part):
             if part.index[0] == 2:
-                raise NumericError("boom", index=0)
+                raise NumericError("boom", rows=[0])
 
         # So many rows that every chunk holds one client.
         with pytest.raises(NumericError) as caught:
             protocol._by_chunk(group, 1 << 30, fail_third)
-        assert caught.value.index == 2
+        assert caught.value.rows == [2]
 
 
 class TestDeterminismAndMessages:
