@@ -10,7 +10,11 @@ every cell of configs/comparison_grid.json, the six ablation rows, and
 configs/base.json variants that reach other code: 8 clients over 4
 repeating architectures, fedavg at participation 0.5, a binary task,
 one client, label-skew shards, and random per-client noise rates with
-eta_conf 8, which clamps confidence weights in 16 of its 20 rounds.
+eta_conf 8, which clamps 16 confidence weights over 10 of its 20 rounds.
+The last case sweeps those random rates over noise kind x
+{rhfl_plus_ccr, rhfl_plus_eccr}, so that the per-cell confidence steps
+and clamp counts of a sweep batch are fingerprinted too: in each batch
+the symmetric cell clamps in 10 rounds and the pairflip cell in one.
 
 It imports hetfed from the path, so two checkouts compare with
 
@@ -47,6 +51,10 @@ VARIANTS = {
         "hyperparams.eta_conf=8",
     ],
 }
+RANDOM_NOISE_GRID = {
+    "strategy": ["rhfl_plus_ccr", "rhfl_plus_eccr"],
+    "noise_type": ["pairflip", "symmetric"],
+}
 
 
 def _dotted(doc: dict, prefix: str = "") -> list:
@@ -82,6 +90,8 @@ def cases():
     yield "ablation", base, {"flags": harness.ablation_rows()}
     for label, overrides in VARIANTS.items():
         yield label, parse_config([BASE], overrides), None
+    random_noise = ["data.noise.random_range=[0.2,0.6]", "hyperparams.eta_conf=8"]
+    yield "random_noise_grid", parse_config([BASE], random_noise), RANDOM_NOISE_GRID
 
 
 def main() -> int:

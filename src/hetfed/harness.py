@@ -18,6 +18,7 @@ import os
 import resource
 import shutil
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -154,17 +155,93 @@ def build_world(cfg: ExperimentConfig) -> World:
     return World(clients, public, test, [float(r) for r in rates], archs)
 
 
-def run_experiment(cfg: ExperimentConfig):
-    """Build the world and execute the configured federation run."""
-    world = build_world(cfg)
-    result = protocol.run_federation(
-        world.clients,
+def _federate(cfgs: list[ExperimentConfig]) -> list[tuple]:
+    """Build each config's world and run them all as one federation, each
+    world a cell; the configs may differ only in their noise. Returns each
+    cell's (result, world); every result carries the seconds and minor page
+    faults of the whole computation."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    started = time.perf_counter()
+    worlds = [build_world(cfg) for cfg in cfgs]
+    for cell, world in enumerate(worlds):
+        for client in world.clients:
+            client.cell = cell
+    cfg, world = cfgs[0], worlds[0]
+    results = protocol.run_federation(
+        [client for w in worlds for client in w.clients],
         cfg.strategy_config(),
         world.test,
         world.public,
         sampler_seed=(cfg.seed, _S_SAMPLER),
     )
+    seconds = time.perf_counter() - started
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    for result in results:
+        result.total_seconds, result.minor_faults = seconds, faults
+    return list(zip(results, worlds))
+
+
+def run_experiment(cfg: ExperimentConfig):
+    """Build the world and execute the configured federation run."""
+    [(result, world)] = _federate([cfg])
     return result, world
+
+
+def _world_meta(world: World) -> dict:
+    """What run_meta.json records of a run's world."""
+    return {
+        "clients": len(world.clients),
+        "noise_rates": world.noise_rates,
+        "flip_fractions": [c.shard.flip_fraction for c in world.clients],
+        "hidden_layers": [list(map(list, a)) for a in world.archs],
+    }
+
+
+def _alone(cfg: ExperimentConfig):
+    """One cell's (result, world meta), computed on its own."""
+    result, world = run_experiment(cfg)
+    return result, _world_meta(world)
+
+
+class _Batch:
+    """Sweep cells whose configs differ only in their noise, computed as one
+    federation on the first call for any of them. Each call hands out, and
+    forgets, one cell's (result, world meta); a cell waiting for its turn
+    holds no world. If the federation raises, every cell runs alone
+    instead, so each fails or succeeds exactly as it would alone."""
+
+    def __init__(self, cfgs: list[ExperimentConfig]):
+        self.cfgs = cfgs
+        self.results: dict | None = None  # id(cfg) -> (result, world meta)
+
+    def __call__(self, cfg: ExperimentConfig):
+        if self.results is None:
+            try:
+                self.results = {
+                    id(c): (result, _world_meta(world))
+                    for c, (result, world) in zip(self.cfgs, _federate(self.cfgs))
+                }
+            except Exception as exc:
+                warnings.warn(
+                    f"a batch of {len(self.cfgs)} sweep cells failed ({type(exc).__name__}: "
+                    f"{exc}); running each alone",
+                    RuntimeWarning, stacklevel=2,
+                )
+                self.results = {}
+        if id(cfg) in self.results:
+            return self.results.pop(id(cfg))
+        return _alone(cfg)
+
+
+def _batch_key(cfg: ExperimentConfig) -> str | None:
+    """Equal for configs that differ only in noise kind and rate, which can
+    share one federation; None for a config that runs alone (fedavg, whose
+    sampler and aggregate are a single run's)."""
+    if cfg.strategy == "fedavg":
+        return None
+    doc = echo_config(cfg)
+    del doc["data"]["noise"]["kind"], doc["data"]["noise"]["rate"]
+    return json.dumps(doc, sort_keys=True)
 
 
 def config_hash(resolved: dict) -> str:
@@ -199,21 +276,28 @@ def _round_lines(result: protocol.RunResult):
             }
 
 
-def execute_run(cfg: ExperimentConfig, out_dir) -> Path:
-    """Run one cell into its content-addressed directory; skip if finished."""
-    resolved = echo_config(cfg)
+def _finished(resolved: dict, out_dir) -> tuple[Path, bool]:
+    """The run directory of a resolved config and whether it holds the
+    finished run."""
     run_dir = Path(out_dir) / run_dir_name(resolved)
-    digest = config_hash(resolved)
     done = run_dir / DONE_FILE
-    if done.exists() and done.read_text().strip() == digest:
+    return run_dir, done.exists() and done.read_text().strip() == config_hash(resolved)
+
+
+def execute_run(cfg: ExperimentConfig, out_dir, compute=None) -> Path:
+    """Run one cell into its content-addressed directory; skip if finished.
+
+    compute(cfg) gives the cell's result and the run_meta.json fields that
+    describe its world: computed alone unless given, or by a sweep's batch.
+    """
+    resolved = echo_config(cfg)
+    run_dir, finished = _finished(resolved, out_dir)
+    if finished:
         return run_dir
+    digest = config_hash(resolved)
     partial = run_dir.with_name(f".{run_dir.name}.partial")
     shutil.rmtree(partial, ignore_errors=True)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    started = time.perf_counter()
-    result, world = run_experiment(cfg)
-    total = time.perf_counter() - started
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    result, world_meta = (compute or _alone)(cfg)
     partial.mkdir(parents=True)
     try:
         with open(partial / ROUNDS_FILE, "w") as fh:
@@ -224,15 +308,12 @@ def execute_run(cfg: ExperimentConfig, out_dir) -> Path:
             fh.write("\n")
         meta = {
             "config_hash": digest,
-            "clients": len(world.clients),
             "rounds": cfg.rounds,
             "strategy": cfg.strategy,
             "flags": resolved["flags"],
             "noise_kind": resolved["data"]["noise"]["kind"],
-            "noise_rates": world.noise_rates,
-            "flip_fractions": [c.shard.flip_fraction for c in world.clients],
-            "hidden_layers": [list(map(list, a)) for a in world.archs],
             "messages": result.messages,
+            **world_meta,
         }
         with open(partial / META_FILE, "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
@@ -241,10 +322,11 @@ def execute_run(cfg: ExperimentConfig, out_dir) -> Path:
         with open(partial / TIMING_FILE, "w") as fh:
             json.dump(
                 {
-                    "total_seconds": total,
+                    "total_seconds": result.total_seconds,
                     "round_seconds": result.round_seconds,
                     "phase_seconds": result.phase_seconds,
-                    "minor_faults": faults,
+                    "minor_faults": result.minor_faults,
+                    "batch_cells": result.cells,
                 },
                 fh, indent=2,
             )
@@ -280,18 +362,57 @@ class SweepOutcome:
     failures: dict[str, str]
 
 
+def _computes(cfgs: list, out_dir) -> list:
+    """Per config, what execute_run computes it with: a batch shared by the
+    unfinished configs that differ from others only in their noise, else
+    None (alone). A None config is a cell that failed to resolve."""
+    groups: dict[str, dict[str, ExperimentConfig]] = {}
+    for cfg in cfgs:
+        if cfg is None:
+            continue
+        resolved = echo_config(cfg)
+        run_dir, finished = _finished(resolved, out_dir)
+        key = _batch_key(cfg)
+        if not finished and key is not None:
+            groups.setdefault(key, {}).setdefault(run_dir.name, cfg)
+    batches = {}
+    for members in groups.values():
+        if len(members) > 1:
+            batch = _Batch(list(members.values()))
+            batches.update((id(cfg), batch) for cfg in batch.cfgs)
+    return [batches.get(id(cfg)) for cfg in cfgs]
+
+
 def run_sweep(base_resolved: dict, grid: dict, out_dir) -> SweepOutcome:
-    """Execute every grid cell in order; failures are recorded, not fatal."""
+    """Execute every grid cell in order; failures are recorded, not fatal.
+
+    Unfinished cells that differ only in noise kind and rate run as one
+    federation (see _Batch); each still writes its own run directory, in
+    grid order.
+    """
     cells = expand_grid(grid)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outcome = SweepOutcome([], {})
+
+    def fail(cell, exc):
+        outcome.failures[json.dumps(cell, sort_keys=True)] = f"{type(exc).__name__}: {exc}"
+
+    cfgs = []
     for cell in cells:
         try:
             doc = apply_overrides(json.loads(json.dumps(base_resolved)), cell.items(), "<grid>")
-            outcome.run_dirs.append(execute_run(ExperimentConfig.from_dict(doc), out_dir))
+            cfgs.append(ExperimentConfig.from_dict(doc))
         except Exception as exc:  # cell failures must not kill the sweep
-            outcome.failures[json.dumps(cell, sort_keys=True)] = f"{type(exc).__name__}: {exc}"
+            cfgs.append(None)
+            fail(cell, exc)
+    for cell, cfg, compute in zip(cells, cfgs, _computes(cfgs, out_dir)):
+        if cfg is None:
+            continue
+        try:
+            outcome.run_dirs.append(execute_run(cfg, out_dir, compute))
+        except Exception as exc:
+            fail(cell, exc)
     report = {
         "cells": len(cells),
         "failed": sorted(outcome.failures),

@@ -11,7 +11,11 @@ the positive flags, when no score is negative (probabilities never are),
 else by argsort.
 accuracy, roc_auc and multiclass_roc_auc also score a stack of K
 predictors against one label vector in one call, one value per predictor.
+A caller that scores many predictions against one label vector builds its
+OneVsRest split once and passes it in place of the labels.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,21 +138,45 @@ def pr_auc(scores, labels) -> float | None:
     return float((recall_steps * precision).sum())
 
 
+@dataclass(frozen=True)
+class OneVsRest:
+    """A label vector split one class against the rest: the (C, N) mask of
+    each class's positives and the (C,) positive and negative counts.
+    defined is False when some class has no positive or no negative."""
+
+    positive: np.ndarray
+    n_pos: np.ndarray
+    n_neg: np.ndarray
+    defined: bool
+
+    @classmethod
+    def of(cls, labels, classes: int) -> "OneVsRest":
+        y = np.asarray(labels)
+        positive = y == np.arange(classes)[:, np.newaxis]
+        n_pos = positive.sum(axis=-1)
+        n_neg = y.size - n_pos
+        return cls(positive, n_pos, n_neg, bool(np.all(n_pos > 0) and np.all(n_neg > 0)))
+
+
 def multiclass_roc_auc(prob_matrix, labels):
     """Unweighted macro mean of one-vs-rest roc_auc per class.
 
     All classes are ranked in one pass over the (C, N) score matrix, or
     over (K, C, N) for a (K, N, C) stack of K predictors' probabilities.
-    Returns None when any class has no example in `labels`.
+    labels is the label vector or its OneVsRest split. Returns None when
+    any class has no example in the labels.
     """
     probs = np.asarray(prob_matrix, dtype=np.float64)
-    y = np.asarray(labels)
-    if probs.ndim not in (2, 3) or y.ndim != 1 or probs.shape[-2] != y.size:
+    split = labels
+    if not isinstance(split, OneVsRest) and np.ndim(split) == 1 and probs.ndim:
+        split = OneVsRest.of(split, probs.shape[-1])
+    if (
+        probs.ndim not in (2, 3)
+        or not isinstance(split, OneVsRest)
+        or split.positive.shape != (probs.shape[-1], probs.shape[-2])
+    ):
         raise ConfigError("probability matrix rows must match label count")
-    pos = y == np.arange(probs.shape[-1])[:, np.newaxis]
-    n_pos = pos.sum(axis=1)
-    n_neg = y.size - n_pos
-    if np.any(n_pos == 0) or np.any(n_neg == 0):
+    if not split.defined:
         return None
-    rank_sums = _positive_rank_sums(np.swapaxes(probs, -1, -2), pos)
-    return np.mean(_mann_whitney(rank_sums, n_pos, n_neg), axis=-1)
+    rank_sums = _positive_rank_sums(np.swapaxes(probs, -1, -2), split.positive)
+    return np.mean(_mann_whitney(rank_sums, split.n_pos, split.n_neg), axis=-1)

@@ -135,19 +135,22 @@ def _check_features(x: np.ndarray, dims: LayerDims) -> None:
         raise ConfigError(f"batch has {x.shape[-1]} features, model expects {dims[0][0]}")
 
 
-def _forward(layers, x: np.ndarray):
-    """Every layer's input activations plus the logits, and its pre-activations."""
+def _forward(layers, x: np.ndarray) -> list:
+    """Every layer's input activations plus the logits.
+
+    The ReLU runs in place, so no pre-activation is kept: a hidden unit's
+    pre-activation is positive exactly where its activation is.
+    """
     activations = [x]
-    pre = []
     h = x
     last = len(layers) - 1
     for idx, (w, b) in enumerate(layers):
-        a = h @ w
-        a += b[..., np.newaxis, :]
-        pre.append(a)
-        h = a if idx == last else np.maximum(a, 0.0)
+        h = h @ w
+        h += b[..., np.newaxis, :]
+        if idx != last:
+            np.maximum(h, 0.0, out=h)
         activations.append(h)
-    return activations, pre
+    return activations
 
 
 # A diverging model overflows in its forward and backward passes; the
@@ -277,10 +280,14 @@ def _mixture_gradient(logits: np.ndarray, spec: MixtureKlSpec) -> np.ndarray:
         raise ConfigError(
             f"peer distributions {spec.mixture.shape} do not match logits {logits.shape}"
         )
-    return (spec.mass * softmax_t(logits, spec.tau) - spec.mixture) / (spec.tau * logits.shape[-2])
+    grad = softmax_t(logits, spec.tau)
+    grad *= spec.mass
+    grad -= spec.mixture
+    grad /= spec.tau * logits.shape[-2]
+    return grad
 
 
-def _backprop(layers, activations, pre, delta, grads) -> None:
+def _backprop(layers, activations, delta, grads) -> None:
     """Each layer's (weight, bias) gradient for the logit gradient delta,
     written into that layer's views in grads."""
     for idx in range(len(layers) - 1, -1, -1):
@@ -288,7 +295,8 @@ def _backprop(layers, activations, pre, delta, grads) -> None:
         np.matmul(activations[idx].swapaxes(-1, -2), delta, out=gw)
         np.add.reduce(delta, axis=-2, out=gb)
         if idx > 0:
-            delta = (delta @ layers[idx][0].swapaxes(-1, -2)) * (pre[idx - 1] > 0)
+            delta = delta @ layers[idx][0].swapaxes(-1, -2)
+            delta *= activations[idx] > 0
 
 
 # -- cohorts: many models in one writable buffer ----------------------------
@@ -379,7 +387,7 @@ class Cohort:
 
         batch is one (N, d) matrix shared by all K models or a (K, N, d) stack.
         """
-        return self._pass(self._checked(batch))[0]
+        return self._pass(self._checked(batch), keep=False)[0]
 
     def _checked(self, batch) -> np.ndarray:
         x = np.asarray(batch, dtype=np.float64)
@@ -390,22 +398,23 @@ class Cohort:
                 _check_features(x, layer_dims)
         return x
 
-    def _pass(self, x: np.ndarray):
-        """The cohort's logits (K, n, C) and each block's forward cache."""
-        caches = [
-            _forward(layers, x if x.ndim == 2 else x[rows])
-            for layers, rows in zip(self._layers, self.rows)
-        ]
-        if len(caches) == 1:
-            return caches[0][0][-1], caches
-        return np.concatenate([activations[-1] for activations, _ in caches]), caches
+    def _pass(self, x: np.ndarray, keep: bool = True):
+        """The cohort's logits (K, n, C) and, if keep, each block's layer
+        inputs for backprop."""
+        logits, caches = [], []
+        for layers, rows in zip(self._layers, self.rows):
+            *inputs, block_logits = _forward(layers, x if x.ndim == 2 else x[rows])
+            logits.append(block_logits)
+            if keep:
+                caches.append(inputs)
+        return (logits[0] if len(logits) == 1 else np.concatenate(logits)), caches
 
     def _step(self, caches, delta: np.ndarray, grad: "Cohort", lr: float) -> None:
         """Backpropagate each block's rows of delta into grad, then update every block."""
-        for layers, grads, rows, (activations, pre) in zip(
+        for layers, grads, rows, activations in zip(
             self._layers, grad._layers, self.rows, caches
         ):
-            _backprop(layers, activations, pre, delta[rows], grads)
+            _backprop(layers, activations, delta[rows], grads)
         self.values -= lr * grad.values
 
     def _check_finite(self) -> None:

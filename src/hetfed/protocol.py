@@ -4,8 +4,12 @@ A single controller owns all aggregation state and drives synchronous
 rounds, counting the messages a deployment of the round would exchange.
 Clients are plain state records; their per-round work (training,
 inference, logit computation) touches only their own model, shard and RNG
-stream. Every client's shard holds the same number of rows, so the
-controller stacks all clients in one group and keeps their models in one
+stream. One controller may run several runs (cells) at once, such as a
+sweep's cells that differ only in their label noise: every client belongs
+to one cell, exchanges logits, weights and consensus only with its own
+cell's clients, and each cell gets its own records and message count.
+Every client's shard holds the same number of rows, so the controller
+stacks all clients in one group and keeps their models in one
 nn.Cohort, built once and stepped in place by every phase: each
 architecture's models run their matmuls as one stack (a block), and the
 softmax and the loss gradient run once over the logits of every block. A
@@ -25,6 +29,7 @@ Four strategies are implemented:
   (hfl / sl / dlr / reweight) that also expresses every ablation row.
 """
 
+import itertools
 import json
 import time
 from contextlib import contextmanager
@@ -124,13 +129,15 @@ class ClientState:
     """Everything one client owns: model, shard, RNG stream.
 
     During a run the model lives in the controller's cohort; Controller.run
-    writes it back here when the run ends.
+    writes it back here when the run ends. cell is the run the client
+    belongs to when one controller runs several.
     """
 
     client_id: int
     params: nn.ModelParams
     shard: NoisyDataset
     rng: np.random.Generator
+    cell: int = 0
 
     @property
     def arch(self):
@@ -159,10 +166,18 @@ class RoundRecord:
 
 @dataclass
 class RunResult:
+    """One cell's records and message count, and the timings of the
+    federation that ran it: cells is how many cells that federation ran.
+    total_seconds and minor_faults, which include building the worlds,
+    are left for the caller that built them to fill in."""
+
     records: list[RoundRecord]
     messages: int
     round_seconds: list[float]
     phase_seconds: list[dict[str, float]]  # per round, seconds per phase
+    cells: int = 1
+    total_seconds: float = 0.0
+    minor_faults: int = 0
 
 
 # Bytes a chunk of clients may hold in its working set: small enough to
@@ -177,7 +192,8 @@ class ClientGroup:
 
     `cohort` holds their models, one block per architecture in the order
     in which the architectures first appear. The shard features (K, S, d),
-    the noisy one-hot labels (K, S, C) and `clients` follow its rows;
+    the noisy labels' one-hot mask (K, S, C), kept as bool (an eighth of
+    float64's memory) and read as 0.0 and 1.0, and `clients` follow its rows;
     index maps each row to its client's position in the controller's id
     order. `evaluated` is the latest evaluation's shard losses (K,) and a
     copy of the cohort they were taken at, which the next confidence
@@ -208,7 +224,7 @@ class ClientGroup:
             np.array([pos for _, pos in rows]),
             nn.Cohort.of([c.params for c in clients]),
             np.stack([c.shard.base.features for c in clients]),
-            np.stack([nn.one_hot(c.shard.noisy_labels, classes) for c in clients]),
+            np.stack([nn.one_hot(c.shard.noisy_labels, classes) > 0 for c in clients]),
         )
 
     def take(self, lo: int, hi: int) -> "ClientGroup":
@@ -230,7 +246,7 @@ class ClientGroup:
 
 def _working_width(dims) -> int:
     """Values per row that a forward and backward pass hold at once: each
-    layer's input activations, pre-activations and deltas."""
+    layer's input activations, its outputs and their deltas."""
     return sum(fan_in + 2 * fan_out for fan_in, fan_out in dims)
 
 
@@ -300,51 +316,50 @@ def private_training(
                 s = reweight.dlr_weight(epoch_base + epoch + 1, dlr_sched)
                 preds = nn.softmax_t(part.cohort.forward(part.features), 1.0)
                 targets = reweight.dlr_refine(part.onehot, preds, s)
+                del preds
             else:
                 targets = part.onehot
             # Each epoch's shuffled shards, so every batch is a plain slice.
             perms = np.stack([c.rng.permutation(size) for c in part.clients])
-            x, targets = part.features[clients, perms], targets[clients, perms]
+            x, targets = part.features[clients, perms], targets[clients, perms].astype(np.float64)
             nn.cohort_sgd_epoch(part.cohort, x, targets, cfg.batch_size, hp, use_sl)
 
     _by_chunk(group, size, train)
 
 
 def collaborative_training(
-    group: ClientGroup,
-    public: Dataset,
-    peer_probs: np.ndarray,
-    peer_weights: np.ndarray,
-    cfg: StrategyConfig,
-    leave_out_own: bool = False,
+    group: ClientGroup, public: Dataset, target: nn.MixtureKlSpec, cfg: StrategyConfig
 ) -> None:
     """Full-batch descent of every client of the group on its weighted KL
-    alignment loss; peers fixed.
+    alignment loss against a fixed peer mixture.
 
-    peer_probs are the peers' tempered public-set distributions (J, N, C)
-    and peer_weights (J,) their weights; each client's mixture is formed
-    once for all collaborative epochs. With leave_out_own the peers are the
-    run's clients in id order, and each client leaves its own row out.
+    target is one mixture (N, C) for every client, or a stack (K', N, C)
+    whose row p is for the client at position p of the controller's order
+    (group.index); each client's mixture is formed once for all
+    collaborative epochs.
     """
-    if len(peer_probs) == int(leave_out_own):  # no peers but, maybe, itself
-        return
     hp = cfg.hyperparams
 
     def distill(part: ClientGroup) -> None:
-        own = part.index if leave_out_own else None
-        spec = nn.mixture_spec(peer_probs, peer_weights, hp.temperature, own)
+        spec = target
+        if target.mixture.ndim == 3:
+            spec = nn.MixtureKlSpec(
+                target.mixture[part.index], target.mass[part.index], target.tau
+            )
         nn.cohort_distill(part.cohort, public.features, spec, cfg.collab_epochs, hp.lr)
 
     _by_chunk(group, public.size, distill)
 
 
-def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> tuple:
+def evaluate_client(
+    group: ClientGroup, test: Dataset, classes: metrics.OneVsRest, hp: nn.Hyperparams
+) -> tuple:
     """Clean-test metrics plus the shard's mean symmetric loss, as columns.
 
-    Returns (accuracy, roc_auc, pr_auc, mean_sl), each (K,) over the
-    group's clients in group order. roc_auc is None when the test split
-    misses a class; pr_auc is None unless the task is binary and the test
-    split holds a positive.
+    classes is the test labels' one-vs-rest split. Returns (accuracy,
+    roc_auc, pr_auc, mean_sl), each (K,) over the group's clients in group
+    order. roc_auc is None when the test split misses a class; pr_auc is
+    None unless the task is binary and the test split holds a positive.
     """
 
     def evaluate(part: ClientGroup) -> tuple:
@@ -357,7 +372,7 @@ def evaluate_client(group: ClientGroup, test: Dataset, hp: nn.Hyperparams) -> tu
             if scores[0] is not None:
                 pr = np.array(scores)
         else:
-            roc = metrics.multiclass_roc_auc(probs, test.labels)
+            roc = metrics.multiclass_roc_auc(probs, classes)
         shard = nn.softmax_t(part.cohort.forward(part.features), 1.0)
         sl = nn.sl_loss(shard, part.onehot, hp).mean(axis=-1)
         return acc, roc, pr, sl
@@ -380,8 +395,11 @@ def _row_norms(values: np.ndarray) -> np.ndarray:
 class Controller:
     """Synchronous round orchestrator; owns aggregation and the message count.
 
-    The clients, sorted by id, are stacked once into one group; the shards
-    of all clients must share one size.
+    The clients, sorted by cell and id, are stacked once into one group;
+    the shards of all clients must share one size. Each cell's clients
+    hold consecutive positions of that order, the slices in `cells`; a
+    round's confidence step, peer mixtures, consensus, records and
+    message counts are each cell's own. fedavg runs one cell.
     """
 
     def __init__(
@@ -394,14 +412,19 @@ class Controller:
     ):
         if not clients:
             raise ConfigError("at least one client required")
-        self.clients = sorted(clients, key=lambda c: c.client_id)
-        ids = [c.client_id for c in self.clients]
-        if len(set(ids)) != len(ids):
+        self.clients = sorted(clients, key=lambda c: (c.cell, c.client_id))
+        keys = [(c.cell, c.client_id) for c in self.clients]
+        if len(set(keys)) != len(keys):
             raise ConfigError("client ids must be unique")
+        sizes = [len(list(run)) for _, run in itertools.groupby(cell for cell, _ in keys)]
+        ends = np.cumsum(sizes).tolist()
+        self.cells = [slice(end - size, end) for end, size in zip(ends, sizes)]
+        self._cell_sizes = np.array(sizes)
         self.cfg = cfg
         self.test = test
+        self.test_classes = metrics.OneVsRest.of(test.labels, test.class_count)
         self.public = public
-        self.messages = 0
+        self.messages = np.zeros(len(self.cells), dtype=np.int64)  # per cell
         self._sampler = np.random.default_rng(sampler_seed)
         if cfg.flags.hfl and public is None:
             raise ConfigError(f"strategy {cfg.strategy!r} requires a public dataset")
@@ -409,6 +432,8 @@ class Controller:
             archs = {c.arch for c in self.clients}
             if len(archs) > 1:
                 raise ConfigError("fedavg requires a homogeneous architecture")
+            if len(self.cells) > 1:
+                raise ConfigError("fedavg runs one cell at a time")
         if cfg.flags.dlr and cfg.rounds * cfg.local_epochs > 0:
             self.dlr_sched = reweight.DlrSchedule(
                 cfg.hyperparams.zeta, cfg.rounds * cfg.local_epochs
@@ -472,34 +497,62 @@ class Controller:
         (logits,) = self._in_phase(phase, round_idx, lambda g: self._by_client(forward(g)))
         return logits
 
+    def _peer_target(self, peer_probs: np.ndarray, weights: np.ndarray) -> nn.MixtureKlSpec:
+        """Each client's weighted mixture of its cell's other clients'
+        distributions; peer_probs (K, N, C) and weights (K,) are in the
+        controller's order, and so are the target's rows."""
+        tau = self.cfg.hyperparams.temperature
+        return self._stacked([
+            nn.mixture_spec(peer_probs[cell], weights[cell], tau, np.arange(size))
+            for cell, size in zip(self.cells, self._cell_sizes)
+        ])
+
+    def _stacked(self, specs: list) -> nn.MixtureKlSpec:
+        """One distillation target per cell as one target: the single
+        cell's as it is, else each cell's mixture repeated for its clients
+        and stacked in the controller's order."""
+        if len(specs) == 1:
+            return specs[0]
+        mixture = np.concatenate([
+            np.broadcast_to(spec.mixture, (size, *spec.mixture.shape[-2:]))
+            for spec, size in zip(specs, self._cell_sizes)
+        ])
+        mass = np.concatenate([
+            np.broadcast_to(spec.mass, (size, 1, 1)) for spec, size in zip(specs, self._cell_sizes)
+        ])
+        return nn.MixtureKlSpec(mixture, mass, specs[0].tau)
+
     # -- evaluation -------------------------------------------------------
 
-    def _eval_round(self, round_idx: int, confidence: tuple | None = None) -> RoundRecord:
-        """Evaluate every client and record the round.
+    def _eval_round(self, round_idx: int, confidence: tuple | None = None) -> list[RoundRecord]:
+        """Evaluate every client and record the round, one record per cell.
 
-        confidence is the round's reweight.confidence_step result, if the
-        round had a confidence step.
+        confidence is the round's (q, p, f, weights) columns and per-cell
+        clamp counts, if the round had a confidence step.
         """
         hp = self.cfg.hyperparams
 
         def evaluate(group: ClientGroup):
-            columns = evaluate_client(group, self.test, hp)
+            columns = evaluate_client(group, self.test, self.test_classes, hp)
             group.evaluated = columns[3], group.cohort.copy()
             return columns
 
         columns = self._in_phase("eval", round_idx, lambda g: self._by_client(evaluate(g)))
-        self.messages += len(self.clients)  # one report per client
+        self.messages += self._cell_sizes  # one report per client
         with self._timed("eval"):
-            *weighting, clamp_events = confidence or (None, None, None, None, 0)
+            *weighting, clamps = confidence or (None, None, None, None, [0] * len(self.cells))
             k = len(self.clients)
-            rows = zip(*(
+            rows = list(zip(*(
                 [None] * k if column is None else column.tolist()
                 for column in columns + weighting
-            ))
-            stats = tuple(
-                ClientRoundStats(c.client_id, *row) for c, row in zip(self.clients, rows)
-            )
-            return RoundRecord(round_idx, stats, clamp_events)
+            )))
+            return [
+                RoundRecord(round_idx, tuple(
+                    ClientRoundStats(c.client_id, *row)
+                    for c, row in zip(self.clients[cell], rows[cell])
+                ), clamp_events)
+                for cell, clamp_events in zip(self.cells, clamps)
+            ]
 
     # -- strategy rounds --------------------------------------------------
 
@@ -507,7 +560,7 @@ class Controller:
         cfg = self.cfg
         group = self.group
         k = len(self.clients)
-        self.messages += k  # the global model to every client
+        self.messages += k  # the global model to every client (one cell)
         if cfg.participation < 1.0:
             count = max(1, int(round(cfg.participation * k)))
             chosen = np.sort(self._sampler.choice(k, size=count, replace=False))
@@ -529,16 +582,20 @@ class Controller:
     def _round_hetero(self, round_idx: int):
         cfg = self.cfg
         logits = self._public_logits("hetero_share", round_idx)
-        # Every client shares its logits; the server shares the average back.
-        self.messages += 2 * len(self.clients)
+        # Every client shares its logits; the server shares its cell's average back.
+        self.messages += 2 * self._cell_sizes
 
         with self._timed("distill"):
-            consensus = logits.mean(axis=0)
-            peer = nn.softmax_t(consensus[np.newaxis], cfg.hyperparams.temperature)
-        weight = np.ones(1)
+            tau = cfg.hyperparams.temperature
+            consensus = np.stack([logits[cell].mean(axis=0) for cell in self.cells])
+            del logits
+            peers = nn.softmax_t(consensus, tau)
+            target = self._stacked([
+                nn.mixture_spec(peers[c : c + 1], np.ones(1), tau) for c in range(len(self.cells))
+            ])
         self._in_phase(
             "distill", round_idx,
-            lambda g: collaborative_training(g, self.public, peer, weight, cfg),
+            lambda g: collaborative_training(g, self.public, target, cfg),
         )
         self._in_phase(
             "private", round_idx,
@@ -576,23 +633,33 @@ class Controller:
             )
             logits = self._public_logits("phase1", round_idx)
             with self._timed("phase1"):
-                confidence = reweight.confidence_step(
-                    flags.reweight, prev_sl, cur_sl, ratio, hp.eta_conf
+                steps = [
+                    reweight.confidence_step(
+                        flags.reweight, prev_sl[cell], cur_sl[cell], ratio[cell], hp.eta_conf
+                    )
+                    for cell in self.cells
+                ]
+                *columns, clamps = zip(*steps)
+                q, p, f, weights = (
+                    None if parts[0] is None else np.concatenate(parts) for parts in columns
                 )
-            weights = confidence[3]
+                confidence = q, p, f, weights, list(clamps)
             # Each client uploads its report and its logits; the server
             # broadcasts the weights.
-            self.messages += 3 * len(self.clients)
+            self.messages += 3 * self._cell_sizes
 
-            # Each peer is softmaxed once; every client mixes all but itself.
+            # Each peer is softmaxed once; every client mixes all of its
+            # cell's peers but itself, if it has any.
             with self._timed("distill"):
-                peer_probs = nn.softmax_t(logits, hp.temperature)
-            self._in_phase(
-                "distill", round_idx,
-                lambda g: collaborative_training(
-                    g, self.public, peer_probs, weights, cfg, leave_out_own=True
-                ),
-            )
+                target = None
+                if self._cell_sizes.max() > 1:
+                    target = self._peer_target(nn.softmax_t(logits, hp.temperature), weights)
+                del logits
+            if target is not None:
+                self._in_phase(
+                    "distill", round_idx,
+                    lambda g: collaborative_training(g, self.public, target, cfg),
+                )
 
         epoch_base = (round_idx - 1) * cfg.local_epochs
         self._in_phase(
@@ -606,10 +673,11 @@ class Controller:
 
     # -- top level ---------------------------------------------------------
 
-    def run(self) -> RunResult:
+    def run(self) -> list[RunResult]:
+        """Every round; one RunResult per cell, in cell order."""
         started = time.perf_counter()
         self._phase_seconds = {}
-        records = [self._eval_round(0)]
+        records = [[record] for record in self._eval_round(0)]
         self.group.history = self.group.evaluated
         seconds = [time.perf_counter() - started]
         phases = [self._phase_seconds]
@@ -623,12 +691,16 @@ class Controller:
                 self._round_hetero(round_idx)
             else:
                 confidence = self._round_lattice(round_idx)
-            records.append(self._eval_round(round_idx, confidence))
+            for cell_records, record in zip(records, self._eval_round(round_idx, confidence)):
+                cell_records.append(record)
             seconds.append(time.perf_counter() - started)
             phases.append(self._phase_seconds)
         for client, params in zip(self.group.clients, self.group.cohort.models()):
             client.params = params
-        return RunResult(records, self.messages, seconds, phases)
+        return [
+            RunResult(cell_records, int(messages), seconds, phases, len(self.cells))
+            for cell_records, messages in zip(records, self.messages)
+        ]
 
 
 def run_federation(
@@ -637,5 +709,6 @@ def run_federation(
     test: Dataset,
     public: Dataset | None = None,
     sampler_seed=0,
-) -> RunResult:
+) -> list[RunResult]:
+    """Run the clients' federation: one RunResult per cell, in cell order."""
     return Controller(clients, cfg, test, public, sampler_seed).run()

@@ -321,6 +321,31 @@ class TestMulticlassRocAuc:
         assert metrics.multiclass_roc_auc(probs, labels) == pytest.approx(expected, abs=1e-12)
 
 
+class TestOneVsRest:
+    """A label vector's split, built once, scores as the labels do."""
+
+    @pytest.mark.parametrize("classes", [3, 4, 10])
+    def test_split_gives_the_labels_bits(self, classes):
+        rng = np.random.default_rng(classes)
+        labels = np.r_[np.arange(classes), rng.integers(0, classes, size=60)]
+        split = metrics.OneVsRest.of(labels, classes)
+        assert split.defined and split.n_pos.sum() == labels.size
+        for shape in [(labels.size, classes), (3, labels.size, classes)]:
+            probs = np.round(softmax_rows(rng, shape), 2)  # rounding forces ties
+            expected = metrics.multiclass_roc_auc(probs, labels)
+            assert np.asarray(metrics.multiclass_roc_auc(probs, split)).tobytes() == \
+                np.asarray(expected).tobytes()
+
+    def test_missing_class_and_wrong_shape(self):
+        split = metrics.OneVsRest.of([0, 1, 0, 1], 3)
+        assert not split.defined
+        assert metrics.multiclass_roc_auc(np.full((4, 3), 1 / 3), split) is None
+        with pytest.raises(ConfigError, match="rows must match"):
+            metrics.multiclass_roc_auc(np.full((5, 3), 1 / 3), split)
+        with pytest.raises(ConfigError, match="rows must match"):
+            metrics.multiclass_roc_auc(np.full((4, 2), 1 / 2), split)
+
+
 def summarized_avg(tmp_path, accuracies) -> float:
     """The avg column harness.summarize gives a run with these final accuracies."""
     run = tmp_path / "run"

@@ -164,7 +164,7 @@ class TestHeteroRounds:
                            data={"clients": 2})
         world_h = harness.build_world(hetero)
         world_l = harness.build_world(hetero)
-        res_h = protocol.run_federation(
+        [res_h] = protocol.run_federation(
             world_h.clients, hetero.strategy_config(), world_h.test, world_h.public
         )
         local_cfg = protocol.StrategyConfig(
@@ -172,7 +172,7 @@ class TestHeteroRounds:
             collab_epochs=0, batch_size=hetero.batch_size,
             hyperparams=hetero.hyperparams, flags=protocol.AblationFlags(),
         )
-        res_l = protocol.run_federation(
+        [res_l] = protocol.run_federation(
             world_l.clients, local_cfg, world_l.test, world_l.public
         )
         for ch, cl in zip(world_h.clients, world_l.clients):
@@ -217,7 +217,7 @@ class TestLatticeRounds:
                 flags=protocol.AblationFlags(True, True, True, reweight_mode),
             )
             clients = fleet()
-            result = protocol.run_federation(clients, cfg, test, public)
+            [result] = protocol.run_federation(clients, cfg, test, public)
             return clients, result
 
         eccr_clients, eccr_res = run("eccr")
@@ -386,16 +386,15 @@ class TestPeerPath:
             )
             assert expected.values.tobytes() != client.params.values.tobytes()
             group = protocol.ClientGroup.stack([client], [idx])
-            protocol.collaborative_training(
-                group, world.public, probs, w, cfg.strategy_config(), leave_out_own=True
-            )
+            target = nn.mixture_spec(probs, w, tau, np.arange(5))
+            protocol.collaborative_training(group, world.public, target, cfg.strategy_config())
             assert group.cohort.values.tobytes() == expected.values.tobytes()
 
     def test_lattice_round_matches_consensus_spec(self):
         cfg, world, logits = self._fleet("rhfl_plus_eccr")
         cfg = replace(cfg, rounds=1, local_epochs=0)
         initial = [c.params for c in world.clients]
-        result = protocol.run_federation(
+        [result] = protocol.run_federation(
             world.clients, cfg.strategy_config(), world.test, world.public
         )
         w = np.array([s.weight for s in result.records[1].clients])
@@ -414,9 +413,8 @@ class TestPeerPath:
                 cfg, client.params, world.public.features, consensus, np.ones(1)
             )
             group = protocol.ClientGroup.stack([client], [0])
-            protocol.collaborative_training(
-                group, world.public, peer, np.ones(1), cfg.strategy_config()
-            )
+            target = nn.mixture_spec(peer, np.ones(1), tau)
+            protocol.collaborative_training(group, world.public, target, cfg.strategy_config())
             assert group.cohort.values.tobytes() == expected.values.tobytes()
 
 
@@ -457,7 +455,7 @@ class TestClientGroups:
         solo = small_cfg(strategy="rhfl_plus_eccr", rounds=3, data={"clients": 1})
         world, world_n = harness.build_world(solo), harness.build_world(solo)
         full = solo.strategy_config()
-        result = protocol.run_federation(world.clients, full, world.test, world.public)
+        [result] = protocol.run_federation(world.clients, full, world.test, world.public)
         assert [s.weight for r in result.records[1:] for s in r.clients] == [1.0] * 3
         assert all(s.f is None for r in result.records[1:] for s in r.clients)
         # No peers to distill from: training is the same as with hfl off.
@@ -470,7 +468,7 @@ class TestClientGroups:
         world = harness.build_world(cfg)
         keep = world.test.labels != 2
         test = data.Dataset(world.test.features[keep], world.test.labels[keep], 3)
-        result = protocol.run_federation(world.clients, cfg.strategy_config(), test, world.public)
+        [result] = protocol.run_federation(world.clients, cfg.strategy_config(), test, world.public)
         stats = [s for r in result.records for s in r.clients]
         assert len(stats) == 9
         assert all(s.roc_auc is None and s.accuracy is not None for s in stats)
@@ -522,7 +520,7 @@ class TestCohorts:
         result, world = harness.run_experiment(cfg)
         fresh = harness.build_world(cfg)
         for client, stats in zip(fresh.clients, result.records[-1].clients):
-            alone = protocol.run_federation([client], cfg.strategy_config(), fresh.test)
+            [alone] = protocol.run_federation([client], cfg.strategy_config(), fresh.test)
             trained = world.clients[client.client_id].params.values
             assert client.params.values.tobytes() == trained.tobytes()
             assert alone.records[-1].clients[0] == stats
@@ -548,7 +546,7 @@ class TestCohorts:
             return epoch(cohort, *args)
 
         monkeypatch.setattr(nn, "cohort_sgd_epoch", spy)
-        chunked = controller.run()
+        [chunked] = controller.run()
         assert parts[:6] == [(2, 1)] * 2 + [(1, 2)] * 2 + [(2,)] * 2  # two epochs per chunk
         assert record_dicts(whole) == record_dicts(chunked)
         for a, b in zip(world_w.clients, world.clients):
@@ -605,7 +603,7 @@ class TestShardLossReuse:
             seeded.clients, replace(cfg.strategy_config(), rounds=0),
             seeded.test, seeded.public,
         )
-        result0 = controller.run()
+        [result0] = controller.run()
         group = controller.group
         assert group.history is group.evaluated
         sl, snapshot = group.history
@@ -779,7 +777,7 @@ class TestDeterminismAndMessages:
             monkeypatch.setattr(reweight, "confidence_step", ticking(reweight.confidence_step))
         else:
             monkeypatch.setattr(protocol, "RoundRecord", ticking(protocol.RoundRecord))
-        result = protocol.run_federation(
+        [result] = protocol.run_federation(
             world.clients, cfg.strategy_config(), world.test, world.public
         )
         assert now[0] > 0
@@ -792,6 +790,22 @@ class TestDeterminismAndMessages:
         result, _ = harness.run_experiment(cfg)
         assert len(result.records) == 1
         assert result.records[0].round_idx == 0
+
+
+class TestTestSplit:
+    def test_one_vs_rest_split_is_built_once_per_run(self, monkeypatch):
+        cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=2, data={"clients": 4})
+        whole, _ = harness.run_experiment(cfg)
+        built, scored = [], []
+        split, score = metrics.OneVsRest.of, metrics.multiclass_roc_auc
+        monkeypatch.setattr(metrics.OneVsRest, "of", lambda *a: built.append(a) or split(*a))
+        monkeypatch.setattr(metrics, "multiclass_roc_auc", lambda *a: scored.append(a) or score(*a))
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1)  # one client per chunk
+        chunked, _ = harness.run_experiment(cfg)
+        assert len(built) == 1
+        assert len(scored) == 4 * 3  # every chunk of every evaluation
+        assert all(isinstance(labels, metrics.OneVsRest) for _, labels in scored)
+        assert record_dicts(chunked) == record_dicts(whole)
 
 
 class NumpyWithoutArgsort:

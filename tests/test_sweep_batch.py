@@ -1,0 +1,214 @@
+"""Sweep cells that differ only in their noise run as one federation.
+
+Each such cell must write the bytes it writes when run alone, fail as it
+fails alone, and a rerun must recompute only what is missing.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from hetfed import data, harness, protocol
+from hetfed.config import ExperimentConfig, apply_overrides, parse_config
+from hetfed.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parent.parent
+BASE = ROOT / "configs" / "base.json"
+GRID = json.loads((ROOT / "configs" / "comparison_grid.json").read_text())
+CHECKED = (harness.ROUNDS_FILE, harness.META_FILE, harness.CONFIG_FILE)
+
+
+def base(*overrides):
+    return parse_config([BASE], ["rounds=2", *overrides])
+
+
+def cell_configs(doc, grid):
+    return [
+        ExperimentConfig.from_dict(apply_overrides(json.loads(json.dumps(doc)), cell.items(), "<grid>"))
+        for cell in harness.expand_grid(grid)
+    ]
+
+
+def files(run_dir):
+    return {name: (run_dir / name).read_bytes() for name in CHECKED}
+
+
+def timing(run_dir):
+    return json.loads((run_dir / harness.TIMING_FILE).read_text())
+
+
+def alone(monkeypatch):
+    """Make every sweep cell run on its own, as before batching."""
+    monkeypatch.setattr(harness, "_batch_key", lambda cfg: None)
+
+
+@pytest.fixture
+def federations(monkeypatch):
+    """The cell count of every federation run, in call order."""
+    calls = []
+    run = protocol.run_federation
+
+    def counted(clients, *args, **kwargs):
+        calls.append(len({c.cell for c in clients}))
+        return run(clients, *args, **kwargs)
+
+    monkeypatch.setattr(protocol, "run_federation", counted)
+    return calls
+
+
+class TestBatchMatchesAlone:
+    VARIANTS = {
+        "plain": [],
+        "one_client_per_chunk": [],
+        # At this learning rate confidence weights clamp by round 3.
+        "random_rates_clamped": [
+            "rounds=3", "hyperparams.lr=0.5",
+            "data.noise.random_range=[0.2,0.6]", "hyperparams.eta_conf=8",
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_every_cell_writes_its_solo_bytes(self, tmp_path, monkeypatch, federations,
+                                              variant, seed):
+        if variant == "one_client_per_chunk":
+            monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1)  # chunks cut blocks and cells
+        doc = base(*self.VARIANTS[variant])
+        grid = {**GRID, "seed": [seed]}
+        outcome = harness.run_sweep(doc, grid, tmp_path / "batched")
+        assert not outcome.failures
+        assert federations == [4] * len(GRID["strategy"])
+        clamps = {}  # per strategy, each cell's clamp counts
+        for cfg, run_dir in zip(cell_configs(doc, grid), outcome.run_dirs):
+            solo = harness.execute_run(cfg, tmp_path / "alone")
+            assert solo.name == run_dir.name
+            assert files(run_dir) == files(solo)
+            assert timing(run_dir)["batch_cells"] == 4 and timing(solo)["batch_cells"] == 1
+            records = [json.loads(line) for line in (run_dir / harness.ROUNDS_FILE).open()]
+            assert sorted({r["client"] for r in records}) == [0, 1, 2, 3]
+            counts = tuple(r["clamp_events"] for r in records)
+            clamps.setdefault(cfg.strategy, set()).add(counts)
+        if variant == "random_rates_clamped":
+            # Cells of one batch count their own clamps.
+            assert any(len(counts) > 1 for counts in clamps.values())
+
+    def test_batch_cells_share_the_batch_timing(self, tmp_path):
+        grid = {"strategy": ["local_only"], "noise_type": ["pairflip", "symmetric"], "mu": [0.1]}
+        outcome = harness.run_sweep(base(), grid, tmp_path)
+        first, second = (timing(run_dir) for run_dir in outcome.run_dirs)
+        assert first == second
+        assert first["batch_cells"] == 2 and first["total_seconds"] > 0
+
+
+class TestWhatBatches:
+    def test_only_cells_that_differ_in_noise_share_a_federation(self, tmp_path, federations):
+        grid = {
+            "strategy": ["fedavg", "local_only"],
+            "noise_type": ["pairflip", "symmetric"],
+            "mu": [0.1],
+            "seed": [0, 1],
+            "archs.hidden_layers": [[[16]]],
+        }
+        outcome = harness.run_sweep(base(), grid, tmp_path)
+        assert not outcome.failures
+        cells = {
+            (t["batch_cells"], json.loads((d / harness.CONFIG_FILE).read_text())["strategy"])
+            for d in outcome.run_dirs for t in [timing(d)]
+        }
+        assert cells == {(1, "fedavg"), (2, "local_only")}
+        assert sorted(federations) == [1, 1, 1, 1, 2, 2]
+
+    def test_ablation_grid_runs_six_batches_of_four(self, tmp_path, federations):
+        grid = {
+            "flags": harness.ablation_rows(),
+            "noise_type": ["pairflip", "symmetric"],
+            "mu": [0.1, 0.2],
+        }
+        outcome = harness.run_sweep(base("rounds=1"), grid, tmp_path)
+        assert not outcome.failures and len(outcome.run_dirs) == 24
+        assert federations == [4] * 6
+
+    def test_fedavg_federation_takes_one_cell(self):
+        cfg = ExperimentConfig.from_dict(base("strategy=fedavg", "archs.hidden_layers=[[16]]"))
+        worlds = [harness.build_world(cfg), harness.build_world(cfg)]
+        for client in worlds[1].clients:
+            client.cell = 1
+        with pytest.raises(ConfigError, match="fedavg runs one cell at a time"):
+            protocol.run_federation(
+                worlds[0].clients + worlds[1].clients, cfg.strategy_config(), worlds[0].test
+            )
+
+
+class TestFailuresAndReruns:
+    GRID = {
+        "strategy": ["local_only", "rhfl_plus_eccr"],
+        "noise_type": ["pairflip", "symmetric"],
+        "mu": [0.1, 0.2],
+    }
+
+    def sweep(self, out):
+        outcome = harness.run_sweep(base(), self.GRID, out)
+        report = (out / "sweep_report.json").read_bytes()
+        return outcome, {d.name: files(d) for d in outcome.run_dirs}, report
+
+    def test_failing_cell_fails_as_alone_and_spares_its_batch(self, tmp_path, monkeypatch):
+        apply_noise = data.apply_noise
+
+        def flaky(ds, kind, rate, seed):
+            if kind == "symmetric" and rate == 0.2:
+                raise ConfigError("no symmetric noise at 0.2 today")
+            return apply_noise(ds, kind, rate, seed)
+
+        monkeypatch.setattr(data, "apply_noise", flaky)
+        with pytest.warns(RuntimeWarning, match="batch of 4 sweep cells failed .ConfigError"):
+            batched, batched_files, batched_report = self.sweep(tmp_path / "batched")
+        alone(monkeypatch)
+        solo, solo_files, solo_report = self.sweep(tmp_path / "alone")
+        assert len(batched_files) == 6 and batched_files == solo_files
+        assert batched_report == solo_report
+        assert batched.failures == solo.failures
+        assert len(batched.failures) == 2
+        assert all(e.startswith("ConfigError: no symmetric noise") for e in batched.failures.values())
+
+    def test_batch_only_failure_reruns_every_cell_alone(self, tmp_path, monkeypatch, federations):
+        run = protocol.run_federation
+
+        def single_cells_only(clients, *args, **kwargs):
+            if len({c.cell for c in clients}) > 1:
+                raise protocol.ProtocolError("batches are broken")
+            return run(clients, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "run_federation", single_cells_only)
+        with pytest.warns(RuntimeWarning, match="batches are broken.; running each alone"):
+            batched, batched_files, batched_report = self.sweep(tmp_path / "batched")
+        alone(monkeypatch)
+        _, solo_files, solo_report = self.sweep(tmp_path / "alone")
+        assert not batched.failures
+        assert batched_files == solo_files and batched_report == solo_report
+        assert all(timing(d)["batch_cells"] == 1 for d in batched.run_dirs)
+
+    def test_rerun_recomputes_only_the_missing_cell(self, tmp_path, federations):
+        out = tmp_path / "sweep"
+        outcome, first, _ = self.sweep(out)
+        assert federations == [4, 4]
+        stamps = {d.name: (d / harness.ROUNDS_FILE).stat().st_mtime_ns for d in outcome.run_dirs}
+        gone = outcome.run_dirs[3]
+        for path in gone.iterdir():
+            path.unlink()
+        gone.rmdir()
+        federations.clear()
+        rerun, again, _ = self.sweep(out)
+        assert federations == [1]
+        assert again == first and rerun.run_dirs == outcome.run_dirs
+        for run_dir in rerun.run_dirs:
+            if run_dir != gone:
+                assert (run_dir / harness.ROUNDS_FILE).stat().st_mtime_ns == stamps[run_dir.name]
+        assert timing(gone)["batch_cells"] == 1
+
+    def test_finished_sweep_starts_no_federation(self, tmp_path, federations):
+        out = tmp_path / "sweep"
+        self.sweep(out)
+        federations.clear()
+        self.sweep(out)
+        assert federations == []
