@@ -368,12 +368,11 @@ def _computes(cfgs: list, out_dir) -> list:
     None (alone). A None config is a cell that failed to resolve."""
     groups: dict[str, dict[str, ExperimentConfig]] = {}
     for cfg in cfgs:
-        if cfg is None:
+        key = None if cfg is None else _batch_key(cfg)
+        if key is None:
             continue
-        resolved = echo_config(cfg)
-        run_dir, finished = _finished(resolved, out_dir)
-        key = _batch_key(cfg)
-        if not finished and key is not None:
+        run_dir, finished = _finished(echo_config(cfg), out_dir)
+        if not finished:
             groups.setdefault(key, {}).setdefault(run_dir.name, cfg)
     batches = {}
     for members in groups.values():
