@@ -49,7 +49,7 @@ def main() -> int:
             cfg = ExperimentConfig.from_dict(resolved)
             run_dir = harness.execute_run(cfg, args.out)
             with open(run_dir / harness.ROUNDS_FILE) as fh:
-                final = [r for r in map(json.loads, fh) if r["round"] == cfg.rounds]
+                final = [r for r in map(json.loads, fh) if r["round"] == cfg.federation.rounds]
             accs.append(np.mean([r["accuracy"] for r in final]))
             aucs.append(np.mean([r["roc_auc"] for r in final if r["roc_auc"] is not None]))
             if strategy == "local_only" and seed == args.seeds[0]:

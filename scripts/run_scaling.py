@@ -47,7 +47,7 @@ def main() -> int:
         run_dir = harness.execute_run(cfg, args.out)
         with open(run_dir / harness.ROUNDS_FILE) as fh:
             records = [json.loads(line) for line in fh]
-        accs = [r["accuracy"] for r in records if r["round"] == cfg.rounds]
+        accs = [r["accuracy"] for r in records if r["round"] == cfg.federation.rounds]
         print(f"K={k:<4} mean acc {np.mean(accs):.4f} "
               f"(min {min(accs):.4f}, max {max(accs):.4f}) -> {run_dir}")
     return 0

@@ -1,6 +1,6 @@
 """Deterministic simulator for heterogeneous federated learning under label noise."""
 
-from .data import Dataset, NoisyDataset, PartitionPlan
+from .data import Dataset, PartitionPlan
 from .nn import Hyperparams, ModelParams
 from .protocol import AblationFlags, StrategyConfig
 
@@ -11,7 +11,6 @@ __all__ = [
     "Dataset",
     "Hyperparams",
     "ModelParams",
-    "NoisyDataset",
     "PartitionPlan",
     "StrategyConfig",
     "__version__",

@@ -10,12 +10,12 @@ fed back in unchanged to reproduce the run.
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import nn
 from .data import NOISE_KINDS, PARTITION_SCHEMES
 from .errors import ConfigError
-from .protocol import AblationFlags, STRATEGIES, StrategyConfig, resolve_flags
+from .protocol import STRATEGIES, StrategyConfig, resolve_flags
 from .reweight import REWEIGHT_MODES
 
 SEED_ENV_VAR = "HETFED_SEED"
@@ -248,14 +248,7 @@ class DataConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
-    strategy: str
-    rounds: int
-    local_epochs: int
-    collab_epochs: int
-    batch_size: int
-    participation: float
-    hyperparams: nn.Hyperparams
-    flags: AblationFlags
+    federation: StrategyConfig
     data: DataConfig
     hidden_layers: tuple[tuple[int, ...], ...]
     resolved: dict
@@ -310,43 +303,23 @@ class ExperimentConfig:
         hidden = tuple(tuple(layer) for layer in hidden)
         if resolved["seed"] < 0:
             raise ConfigError("seed must be non-negative")
-        return ExperimentConfig(
-            seed=resolved["seed"],
+        federation = StrategyConfig(
             strategy=resolved["strategy"],
             rounds=resolved["rounds"],
             local_epochs=resolved["local_epochs"],
             collab_epochs=resolved["collab_epochs"],
             batch_size=resolved["batch_size"],
-            participation=resolved["participation"],
             hyperparams=hp,
             flags=flags,
-            data=data,
-            hidden_layers=hidden,
-            resolved=resolved,
+            participation=resolved["participation"],
         )
-
-    def strategy_config(self) -> StrategyConfig:
-        return StrategyConfig(
-            strategy=self.strategy,
-            rounds=self.rounds,
-            local_epochs=self.local_epochs,
-            collab_epochs=self.collab_epochs,
-            batch_size=self.batch_size,
-            hyperparams=self.hyperparams,
-            flags=self.flags,
-            participation=self.participation,
-        )
+        return ExperimentConfig(resolved["seed"], federation, data, hidden, resolved)
 
 
 def echo_config(cfg: ExperimentConfig) -> dict:
     """The resolved document with the ablation flags made explicit."""
     doc = json.loads(json.dumps(cfg.resolved))
-    doc["flags"] = {
-        "hfl": cfg.flags.hfl,
-        "sl": cfg.flags.sl,
-        "dlr": cfg.flags.dlr,
-        "reweight": cfg.flags.reweight,
-    }
+    doc["flags"] = asdict(cfg.federation.flags)
     return doc
 
 

@@ -1,9 +1,10 @@
 """Dataset construction, ingestion, partitioning, and label-noise injection.
 
-Datasets are immutable once built (arrays are frozen), so every client and
-phase reads the shards and the public pool without copying them. Noise injection
-keeps the clean labels alongside the corrupted ones; training only ever
-sees the noisy vector while evaluation uses the clean one.
+Datasets are immutable once built (arrays are frozen), so every phase
+reads the test set and the public pool without copying them. A partition
+gives each client's shard as a row of indices into one pool, and noise
+injection maps one client's labels to its noisy labels and the mask of
+the ones it flipped.
 """
 
 import csv
@@ -56,33 +57,6 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[idx].copy(), self.labels[idx].copy(), self.class_count)
-
-
-@dataclass(frozen=True)
-class NoisyDataset:
-    """A dataset plus a corrupted label vector; clean labels stay hidden
-    from training and are only consulted by evaluation code."""
-
-    base: Dataset
-    noisy_labels: np.ndarray
-    flipped: np.ndarray
-    flip_fraction: float
-
-    def __post_init__(self):
-        noisy = np.asarray(self.noisy_labels, dtype=np.int64)
-        flipped = np.asarray(self.flipped, dtype=bool)
-        if noisy.shape != self.base.labels.shape or flipped.shape != noisy.shape:
-            raise ConfigError("noisy labels and flip mask must match the base dataset")
-        if noisy.size and (noisy.min() < 0 or noisy.max() >= self.base.class_count):
-            raise ConfigError("noisy labels out of class range")
-        if not np.array_equal(noisy != self.base.labels, flipped):
-            raise ConfigError("flip mask must mark exactly the changed records")
-        object.__setattr__(self, "noisy_labels", _freeze(noisy))
-        object.__setattr__(self, "flipped", _freeze(flipped))
-
-    @property
-    def size(self) -> int:
-        return self.base.size
 
 
 @dataclass(frozen=True)
@@ -232,7 +206,9 @@ def load_csv(path: str, class_count: int) -> Dataset:
     return Dataset(features, np.asarray(labels), class_count)
 
 
-def _partition_indices(ds: Dataset, plan: PartitionPlan) -> list[np.ndarray]:
+def partition(ds: Dataset, plan: PartitionPlan) -> np.ndarray:
+    """Each client's shard of the dataset, as a (client_count, shard_size)
+    array whose row k holds client k's disjoint row indices, ascending."""
     rng = np.random.default_rng(plan.seed)
     n = ds.size
     k, size = plan.client_count, plan.shard_size
@@ -240,14 +216,13 @@ def _partition_indices(ds: Dataset, plan: PartitionPlan) -> list[np.ndarray]:
         raise ConfigError(f"requested {k * size} samples but dataset has {n}")
 
     if plan.scheme == "iid-equal":
-        perm = rng.permutation(n)
-        return [np.sort(perm[i * size : (i + 1) * size]) for i in range(k)]
+        return np.sort(rng.permutation(n)[: k * size].reshape(k, size), axis=1)
 
     # label-skew: each client draws a Dirichlet class mix and fills its
     # quota from per-class pools, spilling to whatever classes remain.
     pools = [rng.permutation(np.flatnonzero(ds.labels == c)).tolist() for c in range(ds.class_count)]
-    shards = []
-    for _ in range(k):
+    shards = np.empty((k, size), dtype=np.int64)
+    for shard in shards:
         mix = rng.dirichlet(np.full(ds.class_count, plan.concentration))
         want = np.floor(mix * size).astype(int)
         remainder = size - want.sum()
@@ -268,32 +243,29 @@ def _partition_indices(ds: Dataset, plan: PartitionPlan) -> list[np.ndarray]:
             taken.extend(pools[richest][:grab])
             del pools[richest][:grab]
             deficit -= grab
-        shards.append(np.sort(np.asarray(taken, dtype=np.int64)))
+        shard[:] = np.sort(taken)
     return shards
 
 
-def partition(ds: Dataset, plan: PartitionPlan) -> list[Dataset]:
-    """Split a dataset into disjoint client shards according to the plan."""
-    return [ds.subset(idx) for idx in _partition_indices(ds, plan)]
+def apply_noise(labels: np.ndarray, class_count: int, kind: str, rate: float, seed):
+    """One client's labels -> (noisy labels, mask of the flipped ones).
 
-
-def apply_noise(ds: Dataset, kind: str, rate: float, seed) -> NoisyDataset:
-    """Flip each label with probability rate: to a uniform other class
+    Each label flips with probability rate: to a uniform other class
     (symmetric) or to the next class, cyclically (pairflip). Kind "none"
-    keeps every label."""
+    keeps every label and draws nothing.
+    """
     if kind not in NOISE_KINDS:
         raise ConfigError(f"unknown noise kind {kind!r}")
     if not 0.0 <= rate <= 1.0:
         raise ConfigError(f"noise rate must lie in [0, 1], got {rate}")
     if kind == "none":
-        return NoisyDataset(ds, ds.labels.copy(), np.zeros(ds.size, dtype=bool), 0.0)
-    if ds.class_count < 2:
+        return labels.copy(), np.zeros(labels.shape, dtype=bool)
+    if class_count < 2:
         raise ConfigError(f"{kind} noise needs at least two classes")
     rng = np.random.default_rng(seed)
-    flip = rng.random(ds.size) < rate
-    shift = rng.integers(1, ds.class_count, size=ds.size) if kind == "symmetric" else 1
-    noisy = np.where(flip, (ds.labels + shift) % ds.class_count, ds.labels)
-    return NoisyDataset(ds, noisy, flip, float(flip.mean()))
+    flip = rng.random(labels.size) < rate
+    shift = rng.integers(1, class_count, size=labels.size) if kind == "symmetric" else 1
+    return np.where(flip, (labels + shift) % class_count, labels), flip
 
 
 def random_split(ds: Dataset, take: int, seed) -> tuple[Dataset, Dataset | None]:

@@ -49,17 +49,21 @@ GRID_ALIASES = {
 
 @dataclass
 class World:
+    """A run's clients, their shards as stacks whose row k is client k's
+    (features (K, S, d), noisy labels (K, S) and the mask of the labels
+    the noise flipped (K, S)), and the shared public and test sets."""
+
     clients: list[protocol.ClientState]
+    features: np.ndarray
+    labels: np.ndarray
+    flipped: np.ndarray
     public: datahub.Dataset | None
     test: datahub.Dataset
     noise_rates: list[float]
-    archs: list[tuple[tuple[int, int], ...]]
 
 
 def random_noise_assignment(k: int, lo: float, hi: float, seed) -> np.ndarray:
     """Per-client noise rates drawn uniformly from [lo, hi]."""
-    if not 0.0 <= lo <= hi <= 1.0:
-        raise ConfigError(f"invalid noise range [{lo}, {hi}]")
     rng = np.random.default_rng(seed)
     return lo + (hi - lo) * rng.random(k)
 
@@ -77,8 +81,8 @@ def _base_dataset(cfg: ExperimentConfig) -> datahub.Dataset:
     return datahub.load_csv(d.csv_path, d.classes)
 
 
-def _layer_dims(dims: int, hidden: tuple[int, ...], classes: int):
-    widths = (dims, *hidden, classes)
+def _layer_dims(base: datahub.Dataset, hidden: tuple[int, ...]):
+    widths = (base.features.shape[1], *hidden, base.class_count)
     return tuple(zip(widths[:-1], widths[1:]))
 
 
@@ -86,10 +90,11 @@ def build_world(cfg: ExperimentConfig) -> World:
     """Assemble disjoint test/public/private pools and the client fleet."""
     d = cfg.data
     base = _base_dataset(cfg)
-    needs_public = cfg.flags.hfl
+    strategy = cfg.federation.strategy
+    needs_public = cfg.federation.flags.hfl
     if needs_public and d.n_public < 1:
         raise ConfigError(
-            f"strategy {cfg.strategy!r} distills over a public dataset; set data.n_public >= 1"
+            f"strategy {strategy!r} distills over a public dataset; set data.n_public >= 1"
         )
     n_public = d.n_public if needs_public else 0
     needed = d.test_size + n_public + d.clients * d.shard_size
@@ -111,6 +116,8 @@ def build_world(cfg: ExperimentConfig) -> World:
         concentration=d.concentration,
     )
     shards = datahub.partition(rest, plan)
+    features = rest.features[shards]
+    clean = rest.labels[shards]
 
     noise = d.noise
     if noise.random_range is not None:
@@ -119,40 +126,30 @@ def build_world(cfg: ExperimentConfig) -> World:
     else:
         rates = [noise.rate] * d.clients
 
-    if cfg.strategy == "fedavg":
+    if strategy == "fedavg":
         if len(set(cfg.hidden_layers)) > 1:
             raise ConfigError("fedavg requires a homogeneous architecture")
         # One global init: every client starts from the same parameters.
-        shared_hidden = cfg.hidden_layers[0]
-        dims0 = _layer_dims(base.features.shape[1], shared_hidden, base.class_count)
-        global_params = nn.init_params(dims0, (cfg.seed, _S_INIT))
-        archs = [dims0] * d.clients
-        params_list = [global_params] * d.clients
+        params = [nn.init_params(_layer_dims(base, cfg.hidden_layers[0]), (cfg.seed, _S_INIT))]
+        params *= d.clients
     else:
-        archs = [
-            _layer_dims(
-                base.features.shape[1],
-                cfg.hidden_layers[k % len(cfg.hidden_layers)],
-                base.class_count,
-            )
+        hidden = cfg.hidden_layers
+        params = [
+            nn.init_params(_layer_dims(base, hidden[k % len(hidden)]), (cfg.seed, _S_INIT, k))
             for k in range(d.clients)
         ]
-        params_list = [
-            nn.init_params(arch, (cfg.seed, _S_INIT, k)) for k, arch in enumerate(archs)
-        ]
 
-    clients = []
+    labels = np.empty_like(clean)
+    flipped = np.empty(clean.shape, dtype=bool)
     for k in range(d.clients):
-        noisy = datahub.apply_noise(shards[k], noise.kind, rates[k], (cfg.seed, _S_NOISE, k))
-        clients.append(
-            protocol.ClientState(
-                client_id=k,
-                params=params_list[k],
-                shard=noisy,
-                rng=np.random.default_rng((cfg.seed, _S_TRAIN, k)),
-            )
+        labels[k], flipped[k] = datahub.apply_noise(
+            clean[k], base.class_count, noise.kind, rates[k], (cfg.seed, _S_NOISE, k)
         )
-    return World(clients, public, test, [float(r) for r in rates], archs)
+    clients = [
+        protocol.ClientState(k, params[k], np.random.default_rng((cfg.seed, _S_TRAIN, k)))
+        for k in range(d.clients)
+    ]
+    return World(clients, features, labels, flipped, public, test, [float(r) for r in rates])
 
 
 def _federate(cfgs: list[ExperimentConfig]) -> list[tuple]:
@@ -169,7 +166,9 @@ def _federate(cfgs: list[ExperimentConfig]) -> list[tuple]:
     cfg, world = cfgs[0], worlds[0]
     results = protocol.run_federation(
         [client for w in worlds for client in w.clients],
-        cfg.strategy_config(),
+        np.concatenate([w.features for w in worlds]),
+        np.concatenate([w.labels for w in worlds]),
+        cfg.federation,
         world.test,
         world.public,
         sampler_seed=(cfg.seed, _S_SAMPLER),
@@ -192,8 +191,8 @@ def _world_meta(world: World) -> dict:
     return {
         "clients": len(world.clients),
         "noise_rates": world.noise_rates,
-        "flip_fractions": [c.shard.flip_fraction for c in world.clients],
-        "hidden_layers": [list(map(list, a)) for a in world.archs],
+        "flip_fractions": world.flipped.mean(axis=1).tolist(),
+        "hidden_layers": [list(map(list, c.arch)) for c in world.clients],
     }
 
 
@@ -237,7 +236,7 @@ def _batch_key(cfg: ExperimentConfig) -> str | None:
     """Equal for configs that differ only in noise kind and rate, which can
     share one federation; None for a config that runs alone (fedavg, whose
     sampler and aggregate are a single run's)."""
-    if cfg.strategy == "fedavg":
+    if cfg.federation.strategy == "fedavg":
         return None
     doc = echo_config(cfg)
     del doc["data"]["noise"]["kind"], doc["data"]["noise"]["rate"]
@@ -308,8 +307,8 @@ def execute_run(cfg: ExperimentConfig, out_dir, compute=None) -> Path:
             fh.write("\n")
         meta = {
             "config_hash": digest,
-            "rounds": cfg.rounds,
-            "strategy": cfg.strategy,
+            "rounds": cfg.federation.rounds,
+            "strategy": cfg.federation.strategy,
             "flags": resolved["flags"],
             "noise_kind": resolved["data"]["noise"]["kind"],
             "messages": result.messages,

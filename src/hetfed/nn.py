@@ -119,17 +119,6 @@ def init_params(layer_dims: Sequence[tuple[int, int]], seed) -> ModelParams:
     return ModelParams(tuple(layer_dims), np.concatenate(chunks))
 
 
-def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ConfigError("labels must be a vector")
-    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
-        raise ConfigError(f"labels outside [0, {class_count})")
-    out = np.zeros((labels.size, class_count))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
 def _check_features(x: np.ndarray, dims: LayerDims) -> None:
     if x.shape[-1] != dims[0][0]:
         raise ConfigError(f"batch has {x.shape[-1]} features, model expects {dims[0][0]}")

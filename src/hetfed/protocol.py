@@ -8,16 +8,16 @@ stream. One controller may run several runs (cells) at once, such as a
 sweep's cells that differ only in their label noise: every client belongs
 to one cell, exchanges logits, weights and consensus only with its own
 cell's clients, and each cell gets its own records and message count.
-Every client's shard holds the same number of rows, so the controller
-stacks all clients in one group and keeps their models in one
-nn.Cohort, built once and stepped in place by every phase: each
-architecture's models run their matmuls as one stack (a block), and the
-softmax and the loss gradient run once over the logits of every block. A
-phase runs the group in chunks of consecutive rows, each a view of the
-group's cohort. Every client gets the bits it would get alone. FedAvg
-folds its participants' rows in ascending client id, which pins the
-floating-point reduction order and makes whole runs bit-reproducible for
-a fixed seed.
+The controller takes the clients' shards as stacks, (K, S, d) features
+and (K, S) noisy labels, so it holds all clients in one group and keeps
+their models in one nn.Cohort, built once and stepped in place by every
+phase: each architecture's models run their matmuls as one stack (a
+block), and the softmax and the loss gradient run once over the logits
+of every block. A phase runs the group in chunks of consecutive rows,
+each a view of the group's cohort. Every client gets the bits it would
+get alone. FedAvg folds its participants' rows in ascending client id,
+which pins the floating-point reduction order and makes whole runs
+bit-reproducible for a fixed seed.
 
 Four strategies are implemented:
 
@@ -38,7 +38,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import metrics, nn, reweight
-from .data import Dataset, NoisyDataset
+from .data import Dataset
 from .errors import ConfigError, NumericError, ProtocolError
 
 STRATEGIES = (
@@ -126,7 +126,8 @@ class StrategyConfig:
 
 @dataclass
 class ClientState:
-    """Everything one client owns: model, shard, RNG stream.
+    """One client's model and RNG stream; its shard is its row of the
+    shard stacks that the controller is given.
 
     During a run the model lives in the controller's cohort; Controller.run
     writes it back here when the run ends. cell is the run the client
@@ -135,7 +136,6 @@ class ClientState:
 
     client_id: int
     params: nn.ModelParams
-    shard: NoisyDataset
     rng: np.random.Generator
     cell: int = 0
 
@@ -188,7 +188,7 @@ _CHUNK_BYTES = 1 << 21
 
 @dataclass
 class ClientGroup:
-    """Clients whose shards share one size, stacked on a row axis.
+    """Clients stacked on a row axis, with their shards.
 
     `cohort` holds their models, one block per architecture in the order
     in which the architectures first appear. The shard features (K, S, d),
@@ -209,22 +209,21 @@ class ClientGroup:
     history: tuple | None = None
 
     @classmethod
-    def stack(cls, clients, index) -> "ClientGroup":
-        sizes = sorted({c.shard.size for c in clients})
-        if len(sizes) > 1:
-            raise ConfigError(f"client shards must share one size, got sizes {sizes}")
+    def stack(cls, clients, index, features, labels, classes: int) -> "ClientGroup":
+        """The clients, at positions `index` of the controller's order, as
+        a group in block order. Row k of the shard features (K, S, d) and
+        noisy labels (K, S) is clients[k]'s."""
         by_arch: dict[tuple, list] = {}
-        for client, pos in zip(clients, index):
-            by_arch.setdefault(client.arch, []).append((client, pos))
-        rows = [row for members in by_arch.values() for row in members]
-        clients = [client for client, _ in rows]
-        classes = clients[0].shard.base.class_count
+        for row, client in enumerate(clients):
+            by_arch.setdefault(client.arch, []).append(row)
+        rows = np.array([row for members in by_arch.values() for row in members])
+        clients = [clients[row] for row in rows]
         return cls(
             clients,
-            np.array([pos for _, pos in rows]),
+            np.asarray(index)[rows],
             nn.Cohort.of([c.params for c in clients]),
-            np.stack([c.shard.base.features for c in clients]),
-            np.stack([nn.one_hot(c.shard.noisy_labels, classes) > 0 for c in clients]),
+            features[rows],
+            labels[rows][..., np.newaxis] == np.arange(classes),
         )
 
     def take(self, lo: int, hi: int) -> "ClientGroup":
@@ -395,9 +394,10 @@ def _row_norms(values: np.ndarray) -> np.ndarray:
 class Controller:
     """Synchronous round orchestrator; owns aggregation and the message count.
 
-    The clients, sorted by cell and id, are stacked once into one group;
-    the shards of all clients must share one size. Each cell's clients
-    hold consecutive positions of that order, the slices in `cells`; a
+    The clients come in ascending (cell, id) order, and row k of the shard
+    stacks, features (K, S, d) and noisy labels (K, S), is clients[k]'s.
+    They are stacked once into one group. Each cell's clients hold
+    consecutive positions of that order, the slices in `cells`; a
     round's confidence step, peer mixtures, consensus, records and
     message counts are each cell's own. fedavg runs one cell.
     """
@@ -405,6 +405,8 @@ class Controller:
     def __init__(
         self,
         clients: list[ClientState],
+        features: np.ndarray,
+        labels: np.ndarray,
         cfg: StrategyConfig,
         test: Dataset,
         public: Dataset | None = None,
@@ -412,10 +414,17 @@ class Controller:
     ):
         if not clients:
             raise ConfigError("at least one client required")
-        self.clients = sorted(clients, key=lambda c: (c.cell, c.client_id))
+        if features.ndim != 3 or features.shape[:2] != labels.shape or len(labels) != len(clients):
+            raise ConfigError(
+                f"shard stacks must be (K, S, d) features and (K, S) labels for K = "
+                f"{len(clients)} clients, got {features.shape} and {labels.shape}"
+            )
+        if labels.size and (labels.min() < 0 or labels.max() >= test.class_count):
+            raise ConfigError(f"shard labels must lie in [0, {test.class_count})")
+        self.clients = list(clients)
         keys = [(c.cell, c.client_id) for c in self.clients]
-        if len(set(keys)) != len(keys):
-            raise ConfigError("client ids must be unique")
+        if keys != sorted(set(keys)):
+            raise ConfigError("clients must come in ascending (cell, id) order, ids unique")
         sizes = [len(list(run)) for _, run in itertools.groupby(cell for cell, _ in keys)]
         ends = np.cumsum(sizes).tolist()
         self.cells = [slice(end - size, end) for end, size in zip(ends, sizes)]
@@ -440,7 +449,9 @@ class Controller:
             )
         else:
             self.dlr_sched = None
-        self.group = ClientGroup.stack(self.clients, np.arange(len(self.clients)))
+        self.group = ClientGroup.stack(
+            self.clients, np.arange(len(self.clients)), features, labels, test.class_count
+        )
         self._phase_seconds: dict[str, float] = {}  # the current round's
 
     # -- plumbing ---------------------------------------------------------
@@ -576,7 +587,7 @@ class Controller:
             part,
         )
         self.messages += len(part.clients)
-        sizes = [client.shard.size for client in part.clients]
+        sizes = [group.features.shape[1]] * len(part.clients)
         group.cohort.stacks[0][:] = fedavg_aggregate(part.cohort.stacks[0], sizes)
 
     def _round_hetero(self, round_idx: int):
@@ -705,10 +716,16 @@ class Controller:
 
 def run_federation(
     clients: list[ClientState],
+    features: np.ndarray,
+    labels: np.ndarray,
     cfg: StrategyConfig,
     test: Dataset,
     public: Dataset | None = None,
     sampler_seed=0,
 ) -> list[RunResult]:
-    """Run the clients' federation: one RunResult per cell, in cell order."""
-    return Controller(clients, cfg, test, public, sampler_seed).run()
+    """Run the clients' federation on their shards, row k of the features
+    (K, S, d) and noisy labels (K, S) being clients[k]'s: one RunResult
+    per cell, in cell order."""
+    controller = Controller(clients, features, labels, cfg, test, public, sampler_seed)
+    del features, labels  # the group holds its own copy; a caller's temporary is freed
+    return controller.run()

@@ -45,27 +45,12 @@ def dlr_weight(t_c: int, sched: DlrSchedule) -> float:
     return t_c / (sched.zeta * sched.total_epochs + t_c)
 
 
-def _check_probs(arr: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(arr, dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ConfigError(f"{name} must be finite")
-    if a.min() < -1e-9 or a.max() > 1 + 1e-9:
-        raise ConfigError(f"{name} entries must lie in [0, 1]")
-    sums = a.sum(axis=-1)
-    if np.max(np.abs(sums - 1.0)) > 1e-6:
-        raise ConfigError(f"{name} rows must sum to 1")
-    return a
-
-
 def dlr_refine(noisy_onehot, pred, s: float) -> np.ndarray:
-    """Convex mix (1 - s) * noisy + s * pred; valid rows in, valid rows out."""
+    """Convex mix (1 - s) * noisy + s * pred of two stacks of distributions
+    (a one-hot mask and a softmax), row by row."""
     if not 0.0 <= s < 1.0:
         raise ConfigError(f"mix weight must lie in [0, 1), got {s}")
-    a = _check_probs(noisy_onehot, "noisy labels")
-    b = _check_probs(pred, "predictions")
-    if a.shape != b.shape:
-        raise ConfigError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return (1.0 - s) * a + s * b
+    return (1.0 - s) * noisy_onehot + s * pred
 
 
 def label_quality(mean_sl):

@@ -19,6 +19,13 @@ import numpy as np
 from hetfed import nn
 
 
+def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
+    """The float one-hot rows (N, class_count) of a label vector."""
+    out = np.zeros((labels.size, class_count))
+    out[np.arange(labels.size), labels] = 1.0
+    return out
+
+
 def layers(params: nn.ModelParams) -> list:
     """(weights (fan_in, fan_out), biases (fan_out,)) per layer, read from
     the flat layer-major layout: each layer's weights, C order, then its

@@ -59,7 +59,7 @@ def test_c01_gradient_correctness():
         c = dims[-1][1]
         kind = checked % 3
         if kind == 0:
-            loss = oracle.CrossEntropy(nn.one_hot(rng.integers(0, c, size=n), c))
+            loss = oracle.CrossEntropy(oracle.one_hot(rng.integers(0, c, size=n), c))
         elif kind == 1:
             loss = oracle.Symmetric(rng.dirichlet(np.ones(c), size=n), 0.4, 0.9, -4.0)
         else:
@@ -101,12 +101,12 @@ def test_c02_loss_formula_oracle():
         c = int(rng.integers(2, 12))
         pred = rng.dirichlet(np.ones(c))
         if rng.random() < 0.5:
-            target = nn.one_hot(np.array([int(rng.integers(c))]), c)[0]
+            target = oracle.one_hot(np.array([int(rng.integers(c))]), c)[0]
         else:
             target = rng.dirichlet(np.ones(c))
         expected = direct_sum(pred, target, 0.4, 0.9, -4.0)
         assert nn.sl_loss(pred, target, h) == pytest.approx(expected, abs=1e-12)
-    uniform_case = nn.sl_loss(np.full(10, 0.1), nn.one_hot(np.array([0]), 10)[0], h)
+    uniform_case = nn.sl_loss(np.full(10, 0.1), oracle.one_hot(np.array([0]), 10)[0], h)
     assert uniform_case == pytest.approx(4.161034, abs=1e-6)
     ok("2 symmetric-loss oracle (1000 pairs, 1e-12)")
 
@@ -114,15 +114,15 @@ def test_c02_loss_formula_oracle():
 def test_c03_noise_statistics():
     started = time.perf_counter()
     ds = data.gen_blobs(10, 2, 10_000, 0.3, seed=5)  # N = 100000
-    sym = data.apply_noise(ds, "symmetric", 0.2, seed=6)
-    assert 0.195 <= sym.flip_fraction <= 0.205
-    offsets = (sym.noisy_labels[sym.flipped] - ds.labels[sym.flipped]) % 10
-    shares = np.bincount(offsets, minlength=10)[1:] / sym.flipped.sum()
+    sym, sym_flipped = data.apply_noise(ds.labels, 10, "symmetric", 0.2, seed=6)
+    assert 0.195 <= sym_flipped.mean() <= 0.205
+    offsets = (sym[sym_flipped] - ds.labels[sym_flipped]) % 10
+    shares = np.bincount(offsets, minlength=10)[1:] / sym_flipped.sum()
     assert np.all(np.abs(shares - 1 / 9) <= 0.1 / 9)
 
-    pf = data.apply_noise(ds, "pairflip", 0.2, seed=7)
-    assert 0.195 <= pf.flip_fraction <= 0.205
-    assert np.array_equal(pf.noisy_labels[pf.flipped], (ds.labels[pf.flipped] + 1) % 10)
+    pf, pf_flipped = data.apply_noise(ds.labels, 10, "pairflip", 0.2, seed=7)
+    assert 0.195 <= pf_flipped.mean() <= 0.205
+    assert np.array_equal(pf[pf_flipped], (ds.labels[pf_flipped] + 1) % 10)
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     ok(f"3 noise statistics at N=1e5 ({elapsed:.2f}s)")
@@ -146,7 +146,7 @@ def test_c04_aggregation_oracle():
                     data={"clients": 1, "shard_size": 60})
     cfg = ExperimentConfig.from_dict(parse_config([], doc.items()))
     _, world = harness.run_experiment(cfg)
-    oracle = centralized_sgd(cfg, world.clients[0].shard, world.clients[0].arch, 10, 1)
+    oracle = centralized_sgd(cfg, world.features[0], world.labels[0], world.clients[0].arch, 10, 1)
     assert world.clients[0].params.values.tobytes() == oracle.values.tobytes()
     ok("4 aggregation oracle + K=1 bitwise-centralized equivalence")
 
@@ -191,7 +191,7 @@ def test_c06_dlr_schedule():
     rng = np.random.default_rng(606)
     for _ in range(10_000):
         c = int(rng.integers(2, 10))
-        noisy = nn.one_hot(np.array([int(rng.integers(c))]), c)[0]
+        noisy = oracle.one_hot(np.array([int(rng.integers(c))]), c)[0]
         pred = rng.dirichlet(np.ones(c))
         out = reweight.dlr_refine(noisy, pred, float(rng.random() * 0.999))
         assert np.all(out >= 0.0) and np.all(out <= 1.0)

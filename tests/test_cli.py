@@ -435,10 +435,6 @@ class TestRandomNoiseAssignment:
             means.append(draws.mean())
         assert abs(np.mean(means) - 0.25) < 0.01
 
-    def test_inverted_range_rejected(self):
-        with pytest.raises(ConfigError):
-            harness.random_noise_assignment(3, 0.5, 0.1, seed=0)
-
     def test_rates_recorded_in_run_meta(self, tmp_path):
         doc = small_doc(rounds=1,
                         data={"noise": {"kind": "symmetric", "rate": 0.0,

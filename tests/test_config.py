@@ -95,16 +95,16 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict(
             parse_config([], {"seed": 0, "strategy": "rhfl_plus_ccr"}.items())
         )
-        assert cfg.flags.hfl and cfg.flags.sl and cfg.flags.dlr
-        assert cfg.flags.reweight == "ccr"
+        assert cfg.federation.flags.hfl and cfg.federation.flags.sl and cfg.federation.flags.dlr
+        assert cfg.federation.flags.reweight == "ccr"
 
     def test_explicit_flags_override_presets(self):
         cfg = ExperimentConfig.from_dict(
             parse_config([], {"seed": 0, "strategy": "rhfl_plus_eccr",
                               "flags": {"dlr": False}}.items())
         )
-        assert cfg.flags.dlr is False
-        assert cfg.flags.reweight == "eccr"
+        assert cfg.federation.flags.dlr is False
+        assert cfg.federation.flags.reweight == "eccr"
 
     def test_echo_contains_resolved_flags(self):
         cfg = ExperimentConfig.from_dict(

@@ -104,11 +104,17 @@ class TestCsv:
             data.load_csv(str(path), 2)
 
 
+def shards_of(ds, plan):
+    """The plan's shards of ds, one dataset per row of partition indices."""
+    return [ds.subset(rows) for rows in data.partition(ds, plan)]
+
+
 class TestPartition:
     def test_single_client_gets_everything(self):
         ds = data.gen_blobs(2, 2, 10, 0.3, seed=0)
         plan = data.PartitionPlan("iid-equal", 1, seed=0, shard_size=ds.size)
-        shards = data.partition(ds, plan)
+        assert data.partition(ds, plan).shape == (1, ds.size)
+        shards = shards_of(ds, plan)
         assert len(shards) == 1
         assert shards[0].size == ds.size
         assert np.allclose(np.sort(shards[0].features, axis=0), np.sort(ds.features, axis=0))
@@ -116,9 +122,9 @@ class TestPartition:
     def test_even_split_disjoint(self):
         ds = data.gen_blobs(4, 2, 100, 0.3, seed=0)
         plan = data.PartitionPlan("iid-equal", 4, seed=1, shard_size=ds.size // 4)
-        idx_sets = [set(map(tuple, s.features)) for s in data.partition(ds, plan)]
+        idx_sets = [set(map(tuple, s.features)) for s in shards_of(ds, plan)]
         sizes = [len(s) for s in idx_sets]
-        assert all(s.size == 100 for s in data.partition(ds, plan))
+        assert all(s.size == 100 for s in shards_of(ds, plan))
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not idx_sets[i] & idx_sets[j]
@@ -133,8 +139,8 @@ class TestPartition:
     def test_reproducible_from_plan(self):
         ds = data.gen_blobs(3, 2, 30, 0.3, seed=0)
         plan = data.PartitionPlan("label-skew", 3, seed=7, shard_size=20, concentration=0.5)
-        a = data.partition(ds, plan)
-        b = data.partition(ds, plan)
+        a = shards_of(ds, plan)
+        b = shards_of(ds, plan)
         for sa, sb in zip(a, b):
             assert sa.features.tobytes() == sb.features.tobytes()
 
@@ -150,7 +156,7 @@ class TestPartition:
                 plan = data.PartitionPlan(
                     scheme, 3, seed=seed, shard_size=100, concentration=concentration
                 )
-                for shard in data.partition(ds, plan):
+                for shard in shards_of(ds, plan):
                     props = np.bincount(shard.labels, minlength=3) / shard.size
                     vals.append((((props - 1 / 3) ** 2) / (1 / 3)).sum())
             return float(np.mean(vals))
@@ -162,7 +168,7 @@ class TestPartition:
     def test_low_concentration_is_skewed(self):
         ds = data.gen_blobs(3, 2, 120, 0.3, seed=0)
         plan = data.PartitionPlan("label-skew", 3, seed=3, shard_size=80, concentration=0.05)
-        shards = data.partition(ds, plan)
+        shards = shards_of(ds, plan)
         maxprops = [np.bincount(s.labels, minlength=3).max() / s.size for s in shards]
         assert max(maxprops) > 0.7
 
@@ -192,33 +198,33 @@ class TestNoise:
         for seed in range(10):
             for rate in (0.0, 0.2, 1.0):
                 for kind, reference in references.items():
-                    noisy = data.apply_noise(ds, kind, rate, seed)
+                    noisy, flipped = data.apply_noise(ds.labels, classes, kind, rate, seed)
                     labels, flip = reference(ds.labels, classes, rate, seed)
-                    assert noisy.noisy_labels.dtype == labels.dtype == np.int64
-                    assert noisy.noisy_labels.tobytes() == labels.tobytes()
-                    assert noisy.flipped.tobytes() == flip.tobytes()
-                    assert noisy.flip_fraction == float(flip.mean())
-                clean = data.apply_noise(ds, "none", rate, seed)
-                assert clean.noisy_labels.tobytes() == ds.labels.tobytes()
-                assert not clean.flipped.any() and clean.flip_fraction == 0.0
+                    assert noisy.dtype == labels.dtype == np.int64
+                    assert noisy.tobytes() == labels.tobytes()
+                    assert flipped.tobytes() == flip.tobytes()
+                    assert flipped.mean() == float(flip.mean())
+                clean, flipped = data.apply_noise(ds.labels, classes, "none", rate, seed)
+                assert clean.tobytes() == ds.labels.tobytes()
+                assert not flipped.any() and flipped.mean() == 0.0
 
     def test_symmetric_zero_rate(self):
         ds = data.gen_blobs(3, 2, 20, 0.3, seed=0)
-        noisy = data.apply_noise(ds, "symmetric", 0.0, seed=1)
-        assert np.array_equal(noisy.noisy_labels, ds.labels)
-        assert noisy.flip_fraction == 0.0
+        noisy, flipped = data.apply_noise(ds.labels, 3, "symmetric", 0.0, seed=1)
+        assert np.array_equal(noisy, ds.labels)
+        assert flipped.mean() == 0.0
 
     def test_symmetric_full_rate_binary(self):
         ds = data.gen_blobs(2, 2, 50, 0.3, seed=0)
-        noisy = data.apply_noise(ds, "symmetric", 1.0, seed=1)
-        assert np.all(noisy.noisy_labels != ds.labels)
+        noisy, _ = data.apply_noise(ds.labels, 2, "symmetric", 1.0, seed=1)
+        assert np.all(noisy != ds.labels)
 
     def test_symmetric_statistics(self):
         ds = data.gen_blobs(10, 2, 10_000, 0.3, seed=0)
-        noisy = data.apply_noise(ds, "symmetric", 0.2, seed=2)
-        assert 0.185 <= noisy.flip_fraction <= 0.215
-        dest = noisy.noisy_labels[noisy.flipped]
-        src = ds.labels[noisy.flipped]
+        noisy, flipped = data.apply_noise(ds.labels, 10, "symmetric", 0.2, seed=2)
+        assert 0.185 <= flipped.mean() <= 0.215
+        dest = noisy[flipped]
+        src = ds.labels[flipped]
         offsets = (dest - src) % 10
         counts = np.bincount(offsets, minlength=10)[1:]
         assert counts.min() > 0
@@ -226,23 +232,22 @@ class TestNoise:
 
     def test_pairflip_forced(self):
         ds = data.gen_blobs(10, 2, 10, 0.3, seed=0)
-        noisy = data.apply_noise(ds, "pairflip", 1.0, seed=1)
-        assert np.array_equal(noisy.noisy_labels, (ds.labels + 1) % 10)
+        noisy, _ = data.apply_noise(ds.labels, 10, "pairflip", 1.0, seed=1)
+        assert np.array_equal(noisy, (ds.labels + 1) % 10)
 
     def test_pairflip_statistics_and_destination(self):
         ds = data.gen_blobs(10, 2, 10_000, 0.3, seed=0)
-        noisy = data.apply_noise(ds, "pairflip", 0.2, seed=3)
-        assert 0.185 <= noisy.flip_fraction <= 0.215
-        flipped = noisy.flipped
+        noisy, flipped = data.apply_noise(ds.labels, 10, "pairflip", 0.2, seed=3)
+        assert 0.185 <= flipped.mean() <= 0.215
         assert np.array_equal(
-            noisy.noisy_labels[flipped], (ds.labels[flipped] + 1) % 10
+            noisy[flipped], (ds.labels[flipped] + 1) % 10
         )
 
     def test_clean_labels_untouched(self):
         ds = data.gen_blobs(4, 2, 100, 0.3, seed=0)
         before = ds.labels.copy()
-        data.apply_noise(ds, "symmetric", 0.5, seed=9)
-        data.apply_noise(ds, "pairflip", 0.5, seed=9)
+        data.apply_noise(ds.labels, 4, "symmetric", 0.5, seed=9)
+        data.apply_noise(ds.labels, 4, "pairflip", 0.5, seed=9)
         assert np.array_equal(ds.labels, before)
 
     def test_flip_probability_calibrated(self):
@@ -250,20 +255,22 @@ class TestNoise:
         ds = data.gen_blobs(5, 2, 20_000, 0.3, seed=0)
         for kind in ("symmetric", "pairflip"):
             for mu in (0.1, 0.3):
-                fracs = [data.apply_noise(ds, kind, mu, seed=s).flip_fraction for s in range(10)]
+                fracs = [
+                    data.apply_noise(ds.labels, 5, kind, mu, seed=s)[1].mean() for s in range(10)
+                ]
                 assert abs(np.mean(fracs) - mu) < 0.002
 
     def test_rate_bounds(self):
         ds = data.gen_blobs(2, 2, 5, 0.3, seed=0)
         with pytest.raises(ConfigError):
-            data.apply_noise(ds, "symmetric", 1.2, seed=0)
+            data.apply_noise(ds.labels, 2, "symmetric", 1.2, seed=0)
         with pytest.raises(ConfigError):
-            data.apply_noise(ds, "pairflip", -0.1, seed=0)
+            data.apply_noise(ds.labels, 2, "pairflip", -0.1, seed=0)
 
     def test_none_spec(self):
         ds = data.gen_blobs(2, 2, 5, 0.3, seed=0)
-        noisy = data.apply_noise(ds, "none", 0.0, seed=None)
-        assert np.array_equal(noisy.noisy_labels, ds.labels)
+        noisy, _ = data.apply_noise(ds.labels, 2, "none", 0.0, seed=None)
+        assert np.array_equal(noisy, ds.labels)
 
 
 class TestPublicSplit:

@@ -144,52 +144,52 @@ RCE_ONLY = nn.Hyperparams(lam=0.0, gamma=1.0)
 
 class TestLosses:
     def test_ce_perfect_prediction(self):
-        onehot = nn.one_hot(np.array([2]), 4)[0]
+        onehot = oracle.one_hot(np.array([2]), 4)[0]
         assert nn.sl_loss(onehot, onehot, CE_ONLY) < 1e-9
 
     def test_ce_uniform_vs_onehot(self):
-        target = nn.one_hot(np.array([0]), 10)[0]
+        target = oracle.one_hot(np.array([0]), 10)[0]
         assert nn.sl_loss(np.full(10, 0.1), target, CE_ONLY) == pytest.approx(np.log(10), abs=1e-12)
 
     def test_ce_soft(self):
         assert nn.sl_loss([0.5, 0.5], [0.5, 0.5], CE_ONLY) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_rce_matching_onehot(self):
-        onehot = nn.one_hot(np.array([1]), 3)[0]
+        onehot = oracle.one_hot(np.array([1]), 3)[0]
         assert nn.sl_loss(onehot, onehot, RCE_ONLY) == 0.0
 
     def test_rce_uniform_pred(self):
-        target = nn.one_hot(np.array([5]), 10)[0]
+        target = oracle.one_hot(np.array([5]), 10)[0]
         assert nn.sl_loss(np.full(10, 0.1), target, RCE_ONLY) == pytest.approx(3.6, abs=1e-12)
 
     def test_rce_disjoint_onehots(self):
-        pred = nn.one_hot(np.array([0]), 4)[0]
-        target = nn.one_hot(np.array([2]), 4)[0]
+        pred = oracle.one_hot(np.array([0]), 4)[0]
+        target = oracle.one_hot(np.array([2]), 4)[0]
         assert nn.sl_loss(pred, target, RCE_ONLY) == pytest.approx(4.0, abs=1e-12)
 
     def test_sl_table_values(self):
         h = nn.Hyperparams()
-        target = nn.one_hot(np.array([0]), 10)[0]
+        target = oracle.one_hot(np.array([0]), 10)[0]
         expected = 0.4 * np.log(10) + 0.9 * 3.6
         assert nn.sl_loss(np.full(10, 0.1), target, h) == pytest.approx(expected, abs=1e-12)
         assert expected == pytest.approx(4.161034, abs=1e-6)
 
     def test_sl_zero_on_match(self):
         h = nn.Hyperparams()
-        onehot = nn.one_hot(np.array([3]), 5)[0]
+        onehot = oracle.one_hot(np.array([3]), 5)[0]
         assert nn.sl_loss(onehot, onehot, h) == 0.0
 
     def test_gamma_zero_reduces_to_ce(self):
         h = nn.Hyperparams(lam=0.7, gamma=0.0)
         rng = np.random.default_rng(3)
         pred = rng.dirichlet(np.ones(6))
-        target = nn.one_hot(np.array([4]), 6)[0]
+        target = oracle.one_hot(np.array([4]), 6)[0]
         assert nn.sl_loss(pred, target, h) == pytest.approx(0.7 * nn.sl_loss(pred, target, CE_ONLY), abs=0)
 
     def test_sl_rows_are_single_row_losses(self):
         rng = np.random.default_rng(4)
         pred = rng.dirichlet(np.ones(5), size=7)
-        target = nn.one_hot(rng.integers(0, 5, size=7), 5)
+        target = oracle.one_hot(rng.integers(0, 5, size=7), 5)
         h = nn.Hyperparams()
         rows = nn.sl_loss(pred, target, h)
         assert rows.shape == (7,)
@@ -237,7 +237,7 @@ class TestLosses:
         rng = np.random.default_rng(seed)
         c = int(rng.integers(2, 8))
         pred = rng.dirichlet(np.ones(c))
-        target = nn.one_hot(np.array([int(rng.integers(c))]), c)[0]
+        target = oracle.one_hot(np.array([int(rng.integers(c))]), c)[0]
         assert nn.sl_loss(pred, target, nn.Hyperparams()) >= 0.0
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -248,7 +248,7 @@ class TestLosses:
         h = nn.Hyperparams()
         a = rng.dirichlet(np.ones(c))
         b = rng.dirichlet(np.ones(c))
-        target = nn.one_hot(np.array([int(rng.integers(c))]), c)[0]
+        target = oracle.one_hot(np.array([int(rng.integers(c))]), c)[0]
         t = float(rng.random())
         step = 1e-9
         near = nn.sl_loss((1 - t) * a + t * b, target, h)
@@ -298,7 +298,7 @@ class TestBackward:
         values = np.concatenate([np.array([[60.0, -60.0], [-60.0, 60.0]]).ravel(), np.zeros(2)])
         params = nn.ModelParams(dims, values)
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
-        targets = nn.one_hot(np.array([0, 1]), 2)
+        targets = oracle.one_hot(np.array([0, 1]), 2)
         (grad,) = epoch_gradients([params], x[np.newaxis], targets[np.newaxis], False)
         assert np.linalg.norm(grad) < 1e-6
 
@@ -307,7 +307,7 @@ class TestBackward:
         dims, params = random_net(rng)
         n, c = 5, dims[-1][1]
         x = rng.normal(size=(n, dims[0][0]))
-        targets = nn.one_hot(rng.integers(0, c, size=n), c)
+        targets = oracle.one_hot(rng.integers(0, c, size=n), c)
         (g1,) = epoch_gradients([params], x[np.newaxis], targets[np.newaxis], True)
         doubled = np.vstack([targets, targets])[np.newaxis]
         (g2,) = epoch_gradients([params], np.vstack([x, x])[np.newaxis], doubled, True)
@@ -338,7 +338,7 @@ class TestBackward:
                 losses = [oracle.MixtureKl(peers[np.arange(k) != j], w[np.arange(k) != j], 4.0)
                           for j in own]
             elif loss_kind == "ce":
-                targets = nn.one_hot(rng.integers(0, c, size=k * n), c).reshape(k, n, c)
+                targets = oracle.one_hot(rng.integers(0, c, size=k * n), c).reshape(k, n, c)
                 grads = epoch_gradients(models, x, targets, False)
                 losses = [oracle.CrossEntropy(t) for t in targets]
             else:

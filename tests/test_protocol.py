@@ -48,18 +48,19 @@ class TestFedavgAggregate:
             assert np.allclose(agg, manual, atol=1e-12, rtol=0)
 
 
-def centralized_sgd(cfg, shard, layer_dims, rounds, epochs):
-    """Standalone minibatch SGD oracle mirroring the documented client loop."""
+def centralized_sgd(cfg, x, labels, layer_dims, rounds, epochs):
+    """Standalone minibatch SGD oracle mirroring the documented client loop,
+    on the shard of features x and noisy labels."""
     params = nn.init_params(layer_dims, (cfg.seed, _S_INIT))
     rng = np.random.default_rng((cfg.seed, _S_TRAIN, 0))
-    x = shard.base.features
-    targets = nn.one_hot(shard.noisy_labels, shard.base.class_count)
+    batch_size = cfg.federation.batch_size
+    targets = oracle.one_hot(labels, cfg.data.classes)
     for _ in range(rounds * epochs):
-        perm = rng.permutation(shard.size)
-        for start in range(0, shard.size, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
+        perm = rng.permutation(labels.size)
+        for start in range(0, labels.size, batch_size):
+            idx = perm[start : start + batch_size]
             grad = oracle.backward(params, x[idx], oracle.CrossEntropy(targets[idx]))
-            params = oracle.sgd_step(params, grad, cfg.hyperparams.lr)
+            params = oracle.sgd_step(params, grad, cfg.federation.hyperparams.lr)
     return params
 
 
@@ -68,7 +69,7 @@ class TestFedavgRounds:
         cfg = small_cfg(strategy="fedavg", rounds=4, local_epochs=2,
                         data={"clients": 1, "shard_size": 50})
         result, world = harness.run_experiment(cfg)
-        oracle = centralized_sgd(cfg, world.clients[0].shard,
+        oracle = centralized_sgd(cfg, world.features[0], world.labels[0],
                                  world.clients[0].arch, 4, 2)
         assert world.clients[0].params.values.tobytes() == oracle.values.tobytes()
 
@@ -82,22 +83,23 @@ class TestFedavgRounds:
     def test_identical_clients_aggregate_to_their_params(self):
         base = data.gen_blobs(2, 2, 60, 0.4, seed=0)
         test, rest = data.random_split(base, 30, seed=1)
-        shard = data.apply_noise(rest.subset(np.arange(40)), "pairflip", 0.2, seed=2)
+        x = rest.features[:40]
+        labels, _ = data.apply_noise(rest.labels[:40], 2, "pairflip", 0.2, seed=2)
         dims = ((2, 6), (6, 2))
         init = nn.init_params(dims, 3)
         clients = [
-            protocol.ClientState(i, init, shard, np.random.default_rng(42))
+            protocol.ClientState(i, init, np.random.default_rng(42))
             for i in range(2)
         ]
         cfg = protocol.StrategyConfig(
             "fedavg", rounds=2, local_epochs=1, collab_epochs=0, batch_size=16,
             hyperparams=nn.Hyperparams(lr=0.05), flags=protocol.AblationFlags(),
         )
-        protocol.run_federation(clients, cfg, test)
+        protocol.run_federation(clients, np.stack([x, x]), np.stack([labels, labels]), cfg, test)
         solo = [
-            protocol.ClientState(0, init, shard, np.random.default_rng(42))
+            protocol.ClientState(0, init, np.random.default_rng(42))
         ]
-        protocol.run_federation(solo, cfg, test)
+        protocol.run_federation(solo, x[np.newaxis], labels[np.newaxis], cfg, test)
         assert clients[0].params.values.tobytes() == solo[0].params.values.tobytes()
         assert clients[1].params.values.tobytes() == solo[0].params.values.tobytes()
 
@@ -121,17 +123,17 @@ class TestHeteroRounds:
         _, fresh = harness.run_experiment(replay_cfg)  # rounds=0: untouched fleet
         logits = [oracle.logits(c.params, fresh.public.features) for c in fresh.clients]
         consensus = (logits[0] + logits[1]) / 2.0
-        hp = cfg.hyperparams
+        hp = cfg.federation.hyperparams
+        batch_size = cfg.federation.batch_size
         peer = nn.softmax_t(consensus[np.newaxis], hp.temperature)
         distill = oracle.MixtureKl(peer, np.ones(1), hp.temperature)
-        for client in fresh.clients:
+        for client, x, labels in zip(fresh.clients, fresh.features, fresh.labels):
             params = oracle.descend(client.params, fresh.public.features, distill, hp.lr, 2)
-            targets = nn.one_hot(client.shard.noisy_labels, 3)
-            perm = client.rng.permutation(client.shard.size)
-            for start in range(0, client.shard.size, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
-                grad = oracle.backward(params, client.shard.base.features[idx],
-                                       oracle.CrossEntropy(targets[idx]))
+            targets = oracle.one_hot(labels, 3)
+            perm = client.rng.permutation(labels.size)
+            for start in range(0, labels.size, batch_size):
+                idx = perm[start : start + batch_size]
+                grad = oracle.backward(params, x[idx], oracle.CrossEntropy(targets[idx]))
                 params = oracle.sgd_step(params, grad, hp.lr)
             client.params = params
         for engine, manual in zip(world.clients, fresh.clients):
@@ -141,12 +143,13 @@ class TestHeteroRounds:
         base = data.gen_blobs(3, 2, 60, 0.4, seed=0)
         test, rest = data.random_split(base, 30, seed=1)
         public, rest = data.random_split(rest, 20, seed=2)
-        shard = data.apply_noise(rest.subset(np.arange(40)), "pairflip", 0.2, seed=3)
+        x = rest.features[:40]
+        labels, _ = data.apply_noise(rest.labels[:40], 3, "pairflip", 0.2, seed=3)
         dims = ((2, 5), (5, 3))
         init = nn.init_params(dims, 7)
         # two clients: the consensus mean of two equal matrices is exact
         clients = [
-            protocol.ClientState(i, init, shard, np.random.default_rng(5))
+            protocol.ClientState(i, init, np.random.default_rng(5))
             for i in range(2)
         ]
         cfg = protocol.StrategyConfig(
@@ -154,7 +157,8 @@ class TestHeteroRounds:
             batch_size=16, hyperparams=nn.Hyperparams(lr=0.1),
             flags=protocol.AblationFlags(hfl=True),
         )
-        protocol.run_federation(clients, cfg, test, public)
+        protocol.run_federation(clients, np.stack([x, x]), np.stack([labels, labels]), cfg,
+                                test, public)
         for client in clients:
             assert client.params.values.tobytes() == init.values.tobytes()
 
@@ -165,15 +169,17 @@ class TestHeteroRounds:
         world_h = harness.build_world(hetero)
         world_l = harness.build_world(hetero)
         [res_h] = protocol.run_federation(
-            world_h.clients, hetero.strategy_config(), world_h.test, world_h.public
+            world_h.clients, world_h.features, world_h.labels, hetero.federation,
+            world_h.test, world_h.public,
         )
         local_cfg = protocol.StrategyConfig(
-            "local_only", rounds=3, local_epochs=hetero.local_epochs,
-            collab_epochs=0, batch_size=hetero.batch_size,
-            hyperparams=hetero.hyperparams, flags=protocol.AblationFlags(),
+            "local_only", rounds=3, local_epochs=hetero.federation.local_epochs,
+            collab_epochs=0, batch_size=hetero.federation.batch_size,
+            hyperparams=hetero.federation.hyperparams, flags=protocol.AblationFlags(),
         )
         [res_l] = protocol.run_federation(
-            world_l.clients, local_cfg, world_l.test, world_l.public
+            world_l.clients, world_l.features, world_l.labels, local_cfg,
+            world_l.test, world_l.public,
         )
         for ch, cl in zip(world_h.clients, world_l.clients):
             assert ch.params.values.tobytes() == cl.params.values.tobytes()
@@ -200,13 +206,14 @@ class TestLatticeRounds:
         base = data.gen_blobs(3, 2, 80, 0.4, seed=0)
         test, rest = data.random_split(base, 40, seed=1)
         public, rest = data.random_split(rest, 20, seed=2)
-        shard = data.apply_noise(rest.subset(np.arange(50)), "pairflip", 0.2, seed=3)
+        x = rest.features[:50]
+        labels, _ = data.apply_noise(rest.labels[:50], 3, "pairflip", 0.2, seed=3)
         dims = ((2, 6), (6, 3))
         init = nn.init_params(dims, 11)
 
         def fleet():
             return [
-                protocol.ClientState(i, init, shard, np.random.default_rng(9))
+                protocol.ClientState(i, init, np.random.default_rng(9))
                 for i in range(4)
             ]
 
@@ -217,7 +224,9 @@ class TestLatticeRounds:
                 flags=protocol.AblationFlags(True, True, True, reweight_mode),
             )
             clients = fleet()
-            [result] = protocol.run_federation(clients, cfg, test, public)
+            [result] = protocol.run_federation(
+                clients, np.stack([x] * 4), np.stack([labels] * 4), cfg, test, public
+            )
             return clients, result
 
         eccr_clients, eccr_res = run("eccr")
@@ -232,7 +241,9 @@ class TestLatticeRounds:
         cfg = small_cfg(strategy="local_only", flags={"hfl": True})
         world = harness.build_world(cfg)
         with pytest.raises(ConfigError, match="requires a public dataset"):
-            protocol.run_federation(world.clients, cfg.strategy_config(), world.test)
+            protocol.run_federation(
+                world.clients, world.features, world.labels, cfg.federation, world.test
+            )
 
     def test_fixed_flag_strategies_reject_other_flags(self):
         def strategy_config(strategy, flags):
@@ -251,7 +262,7 @@ class TestLatticeRounds:
         cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=1, data={"clients": 3})
         world = harness.build_world(cfg)
         controller = protocol.Controller(
-            world.clients, cfg.strategy_config(), world.test, world.public
+            world.clients, world.features, world.labels, cfg.federation, world.test, world.public
         )
         controller._eval_round(0)
         group = controller.group
@@ -289,19 +300,21 @@ class TestLatticeRounds:
                           rounds=0, local_epochs=2, data={"clients": 1})
         _, fresh = harness.run_experiment(setup)
         client = fresh.clients[0]
-        sched = reweight.DlrSchedule(cfg.hyperparams.zeta, 4)
-        onehot = nn.one_hot(client.shard.noisy_labels, 3)
+        x, labels = fresh.features[0], fresh.labels[0]
+        hp = cfg.federation.hyperparams
+        batch_size = cfg.federation.batch_size
+        sched = reweight.DlrSchedule(hp.zeta, 4)
+        onehot = oracle.one_hot(labels, 3)
         params = client.params
-        hp = cfg.hyperparams
         for t in (1, 2, 3, 4):
             s = reweight.dlr_weight(t, sched)
-            preds = nn.softmax_t(oracle.logits(params, client.shard.base.features), 1.0)
+            preds = nn.softmax_t(oracle.logits(params, x), 1.0)
             targets = reweight.dlr_refine(onehot, preds, s)
-            perm = client.rng.permutation(client.shard.size)
-            for start in range(0, client.shard.size, cfg.batch_size):
-                idx = perm[start : start + cfg.batch_size]
+            perm = client.rng.permutation(labels.size)
+            for start in range(0, labels.size, batch_size):
+                idx = perm[start : start + batch_size]
                 loss = oracle.Symmetric(targets[idx], hp.lam, hp.gamma, hp.rce_log_floor)
-                grad = oracle.backward(params, client.shard.base.features[idx], loss)
+                grad = oracle.backward(params, x[idx], loss)
                 params = oracle.sgd_step(params, grad, hp.lr)
         assert world.clients[0].params.values.tobytes() == params.values.tobytes()
         assert reweight.dlr_weight(4, sched) == pytest.approx(4 / (hp.zeta * 4 + 4), abs=0)
@@ -332,8 +345,8 @@ class TestLatticeRounds:
     def test_rhfl_vs_rhfl_plus_differ_only_by_flags(self):
         cfg_a = small_cfg(strategy="rhfl")
         cfg_b = small_cfg(strategy="rhfl_plus_eccr")
-        assert cfg_a.flags == protocol.AblationFlags(True, True, False, "ccr")
-        assert cfg_b.flags == protocol.AblationFlags(True, True, True, "eccr")
+        assert cfg_a.federation.flags == protocol.AblationFlags(True, True, False, "ccr")
+        assert cfg_b.federation.flags == protocol.AblationFlags(True, True, True, "eccr")
 
     def test_strategy_names_are_pure_flag_presets(self):
         # toggling rhfl_plus_eccr down to the rhfl flags reproduces rhfl
@@ -370,13 +383,14 @@ class TestPeerPath:
 
     def _spec_descent(self, cfg, params, x, peer_logits, weights):
         """collab_epochs descent steps on the KL to the tempered peer logits."""
-        tau = cfg.hyperparams.temperature
+        fed = cfg.federation
+        tau = fed.hyperparams.temperature
         loss = oracle.MixtureKl(nn.softmax_t(peer_logits, tau), weights, tau)
-        return oracle.descend(params, x, loss, cfg.hyperparams.lr, cfg.collab_epochs)
+        return oracle.descend(params, x, loss, fed.hyperparams.lr, fed.collab_epochs)
 
     def test_weighted_peers_match_consensus_spec(self):
         cfg, world, logits = self._fleet("rhfl_plus_eccr")
-        tau = cfg.hyperparams.temperature
+        tau = cfg.federation.hyperparams.temperature
         probs = nn.softmax_t(logits, tau)
         w = np.random.default_rng(0).dirichlet(np.ones(5))
         for idx, client in enumerate(world.clients):
@@ -385,17 +399,19 @@ class TestPeerPath:
                 cfg, client.params, world.public.features, logits[mask], w[mask]
             )
             assert expected.values.tobytes() != client.params.values.tobytes()
-            group = protocol.ClientGroup.stack([client], [idx])
+            group = protocol.ClientGroup.stack(
+                [client], [idx], world.features[[idx]], world.labels[[idx]], 3
+            )
             target = nn.mixture_spec(probs, w, tau, np.arange(5))
-            protocol.collaborative_training(group, world.public, target, cfg.strategy_config())
+            protocol.collaborative_training(group, world.public, target, cfg.federation)
             assert group.cohort.values.tobytes() == expected.values.tobytes()
 
     def test_lattice_round_matches_consensus_spec(self):
         cfg, world, logits = self._fleet("rhfl_plus_eccr")
-        cfg = replace(cfg, rounds=1, local_epochs=0)
+        cfg = replace(cfg, federation=replace(cfg.federation, rounds=1, local_epochs=0))
         initial = [c.params for c in world.clients]
         [result] = protocol.run_federation(
-            world.clients, cfg.strategy_config(), world.test, world.public
+            world.clients, world.features, world.labels, cfg.federation, world.test, world.public
         )
         w = np.array([s.weight for s in result.records[1].clients])
         for idx, (client, params) in enumerate(zip(world.clients, initial)):
@@ -405,40 +421,45 @@ class TestPeerPath:
 
     def test_single_consensus_peer_matches_consensus_spec(self):
         cfg, world, logits = self._fleet("hetero_distill")
-        tau = cfg.hyperparams.temperature
+        tau = cfg.federation.hyperparams.temperature
         consensus = logits.mean(axis=0)[np.newaxis]
         peer = nn.softmax_t(consensus, tau)
-        for client in world.clients:
+        for k, client in enumerate(world.clients):
             expected = self._spec_descent(
                 cfg, client.params, world.public.features, consensus, np.ones(1)
             )
-            group = protocol.ClientGroup.stack([client], [0])
+            group = protocol.ClientGroup.stack(
+                [client], [0], world.features[[k]], world.labels[[k]], 3
+            )
             target = nn.mixture_spec(peer, np.ones(1), tau)
-            protocol.collaborative_training(group, world.public, target, cfg.strategy_config())
+            protocol.collaborative_training(group, world.public, target, cfg.federation)
             assert group.cohort.values.tobytes() == expected.values.tobytes()
 
 
 class TestClientGroups:
     """All clients form one group, processed in chunks."""
 
-    def test_unequal_shards_are_a_config_error(self):
-        cfg = small_cfg(strategy="local_only", data={"clients": 1})
+    def test_stacks_that_do_not_match_the_clients_are_a_config_error(self):
+        cfg = small_cfg(strategy="local_only", data={"clients": 3})
         world = harness.build_world(cfg)
-        pool = data.gen_blobs(3, 2, 150, 0.5, seed=21)
-        clients = []
-        start = 0
-        for k, size in enumerate((30, 40, 30, 50, 40)):
-            shard = pool.subset(np.arange(start, start + size))
-            start += size
-            clients.append(protocol.ClientState(
-                k, nn.init_params(world.clients[0].arch, (0, _S_INIT, k)),
-                data.apply_noise(shard, "symmetric", 0.3, (23, k)),
-                np.random.default_rng((0, _S_TRAIN, k)),
-            ))
-        with pytest.raises(ConfigError, match=r"one size, got sizes \[30, 40, 50\]"):
-            protocol.Controller(clients, cfg.strategy_config(), world.test)
-        with pytest.raises(ConfigError, match=r"got sizes \[30, 40, 50\]"):
-            protocol.run_federation(clients, cfg.strategy_config(), world.test)
+        mismatched = [
+            (world.features[:2], world.labels[:2]),  # two shards for three clients
+            (world.features, world.labels[:2]),  # labels short of a client
+            (world.features[:, :30], world.labels),  # labels longer than the shards
+            (world.features[0], world.labels[0]),  # no client axis
+        ]
+        for features, labels in mismatched:
+            with pytest.raises(ConfigError, match=r"^shard stacks must be \(K, S, d\) features "
+                               r"and \(K, S\) labels for K = 3 clients, got"):
+                protocol.Controller(world.clients, features, labels, cfg.federation, world.test)
+            with pytest.raises(ConfigError, match="shard stacks must be"):
+                protocol.run_federation(world.clients, features, labels, cfg.federation, world.test)
+        with pytest.raises(ConfigError, match=r"shard labels must lie in \[0, 3\)"):
+            protocol.Controller(world.clients, world.features, world.labels + 1,
+                                cfg.federation, world.test)
+        with pytest.raises(ConfigError, match=r"ascending \(cell, id\) order"):
+            protocol.Controller(world.clients[::-1], world.features[::-1], world.labels[::-1],
+                                cfg.federation, world.test)
 
     @pytest.mark.parametrize("strategy", ["rhfl_plus_eccr", "hetero_distill", "fedavg"])
     def test_chunking_does_not_change_results(self, strategy, monkeypatch):
@@ -454,13 +475,17 @@ class TestClientGroups:
     def test_single_client_robust_strategy(self):
         solo = small_cfg(strategy="rhfl_plus_eccr", rounds=3, data={"clients": 1})
         world, world_n = harness.build_world(solo), harness.build_world(solo)
-        full = solo.strategy_config()
-        [result] = protocol.run_federation(world.clients, full, world.test, world.public)
+        full = solo.federation
+        [result] = protocol.run_federation(
+            world.clients, world.features, world.labels, full, world.test, world.public
+        )
         assert [s.weight for r in result.records[1:] for s in r.clients] == [1.0] * 3
         assert all(s.f is None for r in result.records[1:] for s in r.clients)
         # No peers to distill from: training is the same as with hfl off.
         no_hfl = replace(full, flags=protocol.AblationFlags(False, True, True, "none"))
-        protocol.run_federation(world_n.clients, no_hfl, world_n.test, world_n.public)
+        protocol.run_federation(
+            world_n.clients, world_n.features, world_n.labels, no_hfl, world_n.test, world_n.public
+        )
         assert world.clients[0].params.values.tobytes() == world_n.clients[0].params.values.tobytes()
 
     def test_test_split_missing_a_class(self):
@@ -468,7 +493,9 @@ class TestClientGroups:
         world = harness.build_world(cfg)
         keep = world.test.labels != 2
         test = data.Dataset(world.test.features[keep], world.test.labels[keep], 3)
-        [result] = protocol.run_federation(world.clients, cfg.strategy_config(), test, world.public)
+        [result] = protocol.run_federation(
+            world.clients, world.features, world.labels, cfg.federation, test, world.public
+        )
         stats = [s for r in result.records for s in r.clients]
         assert len(stats) == 9
         assert all(s.roc_auc is None and s.accuracy is not None for s in stats)
@@ -488,7 +515,7 @@ class TestCohorts:
         cfg = self._cfg("rhfl_plus_eccr")
         world = harness.build_world(cfg)
         group = protocol.Controller(
-            world.clients, cfg.strategy_config(), world.test, world.public
+            world.clients, world.features, world.labels, cfg.federation, world.test, world.public
         ).group
         assert group.index.tolist() == [0, 4, 1, 5, 2, 6, 3, 7]
         assert group.cohort.counts == (2, 2, 2, 2)
@@ -497,9 +524,9 @@ class TestCohorts:
         cfg = load_config([BASE_CONFIG])
         world = harness.build_world(cfg)
         group = protocol.Controller(
-            world.clients, cfg.strategy_config(), world.test, world.public
+            world.clients, world.features, world.labels, cfg.federation, world.test, world.public
         ).group
-        assert list(group.cohort.dims) == world.archs
+        assert list(group.cohort.dims) == [c.arch for c in world.clients]
 
     @pytest.mark.parametrize("strategy", ["rhfl_plus_eccr", "hetero_distill", "local_only"])
     def test_chunking_does_not_change_results(self, strategy, monkeypatch):
@@ -519,8 +546,10 @@ class TestCohorts:
         cfg = self._cfg("rhfl_plus_eccr", flags=flags)
         result, world = harness.run_experiment(cfg)
         fresh = harness.build_world(cfg)
-        for client, stats in zip(fresh.clients, result.records[-1].clients):
-            [alone] = protocol.run_federation([client], cfg.strategy_config(), fresh.test)
+        for k, (client, stats) in enumerate(zip(fresh.clients, result.records[-1].clients)):
+            [alone] = protocol.run_federation(
+                [client], fresh.features[[k]], fresh.labels[[k]], cfg.federation, fresh.test
+            )
             trained = world.clients[client.client_id].params.values
             assert client.params.values.tobytes() == trained.tobytes()
             assert alone.records[-1].clients[0] == stats
@@ -531,7 +560,7 @@ class TestCohorts:
         whole, world_w = harness.run_experiment(cfg)
         world = harness.build_world(cfg)
         controller = protocol.Controller(
-            world.clients, cfg.strategy_config(), world.test, world.public,
+            world.clients, world.features, world.labels, cfg.federation, world.test, world.public,
             sampler_seed=(cfg.seed, _S_SAMPLER),
         )
         group = controller.group
@@ -559,7 +588,9 @@ class TestCohorts:
         for client in (world.clients[1], world.clients[4]):  # rows 2 and 1
             client.params = nn.ModelParams(client.arch, np.full(client.params.values.size, 1e200))
         with pytest.raises(NumericError, match=r"^round 0, client 1, phase eval: softmax"):
-            protocol.run_federation(world.clients, cfg.strategy_config(), world.test)
+            protocol.run_federation(
+                world.clients, world.features, world.labels, cfg.federation, world.test
+            )
 
     def test_block_errors_name_the_block_clients(self):
         cfg = self._cfg("local_only")
@@ -569,7 +600,9 @@ class TestCohorts:
         with pytest.raises(
             ConfigError, match=r"^round 0, clients \[1, 5\], phase eval: batch has 2 features"
         ):
-            protocol.run_federation(world.clients, cfg.strategy_config(), world.test)
+            protocol.run_federation(
+                world.clients, world.features, world.labels, cfg.federation, world.test
+            )
 
 
 class TestShardLossReuse:
@@ -578,7 +611,7 @@ class TestShardLossReuse:
                         data={"clients": 3, "shard_size": 30})
         world = harness.build_world(cfg)
         controller = protocol.Controller(
-            world.clients, cfg.strategy_config(), world.test, world.public
+            world.clients, world.features, world.labels, cfg.federation, world.test, world.public
         )
         shard = controller.group.features
         forward = nn.Cohort.forward
@@ -600,7 +633,7 @@ class TestShardLossReuse:
         seeded = harness.build_world(cfg)
         initial = np.stack([c.params.values for c in seeded.clients])
         controller = protocol.Controller(
-            seeded.clients, replace(cfg.strategy_config(), rounds=0),
+            seeded.clients, seeded.features, seeded.labels, replace(cfg.federation, rounds=0),
             seeded.test, seeded.public,
         )
         [result0] = controller.run()
@@ -612,10 +645,10 @@ class TestShardLossReuse:
         assert group.cohort.values.tobytes() == initial[group.index].tobytes()
         for client, mean_sl in zip(group.clients, sl):
             stats = result0.records[0].clients[client.client_id]
-            shard = client.shard
-            probs = nn.softmax_t(oracle.logits(client.params, shard.base.features), 1.0)
-            onehot = nn.one_hot(shard.noisy_labels, shard.base.class_count)
-            alone = float(nn.sl_loss(probs, onehot, cfg.hyperparams).mean())
+            k = client.client_id
+            probs = nn.softmax_t(oracle.logits(client.params, seeded.features[k]), 1.0)
+            onehot = oracle.one_hot(seeded.labels[k], cfg.data.classes)
+            alone = float(nn.sl_loss(probs, onehot, cfg.federation.hyperparams).mean())
             assert stats.mean_sl_loss == mean_sl == alone
 
         result, _ = harness.run_experiment(cfg)
@@ -640,15 +673,19 @@ class TestFailureContext:
         before = [(c.params, c.params.values.tobytes()) for c in world.clients]
         with warnings.catch_warnings(), pytest.raises(NumericError, match="phase private"):
             warnings.simplefilter("ignore")
-            protocol.run_federation(world.clients, cfg.strategy_config(), world.test, world.public)
+            protocol.run_federation(
+                world.clients, world.features, world.labels, cfg.federation, world.test, world.public
+            )
         # Distillation had stepped the cohort before private training failed.
         for client, (params, values) in zip(world.clients, before):
             assert client.params is params and params.values.tobytes() == values
 
     def test_error_type_is_kept(self):
         world = harness.build_world(small_cfg())
-        cfg = small_cfg().strategy_config()
-        controller = protocol.Controller(world.clients, cfg, world.test)
+        cfg = small_cfg().federation
+        controller = protocol.Controller(
+            world.clients, world.features, world.labels, cfg, world.test
+        )
         group = controller.group
 
         def fail(group):
@@ -663,12 +700,14 @@ class TestFailureContext:
         for client in world.clients[2:]:
             client.params = nn.ModelParams(client.arch, np.full(client.params.values.size, 1e200))
         with pytest.raises(NumericError, match=r"^round 0, client 2, phase eval: softmax"):
-            protocol.run_federation(world.clients, cfg.strategy_config(), world.test)
+            protocol.run_federation(
+                world.clients, world.features, world.labels, cfg.federation, world.test
+            )
 
     def test_chunk_errors_are_rebased_to_the_group(self):
         world = harness.build_world(small_cfg(data={"clients": 4}))
         group = protocol.Controller(
-            world.clients, small_cfg().strategy_config(), world.test
+            world.clients, world.features, world.labels, small_cfg().federation, world.test
         ).group
 
         def fail_third(part):
@@ -728,7 +767,9 @@ class TestDeterminismAndMessages:
         monkeypatch.setattr(protocol, "private_training", drop_out)
         # The error carries no client index, so the whole group is named.
         with pytest.raises(ProtocolError, match=r"^round 2, clients \[0, 1\], phase fedavg: client 1 dropped"):
-            protocol.run_federation(world.clients, cfg.strategy_config(), world.test, world.public)
+            protocol.run_federation(
+                world.clients, world.features, world.labels, cfg.federation, world.test, world.public
+            )
         assert calls == [[0, 1], [0, 1]]
 
     @pytest.mark.parametrize("strategy, phases", [
@@ -770,7 +811,7 @@ class TestDeterminismAndMessages:
 
         if piece == "peer softmax":
             # Tempered softmaxes: the peers' and, inside distillation, the models'.
-            temperature = cfg.hyperparams.temperature
+            temperature = cfg.federation.hyperparams.temperature
             tempered = ticking(nn.softmax_t, lambda z, tau: tau == temperature)
             monkeypatch.setattr(nn, "softmax_t", tempered)
         elif piece == "confidence step":
@@ -778,7 +819,7 @@ class TestDeterminismAndMessages:
         else:
             monkeypatch.setattr(protocol, "RoundRecord", ticking(protocol.RoundRecord))
         [result] = protocol.run_federation(
-            world.clients, cfg.strategy_config(), world.test, world.public
+            world.clients, world.features, world.labels, cfg.federation, world.test, world.public
         )
         assert now[0] > 0
         assert sum(per_phase.get(phase, 0.0) for per_phase in result.phase_seconds) == now[0]
@@ -838,7 +879,7 @@ class TestWorldBuilding:
         world = harness.build_world(cfg)
         pools = [set(map(tuple, world.test.features)),
                  set(map(tuple, world.public.features))]
-        pools += [set(map(tuple, c.shard.base.features)) for c in world.clients]
+        pools += [set(map(tuple, x)) for x in world.features]
         for i in range(len(pools)):
             for j in range(i + 1, len(pools)):
                 assert not pools[i] & pools[j]
@@ -846,7 +887,7 @@ class TestWorldBuilding:
     def test_per_client_noise_streams_are_independent(self):
         cfg = small_cfg(data={"clients": 2, "noise": {"kind": "symmetric", "rate": 0.5}})
         world = harness.build_world(cfg)
-        masks = [c.shard.flipped for c in world.clients]
+        masks = world.flipped
         assert not np.array_equal(masks[0], masks[1])
 
     def test_architectures_cycle_over_clients(self):
@@ -855,3 +896,12 @@ class TestWorldBuilding:
         world = harness.build_world(cfg)
         hidden = [c.arch[0][1] for c in world.clients]
         assert hidden == [4, 6, 4, 6]
+
+    def test_run_meta_flip_fractions_are_the_flipped_row_means(self, tmp_path):
+        cfg = small_cfg(data={"clients": 3, "shard_size": 40, "noise": {
+            "kind": "symmetric", "rate": 0.0, "random_range": [0.1, 0.6]}})
+        world = harness.build_world(cfg)
+        meta = json.loads((harness.execute_run(cfg, tmp_path) / harness.META_FILE).read_text())
+        assert meta["flip_fractions"] == world.flipped.mean(axis=1).tolist()
+        assert meta["flip_fractions"] == [count / 40 for count in world.flipped.sum(axis=1)]
+        assert len(set(meta["flip_fractions"])) == 3

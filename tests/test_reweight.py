@@ -39,7 +39,7 @@ class TestDlrWeight:
 
 class TestDlrRefine:
     def test_zero_mix_returns_noisy(self):
-        noisy = nn.one_hot(np.array([1]), 3)[0]
+        noisy = oracle.one_hot(np.array([1]), 3)[0]
         pred = np.array([0.2, 0.5, 0.3])
         assert np.array_equal(reweight.dlr_refine(noisy, pred, 0.0), noisy)
 
@@ -65,7 +65,7 @@ class TestDlrRefine:
     def test_output_is_distribution(self, seed):
         rng = np.random.default_rng(seed)
         c = int(rng.integers(2, 8))
-        noisy = nn.one_hot(rng.integers(0, c, size=4), c)
+        noisy = oracle.one_hot(rng.integers(0, c, size=4), c)
         pred = rng.dirichlet(np.ones(c), size=4)
         out = reweight.dlr_refine(noisy, pred, float(rng.random() * 0.999))
         assert np.all(out >= 0) and np.all(out <= 1)

@@ -7,6 +7,7 @@ fails alone, and a rerun must recompute only what is missing.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hetfed import data, harness, protocol
@@ -88,7 +89,7 @@ class TestBatchMatchesAlone:
             records = [json.loads(line) for line in (run_dir / harness.ROUNDS_FILE).open()]
             assert sorted({r["client"] for r in records}) == [0, 1, 2, 3]
             counts = tuple(r["clamp_events"] for r in records)
-            clamps.setdefault(cfg.strategy, set()).add(counts)
+            clamps.setdefault(cfg.federation.strategy, set()).add(counts)
         if variant == "random_rates_clamped":
             # Cells of one batch count their own clamps.
             assert any(len(counts) > 1 for counts in clamps.values())
@@ -136,7 +137,10 @@ class TestWhatBatches:
             client.cell = 1
         with pytest.raises(ConfigError, match="fedavg runs one cell at a time"):
             protocol.run_federation(
-                worlds[0].clients + worlds[1].clients, cfg.strategy_config(), worlds[0].test
+                worlds[0].clients + worlds[1].clients,
+                np.concatenate([w.features for w in worlds]),
+                np.concatenate([w.labels for w in worlds]),
+                cfg.federation, worlds[0].test,
             )
 
 
@@ -155,10 +159,10 @@ class TestFailuresAndReruns:
     def test_failing_cell_fails_as_alone_and_spares_its_batch(self, tmp_path, monkeypatch):
         apply_noise = data.apply_noise
 
-        def flaky(ds, kind, rate, seed):
+        def flaky(labels, classes, kind, rate, seed):
             if kind == "symmetric" and rate == 0.2:
                 raise ConfigError("no symmetric noise at 0.2 today")
-            return apply_noise(ds, kind, rate, seed)
+            return apply_noise(labels, classes, kind, rate, seed)
 
         monkeypatch.setattr(data, "apply_noise", flaky)
         with pytest.warns(RuntimeWarning, match="batch of 4 sweep cells failed .ConfigError"):
