@@ -15,6 +15,9 @@ The last case sweeps those random rates over noise kind x
 {rhfl_plus_ccr, rhfl_plus_eccr}, so that the per-cell confidence steps
 and clamp counts of a sweep batch are fingerprinted too: in each batch
 the symmetric cell clamps in 10 rounds and the pairflip cell in one.
+The mixed grid crosses four strategies with 1, 3 and 8 clients (200-row
+shards, 5 rounds), so that cells of differing strategies and client
+counts that share one federation are fingerprinted as well.
 
 It imports hetfed from the path, so two checkouts compare with
 
@@ -55,6 +58,10 @@ RANDOM_NOISE_GRID = {
     "strategy": ["rhfl_plus_ccr", "rhfl_plus_eccr"],
     "noise_type": ["pairflip", "symmetric"],
 }
+MIXED_GRID = {
+    "strategy": ["local_only", "hetero_distill", "rhfl", "rhfl_plus_eccr"],
+    "data.clients": [1, 3, 8],
+}
 
 
 def _dotted(doc: dict, prefix: str = "") -> list:
@@ -92,6 +99,8 @@ def cases():
         yield label, parse_config([BASE], overrides), None
     random_noise = ["data.noise.random_range=[0.2,0.6]", "hyperparams.eta_conf=8"]
     yield "random_noise_grid", parse_config([BASE], random_noise), RANDOM_NOISE_GRID
+    mixed = ["rounds=5", "data.shard_size=200"]
+    yield "mixed_grid", parse_config([BASE], mixed), MIXED_GRID
 
 
 def main() -> int:
