@@ -51,7 +51,9 @@ GRID_ALIASES = {
 class World:
     """A run's clients, their shards as stacks whose row k is client k's
     (features (K, S, d), noisy labels (K, S) and the mask of the labels
-    the noise flipped (K, S)), and the shared public and test sets."""
+    the noise flipped (K, S)), and the shared public and test sets. A
+    world run in a batch lets go of its features, labels, public and test
+    sets (see _pooled)."""
 
     clients: list[protocol.ClientState]
     features: np.ndarray
@@ -152,31 +154,48 @@ def build_world(cfg: ExperimentConfig) -> World:
     return World(clients, features, labels, flipped, public, test, [float(r) for r in rates])
 
 
+def _pooled(worlds: list[World], field: str):
+    """What the federation gets of the worlds' `field`: a lone world's
+    own; else their shard stacks concatenated, or the test or public set
+    that they all share (the first that a world has), and each world lets
+    go of its own, which run_meta.json does not read. The federation then
+    holds the only copy."""
+    values = [getattr(w, field) for w in worlds]
+    if len(values) == 1:
+        return values[0]
+    for world in worlds:
+        setattr(world, field, None)
+    if field in ("test", "public"):
+        return next((v for v in values if v is not None), None)
+    return np.concatenate(values)
+
+
 def _federate(cfgs: list[ExperimentConfig]) -> list[tuple]:
     """Build each config's world and run them all as one federation, each
-    world a cell; the configs may differ only in their noise. Returns each
-    cell's (result, world); every result carries the seconds and minor page
-    faults of the whole computation."""
+    world a cell; the configs may differ only as _batch_key allows.
+    Returns each cell's (result, world); every result carries the seconds
+    and minor page faults of the whole computation and the run-directory
+    names of the federation's cells."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     started = time.perf_counter()
     worlds = [build_world(cfg) for cfg in cfgs]
     for cell, world in enumerate(worlds):
         for client in world.clients:
             client.cell = cell
-    cfg, world = cfgs[0], worlds[0]
     results = protocol.run_federation(
         [client for w in worlds for client in w.clients],
-        np.concatenate([w.features for w in worlds]),
-        np.concatenate([w.labels for w in worlds]),
-        cfg.federation,
-        world.test,
-        world.public,
-        sampler_seed=(cfg.seed, _S_SAMPLER),
+        _pooled(worlds, "features"),
+        _pooled(worlds, "labels"),
+        [c.federation for c in cfgs],
+        _pooled(worlds, "test"),
+        _pooled(worlds, "public"),
+        sampler_seed=(cfgs[0].seed, _S_SAMPLER),
     )
     seconds = time.perf_counter() - started
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    names = [run_dir_name(echo_config(c)) for c in cfgs]
     for result in results:
-        result.total_seconds, result.minor_faults = seconds, faults
+        result.total_seconds, result.minor_faults, result.batch_runs = seconds, faults, names
     return list(zip(results, worlds))
 
 
@@ -233,13 +252,14 @@ class _Batch:
 
 
 def _batch_key(cfg: ExperimentConfig) -> str | None:
-    """Equal for configs that differ only in noise kind and rate, which can
-    share one federation; None for a config that runs alone (fedavg, whose
-    sampler and aggregate are a single run's)."""
+    """Equal for configs that may share one federation: they differ only
+    in strategy, flags, client count and noise (kind, rate and random
+    range). None for a config that runs alone: fedavg, whose sampler and
+    aggregate are a single run's."""
     if cfg.federation.strategy == "fedavg":
         return None
     doc = echo_config(cfg)
-    del doc["data"]["noise"]["kind"], doc["data"]["noise"]["rate"]
+    del doc["strategy"], doc["flags"], doc["data"]["clients"], doc["data"]["noise"]
     return json.dumps(doc, sort_keys=True)
 
 
@@ -326,6 +346,7 @@ def execute_run(cfg: ExperimentConfig, out_dir, compute=None) -> Path:
                     "phase_seconds": result.phase_seconds,
                     "minor_faults": result.minor_faults,
                     "batch_cells": result.cells,
+                    "batch_runs": result.batch_runs,
                 },
                 fh, indent=2,
             )

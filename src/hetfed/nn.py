@@ -250,17 +250,20 @@ def mixture_spec(peer_probs, peer_weights, tau: float, own=None) -> MixtureKlSpe
     return MixtureKlSpec(mixture, mass[:, np.newaxis, np.newaxis], tau)
 
 
-def _target_gradient(q, targets, mass, log_targets, lam, gamma):
-    """d(mean loss)/d(logits) against fixed target rows, from the model's
-    softmax q: cross-entropy when log_targets is None, else the symmetric
-    loss. mass is the targets' row sums and log_targets their floored log;
-    the mean is over rows."""
+def _target_gradient(q, targets, symmetric, h: Hyperparams):
+    """d(mean loss)/d(logits) against fixed target rows (K, n, C), from the
+    models' softmax q: the symmetric loss for the models where symmetric
+    (K,) holds, else cross-entropy. The mean is over rows."""
     rows = q.shape[-2]
-    ce_grad = q * mass - targets
-    if log_targets is None:
+    ce_grad = q * targets.sum(axis=-1, keepdims=True) - targets
+    if not symmetric.any():
         return ce_grad / rows
+    log_targets = _floored_log(targets, h.rce_log_floor)
     rce_grad = -q * (log_targets - (q * log_targets).sum(axis=-1, keepdims=True))
-    return (lam * ce_grad + gamma * rce_grad) / rows
+    sl_grad = (h.lam * ce_grad + h.gamma * rce_grad) / rows
+    if symmetric.all():
+        return sl_grad
+    return np.where(symmetric[:, np.newaxis, np.newaxis], sl_grad, ce_grad / rows)
 
 
 def _mixture_gradient(logits: np.ndarray, spec: MixtureKlSpec) -> np.ndarray:
@@ -359,6 +362,16 @@ class Cohort:
                 parts.append(stack[mine].ravel())
         return Cohort(dims, counts, np.concatenate(parts))
 
+    def put(self, rows, part: "Cohort") -> None:
+        """Write part, a gather() of the rows at ascending positions `rows`,
+        back into those rows."""
+        rows = np.asarray(rows)
+        stacks = iter(part.stacks)
+        for span, stack in zip(self.rows, self.stacks):
+            mine = rows[(rows >= span.start) & (rows < span.stop)] - span.start
+            if mine.size:
+                stack[mine] = next(stacks)
+
     def copy(self) -> "Cohort":
         return Cohort(self.dims, self.counts, self.values.copy())
 
@@ -417,28 +430,27 @@ class Cohort:
 
 @np.errstate(**_OVERFLOW_IS_CAUGHT_LATER)
 def cohort_sgd_epoch(
-    cohort: Cohort, x, targets, batch_size: int, h: Hyperparams, symmetric: bool
+    cohort: Cohort, x, targets, order, batch_size: int, h: Hyperparams, symmetric
 ) -> None:
     """One epoch of minibatch SGD of a cohort, in place.
 
     Row k trains on its own (S, d) rows of x (K, S, d) against the fixed
-    target rows (K, S, C), in consecutive batches of batch_size: the mean
-    symmetric loss (lam, gamma, rce_log_floor of h) when symmetric, else
-    cross-entropy, at learning rate h.lr. The input is checked and the
-    targets' mass and floored log taken once for the epoch; the parameters
-    are checked to be finite at its end.
+    target rows (K, S, C), a float or bool stack, taken in its order, row
+    k of order (K, S), in consecutive batches of batch_size: each step
+    gathers every model's batch. The loss is the mean symmetric loss (lam,
+    gamma, rce_log_floor of h) for the models where symmetric, one bool or
+    (K,) bools, holds, else cross-entropy, at learning rate h.lr. The input
+    is checked once; the parameters are checked to be finite at its end.
     """
     x = cohort._checked(x)
     grad = Cohort(cohort.dims, cohort.counts, np.empty_like(cohort.values))
-    mass = targets.sum(axis=-1, keepdims=True)
-    log_targets = _floored_log(targets, h.rce_log_floor) if symmetric else None
-    for start in range(0, x.shape[1], batch_size):
-        batch = slice(start, start + batch_size)
-        logits, caches = cohort._pass(x[:, batch])
-        delta = _target_gradient(
-            softmax_t(logits, 1.0), targets[:, batch], mass[:, batch],
-            None if log_targets is None else log_targets[:, batch], h.lam, h.gamma,
-        )
+    models = np.arange(len(cohort))[:, np.newaxis]
+    symmetric = np.broadcast_to(symmetric, (len(cohort),))
+    for start in range(0, order.shape[1], batch_size):
+        batch = models, order[:, start : start + batch_size]
+        logits, caches = cohort._pass(x[batch])
+        t = targets[batch].astype(np.float64, copy=False)
+        delta = _target_gradient(softmax_t(logits, 1.0), t, symmetric, h)
         cohort._step(caches, delta, grad, h.lr)
     cohort._check_finite()
 

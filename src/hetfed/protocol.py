@@ -33,7 +33,7 @@ import itertools
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -169,7 +169,8 @@ class RunResult:
     """One cell's records and message count, and the timings of the
     federation that ran it: cells is how many cells that federation ran.
     total_seconds and minor_faults, which include building the worlds,
-    are left for the caller that built them to fill in."""
+    and batch_runs, the names of the federation's cells, are left for the
+    caller that built them to fill in."""
 
     records: list[RoundRecord]
     messages: int
@@ -178,6 +179,7 @@ class RunResult:
     cells: int = 1
     total_seconds: float = 0.0
     minor_faults: int = 0
+    batch_runs: list[str] = field(default_factory=list)
 
 
 # Bytes a chunk of clients may hold in its working set: small enough to
@@ -203,8 +205,8 @@ class ClientGroup:
     clients: list[ClientState]
     index: np.ndarray
     cohort: nn.Cohort
-    features: np.ndarray
-    onehot: np.ndarray
+    features: np.ndarray | None
+    onehot: np.ndarray | None
     evaluated: tuple | None = None
     history: tuple | None = None
 
@@ -230,16 +232,15 @@ class ClientGroup:
         """Rows lo to hi - 1, whose cohort views this group's: stepping it
         steps these clients' models here."""
         rows = slice(lo, hi)
-        return ClientGroup(
-            self.clients[rows], self.index[rows], self.cohort.take(lo, hi),
-            self.features[rows], self.onehot[rows],
-        )
+        shards = (None, None) if self.features is None else (self.features[rows], self.onehot[rows])
+        return ClientGroup(self.clients[rows], self.index[rows], self.cohort.take(lo, hi), *shards)
 
-    def gather(self, rows: np.ndarray) -> "ClientGroup":
-        """A copy of the rows at ascending positions `rows`."""
+    def gather(self, rows: np.ndarray, shards: bool = True) -> "ClientGroup":
+        """A copy of the rows at ascending positions `rows`: of their
+        models and, with shards, of their shards."""
         return ClientGroup(
             [self.clients[i] for i in rows], self.index[rows], self.cohort.gather(rows),
-            self.features[rows], self.onehot[rows],
+            self.features[rows] if shards else None, self.onehot[rows] if shards else None,
         )
 
 
@@ -249,27 +250,27 @@ def _working_width(dims) -> int:
     return sum(fan_in + 2 * fan_out for fan_in, fan_out in dims)
 
 
-def _by_chunk(group: ClientGroup, rows: int, fn) -> list:
+def _by_chunk(group: ClientGroup, rows: int, fn, origin=None) -> list:
     """fn(part) over consecutive, even row ranges of the group.
 
     A chunk holds as many clients as keep its working set, rows x the
     widest block's working width, near _CHUNK_BYTES; a group that fits
     is its own chunk. The rows an error names are moved from the chunk's
-    row axis to the group's.
+    row axis to the group's, or through origin, where a group gathered
+    from another holds that one's rows, to that one's.
     """
     per_client = 8 * rows * max(_working_width(dims) for dims in group.cohort.dims)
     k = len(group.clients)
-    chunks = -(-k // max(1, _CHUNK_BYTES // per_client))
-    if chunks == 1:
-        return [fn(group)]
-    step = -(-k // chunks)
+    step = -(-k // -(-k // max(1, _CHUNK_BYTES // per_client)))
     out = []
     for lo in range(0, k, step):
         try:
-            out.append(fn(group.take(lo, lo + step)))
+            out.append(fn(group if step == k else group.take(lo, lo + step)))
         except (ConfigError, NumericError, ProtocolError) as exc:
             if getattr(exc, "rows", None):
                 exc.rows = [row + lo for row in exc.rows]
+                if origin is not None:
+                    exc.rows = np.asarray(origin)[exc.rows].tolist()
             raise
     return out
 
@@ -293,37 +294,54 @@ def private_training(
     group: ClientGroup,
     cfg: StrategyConfig,
     epochs: int,
-    use_sl: bool,
-    dlr_sched: reweight.DlrSchedule | None,
-    epoch_base: int,
+    sl=False,
+    dlr=False,
+    dlr_sched: reweight.DlrSchedule | None = None,
+    epoch_base: int = 0,
 ) -> None:
     """Minibatch SGD epochs of every client of the group on its own noisy shard.
 
-    Each client draws its batch order from its own RNG stream; the group
-    steps through the batches in lockstep. When a refinement schedule is
-    given, each epoch rebuilds its soft targets from the current
-    predictions before any gradient step; targets then stay fixed for the
-    epoch.
+    sl and dlr are one bool for every client or (K,) bools in the group's
+    row order: which clients train on the symmetric loss rather than
+    cross-entropy, and which on refined labels when a refinement schedule
+    is given. Each client draws its batch order from its own RNG stream;
+    the whole group steps through the batches in lockstep. Refined targets
+    are rebuilt from the current predictions before each epoch's first
+    step, chunk by chunk of the refined clients, and then stay fixed for
+    the epoch; the others train on their one-hot labels.
     """
-    size = group.features.shape[1]
-    hp = cfg.hyperparams
+    k, size = group.features.shape[:2]
+    refined = np.flatnonzero(np.broadcast_to(dlr, (k,)) & (dlr_sched is not None))
+    targets = group.onehot
+    if refined.size:
+        targets = np.empty(group.onehot.shape)
+        plain = np.setdiff1d(np.arange(k), refined)
+        targets[plain] = group.onehot[plain]
+    for epoch in range(epochs):
+        if refined.size:
+            s = reweight.dlr_weight(epoch_base + epoch + 1, dlr_sched)
+            _refine(group, refined, s, targets)
+        order = np.empty((k, size), dtype=np.int32)
+        for row, client in zip(order, group.clients):
+            row[:] = np.arange(size)
+            client.rng.shuffle(row)  # the draws of client.rng.permutation(size)
+        nn.cohort_sgd_epoch(
+            group.cohort, group.features, targets, order, cfg.batch_size, cfg.hyperparams, sl
+        )
 
-    def train(part: ClientGroup) -> None:
-        clients = np.arange(len(part.clients))[:, np.newaxis]
-        for epoch in range(epochs):
-            if dlr_sched is not None:
-                s = reweight.dlr_weight(epoch_base + epoch + 1, dlr_sched)
-                preds = nn.softmax_t(part.cohort.forward(part.features), 1.0)
-                targets = reweight.dlr_refine(part.onehot, preds, s)
-                del preds
-            else:
-                targets = part.onehot
-            # Each epoch's shuffled shards, so every batch is a plain slice.
-            perms = np.stack([c.rng.permutation(size) for c in part.clients])
-            x, targets = part.features[clients, perms], targets[clients, perms].astype(np.float64)
-            nn.cohort_sgd_epoch(part.cohort, x, targets, cfg.batch_size, hp, use_sl)
 
-    _by_chunk(group, size, train)
+def _refine(group: ClientGroup, refined: np.ndarray, s: float, targets: np.ndarray) -> None:
+    """Write the refined targets, at mix weight s, of the group's rows
+    `refined` (ascending) into those rows of targets (K, S, C), a chunk of
+    clients at a time."""
+
+    def refine(part: ClientGroup) -> None:
+        preds = nn.softmax_t(part.cohort.forward(part.features), 1.0)
+        targets[part.index] = reweight.dlr_refine(part.onehot, preds, s)
+
+    # The refined rows as a group whose index names their rows of targets.
+    part = group if refined.size == len(group.clients) else group.gather(refined)
+    _by_chunk(replace(part, index=refined), group.features.shape[1], refine, refined)
 
 
 def collaborative_training(
@@ -397,9 +415,13 @@ class Controller:
     The clients come in ascending (cell, id) order, and row k of the shard
     stacks, features (K, S, d) and noisy labels (K, S), is clients[k]'s.
     They are stacked once into one group. Each cell's clients hold
-    consecutive positions of that order, the slices in `cells`; a
-    round's confidence step, peer mixtures, consensus, records and
-    message counts are each cell's own. fedavg runs one cell.
+    consecutive positions of that order, the slices in `cells`. cfg is one
+    StrategyConfig for every cell or a list of one per cell, which may
+    differ only in strategy and flags; `strategies` and `flags` hold them
+    per cell. A round's confidence step, peer mixtures, consensus, records
+    and message counts are each cell's own. Public logits and distillation
+    run over the clients of hfl cells only, and private SGD over every
+    client, each with its cell's loss and targets. fedavg runs one cell.
     """
 
     def __init__(
@@ -407,7 +429,7 @@ class Controller:
         clients: list[ClientState],
         features: np.ndarray,
         labels: np.ndarray,
-        cfg: StrategyConfig,
+        cfg: StrategyConfig | list[StrategyConfig],
         test: Dataset,
         public: Dataset | None = None,
         sampler_seed=0,
@@ -429,29 +451,40 @@ class Controller:
         ends = np.cumsum(sizes).tolist()
         self.cells = [slice(end - size, end) for end, size in zip(ends, sizes)]
         self._cell_sizes = np.array(sizes)
-        self.cfg = cfg
+        cfgs = list(cfg) if isinstance(cfg, (list, tuple)) else [cfg] * len(self.cells)
+        if len(cfgs) != len(self.cells):
+            raise ConfigError(f"{len(cfgs)} strategy configs for {len(self.cells)} cells")
+        self.cfg = cfg = cfgs[0]
+        if any(replace(c, strategy=cfg.strategy, flags=cfg.flags) != cfg for c in cfgs):
+            raise ConfigError("the cells' strategy configs may differ only in strategy and flags")
+        self.strategies = [c.strategy for c in cfgs]
+        self.flags = [c.flags for c in cfgs]
         self.test = test
         self.test_classes = metrics.OneVsRest.of(test.labels, test.class_count)
         self.public = public
         self.messages = np.zeros(len(self.cells), dtype=np.int64)  # per cell
         self._sampler = np.random.default_rng(sampler_seed)
-        if cfg.flags.hfl and public is None:
-            raise ConfigError(f"strategy {cfg.strategy!r} requires a public dataset")
-        if cfg.strategy == "fedavg":
+        for c in cfgs:
+            if c.flags.hfl and public is None:
+                raise ConfigError(f"strategy {c.strategy!r} requires a public dataset")
+        if "fedavg" in self.strategies:
             archs = {c.arch for c in self.clients}
             if len(archs) > 1:
                 raise ConfigError("fedavg requires a homogeneous architecture")
             if len(self.cells) > 1:
                 raise ConfigError("fedavg runs one cell at a time")
-        if cfg.flags.dlr and cfg.rounds * cfg.local_epochs > 0:
+        self.dlr_sched = None
+        if any(f.dlr for f in self.flags) and cfg.rounds * cfg.local_epochs > 0:
             self.dlr_sched = reweight.DlrSchedule(
                 cfg.hyperparams.zeta, cfg.rounds * cfg.local_epochs
             )
-        else:
-            self.dlr_sched = None
         self.group = ClientGroup.stack(
             self.clients, np.arange(len(self.clients)), features, labels, test.class_count
         )
+        # Each row's cell, and the private-training flags of its cell.
+        self._row_cell = np.repeat(np.arange(len(self.cells)), sizes)[self.group.index]
+        self._sl = np.array([f.sl for f in self.flags])[self._row_cell]
+        self._dlr = np.array([f.dlr for f in self.flags])[self._row_cell]
         self._phase_seconds: dict[str, float] = {}  # the current round's
 
     # -- plumbing ---------------------------------------------------------
@@ -485,61 +518,65 @@ class Controller:
         seconds = self._phase_seconds
         seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - started
 
-    def _by_client(self, columns: tuple) -> list:
-        """The group's (K, ...) result columns in client id order; a column
-        returned as None stays None."""
+    def _by_client(self, columns: tuple, group: ClientGroup | None = None) -> list:
+        """The (k, ...) result columns of the group, by default the
+        controller's, as (K, ...) columns in the controller's order; rows of
+        clients outside the group are left unset, and a column returned as
+        None stays None."""
+        group = self.group if group is None else group
         out = []
         for part in columns:
             column = None
             if part is not None:
-                column = np.empty(part.shape)
-                column[self.group.index] = part
+                column = np.empty((len(self.clients), *part.shape[1:]))
+                column[group.index] = part
             out.append(column)
         return out
 
-    def _public_logits(self, phase: str, round_idx: int) -> np.ndarray:
-        """Every client's logits on the public set (K, N, C), in id order."""
+    def _part(self, cells: list) -> tuple:
+        """The group's rows of the given cells' clients and those clients
+        as a group for work on the public set: the controller's own when
+        that is all of them, else a copy of their models without shards."""
+        rows = np.flatnonzero(np.isin(self._row_cell, cells))
+        if rows.size == len(self.clients):
+            return rows, self.group
+        return rows, self.group.gather(rows, shards=False)
+
+    def _public_logits(self, part: ClientGroup, round_idx: int) -> np.ndarray:
+        """The part's clients' logits on the public set, as rows of a
+        (K, N, C) stack in the controller's order."""
         x = self.public.features
 
         def forward(group: ClientGroup):
-            chunks = _by_chunk(group, len(x), lambda part: part.cohort.forward(x))
+            chunks = _by_chunk(group, len(x), lambda chunk: chunk.cohort.forward(x))
             return (np.concatenate(chunks),)
 
-        (logits,) = self._in_phase(phase, round_idx, lambda g: self._by_client(forward(g)))
+        (logits,) = self._in_phase(
+            "phase1", round_idx, lambda g: self._by_client(forward(g), g), part
+        )
         return logits
 
-    def _peer_target(self, peer_probs: np.ndarray, weights: np.ndarray) -> nn.MixtureKlSpec:
-        """Each client's weighted mixture of its cell's other clients'
-        distributions; peer_probs (K, N, C) and weights (K,) are in the
-        controller's order, and so are the target's rows."""
-        tau = self.cfg.hyperparams.temperature
-        return self._stacked([
-            nn.mixture_spec(peer_probs[cell], weights[cell], tau, np.arange(size))
-            for cell, size in zip(self.cells, self._cell_sizes)
-        ])
-
-    def _stacked(self, specs: list) -> nn.MixtureKlSpec:
-        """One distillation target per cell as one target: the single
-        cell's as it is, else each cell's mixture repeated for its clients
-        and stacked in the controller's order."""
-        if len(specs) == 1:
+    def _stacked(self, specs: dict) -> nn.MixtureKlSpec:
+        """Distillation targets per cell as one target: a lone cell's as
+        it is, else each cell's mixture and mass written into its clients'
+        rows of a stack in the controller's order."""
+        if len(self.cells) == 1:
             return specs[0]
-        mixture = np.concatenate([
-            np.broadcast_to(spec.mixture, (size, *spec.mixture.shape[-2:]))
-            for spec, size in zip(specs, self._cell_sizes)
-        ])
-        mass = np.concatenate([
-            np.broadcast_to(spec.mass, (size, 1, 1)) for spec, size in zip(specs, self._cell_sizes)
-        ])
-        return nn.MixtureKlSpec(mixture, mass, specs[0].tau)
+        first = next(iter(specs.values()))
+        mixture = np.empty((len(self.clients), *first.mixture.shape[-2:]))
+        mass = np.empty((len(self.clients), 1, 1))
+        for c, spec in specs.items():
+            mixture[self.cells[c]] = spec.mixture
+            mass[self.cells[c]] = spec.mass
+        return nn.MixtureKlSpec(mixture, mass, first.tau)
 
     # -- evaluation -------------------------------------------------------
 
-    def _eval_round(self, round_idx: int, confidence: tuple | None = None) -> list[RoundRecord]:
+    def _eval_round(self, round_idx: int, steps: list | None = None) -> list[RoundRecord]:
         """Evaluate every client and record the round, one record per cell.
 
-        confidence is the round's (q, p, f, weights) columns and per-cell
-        clamp counts, if the round had a confidence step.
+        steps holds each cell's confidence step, (q, p, f, weights) columns
+        and a clamp count, or None for a cell that took none.
         """
         hp = self.cfg.hyperparams
 
@@ -551,19 +588,18 @@ class Controller:
         columns = self._in_phase("eval", round_idx, lambda g: self._by_client(evaluate(g)))
         self.messages += self._cell_sizes  # one report per client
         with self._timed("eval"):
-            *weighting, clamps = confidence or (None, None, None, None, [0] * len(self.cells))
             k = len(self.clients)
-            rows = list(zip(*(
-                [None] * k if column is None else column.tolist()
-                for column in columns + weighting
-            )))
-            return [
-                RoundRecord(round_idx, tuple(
-                    ClientRoundStats(c.client_id, *row)
-                    for c, row in zip(self.clients[cell], rows[cell])
-                ), clamp_events)
-                for cell, clamp_events in zip(self.cells, clamps)
-            ]
+            rows = list(zip(*([None] * k if col is None else col.tolist() for col in columns)))
+            records = []
+            for cell, step in zip(self.cells, steps or [None] * len(self.cells)):
+                *weighting, clamp_events = step or (None, None, None, None, 0)
+                size = cell.stop - cell.start
+                more = zip(*([None] * size if col is None else col.tolist() for col in weighting))
+                records.append(RoundRecord(round_idx, tuple(
+                    ClientRoundStats(c.client_id, *row, *extra)
+                    for c, row, extra in zip(self.clients[cell], rows[cell], more)
+                ), clamp_events))
+            return records
 
     # -- strategy rounds --------------------------------------------------
 
@@ -581,51 +617,45 @@ class Controller:
         part = group.gather(np.flatnonzero(np.isin(group.index, chosen)))
         part.cohort.stacks[0][:] = group.cohort.stacks[0][0]  # the lowest client id's
         self._in_phase(
-            "fedavg", round_idx,
-            lambda g: private_training(g, cfg, cfg.local_epochs, use_sl=False,
-                                       dlr_sched=None, epoch_base=0),
-            part,
+            "fedavg", round_idx, lambda g: private_training(g, cfg, cfg.local_epochs), part
         )
         self.messages += len(part.clients)
         sizes = [group.features.shape[1]] * len(part.clients)
         group.cohort.stacks[0][:] = fedavg_aggregate(part.cohort.stacks[0], sizes)
 
-    def _round_hetero(self, round_idx: int):
+    def _round(self, round_idx: int) -> list:
+        """Every strategy's round but fedavg's, each cell's per its flags:
+        the hfl cells' exchange, then every client's training on its own
+        shard. Returns each cell's confidence step, or None for a cell
+        without one."""
         cfg = self.cfg
-        logits = self._public_logits("hetero_share", round_idx)
-        # Every client shares its logits; the server shares its cell's average back.
-        self.messages += 2 * self._cell_sizes
-
-        with self._timed("distill"):
-            tau = cfg.hyperparams.temperature
-            consensus = np.stack([logits[cell].mean(axis=0) for cell in self.cells])
-            del logits
-            peers = nn.softmax_t(consensus, tau)
-            target = self._stacked([
-                nn.mixture_spec(peers[c : c + 1], np.ones(1), tau) for c in range(len(self.cells))
-            ])
-        self._in_phase(
-            "distill", round_idx,
-            lambda g: collaborative_training(g, self.public, target, cfg),
-        )
+        steps = self._share(round_idx)
+        epoch_base = (round_idx - 1) * cfg.local_epochs
         self._in_phase(
             "private", round_idx,
-            lambda g: private_training(g, cfg, cfg.local_epochs, use_sl=False,
-                                       dlr_sched=None, epoch_base=0),
+            lambda g: private_training(
+                g, cfg, cfg.local_epochs, self._sl, self._dlr, self.dlr_sched, epoch_base
+            ),
         )
+        return steps
 
-    def _round_lattice(self, round_idx: int) -> tuple | None:
-        """local_only and the rhfl family share this flag-driven round.
+    def _share(self, round_idx: int) -> list:
+        """The hfl cells' exchange of public logits and distillation.
 
-        Returns the round's confidence step, or None with hfl off.
+        A hetero_distill cell distills towards the consensus of its
+        clients' logits, their own included, with mass 1. Any other hfl
+        cell takes a confidence step, and each of its clients distills
+        towards its cell's other clients, weighted. Returns each cell's
+        confidence step, or None.
         """
-        cfg = self.cfg
-        flags = cfg.flags
-        confidence = None
+        hp = self.cfg.hyperparams
+        steps = [None] * len(self.cells)
+        hfl = [c for c, flags in enumerate(self.flags) if flags.hfl]
+        weighted = [c for c in hfl if self.strategies[c] != "hetero_distill"]
+        if not hfl:
+            return steps
 
-        if flags.hfl:
-            hp = cfg.hyperparams
-
+        if weighted:
             def phase1(group: ClientGroup):
                 # The previous evaluation already took the shard loss of
                 # these very parameters.
@@ -642,45 +672,46 @@ class Controller:
             prev_sl, cur_sl, ratio = self._in_phase(
                 "phase1", round_idx, lambda g: self._by_client(phase1(g))
             )
-            logits = self._public_logits("phase1", round_idx)
-            with self._timed("phase1"):
-                steps = [
-                    reweight.confidence_step(
-                        flags.reweight, prev_sl[cell], cur_sl[cell], ratio[cell], hp.eta_conf
-                    )
-                    for cell in self.cells
-                ]
-                *columns, clamps = zip(*steps)
-                q, p, f, weights = (
-                    None if parts[0] is None else np.concatenate(parts) for parts in columns
+        rows, part = self._part(hfl)
+        logits = self._public_logits(part, round_idx)
+        with self._timed("phase1"):
+            for c in weighted:
+                cell = self.cells[c]
+                steps[c] = reweight.confidence_step(
+                    self.flags[c].reweight, prev_sl[cell], cur_sl[cell], ratio[cell], hp.eta_conf
                 )
-                confidence = q, p, f, weights, list(clamps)
-            # Each client uploads its report and its logits; the server
-            # broadcasts the weights.
-            self.messages += 3 * self._cell_sizes
+        # Each client uploads its logits, and in a weighted cell its report
+        # too; the server sends back the consensus or the weights.
+        per_client = [3 if c in weighted else 2 for c in hfl]
+        self.messages[hfl] += np.array(per_client) * self._cell_sizes[hfl]
 
-            # Each peer is softmaxed once; every client mixes all of its
-            # cell's peers but itself, if it has any.
-            with self._timed("distill"):
-                target = None
-                if self._cell_sizes.max() > 1:
-                    target = self._peer_target(nn.softmax_t(logits, hp.temperature), weights)
-                del logits
-            if target is not None:
-                self._in_phase(
-                    "distill", round_idx,
-                    lambda g: collaborative_training(g, self.public, target, cfg),
-                )
-
-        epoch_base = (round_idx - 1) * cfg.local_epochs
-        self._in_phase(
-            "private", round_idx,
-            lambda g: private_training(
-                g, cfg, cfg.local_epochs,
-                use_sl=flags.sl, dlr_sched=self.dlr_sched, epoch_base=epoch_base,
-            ),
-        )
-        return confidence
+        with self._timed("distill"):
+            tau = hp.temperature
+            specs = {}
+            for c in hfl:
+                size = self._cell_sizes[c]
+                if c not in weighted:
+                    consensus = logits[self.cells[c]].mean(axis=0)[np.newaxis]
+                    specs[c] = nn.mixture_spec(nn.softmax_t(consensus, tau), np.ones(1), tau)
+                elif size > 1:
+                    # Each peer is softmaxed once; every client mixes all of
+                    # its cell's peers but itself.
+                    peers = nn.softmax_t(logits[self.cells[c]], tau)
+                    specs[c] = nn.mixture_spec(peers, steps[c][3], tau, np.arange(size))
+            del logits
+        if specs:
+            distilled = list(specs)
+            target = self._stacked(specs)
+            del specs
+            if len(distilled) < len(hfl):
+                rows, part = self._part(distilled)
+            self._in_phase(
+                "distill", round_idx,
+                lambda g: collaborative_training(g, self.public, target, self.cfg), part,
+            )
+            if part is not self.group:
+                self.group.cohort.put(rows, part.cohort)
+        return steps
 
     # -- top level ---------------------------------------------------------
 
@@ -695,14 +726,12 @@ class Controller:
         for round_idx in range(1, self.cfg.rounds + 1):
             started = time.perf_counter()
             self._phase_seconds = {}
-            confidence = None
-            if self.cfg.strategy == "fedavg":
+            steps = None
+            if self.strategies[0] == "fedavg":
                 self._round_fedavg(round_idx)
-            elif self.cfg.strategy == "hetero_distill":
-                self._round_hetero(round_idx)
             else:
-                confidence = self._round_lattice(round_idx)
-            for cell_records, record in zip(records, self._eval_round(round_idx, confidence)):
+                steps = self._round(round_idx)
+            for cell_records, record in zip(records, self._eval_round(round_idx, steps)):
                 cell_records.append(record)
             seconds.append(time.perf_counter() - started)
             phases.append(self._phase_seconds)
@@ -718,14 +747,14 @@ def run_federation(
     clients: list[ClientState],
     features: np.ndarray,
     labels: np.ndarray,
-    cfg: StrategyConfig,
+    cfg: StrategyConfig | list[StrategyConfig],
     test: Dataset,
     public: Dataset | None = None,
     sampler_seed=0,
 ) -> list[RunResult]:
     """Run the clients' federation on their shards, row k of the features
     (K, S, d) and noisy labels (K, S) being clients[k]'s: one RunResult
-    per cell, in cell order."""
+    per cell, in cell order. cfg is one StrategyConfig or one per cell."""
     controller = Controller(clients, features, labels, cfg, test, public, sampler_seed)
     del features, labels  # the group holds its own copy; a caller's temporary is freed
     return controller.run()

@@ -270,8 +270,13 @@ def epoch_gradients(models, x, targets, symmetric):
     """The gradients of one nn.cohort_sgd_epoch step of the models as one
     cohort, on (K, S, d) rows x with batch_size S."""
     cohort = nn.Cohort.of(models)
-    nn.cohort_sgd_epoch(cohort, x, targets, x.shape[1], STEP, symmetric)
+    nn.cohort_sgd_epoch(cohort, x, targets, in_order(x), x.shape[1], STEP, symmetric)
     return step_gradients(models, cohort)
+
+
+def in_order(x):
+    """Each model's rows of x (K, S, d) in their order: the (K, S) identity orders."""
+    return np.broadcast_to(np.arange(x.shape[1]), x.shape[:2])
 
 
 def kernel_models(rng, d, c):
@@ -475,7 +480,8 @@ class TestCohortKernels:
             targets = rng.dirichlet(np.ones(4), size=(k, size))
             for symmetric in (False, True):
                 stepped = cohort.copy()
-                assert nn.cohort_sgd_epoch(stepped, x, targets, batch, h, symmetric) is None
+                assert nn.cohort_sgd_epoch(stepped, x, targets, in_order(x), batch, h,
+                                           symmetric) is None
                 for row, (params, new) in enumerate(zip(cohort.models(), stepped.models())):
                     for start in range(0, size, batch):
                         t = targets[row, start : start + batch]
@@ -485,6 +491,49 @@ class TestCohortKernels:
                         params = oracle.sgd_step(params, grad, h.lr)
                     assert new.layer_dims == params.layer_dims
                     assert new.values.tobytes() == params.values.tobytes()
+
+    def test_sgd_epoch_takes_each_models_rows_in_its_order(self):
+        """Batches gathered by each model's order, with the loss chosen per
+        model, step it as the oracle steps it on its rows shuffled before."""
+        rng = np.random.default_rng(11)
+        h = nn.Hyperparams(lr=0.05)
+        for _ in range(10):
+            cohort = self._cohort(rng)
+            k = len(cohort)
+            size, batch = int(rng.integers(1, 50)), int(rng.integers(1, 17))
+            x = rng.normal(size=(k, size, 3))
+            labels = rng.integers(0, 4, size=(k, size))
+            onehot = labels[..., np.newaxis] == np.arange(4)
+            order = np.stack([rng.permutation(size) for _ in range(k)])
+            symmetric = rng.random(k) < 0.5
+            for targets in (onehot, rng.dirichlet(np.ones(4), size=(k, size))):
+                stepped = cohort.copy()
+                nn.cohort_sgd_epoch(stepped, x, targets, order, batch, h, symmetric)
+                for row, (params, new) in enumerate(zip(cohort.models(), stepped.models())):
+                    xs = x[row, order[row]]
+                    ts = targets[row, order[row]].astype(np.float64)
+                    for start in range(0, size, batch):
+                        t = ts[start : start + batch]
+                        loss = (oracle.Symmetric(t, h.lam, h.gamma, h.rce_log_floor)
+                                if symmetric[row] else oracle.CrossEntropy(t))
+                        grad = oracle.backward(params, xs[start : start + batch], loss)
+                        params = oracle.sgd_step(params, grad, h.lr)
+                    assert new.values.tobytes() == params.values.tobytes()
+
+    def test_put_writes_gathered_rows_back(self):
+        rng = np.random.default_rng(12)
+        cohort = self._cohort(rng)
+        while len(cohort) < 3 or len(cohort.dims) < 2:
+            cohort = self._cohort(rng)
+        rows = np.sort(rng.choice(len(cohort), size=len(cohort) - 1, replace=False))
+        part = cohort.gather(rows)
+        part.values += 1.0
+        before = cohort.models()
+        cohort.put(rows, part)
+        after = cohort.models()
+        for row in range(len(cohort)):
+            moved = before[row].values + (1.0 if row in rows else 0.0)
+            assert after[row].values.tobytes() == moved.tobytes()
 
     def test_distill_matches_backward_steps(self):
         rng = np.random.default_rng(8)
@@ -549,7 +598,9 @@ class TestCohortKernels:
         targets = rng.dirichlet(np.ones(4), size=(len(cohort), 6))
         whole = cohort.copy()
         h = nn.Hyperparams(lr=0.05)
-        nn.cohort_sgd_epoch(whole, x, targets, 4, h, True)
+        order = in_order(x)
+        nn.cohort_sgd_epoch(whole, x, targets, order, 4, h, True)
         for lo, hi in ((0, 1), (1, len(cohort))):
-            nn.cohort_sgd_epoch(cohort.take(lo, hi), x[lo:hi], targets[lo:hi], 4, h, True)
+            nn.cohort_sgd_epoch(cohort.take(lo, hi), x[lo:hi], targets[lo:hi], order[lo:hi], 4, h,
+                                True)
         assert whole.values.tobytes() == cohort.values.tobytes()

@@ -284,7 +284,7 @@ class TestLatticeRounds:
         monkeypatch.setattr(reweight, "confidence_step", spy)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            controller._round_lattice(1)
+            controller._round(1)
         first = float(np.linalg.norm(cur[0] - prev[0])) / float(np.linalg.norm(prev[0]))
         assert ratios[0].tolist() == [first, 0.0, 0.0]
 
@@ -565,18 +565,19 @@ class TestCohorts:
         )
         group = controller.group
         width = max(protocol._working_width(dims) for dims in group.cohort.dims)
-        # Private training runs rows [0, 3), [3, 6), [6, 8) over blocks of 2.
-        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * 8 * 30 * width)
-        epoch = nn.cohort_sgd_epoch
+        # Distillation on the 20 public rows runs rows [0, 3), [3, 6),
+        # [6, 8) over blocks of 2.
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * 8 * 20 * width)
+        distill = nn.cohort_distill
         parts = []
 
         def spy(cohort, *args):
             parts.append(cohort.counts)
-            return epoch(cohort, *args)
+            return distill(cohort, *args)
 
-        monkeypatch.setattr(nn, "cohort_sgd_epoch", spy)
+        monkeypatch.setattr(nn, "cohort_distill", spy)
         [chunked] = controller.run()
-        assert parts[:6] == [(2, 1)] * 2 + [(1, 2)] * 2 + [(2,)] * 2  # two epochs per chunk
+        assert parts[:6] == [(2, 1), (1, 2), (2,)] * 2  # two rounds
         assert record_dicts(whole) == record_dicts(chunked)
         for a, b in zip(world_w.clients, world.clients):
             assert a.params.values.tobytes() == b.params.values.tobytes()
@@ -775,7 +776,7 @@ class TestDeterminismAndMessages:
     @pytest.mark.parametrize("strategy, phases", [
         ("local_only", {"private", "eval"}),
         ("fedavg", {"fedavg", "eval"}),
-        ("hetero_distill", {"hetero_share", "distill", "private", "eval"}),
+        ("hetero_distill", {"phase1", "distill", "private", "eval"}),
         ("rhfl_plus_eccr", {"phase1", "distill", "private", "eval"}),
     ])
     def test_timing_records_phase_seconds(self, tmp_path, strategy, phases):

@@ -1,4 +1,5 @@
-"""Sweep cells that differ only in their noise run as one federation.
+"""Sweep cells that differ only in strategy, flags, client count and noise
+run as one federation.
 
 Each such cell must write the bytes it writes when run alone, fail as it
 fails alone, and a rerun must recompute only what is missing.
@@ -79,13 +80,16 @@ class TestBatchMatchesAlone:
         grid = {**GRID, "seed": [seed]}
         outcome = harness.run_sweep(doc, grid, tmp_path / "batched")
         assert not outcome.failures
-        assert federations == [4] * len(GRID["strategy"])
+        assert federations == [20]
+        names = [d.name for d in outcome.run_dirs]
         clamps = {}  # per strategy, each cell's clamp counts
         for cfg, run_dir in zip(cell_configs(doc, grid), outcome.run_dirs):
             solo = harness.execute_run(cfg, tmp_path / "alone")
             assert solo.name == run_dir.name
             assert files(run_dir) == files(solo)
-            assert timing(run_dir)["batch_cells"] == 4 and timing(solo)["batch_cells"] == 1
+            assert timing(run_dir)["batch_cells"] == 20 and timing(solo)["batch_cells"] == 1
+            assert timing(run_dir)["batch_runs"] == names
+            assert timing(solo)["batch_runs"] == [solo.name]
             records = [json.loads(line) for line in (run_dir / harness.ROUNDS_FILE).open()]
             assert sorted({r["client"] for r in records}) == [0, 1, 2, 3]
             counts = tuple(r["clamp_events"] for r in records)
@@ -100,10 +104,58 @@ class TestBatchMatchesAlone:
         first, second = (timing(run_dir) for run_dir in outcome.run_dirs)
         assert first == second
         assert first["batch_cells"] == 2 and first["total_seconds"] > 0
+        assert first["batch_runs"] == [d.name for d in outcome.run_dirs]
+
+
+class TestMixedBatches:
+    """Cells of differing strategies, ablation flags, client counts and
+    noise share one federation and still write their solo bytes."""
+
+    GRIDS = {
+        "strategies_and_clients": {
+            "strategy": ["local_only", "hetero_distill", "rhfl", "rhfl_plus_ccr",
+                         "rhfl_plus_eccr"],
+            "data.clients": [1, 3, 4],
+        },
+        "ablation_rows_and_clients": {
+            "flags": harness.ablation_rows(),
+            "data.clients": [2, 4],
+            "noise_type": ["symmetric"],
+        },
+        "strategies_and_random_rates": {
+            "strategy": ["local_only", "hetero_distill", "rhfl_plus_eccr"],
+            "data.noise.random_range": [None, [0.2, 0.6]],
+            "data.clients": [3, 4],
+        },
+    }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("chunk", ["whole", "one_client_per_chunk"])
+    @pytest.mark.parametrize("grid_name", list(GRIDS))
+    def test_every_cell_writes_its_solo_bytes(self, tmp_path, monkeypatch, federations,
+                                              grid_name, chunk, seed):
+        if chunk == "one_client_per_chunk":
+            monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1)
+        doc = base()
+        grid = {**self.GRIDS[grid_name], "seed": [seed]}
+        cfgs = cell_configs(doc, grid)
+        outcome = harness.run_sweep(doc, grid, tmp_path / "batched")
+        assert not outcome.failures and len(outcome.run_dirs) == len(cfgs)
+        assert federations == [len(cfgs)]
+        for cfg, run_dir in zip(cfgs, outcome.run_dirs):
+            solo = harness.execute_run(cfg, tmp_path / "alone")
+            assert solo.name == run_dir.name
+            assert files(run_dir) == files(solo)
+            assert timing(run_dir)["batch_cells"] == len(cfgs)
 
 
 class TestWhatBatches:
-    def test_only_cells_that_differ_in_noise_share_a_federation(self, tmp_path, federations):
+    def test_comparison_grid_is_one_federation_per_seed(self, tmp_path, federations):
+        outcome = harness.run_sweep(base("rounds=1"), {**GRID, "seed": [0, 1]}, tmp_path)
+        assert not outcome.failures and len(outcome.run_dirs) == 40
+        assert federations == [20, 20]
+
+    def test_fedavg_runs_alone_and_seeds_apart(self, tmp_path, federations):
         grid = {
             "strategy": ["fedavg", "local_only"],
             "noise_type": ["pairflip", "symmetric"],
@@ -120,7 +172,7 @@ class TestWhatBatches:
         assert cells == {(1, "fedavg"), (2, "local_only")}
         assert sorted(federations) == [1, 1, 1, 1, 2, 2]
 
-    def test_ablation_grid_runs_six_batches_of_four(self, tmp_path, federations):
+    def test_ablation_grid_runs_as_one_federation(self, tmp_path, federations):
         grid = {
             "flags": harness.ablation_rows(),
             "noise_type": ["pairflip", "symmetric"],
@@ -128,7 +180,7 @@ class TestWhatBatches:
         }
         outcome = harness.run_sweep(base("rounds=1"), grid, tmp_path)
         assert not outcome.failures and len(outcome.run_dirs) == 24
-        assert federations == [4] * 6
+        assert federations == [24]
 
     def test_fedavg_federation_takes_one_cell(self):
         cfg = ExperimentConfig.from_dict(base("strategy=fedavg", "archs.hidden_layers=[[16]]"))
@@ -165,7 +217,7 @@ class TestFailuresAndReruns:
             return apply_noise(labels, classes, kind, rate, seed)
 
         monkeypatch.setattr(data, "apply_noise", flaky)
-        with pytest.warns(RuntimeWarning, match="batch of 4 sweep cells failed .ConfigError"):
+        with pytest.warns(RuntimeWarning, match="batch of 8 sweep cells failed .ConfigError"):
             batched, batched_files, batched_report = self.sweep(tmp_path / "batched")
         alone(monkeypatch)
         solo, solo_files, solo_report = self.sweep(tmp_path / "alone")
@@ -174,6 +226,23 @@ class TestFailuresAndReruns:
         assert batched.failures == solo.failures
         assert len(batched.failures) == 2
         assert all(e.startswith("ConfigError: no symmetric noise") for e in batched.failures.values())
+
+    def test_mixed_batch_failure_reruns_its_cells_with_their_solo_errors(
+        self, tmp_path, monkeypatch, federations
+    ):
+        # Seven clients' shards do not fit in the dataset: those cells fail.
+        grid = {"strategy": ["local_only", "rhfl_plus_eccr"], "data.clients": [4, 7]}
+        with pytest.warns(RuntimeWarning, match="batch of 4 sweep cells failed .ConfigError"):
+            batched = harness.run_sweep(base(), grid, tmp_path / "batched")
+        assert federations == [1, 1]
+        alone(monkeypatch)
+        solo = harness.run_sweep(base(), grid, tmp_path / "alone")
+        assert len(batched.failures) == 2
+        assert batched.failures == solo.failures
+        assert all("dataset has 2400 samples" in e for e in batched.failures.values())
+        assert [files(d) for d in batched.run_dirs] == [files(d) for d in solo.run_dirs]
+        assert (tmp_path / "batched" / "sweep_report.json").read_bytes() == \
+            (tmp_path / "alone" / "sweep_report.json").read_bytes()
 
     def test_batch_only_failure_reruns_every_cell_alone(self, tmp_path, monkeypatch, federations):
         run = protocol.run_federation
@@ -195,7 +264,7 @@ class TestFailuresAndReruns:
     def test_rerun_recomputes_only_the_missing_cell(self, tmp_path, federations):
         out = tmp_path / "sweep"
         outcome, first, _ = self.sweep(out)
-        assert federations == [4, 4]
+        assert federations == [8]
         stamps = {d.name: (d / harness.ROUNDS_FILE).stat().st_mtime_ns for d in outcome.run_dirs}
         gone = outcome.run_dirs[3]
         for path in gone.iterdir():
