@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Scaling test: the same homogeneous-fleet run at growing client counts.
 
-Every fleet is one architecture group, so each client count runs as
-stacked kernels over client chunks rather than one client at a time.
+The client counts are one sweep axis, so every count's cell runs in one
+federation: each fleet is a cell of one architecture group, stepped as
+stacked kernels rather than one client at a time.
 """
 
 import argparse
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from hetfed import cli, harness
-from hetfed.config import ExperimentConfig, parse_config
+from hetfed.config import parse_config
 
 
 BASE = Path(__file__).resolve().parent.parent / "configs" / "base.json"
@@ -41,16 +42,18 @@ def main() -> int:
         "data.test_size=500",
         "archs.hidden_layers=[[12]]",
     ]
-    for k in args.clients:
-        resolved = parse_config(configs, overrides + [f"data.clients={k}"])
-        cfg = ExperimentConfig.from_dict(resolved)
-        run_dir = harness.execute_run(cfg, args.out)
+    resolved = parse_config(configs, overrides)
+    outcome = harness.run_sweep(resolved, {"data.clients": args.clients}, args.out)
+    for run_dir in outcome.run_dirs:
+        k = json.loads((run_dir / harness.CONFIG_FILE).read_text())["data"]["clients"]
         with open(run_dir / harness.ROUNDS_FILE) as fh:
             records = [json.loads(line) for line in fh]
-        accs = [r["accuracy"] for r in records if r["round"] == cfg.federation.rounds]
+        accs = [r["accuracy"] for r in records if r["round"] == args.rounds]
         print(f"K={k:<4} mean acc {np.mean(accs):.4f} "
               f"(min {min(accs):.4f}, max {max(accs):.4f}) -> {run_dir}")
-    return 0
+    for cell, error in sorted(outcome.failures.items()):
+        print(f"FAILED {cell}: {error}", file=sys.stderr)
+    return 1 if outcome.failures else 0
 
 
 if __name__ == "__main__":

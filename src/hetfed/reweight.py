@@ -1,13 +1,13 @@
 """Label refinement and confidence-based client reweighting.
 
 This module holds the round-by-round mathematics of the robust strategy:
-the epoch schedule that mixes model predictions into noisy labels, the
-label-quality / learning-efficiency statistics each client reports, the
-two confidence variants built from them, and the normalization of
-confidences into collaboration weights. confidence_step is the whole
-per-round confidence policy over (K,) client columns; the formulas it is
-built from work elementwise, on scalars or arrays alike. The weights
-enter distillation through nn.mixture_spec.
+the epoch schedule that mixes model predictions into noisy labels, and
+confidence_step, the whole per-round confidence policy over (K,) client
+columns: the label-quality and learning-efficiency statistics each
+client reports, the two confidence variants built from them, and their
+normalization into collaboration weights. tests/oracle.py holds each of
+those formulas on its own, which confidence_step is checked against bit
+for bit. The weights enter distillation through nn.mixture_spec.
 """
 
 from dataclasses import dataclass
@@ -53,103 +53,46 @@ def dlr_refine(noisy_onehot, pred, s: float) -> np.ndarray:
     return (1.0 - s) * noisy_onehot + s * pred
 
 
-def label_quality(mean_sl):
-    """Reciprocal of the mean symmetric loss, elementwise; a near-zero mean maps to 1e9."""
-    sl = np.asarray(mean_sl, dtype=np.float64)
-    return np.where(sl <= QUALITY_MEAN_FLOOR, 1e9, 1.0 / np.maximum(sl, QUALITY_MEAN_FLOOR))
-
-
-def learning_efficiency(delta_sl, update_ratio):
-    """Loss improvement discounted by normalized parameter movement, elementwise."""
-    ratio = np.asarray(update_ratio, dtype=np.float64)
-    if np.any(ratio < 0):
-        raise ConfigError("update ratio must be non-negative")
-    return np.asarray(delta_sl, dtype=np.float64) / (ratio + 1.0)
-
-
-def client_confidence_eccr(q_norm, p):
-    q = np.asarray(q_norm, dtype=np.float64)
-    if np.any(q < 0):
-        raise ConfigError("normalized quality must be non-negative")
-    return q * p
-
-
-def client_confidence_ccr(q_norm, delta_sl):
-    q = np.asarray(q_norm, dtype=np.float64)
-    if np.any(q < 0):
-        raise ConfigError("normalized quality must be non-negative")
-    return q * delta_sl
-
-
-def normalize_quality(qualities) -> np.ndarray:
-    q = np.asarray(qualities, dtype=np.float64)
-    total = q.sum()
-    if total <= 0:
-        raise ConfigError("quality values must have a positive sum")
-    return q / total
-
-
-@dataclass(frozen=True)
-class WeightResult:
-    weights: np.ndarray
-    clamp_events: int
-
-
-def uniform_weights(k: int) -> np.ndarray:
-    if k < 1:
-        raise ConfigError("need at least one client")
-    return np.full(k, 1.0 / k)
-
-
-def confidence_weights(f, eta_conf: float) -> WeightResult:
-    """Confidence scores -> normalized collaboration weights.
-
-    Raw weight per client is 1/(K-1) + eta * F_k / sum|F|; negative raws
-    are clamped at zero (and counted) before the final normalization.
-    All-zero confidence falls back to uniform weights.
-    """
-    scores = np.asarray(f, dtype=np.float64)
-    k = scores.size
-    if k < 2:
-        raise ConfigError("confidence weighting needs at least two clients")
-    if not np.all(np.isfinite(scores)):
-        raise ConfigError("confidence scores must be finite")
-    denom = np.abs(scores).sum()
-    if denom <= 0:
-        return WeightResult(uniform_weights(k), 0)
-    raw = 1.0 / (k - 1) + eta_conf * scores / denom
-    clamped = int((raw < 0).sum())
-    raw = np.maximum(raw, 0.0)
-    total = raw.sum()
-    if total <= 0:
-        return WeightResult(uniform_weights(k), clamped)
-    return WeightResult(raw / total, clamped)
-
-
 def confidence_step(mode: str, prev_sl, cur_sl, update_ratio, eta_conf: float):
     """One round's confidence statistics and collaboration weights.
 
     prev_sl and cur_sl are each client's mean shard SL at the previous and
     the latest evaluation, and update_ratio is how far its parameters moved
     in between, relative to their older norm; all are (K,), in client id
-    order. Returns (q, p, f, weights, clamp_events): label quality,
-    learning efficiency, confidence (CCR: normalized quality x SL drop;
-    ECCR: normalized quality x efficiency), weights and clamp count.
+    order. Returns (q, p, f, weights, clamp_events):
+
+    * q, label quality: the reciprocal of the mean SL, 1e9 at or below
+      QUALITY_MEAN_FLOOR;
+    * p, learning efficiency: the SL drop over (update ratio + 1);
+    * f, confidence: the normalized quality times the SL drop (ccr) or
+      times the efficiency (eccr);
+    * weights: 1/(K-1) + eta_conf * f / sum|f| per client, negative raw
+      weights clamped at zero (and counted in clamp_events), normalized.
+
     Under mode "none", or with one client, f is None and the weights are
-    uniform.
+    uniform; so they are when every f is zero or every raw weight clamps.
     """
     if mode not in REWEIGHT_MODES:
         raise ConfigError(f"unknown reweight mode {mode!r}")
     cur = np.asarray(cur_sl, dtype=np.float64)
     delta = np.asarray(prev_sl, dtype=np.float64) - cur
-    q = label_quality(cur)
-    p = learning_efficiency(delta, update_ratio)
-    if mode == "none" or q.size < 2:
-        return q, p, None, uniform_weights(q.size), 0
-    q_norm = normalize_quality(q)
-    if mode == "eccr":
-        f = client_confidence_eccr(q_norm, p)
-    else:
-        f = client_confidence_ccr(q_norm, delta)
-    result = confidence_weights(f, eta_conf)
-    return q, p, f, result.weights, result.clamp_events
+    ratio = np.asarray(update_ratio, dtype=np.float64)
+    if np.any(ratio < 0):
+        raise ConfigError("update ratio must be non-negative")
+    q = np.where(cur <= QUALITY_MEAN_FLOOR, 1e9, 1.0 / np.maximum(cur, QUALITY_MEAN_FLOOR))
+    p = delta / (ratio + 1.0)
+    k = q.size
+    uniform = np.full(k, 1.0 / k)
+    if mode == "none" or k < 2:
+        return q, p, None, uniform, 0
+    f = q / q.sum() * (p if mode == "eccr" else delta)
+    if not np.all(np.isfinite(f)):
+        raise ConfigError("confidence scores must be finite")
+    denom = np.abs(f).sum()
+    if denom <= 0:
+        return q, p, f, uniform, 0
+    raw = 1.0 / (k - 1) + eta_conf * f / denom
+    clamp_events = int((raw < 0).sum())
+    raw = np.maximum(raw, 0.0)
+    total = raw.sum()
+    return q, p, f, raw / total if total > 0 else uniform, clamp_events

@@ -1,4 +1,5 @@
-"""Per-model reference for the cohort kernels of hetfed.nn.
+"""Per-model reference for the cohort kernels of hetfed.nn, and the
+confidence formulas that hetfed.reweight.confidence_step combines.
 
 One model at a time, written from the documented parameter layout and the
 loss formulas: forward pass, cross-entropy, symmetric and mixture-KL
@@ -9,7 +10,9 @@ fault in a private nn helper cannot hide on both sides of a comparison.
 The gradient path repeats the kernels' order of floating-point operations,
 so tests compare a cohort against it bit for bit. The loss values take
 their softmax from an independent log-sum-exp; they exist to be
-differentiated numerically.
+differentiated numerically. The confidence formulas (label quality,
+learning efficiency, the two confidence variants, quality normalization
+and confidence weights) work elementwise, on scalars or arrays alike.
 """
 
 from dataclasses import dataclass
@@ -17,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from hetfed import nn
+from hetfed.errors import ConfigError
+from hetfed.reweight import QUALITY_MEAN_FLOOR
 
 
 def one_hot(labels: np.ndarray, class_count: int) -> np.ndarray:
@@ -157,3 +162,79 @@ def descend(params: nn.ModelParams, x: np.ndarray, loss, lr: float, steps: int):
     for _ in range(steps):
         params = sgd_step(params, backward(params, x, loss), lr)
     return params
+
+
+# -- confidence formulas ------------------------------------------------------
+
+
+def label_quality(mean_sl):
+    """Reciprocal of the mean symmetric loss, elementwise; a near-zero mean maps to 1e9."""
+    sl = np.asarray(mean_sl, dtype=np.float64)
+    return np.where(sl <= QUALITY_MEAN_FLOOR, 1e9, 1.0 / np.maximum(sl, QUALITY_MEAN_FLOOR))
+
+
+def learning_efficiency(delta_sl, update_ratio):
+    """Loss improvement discounted by normalized parameter movement, elementwise."""
+    ratio = np.asarray(update_ratio, dtype=np.float64)
+    if np.any(ratio < 0):
+        raise ConfigError("update ratio must be non-negative")
+    return np.asarray(delta_sl, dtype=np.float64) / (ratio + 1.0)
+
+
+def client_confidence_eccr(q_norm, p):
+    q = np.asarray(q_norm, dtype=np.float64)
+    if np.any(q < 0):
+        raise ConfigError("normalized quality must be non-negative")
+    return q * p
+
+
+def client_confidence_ccr(q_norm, delta_sl):
+    q = np.asarray(q_norm, dtype=np.float64)
+    if np.any(q < 0):
+        raise ConfigError("normalized quality must be non-negative")
+    return q * delta_sl
+
+
+def normalize_quality(qualities) -> np.ndarray:
+    q = np.asarray(qualities, dtype=np.float64)
+    total = q.sum()
+    if total <= 0:
+        raise ConfigError("quality values must have a positive sum")
+    return q / total
+
+
+@dataclass(frozen=True)
+class WeightResult:
+    weights: np.ndarray
+    clamp_events: int
+
+
+def uniform_weights(k: int) -> np.ndarray:
+    if k < 1:
+        raise ConfigError("need at least one client")
+    return np.full(k, 1.0 / k)
+
+
+def confidence_weights(f, eta_conf: float) -> WeightResult:
+    """Confidence scores -> normalized collaboration weights.
+
+    Raw weight per client is 1/(K-1) + eta * F_k / sum|F|; negative raws
+    are clamped at zero (and counted) before the final normalization.
+    All-zero confidence falls back to uniform weights.
+    """
+    scores = np.asarray(f, dtype=np.float64)
+    k = scores.size
+    if k < 2:
+        raise ConfigError("confidence weighting needs at least two clients")
+    if not np.all(np.isfinite(scores)):
+        raise ConfigError("confidence scores must be finite")
+    denom = np.abs(scores).sum()
+    if denom <= 0:
+        return WeightResult(uniform_weights(k), 0)
+    raw = 1.0 / (k - 1) + eta_conf * scores / denom
+    clamped = int((raw < 0).sum())
+    raw = np.maximum(raw, 0.0)
+    total = raw.sum()
+    if total <= 0:
+        return WeightResult(uniform_weights(k), clamped)
+    return WeightResult(raw / total, clamped)

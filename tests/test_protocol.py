@@ -655,7 +655,7 @@ class TestShardLossReuse:
         result, _ = harness.run_experiment(cfg)
         for prev, rec in zip(result.records, result.records[1:]):
             for before, now in zip(prev.clients, rec.clients):
-                assert now.q == reweight.label_quality(before.mean_sl_loss)
+                assert now.q == oracle.label_quality(before.mean_sl_loss)
 
 
 class TestFailureContext:

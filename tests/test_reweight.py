@@ -74,53 +74,53 @@ class TestDlrRefine:
 
 class TestQualityAndEfficiency:
     def test_reciprocal_of_mean(self):
-        assert reweight.label_quality(2.0) == 0.5
-        assert reweight.label_quality(np.mean([1.0, 3.0])) == 0.5
+        assert oracle.label_quality(2.0) == 0.5
+        assert oracle.label_quality(np.mean([1.0, 3.0])) == 0.5
 
     def test_perfect_fit_guard(self):
-        assert reweight.label_quality(0.0) == 1e9
-        assert reweight.label_quality(1e-10) == 1e9
+        assert oracle.label_quality(0.0) == 1e9
+        assert oracle.label_quality(1e-10) == 1e9
 
     def test_efficiency_hand_case(self):
-        assert reweight.learning_efficiency(0.5, 0.25) == pytest.approx(0.4)
+        assert oracle.learning_efficiency(0.5, 0.25) == pytest.approx(0.4)
 
     def test_unit_denominator(self):
-        assert reweight.learning_efficiency(0.3, 0.0) == 0.3
+        assert oracle.learning_efficiency(0.3, 0.0) == 0.3
 
     def test_no_progress(self):
-        assert reweight.learning_efficiency(0.0, 1.7) == 0.0
+        assert oracle.learning_efficiency(0.0, 1.7) == 0.0
 
 
 class TestConfidence:
     def test_eccr_product(self):
-        assert reweight.client_confidence_eccr(0.25, 0.4) == pytest.approx(0.1)
-        assert reweight.client_confidence_eccr(0.3, 0.0) == 0.0
-        assert reweight.client_confidence_eccr(1.0, 0.77) == 0.77
+        assert oracle.client_confidence_eccr(0.25, 0.4) == pytest.approx(0.1)
+        assert oracle.client_confidence_eccr(0.3, 0.0) == 0.0
+        assert oracle.client_confidence_eccr(1.0, 0.77) == 0.77
 
     def test_ccr_product(self):
-        assert reweight.client_confidence_ccr(0.25, 0.5) == pytest.approx(0.125)
-        assert reweight.client_confidence_ccr(0.4, 0.0) == 0.0
+        assert oracle.client_confidence_ccr(0.25, 0.5) == pytest.approx(0.125)
+        assert oracle.client_confidence_ccr(0.4, 0.0) == 0.0
 
     def test_ccr_equals_eccr_with_zero_update_ratio(self):
         q_norm, delta = 0.37, 0.82
-        p = reweight.learning_efficiency(delta, 0.0)
-        assert reweight.client_confidence_ccr(q_norm, delta) == \
-            reweight.client_confidence_eccr(q_norm, p)
+        p = oracle.learning_efficiency(delta, 0.0)
+        assert oracle.client_confidence_ccr(q_norm, delta) == \
+            oracle.client_confidence_eccr(q_norm, p)
 
 
 def per_client_step(mode, prev_sl, cur_sl, ratio, eta):
     """The confidence step client by client, from the scalar formulas."""
-    q = [float(reweight.label_quality(float(c))) for c in cur_sl]
+    q = [float(oracle.label_quality(float(c))) for c in cur_sl]
     delta = [float(a) - float(c) for a, c in zip(prev_sl, cur_sl)]
-    p = [float(reweight.learning_efficiency(d, float(r))) for d, r in zip(delta, ratio)]
+    p = [float(oracle.learning_efficiency(d, float(r))) for d, r in zip(delta, ratio)]
     if mode == "none" or len(q) < 2:
         return q, p, None, [1.0 / len(q)] * len(q), 0
-    q_norm = reweight.normalize_quality(q)
+    q_norm = oracle.normalize_quality(q)
     if mode == "eccr":
-        f = [float(reweight.client_confidence_eccr(float(n), pk)) for n, pk in zip(q_norm, p)]
+        f = [float(oracle.client_confidence_eccr(float(n), pk)) for n, pk in zip(q_norm, p)]
     else:
-        f = [float(reweight.client_confidence_ccr(float(n), d)) for n, d in zip(q_norm, delta)]
-    result = reweight.confidence_weights(np.array(f), eta)
+        f = [float(oracle.client_confidence_ccr(float(n), d)) for n, d in zip(q_norm, delta)]
+    result = oracle.confidence_weights(np.array(f), eta)
     return q, p, f, result.weights.tolist(), result.clamp_events
 
 
@@ -173,20 +173,20 @@ class TestConfidenceStep:
 
 class TestConfidenceWeights:
     def test_equal_scores_give_uniform(self):
-        result = reweight.confidence_weights(np.full(4, 0.7), 1.2)
+        result = oracle.confidence_weights(np.full(4, 0.7), 1.2)
         assert np.allclose(result.weights, 0.25, atol=1e-12)
         assert result.clamp_events == 0
 
     def test_hand_case_two_clients(self):
-        result = reweight.confidence_weights(np.array([1.0, 0.0]), 1.0)
+        result = oracle.confidence_weights(np.array([1.0, 0.0]), 1.0)
         assert np.allclose(result.weights, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_all_zero_falls_back_to_uniform(self):
-        result = reweight.confidence_weights(np.zeros(5), 1.2)
+        result = oracle.confidence_weights(np.zeros(5), 1.2)
         assert np.allclose(result.weights, 0.2, atol=0)
 
     def test_negative_scores_clamped_and_counted(self):
-        result = reweight.confidence_weights(np.array([5.0, -5.0, 0.1]), 2.0)
+        result = oracle.confidence_weights(np.array([5.0, -5.0, 0.1]), 2.0)
         assert result.clamp_events == 1
         assert np.all(result.weights >= 0)
         assert result.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -195,8 +195,8 @@ class TestConfidenceWeights:
         rng = np.random.default_rng(0)
         f = rng.normal(size=6)
         perm = rng.permutation(6)
-        w = reweight.confidence_weights(f, 1.2).weights
-        wp = reweight.confidence_weights(f[perm], 1.2).weights
+        w = oracle.confidence_weights(f, 1.2).weights
+        wp = oracle.confidence_weights(f[perm], 1.2).weights
         assert np.allclose(wp, w[perm], atol=1e-15)
 
     @given(st.integers(0, 2 ** 32 - 1))
@@ -205,7 +205,7 @@ class TestConfidenceWeights:
         rng = np.random.default_rng(seed)
         k = int(rng.integers(2, 12))
         f = rng.normal(size=k)
-        result = reweight.confidence_weights(f, 1.2)
+        result = oracle.confidence_weights(f, 1.2)
         assert result.weights.sum() == pytest.approx(1.0, abs=1e-9)
         raw = 1 / (k - 1) + 1.2 * f / np.abs(f).sum()
         if np.all(raw > 0):
@@ -260,9 +260,9 @@ class TestCollaborativeLoss:
 
 class TestQualityNormalization:
     def test_normalizes_to_unit_sum(self):
-        q = reweight.normalize_quality([1.0, 3.0])
+        q = oracle.normalize_quality([1.0, 3.0])
         assert np.allclose(q, [0.25, 0.75], atol=0)
 
     def test_rejects_nonpositive_total(self):
         with pytest.raises(ConfigError):
-            reweight.normalize_quality([0.0, 0.0])
+            oracle.normalize_quality([0.0, 0.0])
