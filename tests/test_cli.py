@@ -464,4 +464,5 @@ class TestScripts:
                 cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
             )
             assert done.returncode == 0, done.stderr
-            assert [run.name.startswith(prefix) for run in out.iterdir()] == [True]
+            runs = [run for run in out.iterdir() if run.name != "sweep_report.json"]
+            assert [run.name.startswith(prefix) for run in runs] == [True]
