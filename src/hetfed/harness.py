@@ -53,7 +53,7 @@ class World:
     (features (K, S, d), noisy labels (K, S) and the mask of the labels
     the noise flipped (K, S)), and the shared public and test sets. A
     world run in a batch lets go of its features, labels, public and test
-    sets (see _pooled)."""
+    sets (see _build_cells)."""
 
     clients: list[protocol.ClientState]
     features: np.ndarray
@@ -154,20 +154,35 @@ def build_world(cfg: ExperimentConfig) -> World:
     return World(clients, features, labels, flipped, public, test, [float(r) for r in rates])
 
 
-def _pooled(worlds: list[World], field: str):
-    """What the federation gets of the worlds' `field`: a lone world's
-    own; else their shard stacks concatenated, or the test or public set
-    that they all share (the first that a world has), and each world lets
-    go of its own, which run_meta.json does not read. The federation then
-    holds the only copy."""
-    values = [getattr(w, field) for w in worlds]
-    if len(values) == 1:
-        return values[0]
-    for world in worlds:
-        setattr(world, field, None)
-    if field in ("test", "public"):
-        return next((v for v in values if v is not None), None)
-    return np.concatenate(values)
+def _build_cells(cfgs: list[ExperimentConfig]) -> tuple[list[World], dict]:
+    """Each config's world, its clients in cell `cell` (its position), and
+    what the federation gets of the worlds: a lone world's features,
+    labels, test and public sets; for a batch, the shard stacks pooled
+    world by world into one (K, S, ...) stack each, and the first test
+    and public sets (every world that has them has the same). A batch's
+    worlds let go of these four as they are pooled, since run_meta.json
+    reads none of them: the federation then holds the only copy."""
+    worlds, pooled, row = [], {}, 0
+    total = sum(cfg.data.clients for cfg in cfgs)
+    for cell, cfg in enumerate(cfgs):
+        world = build_world(cfg)
+        for client in world.clients:
+            client.cell = cell
+        worlds.append(world)
+        if len(cfgs) == 1:
+            return worlds, {f: getattr(world, f) for f in ("features", "labels", "test", "public")}
+        for name in ("features", "labels"):
+            stack = getattr(world, name)
+            if name not in pooled:
+                pooled[name] = np.empty((total, *stack.shape[1:]), stack.dtype)
+            pooled[name][row : row + len(stack)] = stack
+            setattr(world, name, None)
+        for name in ("test", "public"):
+            if pooled.get(name) is None:
+                pooled[name] = getattr(world, name)
+            setattr(world, name, None)
+        row += len(world.clients)
+    return worlds, pooled
 
 
 def _federate(cfgs: list[ExperimentConfig]) -> list[tuple]:
@@ -178,17 +193,14 @@ def _federate(cfgs: list[ExperimentConfig]) -> list[tuple]:
     names of the federation's cells."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     started = time.perf_counter()
-    worlds = [build_world(cfg) for cfg in cfgs]
-    for cell, world in enumerate(worlds):
-        for client in world.clients:
-            client.cell = cell
+    worlds, pooled = _build_cells(cfgs)
     results = protocol.run_federation(
         [client for w in worlds for client in w.clients],
-        _pooled(worlds, "features"),
-        _pooled(worlds, "labels"),
+        pooled.pop("features"),
+        pooled.pop("labels"),
         [c.federation for c in cfgs],
-        _pooled(worlds, "test"),
-        _pooled(worlds, "public"),
+        pooled["test"],
+        pooled["public"],
         sampler_seed=(cfgs[0].seed, _S_SAMPLER),
     )
     seconds = time.perf_counter() - started

@@ -411,8 +411,13 @@ class Cohort:
                 caches.append(inputs)
         return (logits[0] if len(logits) == 1 else np.concatenate(logits)), caches
 
-    def _step(self, caches, delta: np.ndarray, grad: "Cohort", lr: float) -> None:
-        """Backpropagate each block's rows of delta into grad, then update every block."""
+    def _descend(self, x: np.ndarray, gradient, grad: "Cohort", lr: float) -> None:
+        """One descent step on batch x: gradient(logits) is the loss's logit
+        gradient, backpropagated block by block into grad. The step's
+        arrays are freed when it returns, before a next step's exist."""
+        logits, caches = self._pass(x)
+        delta = gradient(logits)
+        del logits
         for layers, grads, rows, activations in zip(
             self._layers, grad._layers, self.rows, caches
         ):
@@ -448,10 +453,10 @@ def cohort_sgd_epoch(
     symmetric = np.broadcast_to(symmetric, (len(cohort),))
     for start in range(0, order.shape[1], batch_size):
         batch = models, order[:, start : start + batch_size]
-        logits, caches = cohort._pass(x[batch])
         t = targets[batch].astype(np.float64, copy=False)
-        delta = _target_gradient(softmax_t(logits, 1.0), t, symmetric, h)
-        cohort._step(caches, delta, grad, h.lr)
+        cohort._descend(
+            x[batch], lambda z: _target_gradient(softmax_t(z, 1.0), t, symmetric, h), grad, h.lr
+        )
     cohort._check_finite()
 
 
@@ -462,6 +467,5 @@ def cohort_distill(cohort: Cohort, x, spec: MixtureKlSpec, steps: int, lr: float
     x = cohort._checked(x)
     grad = Cohort(cohort.dims, cohort.counts, np.empty_like(cohort.values))
     for _ in range(steps):
-        logits, caches = cohort._pass(x)
-        cohort._step(caches, _mixture_gradient(logits, spec), grad, lr)
+        cohort._descend(x, lambda z: _mixture_gradient(z, spec), grad, lr)
     cohort._check_finite()

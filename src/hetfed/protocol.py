@@ -225,7 +225,7 @@ class ClientGroup:
             np.asarray(index)[rows],
             nn.Cohort.of([c.params for c in clients]),
             features[rows],
-            labels[rows][..., np.newaxis] == np.arange(classes),
+            (labels[..., np.newaxis] == np.arange(classes))[rows],
         )
 
     def take(self, lo: int, hi: int) -> "ClientGroup":
@@ -311,19 +311,19 @@ def private_training(
     the epoch; the others train on their one-hot labels.
     """
     k, size = group.features.shape[:2]
-    refined = np.flatnonzero(np.broadcast_to(dlr, (k,)) & (dlr_sched is not None))
+    refine = np.broadcast_to(dlr, (k,)) & (dlr_sched is not None)
+    refined = np.flatnonzero(refine)
     targets = group.onehot
     if refined.size:
         targets = np.empty(group.onehot.shape)
-        plain = np.setdiff1d(np.arange(k), refined)
-        targets[plain] = group.onehot[plain]
+        targets[~refine] = group.onehot[~refine]
+    order = np.empty((k, size), dtype=np.int32)
     for epoch in range(epochs):
         if refined.size:
             s = reweight.dlr_weight(epoch_base + epoch + 1, dlr_sched)
             _refine(group, refined, s, targets)
-        order = np.empty((k, size), dtype=np.int32)
+        order[:] = np.arange(size)
         for row, client in zip(order, group.clients):
-            row[:] = np.arange(size)
             client.rng.shuffle(row)  # the draws of client.rng.permutation(size)
         nn.cohort_sgd_epoch(
             group.cohort, group.features, targets, order, cfg.batch_size, cfg.hyperparams, sl
@@ -543,17 +543,15 @@ class Controller:
         return rows, self.group.gather(rows, shards=False)
 
     def _public_logits(self, part: ClientGroup, round_idx: int) -> np.ndarray:
-        """The part's clients' logits on the public set, as rows of a
-        (K, N, C) stack in the controller's order."""
+        """The part's clients' logits on the public set, written into
+        their rows of a (K, N, C) stack in the controller's order."""
         x = self.public.features
+        logits = np.empty((len(self.clients), len(x), self.test.class_count))
 
-        def forward(group: ClientGroup):
-            chunks = _by_chunk(group, len(x), lambda chunk: chunk.cohort.forward(x))
-            return (np.concatenate(chunks),)
+        def forward(chunk: ClientGroup) -> None:
+            logits[chunk.index] = chunk.cohort.forward(x)
 
-        (logits,) = self._in_phase(
-            "phase1", round_idx, lambda g: self._by_client(forward(g), g), part
-        )
+        self._in_phase("phase1", round_idx, lambda g: _by_chunk(g, len(x), forward), part)
         return logits
 
     def _stacked(self, specs: dict) -> nn.MixtureKlSpec:
