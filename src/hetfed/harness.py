@@ -51,9 +51,8 @@ GRID_ALIASES = {
 class World:
     """A run's clients, their shards as stacks whose row k is client k's
     (features (K, S, d), noisy labels (K, S) and the mask of the labels
-    the noise flipped (K, S)), and the shared public and test sets. A
-    world run in a batch lets go of its features, labels, public and test
-    sets (see _build_cells)."""
+    the noise flipped (K, S)), and the shared public and test sets; a
+    batch's worlds keep only the clients, flipped and rates."""
 
     clients: list[protocol.ClientState]
     features: np.ndarray
@@ -155,13 +154,10 @@ def build_world(cfg: ExperimentConfig) -> World:
 
 
 def _build_cells(cfgs: list[ExperimentConfig]) -> tuple[list[World], dict]:
-    """Each config's world, its clients in cell `cell` (its position), and
-    what the federation gets of the worlds: a lone world's features,
-    labels, test and public sets; for a batch, the shard stacks pooled
-    world by world into one (K, S, ...) stack each, and the first test
-    and public sets (every world that has them has the same). A batch's
-    worlds let go of these four as they are pooled, since run_meta.json
-    reads none of them: the federation then holds the only copy."""
+    """Each config's world, its clients in the cell at its position, and
+    the federation's features, labels, test and public sets: a lone
+    world's own, or a batch's stacks pooled world by world and first sets,
+    which its worlds let go of (run_meta.json reads none of them)."""
     worlds, pooled, row = [], {}, 0
     total = sum(cfg.data.clients for cfg in cfgs)
     for cell, cfg in enumerate(cfgs):
@@ -234,8 +230,10 @@ def _alone(cfg: ExperimentConfig):
 
 
 class _Batch:
-    """Sweep cells whose configs differ only in their noise, computed as one
-    federation on the first call for any of them. Each call hands out, and
+    """Sweep cells whose configs share a _batch_key, computed as one
+    federation on the first call for any of them: every cell's world is
+    built as for a run alone, and its clients form one cell of the
+    federation, with its own strategy and flags. Each call hands out, and
     forgets, one cell's (result, world meta); a cell waiting for its turn
     holds no world. If the federation raises, every cell runs alone
     instead, so each fails or succeeds exactly as it would alone."""
@@ -396,7 +394,7 @@ class SweepOutcome:
 
 def _computes(cfgs: list, out_dir) -> list:
     """Per config, what execute_run computes it with: a batch shared by the
-    unfinished configs that differ from others only in their noise, else
+    unfinished configs that share a _batch_key with others, else
     None (alone). A None config is a cell that failed to resolve."""
     groups: dict[str, dict[str, ExperimentConfig]] = {}
     for cfg in cfgs:
@@ -417,9 +415,9 @@ def _computes(cfgs: list, out_dir) -> list:
 def run_sweep(base_resolved: dict, grid: dict, out_dir) -> SweepOutcome:
     """Execute every grid cell in order; failures are recorded, not fatal.
 
-    Unfinished cells that differ only in noise kind and rate run as one
-    federation (see _Batch); each still writes its own run directory, in
-    grid order.
+    Unfinished cells that differ only in strategy, flags, client count
+    and noise run as one federation (see _Batch); fedavg cells run alone.
+    Each cell still writes its own run directory, in grid order.
     """
     cells = expand_grid(grid)
     out_dir = Path(out_dir)

@@ -449,13 +449,17 @@ def cohort_sgd_epoch(
     """
     x = cohort._checked(x)
     grad = Cohort(cohort.dims, cohort.counts, np.empty_like(cohort.values))
-    models = np.arange(len(cohort))[:, np.newaxis]
     symmetric = np.broadcast_to(symmetric, (len(cohort),))
-    for start in range(0, order.shape[1], batch_size):
-        batch = models, order[:, start : start + batch_size]
-        t = targets[batch].astype(np.float64, copy=False)
+    # Row k's rows start at k * S of the stacks flattened to rows; np.take
+    # gathers a batch from them several times faster than x[k, order].
+    starts = x.shape[1] * np.arange(len(cohort))[:, np.newaxis]
+    xs, ts = x.reshape(-1, x.shape[-1]), targets.reshape(-1, targets.shape[-1])
+    for lo in range(0, order.shape[1], batch_size):
+        batch = order[:, lo : lo + batch_size] + starts
+        t = np.take(ts, batch, axis=0).astype(np.float64, copy=False)
         cohort._descend(
-            x[batch], lambda z: _target_gradient(softmax_t(z, 1.0), t, symmetric, h), grad, h.lr
+            np.take(xs, batch, axis=0),
+            lambda z: _target_gradient(softmax_t(z, 1.0), t, symmetric, h), grad, h.lr,
         )
     cohort._check_finite()
 

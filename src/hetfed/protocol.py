@@ -5,16 +5,20 @@ rounds, counting the messages a deployment of the round would exchange.
 Clients are plain state records; their per-round work (training,
 inference, logit computation) touches only their own model, shard and RNG
 stream. One controller may run several runs (cells) at once, such as a
-sweep's cells that differ only in their label noise: every client belongs
-to one cell, exchanges logits, weights and consensus only with its own
-cell's clients, and each cell gets its own records and message count.
-The controller takes the clients' shards as stacks, (K, S, d) features
-and (K, S) noisy labels, so it holds all clients in one group and keeps
-their models in one nn.Cohort, built once and stepped in place by every
-phase: each architecture's models run their matmuls as one stack (a
-block), and the softmax and the loss gradient run once over the logits
-of every block. A phase runs the group in chunks of consecutive rows,
-each a view of the group's cohort. Every client gets the bits it would
+sweep's cells that differ in strategy, ablation flags, client count or
+label noise: every client belongs to one cell, exchanges logits, weights
+and consensus only with its own cell's clients, and each cell keeps its
+own flags, records and message count. The controller takes the clients'
+shards as stacks, (K, S, d) features and (K, S) noisy labels, so it
+holds all clients in one group and keeps their models in one nn.Cohort,
+built once and stepped in place by every phase: each architecture's
+models run their matmuls as one stack (a block), and the softmax and the
+loss gradient run once over the logits of every block. Private SGD steps
+the whole group in lockstep, each client on its own batch rows; forward
+passes over whole shards or the public set, and distillation, run the
+group in chunks of consecutive rows, each a view of the group's cohort.
+Public-set work runs over the clients of hfl cells only, on a copy of
+their models that is written back. Every client gets the bits it would
 get alone. FedAvg folds its participants' rows in ascending client id,
 which pins the floating-point reduction order and makes whole runs
 bit-reproducible for a fixed seed.
@@ -196,6 +200,7 @@ class ClientGroup:
     in which the architectures first appear. The shard features (K, S, d),
     the noisy labels' one-hot mask (K, S, C), kept as bool (an eighth of
     float64's memory) and read as 0.0 and 1.0, and `clients` follow its rows;
+    a group gathered for work on the public set has no shards (None).
     index maps each row to its client's position in the controller's id
     order. `evaluated` is the latest evaluation's shard losses (K,) and a
     copy of the cohort they were taken at, which the next confidence
@@ -256,16 +261,17 @@ def _by_chunk(group: ClientGroup, rows: int, fn, origin=None) -> list:
     A chunk holds as many clients as keep its working set, rows x the
     widest block's working width, near _CHUNK_BYTES; a group that fits
     is its own chunk. The rows an error names are moved from the chunk's
-    row axis to the group's, or through origin, where a group gathered
-    from another holds that one's rows, to that one's.
+    row axis to the group's, then to origin's rows if given (a gathered
+    group's rows in the group it came from).
     """
     per_client = 8 * rows * max(_working_width(dims) for dims in group.cohort.dims)
     k = len(group.clients)
-    step = -(-k // -(-k // max(1, _CHUNK_BYTES // per_client)))
+    chunks = -(-k // max(1, _CHUNK_BYTES // per_client))
+    step = -(-k // chunks)
     out = []
     for lo in range(0, k, step):
         try:
-            out.append(fn(group if step == k else group.take(lo, lo + step)))
+            out.append(fn(group if chunks == 1 else group.take(lo, lo + step)))
         except (ConfigError, NumericError, ProtocolError) as exc:
             if getattr(exc, "rows", None):
                 exc.rows = [row + lo for row in exc.rows]
@@ -518,18 +524,15 @@ class Controller:
         seconds = self._phase_seconds
         seconds[phase] = seconds.get(phase, 0.0) + time.perf_counter() - started
 
-    def _by_client(self, columns: tuple, group: ClientGroup | None = None) -> list:
-        """The (k, ...) result columns of the group, by default the
-        controller's, as (K, ...) columns in the controller's order; rows of
-        clients outside the group are left unset, and a column returned as
-        None stays None."""
-        group = self.group if group is None else group
+    def _by_client(self, columns: tuple) -> list:
+        """The group's (K, ...) result columns in client id order; a column
+        returned as None stays None."""
         out = []
         for part in columns:
             column = None
             if part is not None:
-                column = np.empty((len(self.clients), *part.shape[1:]))
-                column[group.index] = part
+                column = np.empty(part.shape)
+                column[self.group.index] = part
             out.append(column)
         return out
 
