@@ -439,23 +439,21 @@ def cohort_sgd_epoch(
 ) -> None:
     """One epoch of minibatch SGD of a cohort, in place.
 
-    Row k trains on its own (S, d) rows of x (K, S, d) against the fixed
-    target rows (K, S, C), a float or bool stack, taken in its order, row
-    k of order (K, S), in consecutive batches of batch_size: each step
-    gathers every model's batch. The loss is the mean symmetric loss (lam,
-    gamma, rce_log_floor of h) for the models where symmetric, one bool or
-    (K,) bools, holds, else cross-entropy, at learning rate h.lr. The input
-    is checked once; the parameters are checked to be finite at its end.
+    x (..., d) and targets (..., C), a float or bool stack, are read as
+    tables of rows, their leading axes flattened. Row k trains on its rows
+    order[k] of both, for order (K, S), in consecutive batches of
+    batch_size: each step gathers every model's batch with one np.take
+    per table. The loss is the mean symmetric loss (lam, gamma,
+    rce_log_floor of h) for the models where symmetric, one bool or (K,)
+    bools, holds, else cross-entropy, at learning rate h.lr. The input is
+    checked once; the parameters are checked to be finite at its end.
     """
-    x = cohort._checked(x)
+    xs = cohort._checked(np.reshape(x, (-1, np.shape(x)[-1])))
+    ts = np.reshape(targets, (-1, np.shape(targets)[-1]))
     grad = Cohort(cohort.dims, cohort.counts, np.empty_like(cohort.values))
     symmetric = np.broadcast_to(symmetric, (len(cohort),))
-    # Row k's rows start at k * S of the stacks flattened to rows; np.take
-    # gathers a batch from them several times faster than x[k, order].
-    starts = x.shape[1] * np.arange(len(cohort))[:, np.newaxis]
-    xs, ts = x.reshape(-1, x.shape[-1]), targets.reshape(-1, targets.shape[-1])
     for lo in range(0, order.shape[1], batch_size):
-        batch = order[:, lo : lo + batch_size] + starts
+        batch = order[:, lo : lo + batch_size].astype(np.intp, copy=False)
         t = np.take(ts, batch, axis=0).astype(np.float64, copy=False)
         cohort._descend(
             np.take(xs, batch, axis=0),

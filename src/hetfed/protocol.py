@@ -194,15 +194,15 @@ _CHUNK_BYTES = 1 << 21
 
 @dataclass
 class ClientGroup:
-    """Clients stacked on a row axis, with their shards.
+    """Clients stacked on a row axis, and the shard stacks they train on.
 
     `cohort` holds their models, one block per architecture in the order
-    in which the architectures first appear. The shard features (K, S, d),
-    the noisy labels' one-hot mask (K, S, C), kept as bool (an eighth of
-    float64's memory) and read as 0.0 and 1.0, and `clients` follow its rows;
-    a group gathered for work on the public set has no shards (None).
-    index maps each row to its client's position in the controller's id
-    order. `evaluated` is the latest evaluation's shard losses (K,) and a
+    in which the architectures first appear, and `clients` follow its
+    rows. Row r's shard is row shard[r] of the features (N, S, d) and of
+    the noisy labels' one-hot mask (N, S, C), kept as bool (an eighth of
+    float64's memory) and read as 0.0 and 1.0; groups taken or gathered
+    from this one share both stacks. index maps each row to its client's
+    position in the controller's id order. `evaluated` is the latest evaluation's shard losses (K,) and a
     copy of the cohort they were taken at, which the next confidence
     upload reuses; `history` is the one before it.
     """
@@ -210,8 +210,9 @@ class ClientGroup:
     clients: list[ClientState]
     index: np.ndarray
     cohort: nn.Cohort
-    features: np.ndarray | None
-    onehot: np.ndarray | None
+    shard: np.ndarray
+    features: np.ndarray
+    onehot: np.ndarray
     evaluated: tuple | None = None
     history: tuple | None = None
 
@@ -219,7 +220,8 @@ class ClientGroup:
     def stack(cls, clients, index, features, labels, classes: int) -> "ClientGroup":
         """The clients, at positions `index` of the controller's order, as
         a group in block order. Row k of the shard features (K, S, d) and
-        noisy labels (K, S) is clients[k]'s."""
+        noisy labels (K, S) is clients[k]'s; the group reads the features
+        in place."""
         by_arch: dict[tuple, list] = {}
         for row, client in enumerate(clients):
             by_arch.setdefault(client.arch, []).append(row)
@@ -229,23 +231,25 @@ class ClientGroup:
             clients,
             np.asarray(index)[rows],
             nn.Cohort.of([c.params for c in clients]),
-            features[rows],
-            (labels[..., np.newaxis] == np.arange(classes))[rows],
+            rows,
+            features,
+            labels[..., np.newaxis] == np.arange(classes),
         )
 
     def take(self, lo: int, hi: int) -> "ClientGroup":
         """Rows lo to hi - 1, whose cohort views this group's: stepping it
         steps these clients' models here."""
         rows = slice(lo, hi)
-        shards = (None, None) if self.features is None else (self.features[rows], self.onehot[rows])
-        return ClientGroup(self.clients[rows], self.index[rows], self.cohort.take(lo, hi), *shards)
+        return ClientGroup(
+            self.clients[rows], self.index[rows], self.cohort.take(lo, hi), self.shard[rows],
+            self.features, self.onehot,
+        )
 
-    def gather(self, rows: np.ndarray, shards: bool = True) -> "ClientGroup":
-        """A copy of the rows at ascending positions `rows`: of their
-        models and, with shards, of their shards."""
+    def gather(self, rows: np.ndarray) -> "ClientGroup":
+        """The rows at ascending positions `rows`, with a copy of their models."""
         return ClientGroup(
             [self.clients[i] for i in rows], self.index[rows], self.cohort.gather(rows),
-            self.features[rows] if shards else None, self.onehot[rows] if shards else None,
+            self.shard[rows], self.features, self.onehot,
         )
 
 
@@ -316,21 +320,25 @@ def private_training(
     step, chunk by chunk of the refined clients, and then stay fixed for
     the epoch; the others train on their one-hot labels.
     """
-    k, size = group.features.shape[:2]
+    k, size = len(group.clients), group.features.shape[1]
     refine = np.broadcast_to(dlr, (k,)) & (dlr_sched is not None)
     refined = np.flatnonzero(refine)
     targets = group.onehot
     if refined.size:
         targets = np.empty(group.onehot.shape)
-        targets[~refine] = group.onehot[~refine]
-    order = np.empty((k, size), dtype=np.int32)
+        plain = group.shard[~refine]
+        targets[plain] = group.onehot[plain]
+    # The smallest index type that holds every row of the stacks.
+    order = np.empty((k, size), dtype=np.min_scalar_type(group.features.shape[0] * size))
     for epoch in range(epochs):
         if refined.size:
             s = reweight.dlr_weight(epoch_base + epoch + 1, dlr_sched)
             _refine(group, refined, s, targets)
-        order[:] = np.arange(size)
+        # Each client's rows of the stacks flattened to rows, in the order
+        # of the draws of client.rng.permutation(size).
+        order[:] = size * group.shard[:, np.newaxis] + np.arange(size)
         for row, client in zip(order, group.clients):
-            client.rng.shuffle(row)  # the draws of client.rng.permutation(size)
+            client.rng.shuffle(row)
         nn.cohort_sgd_epoch(
             group.cohort, group.features, targets, order, cfg.batch_size, cfg.hyperparams, sl
         )
@@ -338,16 +346,15 @@ def private_training(
 
 def _refine(group: ClientGroup, refined: np.ndarray, s: float, targets: np.ndarray) -> None:
     """Write the refined targets, at mix weight s, of the group's rows
-    `refined` (ascending) into those rows of targets (K, S, C), a chunk of
-    clients at a time."""
+    `refined` (ascending) into their shards' rows of targets (N, S, C), a
+    chunk of clients at a time."""
 
     def refine(part: ClientGroup) -> None:
-        preds = nn.softmax_t(part.cohort.forward(part.features), 1.0)
-        targets[part.index] = reweight.dlr_refine(part.onehot, preds, s)
+        preds = nn.softmax_t(part.cohort.forward(part.features[part.shard]), 1.0)
+        targets[part.shard] = reweight.dlr_refine(part.onehot[part.shard], preds, s)
 
-    # The refined rows as a group whose index names their rows of targets.
     part = group if refined.size == len(group.clients) else group.gather(refined)
-    _by_chunk(replace(part, index=refined), group.features.shape[1], refine, refined)
+    _by_chunk(part, group.features.shape[1], refine, refined)
 
 
 def collaborative_training(
@@ -396,8 +403,8 @@ def evaluate_client(
                 pr = np.array(scores)
         else:
             roc = metrics.multiclass_roc_auc(probs, classes)
-        shard = nn.softmax_t(part.cohort.forward(part.features), 1.0)
-        sl = nn.sl_loss(shard, part.onehot, hp).mean(axis=-1)
+        shard = nn.softmax_t(part.cohort.forward(part.features[part.shard]), 1.0)
+        sl = nn.sl_loss(shard, part.onehot[part.shard], hp).mean(axis=-1)
         return acc, roc, pr, sl
 
     rows = max(test.size, group.features.shape[1])
@@ -538,12 +545,10 @@ class Controller:
 
     def _part(self, cells: list) -> tuple:
         """The group's rows of the given cells' clients and those clients
-        as a group for work on the public set: the controller's own when
-        that is all of them, else a copy of their models without shards."""
+        as a group: the controller's own when that is all of them, else
+        one gathered from it, whose models are a copy."""
         rows = np.flatnonzero(np.isin(self._row_cell, cells))
-        if rows.size == len(self.clients):
-            return rows, self.group
-        return rows, self.group.gather(rows, shards=False)
+        return rows, self.group if rows.size == len(self.clients) else self.group.gather(rows)
 
     def _public_logits(self, part: ClientGroup, round_idx: int) -> np.ndarray:
         """The part's clients' logits on the public set, written into
@@ -757,5 +762,5 @@ def run_federation(
     (K, S, d) and noisy labels (K, S) being clients[k]'s: one RunResult
     per cell, in cell order. cfg is one StrategyConfig or one per cell."""
     controller = Controller(clients, features, labels, cfg, test, public, sampler_seed)
-    del features, labels  # the group holds its own copy; a caller's temporary is freed
+    del features, labels  # the group holds the features; a caller's temporary labels are freed
     return controller.run()

@@ -275,8 +275,9 @@ def epoch_gradients(models, x, targets, symmetric):
 
 
 def in_order(x):
-    """Each model's rows of x (K, S, d) in their order: the (K, S) identity orders."""
-    return np.broadcast_to(np.arange(x.shape[1]), x.shape[:2])
+    """Each model's rows of x (K, S, d), flattened to rows, in their order."""
+    k, size = x.shape[:2]
+    return size * np.arange(k)[:, np.newaxis] + np.arange(size)
 
 
 def kernel_models(rng, d, c):
@@ -504,14 +505,15 @@ class TestCohortKernels:
             x = rng.normal(size=(k, size, 3))
             labels = rng.integers(0, 4, size=(k, size))
             onehot = labels[..., np.newaxis] == np.arange(4)
-            order = np.stack([rng.permutation(size) for _ in range(k)])
+            perms = np.stack([rng.permutation(size) for _ in range(k)])
+            order = size * np.arange(k)[:, np.newaxis] + perms
             symmetric = rng.random(k) < 0.5
             for targets in (onehot, rng.dirichlet(np.ones(4), size=(k, size))):
                 stepped = cohort.copy()
                 nn.cohort_sgd_epoch(stepped, x, targets, order, batch, h, symmetric)
                 for row, (params, new) in enumerate(zip(cohort.models(), stepped.models())):
-                    xs = x[row, order[row]]
-                    ts = targets[row, order[row]].astype(np.float64)
+                    xs = x[row, perms[row]]
+                    ts = targets[row, perms[row]].astype(np.float64)
                     for start in range(0, size, batch):
                         t = ts[start : start + batch]
                         loss = (oracle.Symmetric(t, h.lam, h.gamma, h.rce_log_floor)
@@ -601,6 +603,5 @@ class TestCohortKernels:
         order = in_order(x)
         nn.cohort_sgd_epoch(whole, x, targets, order, 4, h, True)
         for lo, hi in ((0, 1), (1, len(cohort))):
-            nn.cohort_sgd_epoch(cohort.take(lo, hi), x[lo:hi], targets[lo:hi], order[lo:hi], 4, h,
-                                True)
+            nn.cohort_sgd_epoch(cohort.take(lo, hi), x, targets, order[lo:hi], 4, h, True)
         assert whole.values.tobytes() == cohort.values.tobytes()
