@@ -365,7 +365,6 @@ class Cohort:
     def put(self, rows, part: "Cohort") -> None:
         """Write part, a gather() of the rows at ascending positions `rows`,
         back into those rows."""
-        rows = np.asarray(rows)
         stacks = iter(part.stacks)
         for span, stack in zip(self.rows, self.stacks):
             mine = rows[(rows >= span.start) & (rows < span.stop)] - span.start

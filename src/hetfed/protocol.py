@@ -706,11 +706,10 @@ class Controller:
                     specs[c] = nn.mixture_spec(peers, steps[c][3], tau, np.arange(size))
             del logits
         if specs:
-            distilled = list(specs)
+            if len(specs) < len(hfl):
+                rows, part = self._part(list(specs))
             target = self._stacked(specs)
             del specs
-            if len(distilled) < len(hfl):
-                rows, part = self._part(distilled)
             self._in_phase(
                 "distill", round_idx,
                 lambda g: collaborative_training(g, self.public, target, self.cfg), part,
