@@ -17,10 +17,10 @@ elementwise or row-wise along the class axis, so every model gets the
 bits it would get alone: numpy hands every (rows, fan_in) x (fan_in,
 fan_out) slice of a stack to the same BLAS call and reduces each row
 alike. tests/oracle.py is the per-model reference they are checked
-against. softmax_t reduces over the class axis by whole class planes
-(elementwise maxima and, for 2 to 7 classes, adds), which give each row
-the bits of a reduction along that axis without a short inner loop per
-row.
+against. softmax_t and the target gradients reduce over the class axis
+by whole class planes (elementwise maxima and, for 2 to 7 classes, adds),
+which give each row the bits of a reduction along that axis without a
+short inner loop per row.
 """
 
 from dataclasses import dataclass
@@ -161,25 +161,26 @@ def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
         rows = [] if z.ndim < 3 else np.flatnonzero(~finite.reshape(len(z), -1).all(axis=-1))
         raise NumericError("softmax input contains non-finite values", rows=rows)
     scaled = z / tau
-    # Whole class planes, views of the buffer that becomes the output: a
-    # max is exact in any order, and below 8 terms numpy's pairwise sum
-    # adds one term after another, so per-plane maxima and adds give each
-    # row the bits of a reduction along the last axis without its short
-    # inner loop per row.
-    planes = [scaled[..., c] for c in range(scaled.shape[-1])]
-    top = planes[0]
-    for plane in planes[1:]:
-        top = np.maximum(top, plane)
+    # Whole class planes: a max is exact in any order.
+    top = scaled[..., 0]
+    for c in range(1, scaled.shape[-1]):
+        top = np.maximum(top, scaled[..., c])
     scaled -= top[..., np.newaxis]
     e = np.exp(scaled, out=scaled)
-    if 1 < len(planes) < 8:
-        total = planes[0] + planes[1]
-        for plane in planes[2:]:
-            total += plane
-        e /= total[..., np.newaxis]
-    else:
-        e /= e.sum(axis=-1, keepdims=True)
+    e /= _class_sum(e)
     return e
+
+
+def _class_sum(a: np.ndarray) -> np.ndarray:
+    """a.sum(axis=-1, keepdims=True), bit for bit. Below 8 terms numpy's
+    pairwise sum adds one term after another, so 2 to 7 classes are added
+    as whole class planes, without its short inner loop per row."""
+    if not 1 < a.shape[-1] < 8:
+        return a.sum(axis=-1, keepdims=True)
+    total = a[..., 0] + a[..., 1]
+    for c in range(2, a.shape[-1]):
+        total += a[..., c]
+    return total[..., np.newaxis]
 
 
 def _check_pair(pred, target) -> tuple[np.ndarray, np.ndarray]:
@@ -255,11 +256,11 @@ def _target_gradient(q, targets, symmetric, h: Hyperparams):
     models' softmax q: the symmetric loss for the models where symmetric
     (K,) holds, else cross-entropy. The mean is over rows."""
     rows = q.shape[-2]
-    ce_grad = q * targets.sum(axis=-1, keepdims=True) - targets
+    ce_grad = q * _class_sum(targets) - targets
     if not symmetric.any():
         return ce_grad / rows
     log_targets = _floored_log(targets, h.rce_log_floor)
-    rce_grad = -q * (log_targets - (q * log_targets).sum(axis=-1, keepdims=True))
+    rce_grad = -q * (log_targets - _class_sum(q * log_targets))
     sl_grad = (h.lam * ce_grad + h.gamma * rce_grad) / rows
     if symmetric.all():
         return sl_grad

@@ -486,11 +486,9 @@ class Controller:
                 raise ConfigError("fedavg requires a homogeneous architecture")
             if len(self.cells) > 1:
                 raise ConfigError("fedavg runs one cell at a time")
-        self.dlr_sched = None
-        if any(f.dlr for f in self.flags) and cfg.rounds * cfg.local_epochs > 0:
-            self.dlr_sched = reweight.DlrSchedule(
-                cfg.hyperparams.zeta, cfg.rounds * cfg.local_epochs
-            )
+        epochs = cfg.rounds * cfg.local_epochs
+        refines = any(f.dlr for f in self.flags) and epochs > 0
+        self.dlr_sched = reweight.DlrSchedule(cfg.hyperparams.zeta, epochs) if refines else None
         self.group = ClientGroup.stack(
             self.clients, np.arange(len(self.clients)), features, labels, test.class_count
         )
