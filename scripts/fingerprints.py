@@ -17,7 +17,10 @@ and clamp counts of a sweep batch are fingerprinted too: in each batch
 the symmetric cell clamps in 10 rounds and the pairflip cell in one.
 The mixed grid crosses four strategies with 1, 3 and 8 clients (200-row
 shards, 5 rounds), so that cells of differing strategies and client
-counts that share one federation are fingerprinted as well.
+counts that share one federation are fingerprinted as well. The last
+grid is scripts/run_random_noise.py's at its defaults and seed 0:
+local_only, rhfl_plus_ccr and rhfl_plus_eccr over 10 clients with
+symmetric noise rates drawn from [0, 0.5].
 
 It imports hetfed from the path, so two checkouts compare with
 
@@ -101,6 +104,13 @@ def cases():
     yield "random_noise_grid", parse_config([BASE], random_noise), RANDOM_NOISE_GRID
     mixed = ["rounds=5", "data.shard_size=200"]
     yield "mixed_grid", parse_config([BASE], mixed), MIXED_GRID
+    script = [
+        "rounds=20", "data.clients=10", "data.shard_size=150", "data.per_class=800",
+        "data.noise.kind=symmetric", "data.noise.random_range=[0.0,0.5]",
+    ]
+    yield "random_noise_script", parse_config([BASE], script), {
+        "strategy": ["local_only", "rhfl_plus_ccr", "rhfl_plus_eccr"], "seed": [0],
+    }
 
 
 def main() -> int:
