@@ -3,7 +3,9 @@
 
 Every client draws its own symmetric noise rate uniformly from [0, 0.5],
 then the confidence-reweighted strategies are compared against the
-local-only baseline on final mean accuracy and ROC AUC.
+local-only baseline on final mean accuracy and ROC AUC. The strategies
+and seeds are one sweep grid, so each seed's three cells run as one
+federation.
 """
 
 import argparse
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from hetfed import cli, harness
-from hetfed.config import ExperimentConfig, parse_config
+from hetfed.config import parse_config
 
 
 BASE = Path(__file__).resolve().parent.parent / "configs" / "base.json"
@@ -40,16 +42,26 @@ def main() -> int:
         "data.noise.kind=symmetric",
         "data.noise.random_range=[0.0,0.5]",
     ]
-    for strategy in ("local_only", "rhfl_plus_ccr", "rhfl_plus_eccr"):
+    strategies = ["local_only", "rhfl_plus_ccr", "rhfl_plus_eccr"]
+    grid = {"strategy": strategies, "seed": args.seeds}
+    # Every cell sets its own strategy and seed; the first ones only
+    # complete a config that names neither.
+    base = parse_config(configs, overrides + [f"{k}={v[0]}" for k, v in grid.items()])
+    outcome = harness.run_sweep(base, grid, args.out)
+    if outcome.failures:
+        for label, error in sorted(outcome.failures.items()):
+            print(f"FAILED {label}: {error}", file=sys.stderr)
+        return 1
+    runs = {}
+    for run_dir in outcome.run_dirs:
+        resolved = json.loads((run_dir / harness.CONFIG_FILE).read_text())
+        runs[resolved["strategy"], resolved["seed"]] = run_dir
+    for strategy in strategies:
         accs, aucs = [], []
         for seed in args.seeds:
-            resolved = parse_config(
-                configs, overrides + [f"strategy={strategy}", f"seed={seed}"]
-            )
-            cfg = ExperimentConfig.from_dict(resolved)
-            run_dir = harness.execute_run(cfg, args.out)
+            run_dir = runs[strategy, seed]
             with open(run_dir / harness.ROUNDS_FILE) as fh:
-                final = [r for r in map(json.loads, fh) if r["round"] == cfg.federation.rounds]
+                final = [r for r in map(json.loads, fh) if r["round"] == args.rounds]
             accs.append(np.mean([r["accuracy"] for r in final]))
             aucs.append(np.mean([r["roc_auc"] for r in final if r["roc_auc"] is not None]))
             if strategy == "local_only" and seed == args.seeds[0]:

@@ -1,6 +1,6 @@
 """Deterministic simulator for heterogeneous federated learning under label noise."""
 
-from .data import Dataset, PartitionPlan
+from .data import Dataset
 from .nn import Hyperparams, ModelParams
 from .protocol import AblationFlags, StrategyConfig
 
@@ -11,7 +11,6 @@ __all__ = [
     "Dataset",
     "Hyperparams",
     "ModelParams",
-    "PartitionPlan",
     "StrategyConfig",
     "__version__",
 ]

@@ -220,36 +220,14 @@ def parse_config(paths, overrides=()) -> dict:
 
 
 @dataclass(frozen=True)
-class NoiseConfig:
-    kind: str
-    rate: float
-    random_range: tuple[float, float] | None
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    source: str
-    classes: int
-    dims: int
-    per_class: int
-    spread: float
-    idx_images: str | None
-    idx_labels: str | None
-    csv_path: str | None
-    clients: int
-    shard_size: int
-    scheme: str
-    concentration: float | None
-    n_public: int
-    test_size: int
-    noise: NoiseConfig
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
+    """A resolved document, checked, as a run reads it. data is the
+    document's data section, with the noise rate as a float and its random
+    range as a (lo, hi) pair of floats or None."""
+
     seed: int
     federation: StrategyConfig
-    data: DataConfig
+    data: dict
     hidden_layers: tuple[tuple[int, ...], ...]
     resolved: dict
 
@@ -282,14 +260,8 @@ class ExperimentConfig:
                     "noise.random_range needs noise.kind symmetric or pairflip, not none"
                 )
             rng_range = (lo, hi)
-        noise = NoiseConfig(noise_doc["kind"], float(noise_doc["rate"]), rng_range)
-        d = resolved["data"]
-        data = DataConfig(
-            d["source"], d["classes"], d["dims"], d["per_class"], d["spread"],
-            d["idx_images"], d["idx_labels"], d["csv_path"], d["clients"],
-            d["shard_size"], d["scheme"], d["concentration"], d["n_public"],
-            d["test_size"], noise,
-        )
+        noise = {**noise_doc, "rate": float(noise_doc["rate"]), "random_range": rng_range}
+        data = {**resolved["data"], "noise": noise}
         hidden = resolved["archs"]["hidden_layers"]
         if not hidden:
             raise ConfigError("archs.hidden_layers must list at least one architecture")

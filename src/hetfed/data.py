@@ -8,6 +8,7 @@ the ones it flipped.
 """
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -57,29 +58,6 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[idx].copy(), self.labels[idx].copy(), self.class_count)
-
-
-@dataclass(frozen=True)
-class PartitionPlan:
-    """client_count disjoint shards of shard_size rows each."""
-
-    scheme: str
-    client_count: int
-    seed: object
-    shard_size: int
-    concentration: float | None = None
-
-    def __post_init__(self):
-        if self.scheme not in PARTITION_SCHEMES:
-            raise ConfigError(f"unknown partition scheme {self.scheme!r}")
-        if self.client_count < 1:
-            raise ConfigError("client_count must be at least 1")
-        if self.shard_size < 1:
-            raise ConfigError("shard_size must be at least 1")
-        if self.scheme == "label-skew" and (
-            self.concentration is None or self.concentration <= 0
-        ):
-            raise ConfigError("label-skew requires a positive concentration")
 
 
 def gen_blobs(classes: int, dims: int, per_class: int, spread: float, seed) -> Dataset:
@@ -190,6 +168,9 @@ def load_csv(path: str, class_count: int) -> Dataset:
                 values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise IngestError(f"{path}: line {lineno}: {exc}") from None
+            bad = [field for field, v in zip(row[1:], values) if not math.isfinite(v)]
+            if bad:
+                raise IngestError(f"{path}: line {lineno}: feature {bad[0]!r} is not finite")
             if not 0 <= label < class_count:
                 raise IngestError(
                     f"{path}: line {lineno}: label {label} outside [0, {class_count})"
@@ -206,16 +187,28 @@ def load_csv(path: str, class_count: int) -> Dataset:
     return Dataset(features, np.asarray(labels), class_count)
 
 
-def partition(ds: Dataset, plan: PartitionPlan) -> np.ndarray:
-    """Each client's shard of the dataset, as a (client_count, shard_size)
-    array whose row k holds client k's disjoint row indices, ascending."""
-    rng = np.random.default_rng(plan.seed)
+def partition(
+    ds: Dataset, scheme: str, clients: int, shard_size: int, seed, concentration=None
+) -> np.ndarray:
+    """Each client's disjoint shard of shard_size rows, as a (clients,
+    shard_size) array whose row k holds client k's row indices, ascending.
+    label-skew draws each client's class mix from a Dirichlet of the given
+    concentration."""
+    if scheme not in PARTITION_SCHEMES:
+        raise ConfigError(f"unknown partition scheme {scheme!r}")
+    if clients < 1:
+        raise ConfigError("client_count must be at least 1")
+    if shard_size < 1:
+        raise ConfigError("shard_size must be at least 1")
+    if scheme == "label-skew" and (concentration is None or concentration <= 0):
+        raise ConfigError("label-skew requires a positive concentration")
+    rng = np.random.default_rng(seed)
     n = ds.size
-    k, size = plan.client_count, plan.shard_size
+    k, size = clients, shard_size
     if k * size > n:
         raise ConfigError(f"requested {k * size} samples but dataset has {n}")
 
-    if plan.scheme == "iid-equal":
+    if scheme == "iid-equal":
         return np.sort(rng.permutation(n)[: k * size].reshape(k, size), axis=1)
 
     # label-skew: each client draws a Dirichlet class mix and fills its
@@ -223,7 +216,7 @@ def partition(ds: Dataset, plan: PartitionPlan) -> np.ndarray:
     pools = [rng.permutation(np.flatnonzero(ds.labels == c)).tolist() for c in range(ds.class_count)]
     shards = np.empty((k, size), dtype=np.int64)
     for shard in shards:
-        mix = rng.dirichlet(np.full(ds.class_count, plan.concentration))
+        mix = rng.dirichlet(np.full(ds.class_count, concentration))
         want = np.floor(mix * size).astype(int)
         remainder = size - want.sum()
         if remainder:

@@ -71,15 +71,16 @@ def random_noise_assignment(k: int, lo: float, hi: float, seed) -> np.ndarray:
 
 def _base_dataset(cfg: ExperimentConfig) -> datahub.Dataset:
     d = cfg.data
-    if d.source == "blobs":
-        return datahub.gen_blobs(d.classes, d.dims, d.per_class, d.spread, (cfg.seed, _S_BLOBS))
-    if d.source == "idx":
-        if not d.idx_images or not d.idx_labels:
+    if d["source"] == "blobs":
+        seed = (cfg.seed, _S_BLOBS)
+        return datahub.gen_blobs(d["classes"], d["dims"], d["per_class"], d["spread"], seed)
+    if d["source"] == "idx":
+        if not d["idx_images"] or not d["idx_labels"]:
             raise ConfigError("idx source needs data.idx_images and data.idx_labels")
-        return datahub.load_idx(d.idx_images, d.idx_labels, d.classes)
-    if not d.csv_path:
+        return datahub.load_idx(d["idx_images"], d["idx_labels"], d["classes"])
+    if not d["csv_path"]:
         raise ConfigError("csv source needs data.csv_path")
-    return datahub.load_csv(d.csv_path, d.classes)
+    return datahub.load_csv(d["csv_path"], d["classes"])
 
 
 def _layer_dims(base: datahub.Dataset, hidden: tuple[int, ...]):
@@ -88,68 +89,57 @@ def _layer_dims(base: datahub.Dataset, hidden: tuple[int, ...]):
 
 
 def build_world(cfg: ExperimentConfig) -> World:
-    """Assemble disjoint test/public/private pools and the client fleet."""
+    """Assemble disjoint test/public/private pools and the client fleet.
+
+    Client k takes architecture k of the list, cycling, and its initial
+    parameters from its own stream; under fedavg every client takes them
+    from one shared stream, so all start from one global model."""
     d = cfg.data
     base = _base_dataset(cfg)
     strategy = cfg.federation.strategy
     needs_public = cfg.federation.flags.hfl
-    if needs_public and d.n_public < 1:
+    if needs_public and d["n_public"] < 1:
         raise ConfigError(
             f"strategy {strategy!r} distills over a public dataset; set data.n_public >= 1"
         )
-    n_public = d.n_public if needs_public else 0
-    needed = d.test_size + n_public + d.clients * d.shard_size
+    n_public = d["n_public"] if needs_public else 0
+    needed = d["test_size"] + n_public + d["clients"] * d["shard_size"]
     if needed > base.size:
         raise ConfigError(
-            f"dataset has {base.size} samples but the split needs {needed} "
-            f"(test {d.test_size} + public {n_public} + shards {d.clients}x{d.shard_size})"
+            f"dataset has {base.size} samples but the split needs {needed} (test "
+            f"{d['test_size']} + public {n_public} + shards {d['clients']}x{d['shard_size']})"
         )
-    test, rest = datahub.random_split(base, d.test_size, (cfg.seed, _S_TEST))
+    test, rest = datahub.random_split(base, d["test_size"], (cfg.seed, _S_TEST))
     if needs_public:
         public, rest = datahub.random_split(rest, n_public, (cfg.seed, _S_PUBLIC))
     else:
         public = None
-    plan = datahub.PartitionPlan(
-        scheme=d.scheme,
-        client_count=d.clients,
-        seed=(cfg.seed, _S_PARTITION),
-        shard_size=d.shard_size,
-        concentration=d.concentration,
+    shards = datahub.partition(
+        rest, d["scheme"], d["clients"], d["shard_size"], (cfg.seed, _S_PARTITION),
+        d["concentration"],
     )
-    shards = datahub.partition(rest, plan)
     features = rest.features[shards]
     clean = rest.labels[shards]
 
-    noise = d.noise
-    if noise.random_range is not None:
-        lo, hi = noise.random_range
-        rates = random_noise_assignment(d.clients, lo, hi, (cfg.seed, _S_RATES)).tolist()
+    noise = d["noise"]
+    if noise["random_range"] is not None:
+        lo, hi = noise["random_range"]
+        rates = random_noise_assignment(d["clients"], lo, hi, (cfg.seed, _S_RATES)).tolist()
     else:
-        rates = [noise.rate] * d.clients
+        rates = [noise["rate"]] * d["clients"]
 
-    if strategy == "fedavg":
-        if len(set(cfg.hidden_layers)) > 1:
-            raise ConfigError("fedavg requires a homogeneous architecture")
-        # One global init: every client starts from the same parameters.
-        params = [nn.init_params(_layer_dims(base, cfg.hidden_layers[0]), (cfg.seed, _S_INIT))]
-        params *= d.clients
-    else:
-        hidden = cfg.hidden_layers
-        params = [
-            nn.init_params(_layer_dims(base, hidden[k % len(hidden)]), (cfg.seed, _S_INIT, k))
-            for k in range(d.clients)
-        ]
-
+    hidden = cfg.hidden_layers
     labels = np.empty_like(clean)
     flipped = np.empty(clean.shape, dtype=bool)
-    for k in range(d.clients):
+    clients = []
+    for k in range(d["clients"]):
         labels[k], flipped[k] = datahub.apply_noise(
-            clean[k], base.class_count, noise.kind, rates[k], (cfg.seed, _S_NOISE, k)
+            clean[k], base.class_count, noise["kind"], rates[k], (cfg.seed, _S_NOISE, k)
         )
-    clients = [
-        protocol.ClientState(k, params[k], np.random.default_rng((cfg.seed, _S_TRAIN, k)))
-        for k in range(d.clients)
-    ]
+        init = (cfg.seed, _S_INIT) if strategy == "fedavg" else (cfg.seed, _S_INIT, k)
+        params = nn.init_params(_layer_dims(base, hidden[k % len(hidden)]), init)
+        rng = np.random.default_rng((cfg.seed, _S_TRAIN, k))
+        clients.append(protocol.ClientState(k, params, rng))
     return World(clients, features, labels, flipped, public, test, [float(r) for r in rates])
 
 
@@ -159,7 +149,7 @@ def _build_cells(cfgs: list[ExperimentConfig]) -> tuple[list[World], dict]:
     world's own, or a batch's stacks pooled world by world and first sets,
     which its worlds let go of (run_meta.json reads none of them)."""
     worlds, pooled, row = [], {}, 0
-    total = sum(cfg.data.clients for cfg in cfgs)
+    total = sum(cfg.data["clients"] for cfg in cfgs)
     for cell, cfg in enumerate(cfgs):
         world = build_world(cfg)
         for client in world.clients:
@@ -313,6 +303,13 @@ def _finished(resolved: dict, out_dir) -> tuple[Path, bool]:
     return run_dir, done.exists() and done.read_text().strip() == config_hash(resolved)
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    """doc as indented JSON with sorted keys, ending in a newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def execute_run(cfg: ExperimentConfig, out_dir, compute=None) -> Path:
     """Run one cell into its content-addressed directory; skip if finished.
 
@@ -332,9 +329,7 @@ def execute_run(cfg: ExperimentConfig, out_dir, compute=None) -> Path:
         with open(partial / ROUNDS_FILE, "w") as fh:
             for line in _round_lines(result):
                 fh.write(json.dumps(line) + "\n")
-        with open(partial / CONFIG_FILE, "w") as fh:
-            json.dump(resolved, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(partial / CONFIG_FILE, resolved)
         meta = {
             "config_hash": digest,
             "rounds": cfg.federation.rounds,
@@ -344,23 +339,16 @@ def execute_run(cfg: ExperimentConfig, out_dir, compute=None) -> Path:
             "messages": result.messages,
             **world_meta,
         }
-        with open(partial / META_FILE, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(partial / META_FILE, meta)
         # Timings are the one deliberately non-deterministic artifact.
-        with open(partial / TIMING_FILE, "w") as fh:
-            json.dump(
-                {
-                    "total_seconds": result.total_seconds,
-                    "round_seconds": result.round_seconds,
-                    "phase_seconds": result.phase_seconds,
-                    "minor_faults": result.minor_faults,
-                    "batch_cells": result.cells,
-                    "batch_runs": result.batch_runs,
-                },
-                fh, indent=2,
-            )
-            fh.write("\n")
+        _write_json(partial / TIMING_FILE, {
+            "total_seconds": result.total_seconds,
+            "round_seconds": result.round_seconds,
+            "phase_seconds": result.phase_seconds,
+            "minor_faults": result.minor_faults,
+            "batch_cells": result.cells,
+            "batch_runs": result.batch_runs,
+        })
         (partial / DONE_FILE).write_text(digest + "\n")
         shutil.rmtree(run_dir, ignore_errors=True)
         os.replace(partial, run_dir)
@@ -447,9 +435,7 @@ def run_sweep(base_resolved: dict, grid: dict, out_dir) -> SweepOutcome:
         "failed": sorted(outcome.failures),
         "errors": outcome.failures,
     }
-    with open(out_dir / "sweep_report.json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "sweep_report.json", report)
     return outcome
 
 

@@ -198,17 +198,17 @@ class ClientGroup:
 
     `cohort` holds their models, one block per architecture in the order
     in which the architectures first appear, and `clients` follow its
-    rows. Row r's shard is row shard[r] of the features (N, S, d) and of
+    rows. Row r holds the client at position shard[r] of the controller's
+    order, whose shard is row shard[r] of the features (N, S, d) and of
     the noisy labels' one-hot mask (N, S, C), kept as bool (an eighth of
     float64's memory) and read as 0.0 and 1.0; groups taken or gathered
-    from this one share both stacks. index maps each row to its client's
-    position in the controller's id order. `evaluated` is the latest evaluation's shard losses (K,) and a
-    copy of the cohort they were taken at, which the next confidence
-    upload reuses; `history` is the one before it.
+    from this one share both stacks. `evaluated` is the latest
+    evaluation's shard losses (K,) and a copy of the cohort they were
+    taken at, which the next confidence upload reuses; `history` is the
+    one before it.
     """
 
     clients: list[ClientState]
-    index: np.ndarray
     cohort: nn.Cohort
     shard: np.ndarray
     features: np.ndarray
@@ -217,11 +217,10 @@ class ClientGroup:
     history: tuple | None = None
 
     @classmethod
-    def stack(cls, clients, index, features, labels, classes: int) -> "ClientGroup":
-        """The clients, at positions `index` of the controller's order, as
-        a group in block order. Row k of the shard features (K, S, d) and
-        noisy labels (K, S) is clients[k]'s; the group reads the features
-        in place."""
+    def stack(cls, clients, features, labels, classes: int) -> "ClientGroup":
+        """The clients as a group in block order. Row k of the shard
+        features (K, S, d) and noisy labels (K, S) is clients[k]'s; the
+        group reads the features in place."""
         by_arch: dict[tuple, list] = {}
         for row, client in enumerate(clients):
             by_arch.setdefault(client.arch, []).append(row)
@@ -229,7 +228,6 @@ class ClientGroup:
         clients = [clients[row] for row in rows]
         return cls(
             clients,
-            np.asarray(index)[rows],
             nn.Cohort.of([c.params for c in clients]),
             rows,
             features,
@@ -241,15 +239,15 @@ class ClientGroup:
         steps these clients' models here."""
         rows = slice(lo, hi)
         return ClientGroup(
-            self.clients[rows], self.index[rows], self.cohort.take(lo, hi), self.shard[rows],
-            self.features, self.onehot,
+            self.clients[rows], self.cohort.take(lo, hi), self.shard[rows], self.features,
+            self.onehot,
         )
 
     def gather(self, rows: np.ndarray) -> "ClientGroup":
         """The rows at ascending positions `rows`, with a copy of their models."""
         return ClientGroup(
-            [self.clients[i] for i in rows], self.index[rows], self.cohort.gather(rows),
-            self.shard[rows], self.features, self.onehot,
+            [self.clients[i] for i in rows], self.cohort.gather(rows), self.shard[rows],
+            self.features, self.onehot,
         )
 
 
@@ -306,22 +304,22 @@ def private_training(
     epochs: int,
     sl=False,
     dlr=False,
-    dlr_sched: reweight.DlrSchedule | None = None,
-    epoch_base: int = 0,
+    epochs_done: int = 0,
 ) -> None:
     """Minibatch SGD epochs of every client of the group on its own noisy shard.
 
     sl and dlr are one bool for every client or (K,) bools in the group's
     row order: which clients train on the symmetric loss rather than
-    cross-entropy, and which on refined labels when a refinement schedule
-    is given. Each client draws its batch order from its own RNG stream;
-    the whole group steps through the batches in lockstep. Refined targets
-    are rebuilt from the current predictions before each epoch's first
-    step, chunk by chunk of the refined clients, and then stay fixed for
-    the epoch; the others train on their one-hot labels.
+    cross-entropy, and which on refined labels. Each client draws its batch
+    order from its own RNG stream; the whole group steps through the
+    batches in lockstep. Refined targets are rebuilt from the current
+    predictions before each epoch's first step, chunk by chunk of the
+    refined clients, and then stay fixed for the epoch; the others train
+    on their one-hot labels. The refinement schedule spans the run's
+    rounds x local epochs, of which epochs_done are past.
     """
     k, size = len(group.clients), group.features.shape[1]
-    refine = np.broadcast_to(dlr, (k,)) & (dlr_sched is not None)
+    refine = np.broadcast_to(dlr, (k,))
     refined = np.flatnonzero(refine)
     targets = group.onehot
     if refined.size:
@@ -332,7 +330,8 @@ def private_training(
     order = np.empty((k, size), dtype=np.min_scalar_type(group.features.shape[0] * size))
     for epoch in range(epochs):
         if refined.size:
-            s = reweight.dlr_weight(epoch_base + epoch + 1, dlr_sched)
+            total = cfg.rounds * cfg.local_epochs
+            s = reweight.dlr_weight(epochs_done + epoch + 1, cfg.hyperparams.zeta, total)
             _refine(group, refined, s, targets)
         # Each client's rows of the stacks flattened to rows, in the order
         # of the draws of client.rng.permutation(size).
@@ -365,7 +364,7 @@ def collaborative_training(
 
     target is one mixture (N, C) for every client, or a stack (K', N, C)
     whose row p is for the client at position p of the controller's order
-    (group.index); each client's mixture is formed once for all
+    (group.shard); each client's mixture is formed once for all
     collaborative epochs.
     """
     hp = cfg.hyperparams
@@ -374,7 +373,7 @@ def collaborative_training(
         spec = target
         if target.mixture.ndim == 3:
             spec = nn.MixtureKlSpec(
-                target.mixture[part.index], target.mass[part.index], target.tau
+                target.mixture[part.shard], target.mass[part.shard], target.tau
             )
         nn.cohort_distill(part.cohort, public.features, spec, cfg.collab_epochs, hp.lr)
 
@@ -486,14 +485,9 @@ class Controller:
                 raise ConfigError("fedavg requires a homogeneous architecture")
             if len(self.cells) > 1:
                 raise ConfigError("fedavg runs one cell at a time")
-        epochs = cfg.rounds * cfg.local_epochs
-        refines = any(f.dlr for f in self.flags) and epochs > 0
-        self.dlr_sched = reweight.DlrSchedule(cfg.hyperparams.zeta, epochs) if refines else None
-        self.group = ClientGroup.stack(
-            self.clients, np.arange(len(self.clients)), features, labels, test.class_count
-        )
+        self.group = ClientGroup.stack(self.clients, features, labels, test.class_count)
         # Each row's cell, and the private-training flags of its cell.
-        self._row_cell = np.repeat(np.arange(len(self.cells)), sizes)[self.group.index]
+        self._row_cell = np.repeat(np.arange(len(self.cells)), sizes)[self.group.shard]
         self._sl = np.array([f.sl for f in self.flags])[self._row_cell]
         self._dlr = np.array([f.dlr for f in self.flags])[self._row_cell]
         self._phase_seconds: dict[str, float] = {}  # the current round's
@@ -537,7 +531,7 @@ class Controller:
             column = None
             if part is not None:
                 column = np.empty(part.shape)
-                column[self.group.index] = part
+                column[self.group.shard] = part
             out.append(column)
         return out
 
@@ -555,7 +549,7 @@ class Controller:
         logits = np.empty((len(self.clients), len(x), self.test.class_count))
 
         def forward(chunk: ClientGroup) -> None:
-            logits[chunk.index] = chunk.cohort.forward(x)
+            logits[chunk.shard] = chunk.cohort.forward(x)
 
         self._in_phase("phase1", round_idx, lambda g: _by_chunk(g, len(x), forward), part)
         return logits
@@ -618,7 +612,7 @@ class Controller:
         else:
             chosen = np.arange(k)
         # One architecture, one block: the rows run in client id order.
-        part = group.gather(np.flatnonzero(np.isin(group.index, chosen)))
+        part = group.gather(np.flatnonzero(np.isin(group.shard, chosen)))
         part.cohort.stacks[0][:] = group.cohort.stacks[0][0]  # the lowest client id's
         self._in_phase(
             "fedavg", round_idx, lambda g: private_training(g, cfg, cfg.local_epochs), part
@@ -634,12 +628,10 @@ class Controller:
         without one."""
         cfg = self.cfg
         steps = self._share(round_idx)
-        epoch_base = (round_idx - 1) * cfg.local_epochs
+        done = (round_idx - 1) * cfg.local_epochs
         self._in_phase(
             "private", round_idx,
-            lambda g: private_training(
-                g, cfg, cfg.local_epochs, self._sl, self._dlr, self.dlr_sched, epoch_base
-            ),
+            lambda g: private_training(g, cfg, cfg.local_epochs, self._sl, self._dlr, done),
         )
         return steps
 

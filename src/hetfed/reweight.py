@@ -10,8 +10,6 @@ those formulas on its own, which confidence_step is checked against bit
 for bit. The weights enter distillation through nn.mixture_spec.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -21,28 +19,17 @@ QUALITY_MEAN_FLOOR = 1e-9
 REWEIGHT_MODES = ("none", "ccr", "eccr")
 
 
-@dataclass(frozen=True)
-class DlrSchedule:
-    """Epoch schedule for mixing predictions into the noisy labels.
-
-    The mix weight is t / (zeta * total_epochs + t): zero at epoch zero and
-    strictly below 1 / (zeta + 1) for t <= total_epochs.
-    """
-
-    zeta: float
-    total_epochs: int
-
-    def __post_init__(self):
-        if self.zeta <= 0:
-            raise ConfigError("zeta must be positive")
-        if self.total_epochs < 1:
-            raise ConfigError("total_epochs must be positive")
-
-
-def dlr_weight(t_c: int, sched: DlrSchedule) -> float:
+def dlr_weight(t_c: int, zeta: float, total_epochs: int) -> float:
+    """The weight of epoch t_c in the schedule that mixes predictions into
+    the noisy labels: t / (zeta * total_epochs + t), zero at epoch zero
+    and strictly below 1 / (zeta + 1) for t <= total_epochs."""
+    if zeta <= 0:
+        raise ConfigError("zeta must be positive")
+    if total_epochs < 1:
+        raise ConfigError("total_epochs must be positive")
     if t_c < 0:
         raise ConfigError(f"epoch index must be non-negative, got {t_c}")
-    return t_c / (sched.zeta * sched.total_epochs + t_c)
+    return t_c / (zeta * total_epochs + t_c)
 
 
 def dlr_refine(noisy_onehot, pred, s: float) -> np.ndarray:

@@ -182,9 +182,9 @@ def test_c05_reweighting_invariants():
 
 
 def test_c06_dlr_schedule():
-    sched = reweight.DlrSchedule(zeta=10.0, total_epochs=40)
-    assert reweight.dlr_weight(0, sched) == 0.0
-    values = [reweight.dlr_weight(t, sched) for t in range(41)]
+    sched = dict(zeta=10.0, total_epochs=40)
+    assert reweight.dlr_weight(0, **sched) == 0.0
+    values = [reweight.dlr_weight(t, **sched) for t in range(41)]
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[40] == pytest.approx(40 / 440, abs=1e-15)
 

@@ -291,6 +291,26 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--grid", str(grid), "--out", str(out)]) == 0
         assert len([p for p in out.iterdir() if p.is_dir()]) == 2
 
+    def test_mixed_architecture_fedavg_cell_reports_its_error(self, tmp_path, capsys):
+        """The fleet is built as for any strategy; the controller rejects it."""
+        archs = {"hidden_layers": [[8], [12]]}
+        cfg = write_cfg(tmp_path, rounds=1, archs=archs)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"strategy": ["fedavg", "local_only"]}))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", cfg, "--grid", str(grid), "--out", str(out)]) == 1
+        report = json.loads((out / "sweep_report.json").read_text())
+        assert list(report["errors"].values()) == [
+            "ConfigError: fedavg requires a homogeneous architecture"
+        ]
+        assert [p.name.split("_")[0] for p in out.iterdir() if p.is_dir()] == ["local"]
+
+        cfg = write_cfg(tmp_path, name="fedavg.json", strategy="fedavg", archs=archs)
+        capsys.readouterr()
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "r")]) == 2
+        assert "fedavg requires a homogeneous architecture" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()  # no run directory, not even a partial one
+
 
 class TestSummarizeCommand:
     def test_summary_layout_and_average(self, tmp_path):
@@ -466,3 +486,42 @@ class TestScripts:
             assert done.returncode == 0, done.stderr
             runs = [run for run in out.iterdir() if run.name != "sweep_report.json"]
             assert [run.name.startswith(prefix) for run in runs] == [True]
+
+    def test_random_noise_cells_match_each_cell_run_alone(self, tmp_path):
+        """The script sweeps strategy x seed, so each seed's three cells run
+        as one federation; every cell's files are those of the cell run
+        alone, as the script ran each cell before it swept them."""
+        script = ROOT / "scripts" / "run_random_noise.py"
+        path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        done = subprocess.run(
+            [sys.executable, str(script), "--clients", "2", "--rounds", "1",
+             "--seeds", "0", "1", "--out", "out"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        lines = done.stdout.splitlines()
+        strategies = ["local_only", "rhfl_plus_ccr", "rhfl_plus_eccr"]
+        assert lines[0].startswith("per-client noise rates (seed 0): [")
+        assert [line.split()[0] for line in lines[1:]] == strategies
+        overrides = [
+            "rounds=1", "data.clients=2", "data.shard_size=150", "data.per_class=800",
+            "data.noise.kind=symmetric", "data.noise.random_range=[0.0,0.5]",
+        ]
+        base = ROOT / "configs" / "base.json"
+        runs = sorted(p.name for p in (tmp_path / "out").iterdir() if p.is_dir())
+        alone = []
+        for strategy in strategies:
+            for seed in (0, 1):
+                cfg = ExperimentConfig.from_dict(
+                    parse_config([base], overrides + [f"strategy={strategy}", f"seed={seed}"])
+                )
+                alone.append(harness.execute_run(cfg, tmp_path / "alone"))
+        assert runs == sorted(run.name for run in alone)
+        for run in alone:
+            batched = tmp_path / "out" / run.name
+            timing = json.loads((batched / harness.TIMING_FILE).read_text())
+            assert timing["batch_cells"] == 3
+            for name in (harness.ROUNDS_FILE, harness.CONFIG_FILE, harness.META_FILE,
+                         harness.DONE_FILE):
+                assert (batched / name).read_bytes() == (run / name).read_bytes()

@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ class TestCsv:
         with pytest.raises(IngestError, match="line 3"):
             data.load_csv(str(path), 2)
 
+    @pytest.mark.parametrize("field", ["nan", "inf", "-inf", " NaN"])
+    def test_non_finite_field_names_path_and_line(self, tmp_path, field):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"label,f0,f1\n0,0.0,2.0\n1,1.0,{field}\n1,2.0,6.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before any scaling runs
+            with pytest.raises(IngestError) as caught:
+                data.load_csv(str(path), 2)
+        assert str(caught.value) == f"{path}: line 3: feature {field!r} is not finite"
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("cls,f0\n0,1.0\n")
@@ -104,27 +115,27 @@ class TestCsv:
             data.load_csv(str(path), 2)
 
 
-def shards_of(ds, plan):
-    """The plan's shards of ds, one dataset per row of partition indices."""
-    return [ds.subset(rows) for rows in data.partition(ds, plan)]
+def shards_of(ds, *plan, **options):
+    """The partition's shards of ds, one dataset per row of partition indices."""
+    return [ds.subset(rows) for rows in data.partition(ds, *plan, **options)]
 
 
 class TestPartition:
     def test_single_client_gets_everything(self):
         ds = data.gen_blobs(2, 2, 10, 0.3, seed=0)
-        plan = data.PartitionPlan("iid-equal", 1, seed=0, shard_size=ds.size)
-        assert data.partition(ds, plan).shape == (1, ds.size)
-        shards = shards_of(ds, plan)
+        plan = ("iid-equal", 1, ds.size, 0)
+        assert data.partition(ds, *plan).shape == (1, ds.size)
+        shards = shards_of(ds, *plan)
         assert len(shards) == 1
         assert shards[0].size == ds.size
         assert np.allclose(np.sort(shards[0].features, axis=0), np.sort(ds.features, axis=0))
 
     def test_even_split_disjoint(self):
         ds = data.gen_blobs(4, 2, 100, 0.3, seed=0)
-        plan = data.PartitionPlan("iid-equal", 4, seed=1, shard_size=ds.size // 4)
-        idx_sets = [set(map(tuple, s.features)) for s in shards_of(ds, plan)]
+        plan = ("iid-equal", 4, ds.size // 4, 1)
+        idx_sets = [set(map(tuple, s.features)) for s in shards_of(ds, *plan)]
         sizes = [len(s) for s in idx_sets]
-        assert all(s.size == 100 for s in shards_of(ds, plan))
+        assert all(s.size == 100 for s in shards_of(ds, *plan))
         for i in range(4):
             for j in range(i + 1, 4):
                 assert not idx_sets[i] & idx_sets[j]
@@ -132,15 +143,26 @@ class TestPartition:
 
     def test_oversized_request_rejected(self):
         ds = data.gen_blobs(2, 2, 10, 0.3, seed=0)
-        plan = data.PartitionPlan("iid-equal", 2, seed=0, shard_size=15)
         with pytest.raises(ConfigError):
-            data.partition(ds, plan)
+            data.partition(ds, "iid-equal", 2, 15, 0)
+
+    @pytest.mark.parametrize("plan, options, message", [
+        (("label_skew", 2, 5, 0), {"concentration": 0.5}, "unknown partition scheme 'label_skew'"),
+        (("iid-equal", 0, 5, 0), {}, "client_count must be at least 1"),
+        (("iid-equal", 2, 0, 0), {}, "shard_size must be at least 1"),
+        (("label-skew", 2, 5, 0), {}, "label-skew requires a positive concentration"),
+        (("label-skew", 2, 5, 0), {"concentration": 0.0}, "label-skew requires a positive"),
+    ])
+    def test_bad_plan_rejected(self, plan, options, message):
+        ds = data.gen_blobs(2, 2, 10, 0.3, seed=0)
+        with pytest.raises(ConfigError, match=message):
+            data.partition(ds, *plan, **options)
 
     def test_reproducible_from_plan(self):
         ds = data.gen_blobs(3, 2, 30, 0.3, seed=0)
-        plan = data.PartitionPlan("label-skew", 3, seed=7, shard_size=20, concentration=0.5)
-        a = shards_of(ds, plan)
-        b = shards_of(ds, plan)
+        plan = ("label-skew", 3, 20, 7, 0.5)
+        a = shards_of(ds, *plan)
+        b = shards_of(ds, *plan)
         for sa, sb in zip(a, b):
             assert sa.features.tobytes() == sb.features.tobytes()
 
@@ -153,10 +175,7 @@ class TestPartition:
         def mean_chi2(scheme, concentration):
             vals = []
             for seed in range(50):
-                plan = data.PartitionPlan(
-                    scheme, 3, seed=seed, shard_size=100, concentration=concentration
-                )
-                for shard in shards_of(ds, plan):
+                for shard in shards_of(ds, scheme, 3, 100, seed, concentration=concentration):
                     props = np.bincount(shard.labels, minlength=3) / shard.size
                     vals.append((((props - 1 / 3) ** 2) / (1 / 3)).sum())
             return float(np.mean(vals))
@@ -167,8 +186,7 @@ class TestPartition:
 
     def test_low_concentration_is_skewed(self):
         ds = data.gen_blobs(3, 2, 120, 0.3, seed=0)
-        plan = data.PartitionPlan("label-skew", 3, seed=3, shard_size=80, concentration=0.05)
-        shards = shards_of(ds, plan)
+        shards = shards_of(ds, "label-skew", 3, 80, 3, concentration=0.05)
         maxprops = [np.bincount(s.labels, minlength=3).max() / s.size for s in shards]
         assert max(maxprops) > 0.7
 

@@ -54,7 +54,7 @@ def centralized_sgd(cfg, x, labels, layer_dims, rounds, epochs):
     params = nn.init_params(layer_dims, (cfg.seed, _S_INIT))
     rng = np.random.default_rng((cfg.seed, _S_TRAIN, 0))
     batch_size = cfg.federation.batch_size
-    targets = oracle.one_hot(labels, cfg.data.classes)
+    targets = oracle.one_hot(labels, cfg.data["classes"])
     for _ in range(rounds * epochs):
         perm = rng.permutation(labels.size)
         for start in range(0, labels.size, batch_size):
@@ -303,11 +303,11 @@ class TestLatticeRounds:
         x, labels = fresh.features[0], fresh.labels[0]
         hp = cfg.federation.hyperparams
         batch_size = cfg.federation.batch_size
-        sched = reweight.DlrSchedule(hp.zeta, 4)
+        sched = dict(zeta=hp.zeta, total_epochs=4)
         onehot = oracle.one_hot(labels, 3)
         params = client.params
         for t in (1, 2, 3, 4):
-            s = reweight.dlr_weight(t, sched)
+            s = reweight.dlr_weight(t, **sched)
             preds = nn.softmax_t(oracle.logits(params, x), 1.0)
             targets = reweight.dlr_refine(onehot, preds, s)
             perm = client.rng.permutation(labels.size)
@@ -317,7 +317,7 @@ class TestLatticeRounds:
                 grad = oracle.backward(params, x[idx], loss)
                 params = oracle.sgd_step(params, grad, hp.lr)
         assert world.clients[0].params.values.tobytes() == params.values.tobytes()
-        assert reweight.dlr_weight(4, sched) == pytest.approx(4 / (hp.zeta * 4 + 4), abs=0)
+        assert reweight.dlr_weight(4, **sched) == pytest.approx(4 / (hp.zeta * 4 + 4), abs=0)
 
     def test_weights_sum_to_one_each_round(self):
         cfg = small_cfg(strategy="rhfl_plus_ccr", rounds=4,
@@ -393,18 +393,19 @@ class TestPeerPath:
         tau = cfg.federation.hyperparams.temperature
         probs = nn.softmax_t(logits, tau)
         w = np.random.default_rng(0).dirichlet(np.ones(5))
+        group = protocol.ClientGroup.stack(world.clients, world.features, world.labels, 3)
         for idx, client in enumerate(world.clients):
             mask = np.arange(5) != idx
             expected = self._spec_descent(
                 cfg, client.params, world.public.features, logits[mask], w[mask]
             )
             assert expected.values.tobytes() != client.params.values.tobytes()
-            group = protocol.ClientGroup.stack(
-                [client], [idx], world.features[[idx]], world.labels[[idx]], 3
-            )
+            # The client's row alone, with a copy of its model; the target
+            # stack is read at its position, idx.
+            part = group.gather(np.flatnonzero(group.shard == idx))
             target = nn.mixture_spec(probs, w, tau, np.arange(5))
-            protocol.collaborative_training(group, world.public, target, cfg.federation)
-            assert group.cohort.values.tobytes() == expected.values.tobytes()
+            protocol.collaborative_training(part, world.public, target, cfg.federation)
+            assert part.cohort.values.tobytes() == expected.values.tobytes()
 
     def test_lattice_round_matches_consensus_spec(self):
         cfg, world, logits = self._fleet("rhfl_plus_eccr")
@@ -429,7 +430,7 @@ class TestPeerPath:
                 cfg, client.params, world.public.features, consensus, np.ones(1)
             )
             group = protocol.ClientGroup.stack(
-                [client], [0], world.features[[k]], world.labels[[k]], 3
+                [client], world.features[[k]], world.labels[[k]], 3
             )
             target = nn.mixture_spec(peer, np.ones(1), tau)
             protocol.collaborative_training(group, world.public, target, cfg.federation)
@@ -517,7 +518,7 @@ class TestCohorts:
         group = protocol.Controller(
             world.clients, world.features, world.labels, cfg.federation, world.test, world.public
         ).group
-        assert group.index.tolist() == [0, 4, 1, 5, 2, 6, 3, 7]
+        assert group.shard.tolist() == [0, 4, 1, 5, 2, 6, 3, 7]
         assert group.cohort.counts == (2, 2, 2, 2)
 
     def test_base_config_is_one_group_of_four_blocks(self):
@@ -642,12 +643,12 @@ class TestShardLossReuse:
         sl, snapshot = group.history
         assert not np.shares_memory(snapshot.values, group.cohort.values)
         assert snapshot.values.tobytes() == group.cohort.values.tobytes()
-        assert group.cohort.values.tobytes() == initial[group.index].tobytes()
+        assert group.cohort.values.tobytes() == initial[group.shard].tobytes()
         for client, mean_sl in zip(group.clients, sl):
             stats = result0.records[0].clients[client.client_id]
             k = client.client_id
             probs = nn.softmax_t(oracle.logits(client.params, seeded.features[k]), 1.0)
-            onehot = oracle.one_hot(seeded.labels[k], cfg.data.classes)
+            onehot = oracle.one_hot(seeded.labels[k], cfg.data["classes"])
             alone = float(nn.sl_loss(probs, onehot, cfg.federation.hyperparams).mean())
             assert stats.mean_sl_loss == mean_sl == alone
 
@@ -711,7 +712,7 @@ class TestFailureContext:
         ).group
 
         def fail_third(part):
-            if part.index[0] == 2:
+            if part.shard[0] == 2:
                 raise NumericError("boom", rows=[0])
 
         # So many rows that every chunk holds one client.
@@ -759,7 +760,7 @@ class TestDeterminismAndMessages:
         calls = []
 
         def drop_out(part, *args, **kwargs):
-            calls.append(part.index.tolist())
+            calls.append(part.shard.tolist())
             if len(calls) == 2:  # the second round's local training
                 raise ProtocolError("client 1 dropped out")
             return train(part, *args, **kwargs)
@@ -870,7 +871,7 @@ class TestRankingPath:
         result, _ = harness.run_experiment(cfg)
         stats = [s for record in result.records for s in record.clients]
         assert all(s.roc_auc is not None for s in stats)
-        assert all((s.pr_auc is not None) == (cfg.data.classes == 2) for s in stats)
+        assert all((s.pr_auc is not None) == (cfg.data["classes"] == 2) for s in stats)
 
 
 class TestWorldBuilding:

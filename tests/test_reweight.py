@@ -11,27 +11,33 @@ from hetfed.errors import ConfigError
 
 class TestDlrWeight:
     def test_zero_epoch(self):
-        sched = reweight.DlrSchedule(zeta=10.0, total_epochs=40)
-        assert reweight.dlr_weight(0, sched) == 0.0
+        assert reweight.dlr_weight(0, zeta=10.0, total_epochs=40) == 0.0
 
     def test_half_at_zeta_t(self):
-        sched = reweight.DlrSchedule(zeta=2.0, total_epochs=5)
-        assert reweight.dlr_weight(10, sched) == 0.5
+        assert reweight.dlr_weight(10, zeta=2.0, total_epochs=5) == 0.5
 
     def test_table_schedule_value(self):
-        sched = reweight.DlrSchedule(zeta=10.0, total_epochs=40)
-        assert reweight.dlr_weight(40, sched) == pytest.approx(40 / 440, abs=1e-15)
+        assert reweight.dlr_weight(40, zeta=10.0, total_epochs=40) == pytest.approx(
+            40 / 440, abs=1e-15
+        )
 
     def test_negative_epoch_rejected(self):
-        sched = reweight.DlrSchedule(zeta=1.0, total_epochs=10)
         with pytest.raises(ConfigError):
-            reweight.dlr_weight(-1, sched)
+            reweight.dlr_weight(-1, zeta=1.0, total_epochs=10)
+
+    @pytest.mark.parametrize("zeta, total, message", [
+        (0.0, 10, "zeta must be positive"),
+        (-1.0, 10, "zeta must be positive"),
+        (1.0, 0, "total_epochs must be positive"),
+    ])
+    def test_schedule_shape_rejected(self, zeta, total, message):
+        with pytest.raises(ConfigError, match=message):
+            reweight.dlr_weight(1, zeta, total)
 
     @given(st.floats(0.1, 50), st.integers(1, 200))
     @settings(max_examples=60)
     def test_monotone_and_bounded(self, zeta, total):
-        sched = reweight.DlrSchedule(zeta=zeta, total_epochs=total)
-        values = [reweight.dlr_weight(t, sched) for t in range(total + 1)]
+        values = [reweight.dlr_weight(t, zeta, total) for t in range(total + 1)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[0] == 0.0
         assert values[-1] <= 1.0 / (zeta + 1.0) + 1e-12
