@@ -44,8 +44,8 @@ def main() -> int:
     ]
     strategies = ["local_only", "rhfl_plus_ccr", "rhfl_plus_eccr"]
     grid = {"strategy": strategies, "seed": args.seeds}
-    # Every cell sets its own strategy and seed; the first ones only
-    # complete a config that names neither.
+    # Each cell sets its own strategy and seed; the base takes the first of
+    # each only so that a config naming neither still resolves.
     base = parse_config(configs, overrides + [f"{k}={v[0]}" for k, v in grid.items()])
     outcome = harness.run_sweep(base, grid, args.out)
     if outcome.failures:

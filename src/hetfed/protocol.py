@@ -319,7 +319,7 @@ def private_training(
     rounds x local epochs, of which epochs_done are past.
     """
     k, size = len(group.clients), group.features.shape[1]
-    refine = np.broadcast_to(dlr, (k,))
+    refine = np.broadcast_to(dlr, (k,)) & (epochs > 0)
     refined = np.flatnonzero(refine)
     targets = group.onehot
     if refined.size:

@@ -303,7 +303,7 @@ class TestSweepCommand:
         assert list(report["errors"].values()) == [
             "ConfigError: fedavg requires a homogeneous architecture"
         ]
-        assert [p.name.split("_")[0] for p in out.iterdir() if p.is_dir()] == ["local"]
+        assert [p.name.startswith("local_only_") for p in out.iterdir() if p.is_dir()] == [True]
 
         cfg = write_cfg(tmp_path, name="fedavg.json", strategy="fedavg", archs=archs)
         capsys.readouterr()
