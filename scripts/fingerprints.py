@@ -9,9 +9,10 @@ benchmark's workload inputs at seeds 0 and 1, configs/base.json under
 every cell of configs/comparison_grid.json, the six ablation rows, and
 configs/base.json variants that reach other code: 8 clients over 4
 repeating architectures, fedavg at participation 0.5, a binary task,
-one client, label-skew shards, and random per-client noise rates with
-eta_conf 8, which clamps 16 confidence weights over 10 of its 20 rounds.
-The last case sweeps those random rates over noise kind x
+one client, label-skew shards, random per-client noise rates with
+eta_conf 8, which clamps 16 confidence weights over 10 of its 20 rounds,
+and seed 2**64 + 3, whose seed spans three 32-bit words of entropy.
+The random-noise grid sweeps those random rates over noise kind x
 {rhfl_plus_ccr, rhfl_plus_eccr}, so that the per-cell confidence steps
 and clamp counts of a sweep batch are fingerprinted too: in each batch
 the symmetric cell clamps in 10 rounds and the pairflip cell in one.
@@ -56,6 +57,7 @@ VARIANTS = {
         "data.noise.kind=\"symmetric\"", "data.noise.random_range=[0.2,0.6]",
         "hyperparams.eta_conf=8",
     ],
+    "seed_2_64_plus_3": [f"seed={2**64 + 3}"],
 }
 RANDOM_NOISE_GRID = {
     "strategy": ["rhfl_plus_ccr", "rhfl_plus_eccr"],
