@@ -180,8 +180,12 @@ def load_csv(path: str, class_count: int) -> Dataset:
     if not rows:
         raise IngestError(f"{path}: no data rows")
     features = np.asarray(rows, dtype=np.float64)
-    lo = features.min(axis=0)
-    span = features.max(axis=0) - lo
+    lo, hi = features.min(axis=0), features.max(axis=0)
+    with np.errstate(over="ignore"):
+        span = hi - lo
+    j = int(np.argmin(np.isfinite(span)))  # the first column whose span overflows, if any
+    if not np.isfinite(span[j]):
+        raise IngestError(f"{path}: column f{j} spans {lo[j]:g} to {hi[j]:g}, too wide to scale")
     span[span == 0] = 1.0
     features = (features - lo) / span
     return Dataset(features, np.asarray(labels), class_count)
@@ -240,25 +244,35 @@ def partition(
     return shards
 
 
-def apply_noise(labels: np.ndarray, class_count: int, kind: str, rate: float, seed):
-    """One client's labels -> (noisy labels, mask of the flipped ones).
+def apply_noise(labels: np.ndarray, class_count: int, kind: str, rate, seed):
+    """Labels -> (noisy labels, mask of the flipped ones): one client's
+    (S,) labels from one seed, or a (K, S) stack whose row k draws from
+    seed[k] at rate or rate[k].
 
     Each label flips with probability rate: to a uniform other class
-    (symmetric) or to the next class, cyclically (pairflip). Kind "none"
-    keeps every label and draws nothing.
+    (symmetric) or to the next class, cyclically (pairflip). Each row
+    draws its flips, then its symmetric offsets; kind "none" keeps every
+    label and draws nothing.
     """
     if kind not in NOISE_KINDS:
         raise ConfigError(f"unknown noise kind {kind!r}")
-    if not 0.0 <= rate <= 1.0:
+    rates = np.asarray(rate, dtype=np.float64).reshape(-1, 1)
+    if not np.all((0.0 <= rates) & (rates <= 1.0)):
         raise ConfigError(f"noise rate must lie in [0, 1], got {rate}")
     if kind == "none":
         return labels.copy(), np.zeros(labels.shape, dtype=bool)
     if class_count < 2:
         raise ConfigError(f"{kind} noise needs at least two classes")
-    rng = np.random.default_rng(seed)
-    flip = rng.random(labels.size) < rate
-    shift = rng.integers(1, class_count, size=labels.size) if kind == "symmetric" else 1
-    return np.where(flip, (labels + shift) % class_count, labels), flip
+    stack, seeds = (labels, seed) if labels.ndim == 2 else (labels[np.newaxis], [seed])
+    draws = np.empty(stack.shape)
+    shift = np.ones(stack.shape, dtype=np.int64) if kind == "symmetric" else 1
+    for row, rng in enumerate(map(np.random.default_rng, seeds)):
+        rng.random(out=draws[row])
+        if kind == "symmetric":
+            shift[row] = rng.integers(1, class_count, size=stack.shape[1])
+    flip = draws < rates
+    noisy = np.where(flip, (stack + shift) % class_count, stack)
+    return noisy.reshape(labels.shape), flip.reshape(labels.shape)
 
 
 def random_split(ds: Dataset, take: int, seed) -> tuple[Dataset, Dataset | None]:

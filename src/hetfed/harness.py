@@ -13,6 +13,7 @@ same resolved config. Wall-clock timings live in a separate
 
 import csv
 import hashlib
+import itertools
 import json
 import os
 import resource
@@ -69,10 +70,66 @@ def random_noise_assignment(k: int, lo: float, hi: float, seed) -> np.ndarray:
     return lo + (hi - lo) * rng.random(k)
 
 
-def _base_dataset(cfg: ExperimentConfig) -> datahub.Dataset:
+def _hash_constants(value: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's hash constant and the count that follow it, as a
+    (count + 1, 1, 1) uint32 array."""
+    consts = itertools.accumulate(range(count), lambda c, _: c * mult & 0xFFFFFFFF, initial=value)
+    return np.array(list(consts), np.uint32)[:, np.newaxis, np.newaxis]
+
+
+def _hashmix(value, consts):
+    """SeedSequence's hashmix of value under each successive pair of consts."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    mixed = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+    return mixed ^ (mixed >> 16)
+
+
+def stream_seeds(prefixes, count: int) -> list[list["_Seed"]]:
+    """For each prefix of non-negative ints and each k < count, a seed
+    from which np.random.default_rng starts the stream that
+    default_rng((*prefix, k)) starts: NumPy's SeedSequence hash (NEP 19),
+    run once over all the streams as uint32 columns."""
+    words = [  # each int as 32-bit words, least significant first
+        [n >> s & 0xFFFFFFFF for n in prefix for s in range(0, max(n.bit_length(), 1), 32)]
+        for prefix in prefixes
+    ]
+    width = max(4, *(len(w) + 1 for w in words))
+    entropy = np.zeros((width, len(words), count), np.uint32)
+    for row, w in enumerate(words):
+        entropy[: len(w), row] = np.array(w, np.uint32)[:, np.newaxis]
+        entropy[len(w), row] = np.arange(count)
+    lengths = np.array([[len(w) + 1] for w in words])
+    consts = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * width)
+    pool = _hashmix(entropy[:4], consts[:5])
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[4 + 3 * src : 8 + 3 * src]))
+    for src in range(4, width):  # words past the pool; shorter keys stop early
+        mixed = _mix(pool, _hashmix(entropy[src], consts[4 * src : 4 * src + 5]))
+        pool = np.where(src < lengths, mixed, pool)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
+    state = state.astype(np.uint64)  # the PCG64 seed: four uint64 words per stream
+    state = np.ascontiguousarray(np.moveaxis(state[0::2] | state[1::2] << np.uint64(32), 0, -1))
+    return [[_Seed(stream) for stream in row] for row in state]
+
+
+@dataclass(eq=False)
+class _Seed(np.random.bit_generator.ISeedSequence):
+    """One stream's PCG64 seed words, read by PCG64 as a SeedSequence's."""
+
+    words: np.ndarray
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _base_dataset(cfg: ExperimentConfig, seed) -> datahub.Dataset:
     d = cfg.data
     if d["source"] == "blobs":
-        seed = (cfg.seed, _S_BLOBS)
         return datahub.gen_blobs(d["classes"], d["dims"], d["per_class"], d["spread"], seed)
     if d["source"] == "idx":
         if not d["idx_images"] or not d["idx_labels"]:
@@ -83,64 +140,68 @@ def _base_dataset(cfg: ExperimentConfig) -> datahub.Dataset:
     return datahub.load_csv(d["csv_path"], d["classes"])
 
 
-def _layer_dims(base: datahub.Dataset, hidden: tuple[int, ...]):
-    widths = (base.features.shape[1], *hidden, base.class_count)
-    return tuple(zip(widths[:-1], widths[1:]))
-
-
 def build_world(cfg: ExperimentConfig) -> World:
-    """Assemble disjoint test/public/private pools and the client fleet.
+    """Assemble disjoint test/public/private pools and the client fleet."""
+    return build_worlds([cfg])[0]
 
-    Client k takes architecture k of the list, cycling, and its initial
+
+def build_worlds(cfgs: list[ExperimentConfig]) -> list[World]:
+    """Each config's world; the configs differ at most as _batch_key
+    allows. The base dataset and the test split are built once, the public
+    split once for the hfl configs, and one partition per pool and client
+    count; one stream_seeds pass seeds every stream of every world. Client
+    k takes architecture k of the list, cycling, and its initial
     parameters from its own stream; under fedavg every client takes them
     from one shared stream, so all start from one global model."""
-    d = cfg.data
-    base = _base_dataset(cfg)
-    strategy = cfg.federation.strategy
-    needs_public = cfg.federation.flags.hfl
-    if needs_public and d["n_public"] < 1:
-        raise ConfigError(
-            f"strategy {strategy!r} distills over a public dataset; set data.n_public >= 1"
+    d, seed = cfgs[0].data, cfgs[0].seed  # all but clients and noise are shared
+    # Row 0 holds the world streams (seed, tag); rows 1-3 the client streams.
+    seeds = stream_seeds([(seed,), (seed, _S_NOISE), (seed, _S_INIT), (seed, _S_TRAIN)],
+                         max(_S_INIT + 1, *(cfg.data["clients"] for cfg in cfgs)))
+    base = _base_dataset(cfgs[0], seeds[0][_S_BLOBS])
+    for cfg in cfgs:
+        if cfg.federation.flags.hfl and d["n_public"] < 1:
+            raise ConfigError(
+                f"strategy {cfg.federation.strategy!r} distills over a public dataset; "
+                "set data.n_public >= 1"
+            )
+        n_public, clients = d["n_public"] * cfg.federation.flags.hfl, cfg.data["clients"]
+        needed = d["test_size"] + n_public + clients * d["shard_size"]
+        if needed > base.size:
+            raise ConfigError(
+                f"dataset has {base.size} samples but the split needs {needed} (test "
+                f"{d['test_size']} + public {n_public} + shards {clients}x{d['shard_size']})"
+            )
+    test, rest = datahub.random_split(base, d["test_size"], seeds[0][_S_TEST])
+    pools = {False: (None, rest)}  # hfl -> (public, private pool)
+    if any(cfg.federation.flags.hfl for cfg in cfgs):
+        pools[True] = datahub.random_split(rest, d["n_public"], seeds[0][_S_PUBLIC])
+    shards = {}  # (hfl, clients) -> the pool's shard features and clean labels
+    widths = [(base.features.shape[1], *h, base.class_count) for h in cfgs[0].hidden_layers]
+    dims = [tuple(zip(w[:-1], w[1:])) for w in widths]
+    worlds = []
+    for cfg in cfgs:
+        hfl, clients, noise = cfg.federation.flags.hfl, cfg.data["clients"], cfg.data["noise"]
+        public, pool = pools[hfl]
+        if (hfl, clients) not in shards:
+            rows = datahub.partition(pool, d["scheme"], clients, d["shard_size"],
+                                     seeds[0][_S_PARTITION], d["concentration"])
+            shards[hfl, clients] = pool.features[rows], pool.labels[rows]
+        features, clean = shards[hfl, clients]
+        rate = noise["rate"] if noise["random_range"] is None else random_noise_assignment(
+            clients, *noise["random_range"], seeds[0][_S_RATES])
+        labels, flipped = datahub.apply_noise(
+            clean, base.class_count, noise["kind"], rate, seeds[1][:clients]
         )
-    n_public = d["n_public"] if needs_public else 0
-    needed = d["test_size"] + n_public + d["clients"] * d["shard_size"]
-    if needed > base.size:
-        raise ConfigError(
-            f"dataset has {base.size} samples but the split needs {needed} (test "
-            f"{d['test_size']} + public {n_public} + shards {d['clients']}x{d['shard_size']})"
-        )
-    test, rest = datahub.random_split(base, d["test_size"], (cfg.seed, _S_TEST))
-    if needs_public:
-        public, rest = datahub.random_split(rest, n_public, (cfg.seed, _S_PUBLIC))
-    else:
-        public = None
-    shards = datahub.partition(
-        rest, d["scheme"], d["clients"], d["shard_size"], (cfg.seed, _S_PARTITION),
-        d["concentration"],
-    )
-    features = rest.features[shards]
-    clean = rest.labels[shards]
-
-    noise = d["noise"]
-    if noise["random_range"] is not None:
-        lo, hi = noise["random_range"]
-        rates = random_noise_assignment(d["clients"], lo, hi, (cfg.seed, _S_RATES)).tolist()
-    else:
-        rates = [noise["rate"]] * d["clients"]
-
-    hidden = cfg.hidden_layers
-    labels = np.empty_like(clean)
-    flipped = np.empty(clean.shape, dtype=bool)
-    clients = []
-    for k in range(d["clients"]):
-        labels[k], flipped[k] = datahub.apply_noise(
-            clean[k], base.class_count, noise["kind"], rates[k], (cfg.seed, _S_NOISE, k)
-        )
-        init = (cfg.seed, _S_INIT) if strategy == "fedavg" else (cfg.seed, _S_INIT, k)
-        params = nn.init_params(_layer_dims(base, hidden[k % len(hidden)]), init)
-        rng = np.random.default_rng((cfg.seed, _S_TRAIN, k))
-        clients.append(protocol.ClientState(k, params, rng))
-    return World(clients, features, labels, flipped, public, test, [float(r) for r in rates])
+        init = [seeds[0][_S_INIT]] * clients if cfg.federation.strategy == "fedavg" else seeds[2]
+        fleet = [
+            protocol.ClientState(
+                k, nn.init_params(dims[k % len(dims)], init[k]), np.random.default_rng(seeds[3][k])
+            )
+            for k in range(clients)
+        ]
+        rates = np.broadcast_to(rate, clients).astype(float).tolist()
+        worlds.append(World(fleet, features, labels, flipped, public, test, rates))
+    return worlds
 
 
 def _build_cells(cfgs: list[ExperimentConfig]) -> tuple[list[World], dict]:
@@ -148,26 +209,17 @@ def _build_cells(cfgs: list[ExperimentConfig]) -> tuple[list[World], dict]:
     the federation's features, labels, test and public sets: a lone
     world's own, or a batch's stacks pooled world by world and first sets,
     which its worlds let go of (run_meta.json reads none of them)."""
-    worlds, pooled, row = [], {}, 0
-    total = sum(cfg.data["clients"] for cfg in cfgs)
-    for cell, cfg in enumerate(cfgs):
-        world = build_world(cfg)
+    if len(cfgs) == 1:
+        worlds = [build_world(cfgs[0])]
+        return worlds, {f: getattr(worlds[0], f) for f in ("features", "labels", "test", "public")}
+    worlds = build_worlds(cfgs)
+    pooled = {f: np.concatenate([getattr(w, f) for w in worlds]) for f in ("features", "labels")}
+    pooled["test"] = worlds[0].test
+    pooled["public"] = next((w.public for w in worlds if w.public is not None), None)
+    for cell, world in enumerate(worlds):
         for client in world.clients:
             client.cell = cell
-        worlds.append(world)
-        if len(cfgs) == 1:
-            return worlds, {f: getattr(world, f) for f in ("features", "labels", "test", "public")}
-        for name in ("features", "labels"):
-            stack = getattr(world, name)
-            if name not in pooled:
-                pooled[name] = np.empty((total, *stack.shape[1:]), stack.dtype)
-            pooled[name][row : row + len(stack)] = stack
-            setattr(world, name, None)
-        for name in ("test", "public"):
-            if pooled.get(name) is None:
-                pooled[name] = getattr(world, name)
-            setattr(world, name, None)
-        row += len(world.clients)
+        world.features = world.labels = world.test = world.public = None
     return worlds, pooled
 
 
@@ -221,8 +273,8 @@ def _alone(cfg: ExperimentConfig):
 
 class _Batch:
     """Sweep cells whose configs share a _batch_key, computed as one
-    federation on the first call for any of them: every cell's world is
-    built as for a run alone, and its clients form one cell of the
+    federation on the first call for any of them: every cell's world
+    equals the one it builds alone, and its clients form one cell of the
     federation, with its own strategy and flags. Each call hands out, and
     forgets, one cell's (result, world meta); a cell waiting for its turn
     holds no world. If the federation raises, every cell runs alone
@@ -477,18 +529,17 @@ def summarize(run_dirs, out_path, which: str = "final") -> list[dict]:
     """
     if which not in ("final", "best", "both"):
         raise ConfigError("which must be final, best, or both")
-    run_dirs = [Path(p) for p in run_dirs]
-    if not run_dirs:
+    runs = [(Path(p), _load_run(Path(p))) for p in run_dirs]
+    if not runs:
         raise ConfigError("no run directories given")
-    missing = [str(p) for p in run_dirs if _load_run(p) is None]
+    missing = [str(p) for p, run in runs if run is None]
     if missing:
         raise ConfigError(f"missing logs for cells: {missing}")
 
     variants = ("final", "best") if which == "both" else (which,)
     rows = []
     max_clients = 0
-    for run_dir in run_dirs:
-        resolved, per_round = _load_run(run_dir)
+    for run_dir, (resolved, per_round) in runs:
         client_ids = sorted({c for recs in per_round.values() for c in recs})
         max_clients = max(max_clients, len(client_ids))
 
@@ -515,16 +566,12 @@ def summarize(run_dirs, out_path, which: str = "final") -> list[dict]:
                 row[f"theta_{pos}"] = accs[c]
             return row
 
-        final_round = max(per_round)
         for variant in variants:
-            if variant == "final":
-                rows.append(row_for(final_round, "final"))
-            else:
-                best_round = max(
-                    sorted(per_round),
-                    key=lambda r: (np.mean([per_round[r][c]["accuracy"] for c in client_ids]), -r),
-                )
-                rows.append(row_for(best_round, "best"))
+            round_idx = max(per_round) if variant == "final" else max(
+                sorted(per_round),
+                key=lambda r: (np.mean([per_round[r][c]["accuracy"] for c in client_ids]), -r),
+            )
+            rows.append(row_for(round_idx, variant))
 
     fields = [
         "run", "strategy", "hfl", "sl", "dlr", "reweight", "noise_kind",
@@ -535,8 +582,7 @@ def summarize(run_dirs, out_path, which: str = "final") -> list[dict]:
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     return rows
 
 

@@ -108,6 +108,15 @@ class TestCsv:
                 data.load_csv(str(path), 2)
         assert str(caught.value) == f"{path}: line 3: feature {field!r} is not finite"
 
+    def test_column_range_that_overflows_names_path_and_column(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("label,f0,f1\n0,0.0,1e308\n1,1.0,-1e308\n1,2.0,0.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # rejected before the scaling overflows
+            with pytest.raises(IngestError) as caught:
+                data.load_csv(str(path), 2)
+        assert str(caught.value) == f"{path}: column f1 spans -1e+308 to 1e+308, too wide to scale"
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "hdr.csv"
         path.write_text("cls,f0\n0,1.0\n")

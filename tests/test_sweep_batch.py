@@ -149,6 +149,67 @@ class TestMixedBatches:
             assert timing(run_dir)["batch_cells"] == len(cfgs)
 
 
+class TestBatchWorlds:
+    """A batch builds its shared parts once, and every cell's world equals
+    the world its config builds alone."""
+
+    GRID = {
+        "strategy": ["local_only", "rhfl_plus_eccr"],  # without and with a public split
+        "data.clients": [1, 3, 8],
+        "noise_type": ["pairflip", "symmetric"],
+        "data.noise.random_range": [None, [0.2, 0.6]],
+    }
+
+    @pytest.mark.parametrize("seed", [0, 2**64 + 3])
+    def test_every_cell_world_equals_its_world_alone(self, seed):
+        cfgs = cell_configs(base("data.shard_size=200", f"seed={seed}"), self.GRID)
+        worlds, pooled = harness._build_cells(cfgs)
+        assert len(worlds) == len(cfgs) == 24
+        row = 0
+        for cell, (cfg, world) in enumerate(zip(cfgs, worlds)):
+            solo = harness.build_world(cfg)
+            rows = slice(row, row + len(solo.clients))
+            assert np.array_equal(pooled["features"][rows], solo.features)
+            assert np.array_equal(pooled["labels"][rows], solo.labels)
+            assert np.array_equal(world.flipped, solo.flipped)
+            assert world.noise_rates == solo.noise_rates
+            assert np.array_equal(pooled["test"].features, solo.test.features)
+            assert np.array_equal(pooled["test"].labels, solo.test.labels)
+            if solo.public is not None:
+                assert np.array_equal(pooled["public"].features, solo.public.features)
+                assert np.array_equal(pooled["public"].labels, solo.public.labels)
+            assert len(world.clients) == len(solo.clients)
+            for client, alone_client in zip(world.clients, solo.clients):
+                assert client.cell == cell and client.client_id == alone_client.client_id
+                assert client.params.layer_dims == alone_client.params.layer_dims
+                assert client.params.values.tobytes() == alone_client.params.values.tobytes()
+                assert client.rng.bit_generator.state == alone_client.rng.bit_generator.state
+            row = rows.stop
+        assert row == len(pooled["features"]) == len(pooled["labels"])
+
+    def test_csv_source_is_parsed_once_per_batch(self, tmp_path, monkeypatch, federations):
+        blobs = data.gen_blobs(3, 2, 800, 0.55, seed=5)
+        path = tmp_path / "blobs.csv"
+        rows = zip(blobs.labels.tolist(), blobs.features.tolist())
+        path.write_text("label,f0,f1\n" + "".join(f"{y},{a!r},{b!r}\n" for y, (a, b) in rows))
+        parsed = []
+        load_csv = data.load_csv
+
+        def counted(*args):
+            parsed.append(args)
+            return load_csv(*args)
+
+        monkeypatch.setattr(data, "load_csv", counted)
+        doc = base("data.source=csv", f"data.csv_path={json.dumps(str(path))}")
+        grid = {"strategy": ["local_only", "rhfl_plus_eccr"], "noise_type": ["pairflip", "symmetric"]}
+        outcome = harness.run_sweep(doc, grid, tmp_path / "batched")
+        assert not outcome.failures and len(outcome.run_dirs) == 4
+        assert federations == [4] and len(parsed) == 1
+        for cfg, run_dir in zip(cell_configs(doc, grid), outcome.run_dirs):
+            assert files(harness.execute_run(cfg, tmp_path / "alone")) == files(run_dir)
+        assert len(parsed) == 5
+
+
 class TestWhatBatches:
     def test_comparison_grid_is_one_federation_per_seed(self, tmp_path, federations):
         outcome = harness.run_sweep(base("rounds=1"), {**GRID, "seed": [0, 1]}, tmp_path)
