@@ -245,14 +245,13 @@ def partition(
 
 
 def apply_noise(labels: np.ndarray, class_count: int, kind: str, rate, seed):
-    """Labels -> (noisy labels, mask of the flipped ones): one client's
-    (S,) labels from one seed, or a (K, S) stack whose row k draws from
-    seed[k] at rate or rate[k].
+    """One client's labels, or a (K, S) stack of them with seed[k] and
+    rate or rate[k] for row k -> (noisy labels, mask of the flipped ones).
 
     Each label flips with probability rate: to a uniform other class
-    (symmetric) or to the next class, cyclically (pairflip). Each row
-    draws its flips, then its symmetric offsets; kind "none" keeps every
-    label and draws nothing.
+    (symmetric) or to the next class, cyclically (pairflip). A row draws
+    its flips, then (symmetric) its offsets; kind "none" keeps every label
+    and draws nothing.
     """
     if kind not in NOISE_KINDS:
         raise ConfigError(f"unknown noise kind {kind!r}")
@@ -266,7 +265,7 @@ def apply_noise(labels: np.ndarray, class_count: int, kind: str, rate, seed):
     stack, seeds = (labels, seed) if labels.ndim == 2 else (labels[np.newaxis], [seed])
     draws = np.empty(stack.shape)
     shift = np.ones(stack.shape, dtype=np.int64) if kind == "symmetric" else 1
-    for row, rng in enumerate(map(np.random.default_rng, seeds)):
+    for row, rng in zip(range(len(stack)), map(np.random.default_rng, seeds), strict=True):
         rng.random(out=draws[row])
         if kind == "symmetric":
             shift[row] = rng.integers(1, class_count, size=stack.shape[1])

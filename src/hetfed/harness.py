@@ -71,10 +71,9 @@ def random_noise_assignment(k: int, lo: float, hi: float, seed) -> np.ndarray:
 
 
 def _hash_constants(value: int, mult: int, count: int) -> np.ndarray:
-    """SeedSequence's hash constant and the count that follow it, as a
-    (count + 1, 1, 1) uint32 array."""
+    """SeedSequence's hash constant and the count after it, as uint32."""
     consts = itertools.accumulate(range(count), lambda c, _: c * mult & 0xFFFFFFFF, initial=value)
-    return np.array(list(consts), np.uint32)[:, np.newaxis, np.newaxis]
+    return np.array(list(consts), np.uint32)
 
 
 def _hashmix(value, consts):
@@ -92,34 +91,37 @@ def stream_seeds(prefixes, count: int) -> list[list["_Seed"]]:
     """For each prefix of non-negative ints and each k < count, a seed
     from which np.random.default_rng starts the stream that
     default_rng((*prefix, k)) starts: NumPy's SeedSequence hash (NEP 19),
-    run once over all the streams as uint32 columns."""
+    run once over all the streams as uint32 arrays."""
     words = [  # each int as 32-bit words, least significant first
         [n >> s & 0xFFFFFFFF for n in prefix for s in range(0, max(n.bit_length(), 1), 32)]
         for prefix in prefixes
     ]
     width = max(4, *(len(w) + 1 for w in words))
-    entropy = np.zeros((width, len(words), count), np.uint32)
+    entropy = np.zeros((len(words), count, width), np.uint32)
     for row, w in enumerate(words):
-        entropy[: len(w), row] = np.array(w, np.uint32)[:, np.newaxis]
-        entropy[len(w), row] = np.arange(count)
-    lengths = np.array([[len(w) + 1] for w in words])
+        entropy[row, :, : len(w)] = w
+        entropy[row, :, len(w)] = np.arange(count)
+    lengths = np.array([len(w) + 1 for w in words])[:, np.newaxis, np.newaxis]
     consts = _hash_constants(0x43B0D7E5, 0x931E8875, 4 * width)
-    pool = _hashmix(entropy[:4], consts[:5])
+    pool = _hashmix(entropy[..., :4], consts[:5])
     for src in range(4):
         dst = [d for d in range(4) if d != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[4 + 3 * src : 8 + 3 * src]))
+        hashed = _hashmix(pool[..., src, np.newaxis], consts[4 + 3 * src : 8 + 3 * src])
+        pool[..., dst] = _mix(pool[..., dst], hashed)
     for src in range(4, width):  # words past the pool; shorter keys stop early
-        mixed = _mix(pool, _hashmix(entropy[src], consts[4 * src : 4 * src + 5]))
+        mixed = _mix(pool, _hashmix(entropy[..., src, np.newaxis], consts[4 * src : 4 * src + 5]))
         pool = np.where(src < lengths, mixed, pool)
-    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
-    state = state.astype(np.uint64)  # the PCG64 seed: four uint64 words per stream
-    state = np.ascontiguousarray(np.moveaxis(state[0::2] | state[1::2] << np.uint64(32), 0, -1))
-    return [[_Seed(stream) for stream in row] for row in state]
+    state = _hashmix(pool[..., [0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(0x8B51F9DD, 0x58F38DED, 8))
+    state = state.astype(np.uint64)
+    # PCG64 reads each stream's four uint64 seed words straight from memory.
+    seeds = np.ascontiguousarray(state[..., 0::2] | state[..., 1::2] << 32)
+    return [[_Seed(words) for words in row] for row in seeds]
 
 
 @dataclass(eq=False)
 class _Seed(np.random.bit_generator.ISeedSequence):
-    """One stream's PCG64 seed words, read by PCG64 as a SeedSequence's."""
+    """One stream's PCG64 seed words, handed to PCG64 (which asks for
+    four uint64 words) as its SeedSequence would hand them."""
 
     words: np.ndarray
 
@@ -160,10 +162,8 @@ def build_worlds(cfgs: list[ExperimentConfig]) -> list[World]:
     base = _base_dataset(cfgs[0], seeds[0][_S_BLOBS])
     for cfg in cfgs:
         if cfg.federation.flags.hfl and d["n_public"] < 1:
-            raise ConfigError(
-                f"strategy {cfg.federation.strategy!r} distills over a public dataset; "
-                "set data.n_public >= 1"
-            )
+            raise ConfigError(f"strategy {cfg.federation.strategy!r} distills over a public "
+                              "dataset; set data.n_public >= 1")
         n_public, clients = d["n_public"] * cfg.federation.flags.hfl, cfg.data["clients"]
         needed = d["test_size"] + n_public + clients * d["shard_size"]
         if needed > base.size:
@@ -193,12 +193,10 @@ def build_worlds(cfgs: list[ExperimentConfig]) -> list[World]:
             clean, base.class_count, noise["kind"], rate, seeds[1][:clients]
         )
         init = [seeds[0][_S_INIT]] * clients if cfg.federation.strategy == "fedavg" else seeds[2]
-        fleet = [
-            protocol.ClientState(
-                k, nn.init_params(dims[k % len(dims)], init[k]), np.random.default_rng(seeds[3][k])
-            )
-            for k in range(clients)
-        ]
+        fleet = []
+        for k in range(clients):
+            params = nn.init_params(dims[k % len(dims)], init[k])
+            fleet.append(protocol.ClientState(k, params, np.random.default_rng(seeds[3][k])))
         rates = np.broadcast_to(rate, clients).astype(float).tolist()
         worlds.append(World(fleet, features, labels, flipped, public, test, rates))
     return worlds
@@ -209,10 +207,9 @@ def _build_cells(cfgs: list[ExperimentConfig]) -> tuple[list[World], dict]:
     the federation's features, labels, test and public sets: a lone
     world's own, or a batch's stacks pooled world by world and first sets,
     which its worlds let go of (run_meta.json reads none of them)."""
-    if len(cfgs) == 1:
-        worlds = [build_world(cfgs[0])]
+    worlds = [build_world(cfgs[0])] if len(cfgs) == 1 else build_worlds(cfgs)
+    if len(worlds) == 1:
         return worlds, {f: getattr(worlds[0], f) for f in ("features", "labels", "test", "public")}
-    worlds = build_worlds(cfgs)
     pooled = {f: np.concatenate([getattr(w, f) for w in worlds]) for f in ("features", "labels")}
     pooled["test"] = worlds[0].test
     pooled["public"] = next((w.public for w in worlds if w.public is not None), None)
@@ -529,17 +526,18 @@ def summarize(run_dirs, out_path, which: str = "final") -> list[dict]:
     """
     if which not in ("final", "best", "both"):
         raise ConfigError("which must be final, best, or both")
-    runs = [(Path(p), _load_run(Path(p))) for p in run_dirs]
-    if not runs:
+    run_dirs = [Path(p) for p in run_dirs]
+    if not run_dirs:
         raise ConfigError("no run directories given")
-    missing = [str(p) for p, run in runs if run is None]
+    missing = [str(p) for p in run_dirs if _load_run(p) is None]
     if missing:
         raise ConfigError(f"missing logs for cells: {missing}")
 
     variants = ("final", "best") if which == "both" else (which,)
     rows = []
     max_clients = 0
-    for run_dir, (resolved, per_round) in runs:
+    for run_dir in run_dirs:
+        resolved, per_round = _load_run(run_dir)
         client_ids = sorted({c for recs in per_round.values() for c in recs})
         max_clients = max(max_clients, len(client_ids))
 
@@ -566,12 +564,16 @@ def summarize(run_dirs, out_path, which: str = "final") -> list[dict]:
                 row[f"theta_{pos}"] = accs[c]
             return row
 
+        final_round = max(per_round)
         for variant in variants:
-            round_idx = max(per_round) if variant == "final" else max(
-                sorted(per_round),
-                key=lambda r: (np.mean([per_round[r][c]["accuracy"] for c in client_ids]), -r),
-            )
-            rows.append(row_for(round_idx, variant))
+            if variant == "final":
+                rows.append(row_for(final_round, "final"))
+            else:
+                best_round = max(
+                    sorted(per_round),
+                    key=lambda r: (np.mean([per_round[r][c]["accuracy"] for c in client_ids]), -r),
+                )
+                rows.append(row_for(best_round, "best"))
 
     fields = [
         "run", "strategy", "hfl", "sl", "dlr", "reweight", "noise_kind",
@@ -582,7 +584,8 @@ def summarize(run_dirs, out_path, which: str = "final") -> list[dict]:
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
+        for row in rows:
+            writer.writerow(row)
     return rows
 
 
