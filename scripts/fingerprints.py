@@ -21,7 +21,11 @@ shards, 5 rounds), so that cells of differing strategies and client
 counts that share one federation are fingerprinted as well. The last
 grid is scripts/run_random_noise.py's at its defaults and seed 0:
 local_only, rhfl_plus_ccr and rhfl_plus_eccr over 10 clients with
-symmetric noise rates drawn from [0, 0.5].
+symmetric noise rates drawn from [0, 0.5]. The csv grid reads a file
+that the script writes from a fixed seed: a binary task of 3,000 rows
+and 8 features whose 15% positives are shifted by +0.8, run as
+local_only and rhfl_plus_eccr over 4 x 300 shards of [12] clients,
+without noise, for 10 rounds; its two cells share one parse of the file.
 
 It imports hetfed from the path, so two checkouts compare with
 
@@ -30,11 +34,14 @@ It imports hetfed from the path, so two checkouts compare with
     diff old.txt new.txt
 """
 
+import contextlib
 import hashlib
 import json
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from hetfed import cli, harness
 from hetfed.config import ExperimentConfig, apply_overrides, parse_config
@@ -63,6 +70,7 @@ RANDOM_NOISE_GRID = {
     "strategy": ["rhfl_plus_ccr", "rhfl_plus_eccr"],
     "noise_type": ["pairflip", "symmetric"],
 }
+CSV_FILE = "imbalanced.csv"  # relative, so that the resolved config is the same in any directory
 MIXED_GRID = {
     "strategy": ["local_only", "hetero_distill", "rhfl", "rhfl_plus_eccr"],
     "data.clients": [1, 3, 8],
@@ -85,6 +93,17 @@ def _digest(paths) -> str:
     for path in paths:
         sha.update(path.read_bytes())
     return sha.hexdigest()
+
+
+def write_imbalanced_csv(path) -> None:
+    """A binary CSV of 3,000 rows of 8 standard normal features, in which
+    the 450 positive rows (15%) are shifted by +0.8 in every feature."""
+    rng = np.random.default_rng(2)
+    labels = rng.permutation(3000) < 450
+    features = rng.standard_normal((3000, 8)) + 0.8 * labels[:, np.newaxis]
+    lines = ["label," + ",".join(f"f{j}" for j in range(8))]
+    lines += [f"{y:d}," + ",".join(f"{v:.6f}" for v in row) for y, row in zip(labels, features)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def cases():
@@ -113,11 +132,18 @@ def cases():
     yield "random_noise_script", parse_config([BASE], script), {
         "strategy": ["local_only", "rhfl_plus_ccr", "rhfl_plus_eccr"], "seed": [0],
     }
+    csv = [
+        "data.source=csv", f"data.csv_path={CSV_FILE}", "data.classes=2", "data.clients=4",
+        "data.shard_size=300", "data.noise.kind=none", "data.noise.rate=0",
+        "archs.hidden_layers=[[12]]", "rounds=10",
+    ]
+    yield "csv_grid", parse_config([BASE], csv), {"strategy": ["local_only", "rhfl_plus_eccr"]}
 
 
 def main() -> int:
     cli.keep_heap()
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        write_imbalanced_csv(CSV_FILE)
         for label, doc, grid in cases():
             out = Path(tmp) / label
             if grid is None:
