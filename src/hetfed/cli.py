@@ -63,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="config file; repeat to layer overlays")
     run.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      dest="overrides", help="override a dotted config key")
-    run.add_argument("--noise-rate", type=float, default=None,
-                     help="shorthand for --set data.noise.rate=X")
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--jobs", type=int, default=1,
                      help="accepted, no effect: clients run as one stacked cohort")
@@ -89,10 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     if not args.config:
         raise ConfigError("at least one --config file is required")
-    overrides = list(args.overrides)
-    if args.noise_rate is not None:
-        overrides.append(f"data.noise.rate={args.noise_rate}")
-    cfg = load_config(args.config, overrides)
+    cfg = load_config(args.config, args.overrides)
     run_dir = harness.execute_run(cfg, args.out)
     print(run_dir)
     return 0

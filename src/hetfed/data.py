@@ -57,7 +57,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.features[idx].copy(), self.labels[idx].copy(), self.class_count)
+        return Dataset(self.features[idx], self.labels[idx], self.class_count)
 
 
 def gen_blobs(classes: int, dims: int, per_class: int, spread: float, seed) -> Dataset:

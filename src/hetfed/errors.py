@@ -30,7 +30,7 @@ class NumericError(ArithmeticError):
 
 
 class ProtocolError(RuntimeError):
-    """Violation of the round protocol: bad aggregation input, state changed out of turn."""
+    """Violation of the round protocol: state changed out of turn."""
 
 
 @contextmanager

@@ -395,7 +395,7 @@ def execute_run(cfg: ExperimentConfig, out_dir, compute=None) -> Path:
             "round_seconds": result.round_seconds,
             "phase_seconds": result.phase_seconds,
             "minor_faults": result.minor_faults,
-            "batch_cells": result.cells,
+            "batch_cells": len(result.batch_runs),
             "batch_runs": result.batch_runs,
         })
         (partial / DONE_FILE).write_text(digest + "\n")
@@ -529,24 +529,24 @@ def summarize(run_dirs, out_path, which: str = "final") -> list[dict]:
     run_dirs = [Path(p) for p in run_dirs]
     if not run_dirs:
         raise ConfigError("no run directories given")
-    missing = [str(p) for p in run_dirs if _load_run(p) is None]
-    if missing:
-        raise ConfigError(f"missing logs for cells: {missing}")
-
     variants = ("final", "best") if which == "both" else (which,)
-    rows = []
+    rows, missing = [], []
     max_clients = 0
     for run_dir in run_dirs:
-        resolved, per_round = _load_run(run_dir)
+        loaded = _load_run(run_dir)
+        if loaded is None:
+            missing.append(str(run_dir))
+            continue
+        resolved, per_round = loaded
         client_ids = sorted({c for recs in per_round.values() for c in recs})
         max_clients = max(max_clients, len(client_ids))
-
-        def row_for(round_idx: int, variant: str):
-            recs = per_round[round_idx]
-            accs = {c: recs[c]["accuracy"] for c in client_ids}
-            avg = float(np.mean(list(accs.values())))
-            noise = resolved["data"]["noise"]
-            row = {
+        accs = {r: [recs[c]["accuracy"] for c in client_ids] for r, recs in per_round.items()}
+        means = {r: float(np.mean(a)) for r, a in accs.items()}
+        picked = {"final": max(means), "best": max(means, key=lambda r: (means[r], -r))}
+        noise = resolved["data"]["noise"]
+        for variant in variants:
+            round_idx = picked[variant]
+            rows.append({
                 "run": run_dir.name,
                 "strategy": resolved["strategy"],
                 "hfl": resolved["flags"]["hfl"],
@@ -558,22 +558,11 @@ def summarize(run_dirs, out_path, which: str = "final") -> list[dict]:
                 "seed": resolved["seed"],
                 "metric": f"{variant}_round_accuracy",
                 "round": round_idx,
-                "avg": avg,
-            }
-            for pos, c in enumerate(client_ids, start=1):
-                row[f"theta_{pos}"] = accs[c]
-            return row
-
-        final_round = max(per_round)
-        for variant in variants:
-            if variant == "final":
-                rows.append(row_for(final_round, "final"))
-            else:
-                best_round = max(
-                    sorted(per_round),
-                    key=lambda r: (np.mean([per_round[r][c]["accuracy"] for c in client_ids]), -r),
-                )
-                rows.append(row_for(best_round, "best"))
+                "avg": means[round_idx],
+                **{f"theta_{pos}": acc for pos, acc in enumerate(accs[round_idx], start=1)},
+            })
+    if missing:
+        raise ConfigError(f"missing logs for cells: {missing}")
 
     fields = [
         "run", "strategy", "hfl", "sl", "dlr", "reweight", "noise_kind",

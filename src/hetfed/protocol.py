@@ -171,16 +171,14 @@ class RoundRecord:
 @dataclass
 class RunResult:
     """One cell's records and message count, and the timings of the
-    federation that ran it: cells is how many cells that federation ran.
-    total_seconds and minor_faults, which include building the worlds,
-    and batch_runs, the names of the federation's cells, are left for the
-    caller that built them to fill in."""
+    federation that ran it. total_seconds and minor_faults, which include
+    building the worlds, and batch_runs, the names of the federation's
+    cells, are left for the caller that built them to fill in."""
 
     records: list[RoundRecord]
     messages: int
     round_seconds: list[float]
     phase_seconds: list[dict[str, float]]  # per round, seconds per phase
-    cells: int = 1
     total_seconds: float = 0.0
     minor_faults: int = 0
     batch_runs: list[str] = field(default_factory=list)
@@ -283,30 +281,26 @@ def _by_chunk(group: ClientGroup, rows: int, fn, origin=None) -> list:
     return out
 
 
-def fedavg_aggregate(rows: np.ndarray, sizes) -> np.ndarray:
-    """Size-weighted mean of the rows of an (n, P) parameter stack,
-    folded in row order; returns the (P,) values."""
-    if not len(rows) or len(rows) != len(sizes):
-        raise ProtocolError("one size per parameter vector required")
-    weights = np.asarray(sizes, dtype=np.float64)
-    if np.any(weights <= 0):
-        raise ProtocolError("aggregation sizes must be positive")
-    weights = weights / weights.sum()
+def fedavg_aggregate(rows: np.ndarray) -> np.ndarray:
+    """Mean of the rows of an (n, P) parameter stack, each weighted 1 / n
+    and folded in row order; returns the (P,) values. Every shard holds
+    one shard size, so this is the size-weighted mean."""
+    weight = 1 / len(rows)
     total = np.zeros_like(rows[0])
-    for row, w in zip(rows, weights):
-        total = total + w * row
+    for row in rows:
+        total = total + weight * row
     return total
 
 
 def private_training(
     group: ClientGroup,
     cfg: StrategyConfig,
-    epochs: int,
     sl=False,
     dlr=False,
     epochs_done: int = 0,
 ) -> None:
-    """Minibatch SGD epochs of every client of the group on its own noisy shard.
+    """cfg.local_epochs of minibatch SGD of every client of the group on
+    its own noisy shard.
 
     sl and dlr are one bool for every client or (K,) bools in the group's
     row order: which clients train on the symmetric loss rather than
@@ -318,7 +312,7 @@ def private_training(
     on their one-hot labels. The refinement schedule spans the run's
     rounds x local epochs, of which epochs_done are past.
     """
-    k, size = len(group.clients), group.features.shape[1]
+    k, size, epochs = len(group.clients), group.features.shape[1], cfg.local_epochs
     refine = np.broadcast_to(dlr, (k,)) & (epochs > 0)
     refined = np.flatnonzero(refine)
     targets = group.onehot
@@ -330,7 +324,7 @@ def private_training(
     order = np.empty((k, size), dtype=np.min_scalar_type(group.features.shape[0] * size))
     for epoch in range(epochs):
         if refined.size:
-            total = cfg.rounds * cfg.local_epochs
+            total = cfg.rounds * epochs
             s = reweight.dlr_weight(epochs_done + epoch + 1, cfg.hyperparams.zeta, total)
             _refine(group, refined, s, targets)
         # Each client's rows of the stacks flattened to rows, in the order
@@ -614,12 +608,9 @@ class Controller:
         # One architecture, one block: the rows run in client id order.
         part = group.gather(np.flatnonzero(np.isin(group.shard, chosen)))
         part.cohort.stacks[0][:] = group.cohort.stacks[0][0]  # the lowest client id's
-        self._in_phase(
-            "fedavg", round_idx, lambda g: private_training(g, cfg, cfg.local_epochs), part
-        )
+        self._in_phase("fedavg", round_idx, lambda g: private_training(g, cfg), part)
         self.messages += len(part.clients)
-        sizes = [group.features.shape[1]] * len(part.clients)
-        group.cohort.stacks[0][:] = fedavg_aggregate(part.cohort.stacks[0], sizes)
+        group.cohort.stacks[0][:] = fedavg_aggregate(part.cohort.stacks[0])
 
     def _round(self, round_idx: int) -> list:
         """Every strategy's round but fedavg's, each cell's per its flags:
@@ -631,7 +622,7 @@ class Controller:
         done = (round_idx - 1) * cfg.local_epochs
         self._in_phase(
             "private", round_idx,
-            lambda g: private_training(g, cfg, cfg.local_epochs, self._sl, self._dlr, done),
+            lambda g: private_training(g, cfg, self._sl, self._dlr, done),
         )
         return steps
 
@@ -733,7 +724,7 @@ class Controller:
         for client, params in zip(self.group.clients, self.group.cohort.models()):
             client.params = params
         return [
-            RunResult(cell_records, int(messages), seconds, phases, len(self.cells))
+            RunResult(cell_records, int(messages), seconds, phases)
             for cell_records, messages in zip(records, self.messages)
         ]
 

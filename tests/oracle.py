@@ -1,5 +1,6 @@
-"""Per-model reference for the cohort kernels of hetfed.nn, and the
-confidence formulas that hetfed.reweight.confidence_step combines.
+"""Per-model reference for the cohort kernels of hetfed.nn, the
+confidence formulas that hetfed.reweight.confidence_step combines, and
+FedAvg's size-weighted aggregate.
 
 One model at a time, written from the documented parameter layout and the
 loss formulas: forward pass, cross-entropy, symmetric and mixture-KL
@@ -13,6 +14,9 @@ their softmax from an independent log-sum-exp; they exist to be
 differentiated numerically. The confidence formulas (label quality,
 learning efficiency, the two confidence variants, quality normalization
 and confidence weights) work elementwise, on scalars or arrays alike.
+The aggregate weights each client by its shard size, which
+hetfed.protocol.fedavg_aggregate can leave out because a run gives every
+client one shard size.
 """
 
 from dataclasses import dataclass
@@ -238,3 +242,17 @@ def confidence_weights(f, eta_conf: float) -> WeightResult:
     if total <= 0:
         return WeightResult(uniform_weights(k), clamped)
     return WeightResult(raw / total, clamped)
+
+
+# -- aggregation --------------------------------------------------------------
+
+
+def fedavg_aggregate(rows: np.ndarray, sizes) -> np.ndarray:
+    """Size-weighted mean of the rows of an (n, P) parameter stack,
+    folded in row order; returns the (P,) values."""
+    weights = np.asarray(sizes, dtype=np.float64)
+    weights = weights / weights.sum()
+    total = np.zeros_like(rows[0])
+    for row, w in zip(rows, weights):
+        total = total + w * row
+    return total

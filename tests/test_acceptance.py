@@ -139,15 +139,15 @@ def test_c04_aggregation_oracle():
                  for _ in range(k)]
         sizes = rng.integers(1, 100, size=k)
         manual = sum(p.values * s for p, s in zip(plist, sizes)) / sizes.sum()
-        agg = protocol.fedavg_aggregate(np.stack([p.values for p in plist]), sizes.tolist())
+        agg = oracle.fedavg_aggregate(np.stack([p.values for p in plist]), sizes.tolist())
         assert np.allclose(agg, manual, atol=1e-12, rtol=0)
 
     doc = small_doc(strategy="fedavg", rounds=10, local_epochs=1,
                     data={"clients": 1, "shard_size": 60})
     cfg = ExperimentConfig.from_dict(parse_config([], doc.items()))
     _, world = harness.run_experiment(cfg)
-    oracle = centralized_sgd(cfg, world.features[0], world.labels[0], world.clients[0].arch, 10, 1)
-    assert world.clients[0].params.values.tobytes() == oracle.values.tobytes()
+    central = centralized_sgd(cfg, world.features[0], world.labels[0], world.clients[0].arch, 10, 1)
+    assert world.clients[0].params.values.tobytes() == central.values.tobytes()
     ok("4 aggregation oracle + K=1 bitwise-centralized equivalence")
 
 

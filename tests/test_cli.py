@@ -78,10 +78,19 @@ class TestRunCommand:
     def test_noise_rate_flag_overrides_file(self, tmp_path):
         cfg = write_cfg(tmp_path, data={"noise": {"rate": 0.1}})
         main(["run", "--config", cfg, "--out", str(tmp_path / "r"),
-              "--noise-rate", "0.2"])
+              "--set", "data.noise.rate=0.2"])
         run_dir = next((tmp_path / "r").iterdir())
         resolved = json.loads((run_dir / harness.CONFIG_FILE).read_text())
         assert resolved["data"]["noise"]["rate"] == 0.2
+
+    def test_noise_rate_flag_is_gone(self, tmp_path, capsys):
+        """--set data.noise.rate=X is the one way to set the rate."""
+        cfg = write_cfg(tmp_path)
+        with pytest.raises(SystemExit) as caught:
+            main(["run", "--config", cfg, "--out", str(tmp_path / "r"), "--noise-rate", "0.2"])
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --noise-rate 0.2" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -344,6 +353,26 @@ class TestSummarizeCommand:
     def test_missing_runs_error(self, tmp_path):
         with pytest.raises(ConfigError, match="missing logs"):
             harness.summarize([tmp_path / "nope"], tmp_path / "s.csv")
+
+    def test_each_run_is_loaded_once(self, tmp_path, monkeypatch):
+        cfg = write_cfg(tmp_path, rounds=2)
+        out = tmp_path / "runs"
+        main(["run", "--config", cfg, "--out", str(out)])
+        main(["run", "--config", cfg, "--set", "seed=1", "--out", str(out)])
+        loads = []
+        load = harness._load_run
+        monkeypatch.setattr(harness, "_load_run", lambda d: loads.append(d) or load(d))
+        rows = harness.summarize(harness.discover_runs([out]), tmp_path / "s.csv", "both")
+        assert len(rows) == 4 and len(loads) == 2
+
+    def test_missing_run_among_finished_ones_writes_nothing(self, tmp_path):
+        cfg = write_cfg(tmp_path, rounds=1)
+        out = tmp_path / "runs"
+        main(["run", "--config", cfg, "--out", str(out)])
+        run_dirs = [*harness.discover_runs([out]), tmp_path / "nope"]
+        with pytest.raises(ConfigError, match=r"missing logs for cells: \['.*nope'\]"):
+            harness.summarize(run_dirs, tmp_path / "s.csv")
+        assert not (tmp_path / "s.csv").exists()
 
     def test_empty_run_set_is_config_error(self, tmp_path, capsys):
         assert main(["summarize", "--runs", str(tmp_path / "void")]) == 2

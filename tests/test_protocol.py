@@ -20,17 +20,17 @@ BASE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "base.json"
 class TestFedavgAggregate:
     def test_midpoint(self):
         rows = np.array([[0.0, 2.0], [2.0, 4.0]])
-        agg = protocol.fedavg_aggregate(rows, [10, 10])
+        agg = oracle.fedavg_aggregate(rows, [10, 10])
         assert np.allclose(agg, [1.0, 3.0], atol=0)
 
     def test_single_client_identity(self):
         params = nn.init_params(((3, 2),), 0)
-        agg = protocol.fedavg_aggregate(params.values[np.newaxis], [17])
+        agg = oracle.fedavg_aggregate(params.values[np.newaxis], [17])
         assert np.array_equal(agg, params.values)
 
     def test_size_weighted(self):
         rows = np.array([[0.0], [4.0]])  # one bias parameter each
-        agg = protocol.fedavg_aggregate(rows, [1, 3])
+        agg = oracle.fedavg_aggregate(rows, [1, 3])
         assert np.allclose(agg, [3.0], atol=0)
 
     def test_random_instances_match_manual_mean(self):
@@ -44,8 +44,19 @@ class TestFedavgAggregate:
             ]
             sizes = rng.integers(1, 50, size=k)
             manual = sum(p.values * s for p, s in zip(plist, sizes)) / sizes.sum()
-            agg = protocol.fedavg_aggregate(np.stack([p.values for p in plist]), sizes.tolist())
+            agg = oracle.fedavg_aggregate(np.stack([p.values for p in plist]), sizes.tolist())
             assert np.allclose(agg, manual, atol=1e-12, rtol=0)
+
+    def test_equal_sizes_match_the_oracle_bitwise(self):
+        """A run gives every client one shard size, so the unweighted fold
+        has the bytes of the size-weighted one."""
+        rng = np.random.default_rng(21)
+        for n in range(1, 9):
+            for _ in range(10):
+                rows = rng.normal(size=(n, int(rng.integers(1, 40))))
+                rows[rng.random(rows.shape) < 0.1] = -0.0
+                expected = oracle.fedavg_aggregate(rows, [400] * n)
+                assert protocol.fedavg_aggregate(rows).tobytes() == expected.tobytes()
 
 
 def centralized_sgd(cfg, x, labels, layer_dims, rounds, epochs):
