@@ -8,6 +8,7 @@ the ones it flipped.
 """
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -92,8 +93,11 @@ def gen_blobs(classes: int, dims: int, per_class: int, spread: float, seed) -> D
 
 
 def _read_exact(path: str) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IngestError(f"{path}: cannot read: {exc.strerror or exc}") from None
 
 
 def load_idx(images_path: str, labels_path: str, class_count: int) -> Dataset:
@@ -146,37 +150,36 @@ def load_idx(images_path: str, labels_path: str, class_count: int) -> Dataset:
 
 def load_csv(path: str, class_count: int) -> Dataset:
     """Load `label,f0,f1,...` rows; features min-max scaled per column."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_read_exact(path).decode(), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestError(f"{path}: empty file") from None
+    width = len(header) - 1
+    expected = ["label"] + [f"f{i}" for i in range(width)]
+    if [h.strip() for h in header] != expected:
+        raise IngestError(f"{path}: line 1: header must be {','.join(expected)}")
+    rows = []
+    labels = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != width + 1:
+            raise IngestError(f"{path}: line {lineno}: expected {width + 1} fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty file") from None
-        width = len(header) - 1
-        expected = ["label"] + [f"f{i}" for i in range(width)]
-        if [h.strip() for h in header] != expected:
-            raise IngestError(f"{path}: line 1: header must be {','.join(expected)}")
-        rows = []
-        labels = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width + 1:
-                raise IngestError(f"{path}: line {lineno}: expected {width + 1} fields")
-            try:
-                label = int(row[0])
-                values = [float(v) for v in row[1:]]
-            except ValueError as exc:
-                raise IngestError(f"{path}: line {lineno}: {exc}") from None
-            bad = [field for field, v in zip(row[1:], values) if not math.isfinite(v)]
-            if bad:
-                raise IngestError(f"{path}: line {lineno}: feature {bad[0]!r} is not finite")
-            if not 0 <= label < class_count:
-                raise IngestError(
-                    f"{path}: line {lineno}: label {label} outside [0, {class_count})"
-                )
-            labels.append(label)
-            rows.append(values)
+            label = int(row[0])
+            values = [float(v) for v in row[1:]]
+        except ValueError as exc:
+            raise IngestError(f"{path}: line {lineno}: {exc}") from None
+        bad = [field for field, v in zip(row[1:], values) if not math.isfinite(v)]
+        if bad:
+            raise IngestError(f"{path}: line {lineno}: feature {bad[0]!r} is not finite")
+        if not 0 <= label < class_count:
+            raise IngestError(
+                f"{path}: line {lineno}: label {label} outside [0, {class_count})"
+            )
+        labels.append(label)
+        rows.append(values)
     if not rows:
         raise IngestError(f"{path}: no data rows")
     features = np.asarray(rows, dtype=np.float64)

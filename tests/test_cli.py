@@ -421,6 +421,28 @@ class TestFileSources:
         err = capsys.readouterr().err
         assert "label 3 >= 3 at item 297 (byte 305)" in err
 
+    def test_missing_idx_label_file_is_a_config_error(self, tmp_path, capsys):
+        cfg = self._idx_cfg(tmp_path, [0, 1, 2] * 100)
+        missing = tmp_path / "absent-labels.idx"
+        argv = ["run", "--config", cfg, "--set", f'data.idx_labels="{missing}"',
+                "--out", str(tmp_path / "runs")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {missing}: cannot read: ")
+        assert "No such file or directory" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_missing_csv_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["run", "--config", str(ROOT / "configs" / "base.json"),
+                "--set", "data.source=csv", "--set", 'data.csv_path="missing.csv"',
+                "--out", "o"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: missing.csv: cannot read: ")
+        assert "No such file or directory" in err
+        assert not (tmp_path / "o").exists()
+
     def test_csv_source_runs_end_to_end(self, tmp_path):
         import numpy as np
 
