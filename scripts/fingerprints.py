@@ -71,6 +71,11 @@ RANDOM_NOISE_GRID = {
     "noise_type": ["pairflip", "symmetric"],
 }
 CSV_FILE = "imbalanced.csv"  # relative, so that the resolved config is the same in any directory
+CSV_OVERRIDES = [
+    "data.source=csv", f"data.csv_path={CSV_FILE}", "data.classes=2", "data.clients=4",
+    "data.shard_size=300", "data.noise.kind=none", "data.noise.rate=0",
+    "archs.hidden_layers=[[12]]", "rounds=10",
+]
 MIXED_GRID = {
     "strategy": ["local_only", "hetero_distill", "rhfl", "rhfl_plus_eccr"],
     "data.clients": [1, 3, 8],
@@ -132,12 +137,9 @@ def cases():
     yield "random_noise_script", parse_config([BASE], script), {
         "strategy": ["local_only", "rhfl_plus_ccr", "rhfl_plus_eccr"], "seed": [0],
     }
-    csv = [
-        "data.source=csv", f"data.csv_path={CSV_FILE}", "data.classes=2", "data.clients=4",
-        "data.shard_size=300", "data.noise.kind=none", "data.noise.rate=0",
-        "archs.hidden_layers=[[12]]", "rounds=10",
-    ]
-    yield "csv_grid", parse_config([BASE], csv), {"strategy": ["local_only", "rhfl_plus_eccr"]}
+    yield "csv_grid", parse_config([BASE], CSV_OVERRIDES), {
+        "strategy": ["local_only", "rhfl_plus_eccr"],
+    }
 
 
 def main() -> int:

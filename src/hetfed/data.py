@@ -101,7 +101,8 @@ def _read_exact(path: str) -> bytes:
 
 
 def load_idx(images_path: str, labels_path: str, class_count: int) -> Dataset:
-    """Load a big-endian IDX image/label file pair; pixels scaled to [0, 1].
+    """Load a big-endian IDX image/label file pair; pixels scaled to [0, 1],
+    then centred on each pixel's mean over the file.
 
     Labels must lie in [0, class_count); the error for one that does not
     names its byte offset in the label file.
@@ -145,11 +146,12 @@ def load_idx(images_path: str, labels_path: str, class_count: int) -> Dataset:
             f"{labels_path}: label {labels[bad[0]]} >= {class_count} at item {bad[0]} "
             f"(byte {8 + bad[0]})"
         )
-    return Dataset(features, labels, class_count)
+    return Dataset(features - features.mean(axis=0), labels, class_count)
 
 
 def load_csv(path: str, class_count: int) -> Dataset:
-    """Load `label,f0,f1,...` rows; features min-max scaled per column."""
+    """Load `label,f0,f1,...` rows; features min-max scaled per column,
+    then centred on the column's mean over the file."""
     reader = csv.reader(io.StringIO(_read_exact(path).decode(), newline=""))
     try:
         header = next(reader)
@@ -191,7 +193,7 @@ def load_csv(path: str, class_count: int) -> Dataset:
         raise IngestError(f"{path}: column f{j} spans {lo[j]:g} to {hi[j]:g}, too wide to scale")
     span[span == 0] = 1.0
     features = (features - lo) / span
-    return Dataset(features, np.asarray(labels), class_count)
+    return Dataset(features - features.mean(axis=0), np.asarray(labels), class_count)
 
 
 def partition(

@@ -13,7 +13,7 @@ import pytest
 from conftest import small_doc
 from hetfed import harness
 from hetfed.cli import main
-from hetfed.config import ExperimentConfig, parse_config
+from hetfed.config import ExperimentConfig, load_config, parse_config
 from hetfed.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -442,6 +442,23 @@ class TestFileSources:
         assert err.startswith("configuration error: missing.csv: cannot read: ")
         assert "No such file or directory" in err
         assert not (tmp_path / "o").exists()
+
+    def test_imbalanced_binary_world_ranks_above_chance(self, tmp_path, monkeypatch):
+        """The fingerprinted CSV world, 15% positives shifted by +0.8 in
+        every feature. Its features are centred on ingest; scaled to
+        [0, 1] only, rhfl_plus_eccr ranked the classes backwards (a mean
+        final ROC AUC of 0.10)."""
+        monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+        import fingerprints
+
+        monkeypatch.chdir(tmp_path)
+        fingerprints.write_imbalanced_csv(fingerprints.CSV_FILE)
+        cfg = load_config([ROOT / "configs" / "base.json"],
+                          [*fingerprints.CSV_OVERRIDES, "strategy=rhfl_plus_eccr"])
+        run_dir = harness.execute_run(cfg, tmp_path / "runs")
+        lines = [json.loads(l) for l in (run_dir / harness.ROUNDS_FILE).read_text().splitlines()]
+        final = [l["roc_auc"] for l in lines if l["round"] == 10]
+        assert len(final) == 4 and sum(final) / 4 > 0.5
 
     def test_csv_source_runs_end_to_end(self, tmp_path):
         import numpy as np

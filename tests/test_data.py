@@ -54,7 +54,9 @@ class TestIdx:
         ds = data.load_idx(img, lbl, class_count=3)
         assert ds.size == 4
         assert ds.class_count == 3
-        assert np.allclose(ds.features[1], np.array([4, 5, 6, 7]) / 255.0)
+        # Row 1's pixels over 255, less each pixel's mean over the four images.
+        assert np.allclose(ds.features[1], (np.array([4, 5, 6, 7]) - np.array([6, 7, 8, 9])) / 255.0)
+        assert np.allclose(ds.features.mean(axis=0), 0.0)
         assert np.array_equal(ds.labels, [0, 1, 2, 1])
 
     def test_bad_magic(self, tmp_path):
@@ -83,8 +85,8 @@ class TestCsv:
         path.write_text("label,f0,f1\n0,0.0,2.0\n1,1.0,4.0\n1,2.0,6.0\n")
         ds = data.load_csv(str(path), 2)
         assert ds.size == 3
-        assert np.allclose(ds.features[:, 0], [0.0, 0.5, 1.0])
-        assert np.allclose(ds.features[:, 1], [0.0, 0.5, 1.0])
+        assert np.allclose(ds.features[:, 0], [-0.5, 0.0, 0.5])
+        assert np.allclose(ds.features[:, 1], [-0.5, 0.0, 0.5])
 
     def test_empty_body(self, tmp_path):
         path = tmp_path / "empty.csv"
