@@ -152,7 +152,10 @@ def load_idx(images_path: str, labels_path: str, class_count: int) -> Dataset:
 def load_csv(path: str, class_count: int) -> Dataset:
     """Load `label,f0,f1,...` rows; features min-max scaled per column,
     then centred on the column's mean over the file."""
-    reader = csv.reader(io.StringIO(_read_exact(path).decode(), newline=""))
+    try:
+        reader = csv.reader(io.StringIO(_read_exact(path).decode(), newline=""))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: byte {exc.start}: not valid UTF-8") from None
     try:
         header = next(reader)
     except StopIteration:

@@ -326,22 +326,24 @@ def run_dir_name(resolved: dict) -> str:
     )
 
 
-def _round_lines(result: protocol.RunResult):
-    for record in result.records:
-        for stats in record.clients:
-            yield {
-                "round": record.round_idx,
-                "client": stats.client_id,
-                "accuracy": stats.accuracy,
-                "roc_auc": stats.roc_auc,
-                "pr_auc": stats.pr_auc,
-                "mean_sl_loss": stats.mean_sl_loss,
-                "q": stats.q,
-                "p": stats.p,
-                "f": stats.f,
-                "weight": stats.weight,
-                "clamp_events": record.clamp_events,
-            }
+# A rounds.jsonl line as json.dumps writes its dict. str.format spells a float as repr,
+# as json does, but None and non-finite floats as Python does: those are respelled.
+_ROUND_LINE = ('{{"round": {}, "client": {}, "accuracy": {}, "roc_auc": {}, "pr_auc": {}, '
+               '"mean_sl_loss": {}, "q": {}, "p": {}, "f": {}, "weight": {}, '
+               '"clamp_events": {}}}\n')
+_RESPELL = {": None": ": null", ": nan": ": NaN", ": inf": ": Infinity", ": -inf": ": -Infinity"}
+
+
+def _round_lines(result: protocol.RunResult) -> str:
+    """rounds.jsonl's text: one line per round and client."""
+    text = "".join(
+        _ROUND_LINE.format(r.round_idx, s.client_id, s.accuracy, s.roc_auc, s.pr_auc,
+                           s.mean_sl_loss, s.q, s.p, s.f, s.weight, r.clamp_events)
+        for r in result.records for s in r.clients
+    )
+    for python, json_text in _RESPELL.items():
+        text = text.replace(python, json_text)
+    return text
 
 
 def _finished(resolved: dict, out_dir) -> tuple[Path, bool]:
@@ -375,9 +377,7 @@ def execute_run(cfg: ExperimentConfig, out_dir, compute=None) -> Path:
     result, world_meta = (compute or _alone)(cfg)
     partial.mkdir(parents=True)
     try:
-        with open(partial / ROUNDS_FILE, "w") as fh:
-            for line in _round_lines(result):
-                fh.write(json.dumps(line) + "\n")
+        (partial / ROUNDS_FILE).write_text(_round_lines(result))
         _write_json(partial / CONFIG_FILE, resolved)
         meta = {
             "config_hash": digest,

@@ -9,7 +9,7 @@ raise ConfigError on one (+-inf rank as usual).
 The AUCs rank each row with one sort: of packed uint64 keys, which carry
 the positive flags, when no score is negative (probabilities never are),
 else by argsort.
-accuracy, roc_auc and multiclass_roc_auc also score a stack of K
+accuracy, roc_auc, pr_auc and multiclass_roc_auc also score a stack of K
 predictors against one label vector in one call, one value per predictor.
 A caller that scores many predictions against one label vector builds its
 OneVsRest split once and passes it in place of the labels.
@@ -114,28 +114,33 @@ def roc_auc(scores, labels):
     return _mann_whitney(_positive_rank_sums(s, pos), n_pos, n_neg)
 
 
-def pr_auc(scores, labels) -> float | None:
+def pr_auc(scores, labels):
     """Average precision over the descending-score step curve.
 
-    Tied scores enter at one threshold. Returns None with zero positives.
+    scores may be (K, N), one row per predictor. Tied scores enter at one
+    threshold. Returns None with zero positives.
     """
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels).astype(bool)
-    if s.shape != y.shape or s.ndim != 1:
+    if s.shape[-1:] != y.shape or y.ndim != 1 or s.ndim > 2:
         raise ConfigError("scores and labels must be equal-length vectors")
     n_pos = int(y.sum())
     if n_pos == 0:
         return None
     ordered, flags = _sorted_rows(s, y)
-    s_ord = ordered[0, ::-1]  # descending; the order inside a tie is immaterial
-    y_ord = flags[0, ::-1]
-    boundaries = np.flatnonzero(np.r_[s_ord[1:] != s_ord[:-1], True])
-    tp = np.cumsum(y_ord)[boundaries]
-    retrieved = boundaries + 1.0
-    precision = tp / retrieved
-    recall = tp / n_pos
-    recall_steps = np.diff(np.r_[0.0, recall])
-    return float((recall_steps * precision).sum())
+    ordered, tp = ordered[:, ::-1], np.cumsum(flags[:, ::-1], axis=-1)  # descending
+    last = np.c_[ordered[:, 1:] != ordered[:, :-1], np.ones(len(ordered), bool)]  # thresholds
+    counts = last.sum(axis=-1)
+    ap = np.empty(len(counts))
+    # numpy sums a row pairwise, in a tree that its length fixes: the rows
+    # of one threshold count are summed as one stack.
+    for m in np.unique(counts):
+        rows = np.flatnonzero(counts == m)
+        at = np.nonzero(last[rows])
+        hits = tp[rows][at].reshape(-1, m)
+        precision = hits / (at[1].reshape(-1, m) + 1.0)
+        ap[rows] = (np.diff(hits / n_pos, axis=-1, prepend=0.0) * precision).sum(axis=-1)
+    return ap if s.ndim == 2 else float(ap[0])
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ alike. tests/oracle.py is the per-model reference they are checked
 against. softmax_t and the target gradients reduce over the class axis
 by whole class planes (elementwise maxima and, for 2 to 7 classes, adds),
 which give each row the bits of a reduction along that axis without a
-short inner loop per row.
+short inner loop per row; evaluation's softmax takes class-major logits.
 """
 
 from dataclasses import dataclass
@@ -147,11 +147,12 @@ def _forward(layers, x: np.ndarray) -> list:
 _OVERFLOW_IS_CAUGHT_LATER = dict(over="ignore", invalid="ignore")
 
 
-def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
-    """Temperature softmax over the last axis, max-shifted for stability.
+def softmax_t(logits: np.ndarray, tau: float, axis: int = -1) -> np.ndarray:
+    """Temperature softmax over the class axis, max-shifted for stability.
 
     Its bits are those of the plain formula: subtract the row max, exp,
-    divide by e.sum(axis=-1).
+    divide by e.sum(axis=-1). Class-major logits, (K, C, N) with axis=1,
+    get the bits of their row-major (K, N, C) copy.
     """
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
@@ -161,26 +162,29 @@ def softmax_t(logits: np.ndarray, tau: float) -> np.ndarray:
         rows = [] if z.ndim < 3 else np.flatnonzero(~finite.reshape(len(z), -1).all(axis=-1))
         raise NumericError("softmax input contains non-finite values", rows=rows)
     scaled = z / tau
+    lead = (slice(None),) * (axis % z.ndim)  # class plane c is scaled[lead + (c,)]
     # Whole class planes: a max is exact in any order.
-    top = scaled[..., 0]
-    for c in range(1, scaled.shape[-1]):
-        top = np.maximum(top, scaled[..., c])
-    scaled -= top[..., np.newaxis]
+    top = scaled[lead + (0,)]
+    for c in range(1, scaled.shape[axis]):
+        top = np.maximum(top, scaled[lead + (c,)])
+    scaled -= top[lead + (np.newaxis,)]
     e = np.exp(scaled, out=scaled)
-    e /= _class_sum(e)
+    e /= _class_sum(e, axis)
     return e
 
 
-def _class_sum(a: np.ndarray) -> np.ndarray:
-    """a.sum(axis=-1, keepdims=True), bit for bit. Below 8 terms numpy's
-    pairwise sum adds one term after another, so 2 to 7 classes are added
-    as whole class planes, without its short inner loop per row."""
-    if not 1 < a.shape[-1] < 8:
-        return a.sum(axis=-1, keepdims=True)
-    total = a[..., 0] + a[..., 1]
-    for c in range(2, a.shape[-1]):
-        total += a[..., c]
-    return total[..., np.newaxis]
+def _class_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """a.sum(axis=axis, keepdims=True) with the bits of a sum along a last axis. numpy adds
+    below 8 terms one after another, as the class planes are added here, without its short
+    inner loop per row; more go to numpy, over a copy with the classes last if they are not."""
+    lead = (slice(None),) * (axis % a.ndim)
+    if not 1 < a.shape[axis] < 8:
+        rows = a if len(lead) == a.ndim - 1 else np.ascontiguousarray(np.moveaxis(a, axis, -1))
+        return np.expand_dims(rows.sum(axis=-1), axis)
+    total = a[lead + (0,)] + a[lead + (1,)]
+    for c in range(2, a.shape[axis]):
+        total += a[lead + (c,)]
+    return total[lead + (np.newaxis,)]
 
 
 def _check_pair(pred, target) -> tuple[np.ndarray, np.ndarray]:

@@ -187,7 +187,7 @@ class RunResult:
 # Bytes a chunk of clients may hold in its working set: small enough to
 # keep peak memory near that of one big client, large enough to spread
 # numpy's per-call cost over many small ones.
-_CHUNK_BYTES = 1 << 21
+_CHUNK_BYTES = 6 << 20
 
 
 @dataclass
@@ -255,23 +255,33 @@ def _working_width(dims) -> int:
     return sum(fan_in + 2 * fan_out for fan_in, fan_out in dims)
 
 
-def _by_chunk(group: ClientGroup, rows: int, fn, origin=None) -> list:
-    """fn(part) over consecutive, even row ranges of the group.
+def _chunk_bounds(cohort: nn.Cohort, rows: int) -> list:
+    """Consecutive row ranges (lo, hi) whose working sets, rows x each client's own block's
+    working width, stay within _CHUNK_BYTES unless they hold one client. The fewest chunks
+    that fill up to the budget in row order set the count; each then fills to an even share."""
+    costs = np.repeat([8 * rows * _working_width(dims) for dims in cohort.dims], cohort.counts)
+    ends = np.cumsum(costs)
 
-    A chunk holds as many clients as keep its working set, rows x the
-    widest block's working width, near _CHUNK_BYTES; a group that fits
-    is its own chunk. The rows an error names are moved from the chunk's
-    row axis to the group's, then to origin's rows if given (a gathered
-    group's rows in the group it came from).
-    """
-    per_client = 8 * rows * max(_working_width(dims) for dims in group.cohort.dims)
-    k = len(group.clients)
-    chunks = -(-k // max(1, _CHUNK_BYTES // per_client))
-    step = -(-k // chunks)
+    def fill(share) -> list:
+        bounds = [(0, 0)]
+        while (lo := bounds[-1][1]) < len(ends):
+            hi = min(np.searchsorted(ends, ends[lo] - costs[lo] + share) + 1,
+                     np.searchsorted(ends, ends[lo] - costs[lo] + _CHUNK_BYTES, "right"))
+            bounds.append((lo, max(lo + 1, int(hi))))
+        return bounds[1:]
+
+    return fill(-(-ends[-1] // len(fill(_CHUNK_BYTES))))
+
+
+def _by_chunk(group: ClientGroup, rows: int, fn, origin=None) -> list:
+    """fn(part) over the group's chunks, a group that fits being its own. The rows an error
+    names are moved from the chunk's row axis to the group's, then to origin's rows if
+    given (a gathered group's rows in the group it came from)."""
+    bounds = _chunk_bounds(group.cohort, rows)
     out = []
-    for lo in range(0, k, step):
+    for lo, hi in bounds:
         try:
-            out.append(fn(group if chunks == 1 else group.take(lo, lo + step)))
+            out.append(fn(group if len(bounds) == 1 else group.take(lo, hi)))
         except (ConfigError, NumericError, ProtocolError) as exc:
             if getattr(exc, "rows", None):
                 exc.rows = [row + lo for row in exc.rows]
@@ -386,23 +396,33 @@ def evaluate_client(
     """
 
     def evaluate(part: ClientGroup) -> tuple:
-        probs = nn.softmax_t(part.cohort.forward(test.features), 1.0)
-        acc = metrics.accuracy(probs.argmax(axis=-1), test.labels)
-        pr = None
+        # One copy, class-major (k, C, N): every class plane is contiguous.
+        logits = np.ascontiguousarray(part.cohort.forward(test.features).transpose(0, 2, 1))
+        probs = nn.softmax_t(logits, 1.0, axis=1)
+        acc = metrics.accuracy(_class_argmax(probs), test.labels)
         if test.class_count == 2:
-            roc = metrics.roc_auc(probs[..., 1], test.labels)
-            scores = [metrics.pr_auc(s, test.labels == 1) for s in probs[..., 1]]
-            if scores[0] is not None:
-                pr = np.array(scores)
+            scores = probs[:, 1]
+            roc, pr = metrics.roc_auc(scores, test.labels), metrics.pr_auc(scores, test.labels == 1)
         else:
-            roc = metrics.multiclass_roc_auc(probs, classes)
+            roc, pr = metrics.multiclass_roc_auc(probs.transpose(0, 2, 1), classes), None
         shard = nn.softmax_t(part.cohort.forward(part.features[part.shard]), 1.0)
         sl = nn.sl_loss(shard, part.onehot[part.shard], hp).mean(axis=-1)
         return acc, roc, pr, sl
 
-    rows = max(test.size, group.features.shape[1])
-    chunks = _by_chunk(group, rows, evaluate)
+    chunks = _by_chunk(group, max(test.size, group.features.shape[1]), evaluate)
     return tuple(None if col[0] is None else np.concatenate(col) for col in zip(*chunks))
+
+
+def _class_argmax(probs: np.ndarray) -> np.ndarray:
+    """probs.argmax(axis=1) of a class-major (K, C, N) stack by whole class
+    planes: class c takes the rows where it beats every class before it,
+    so the first of equal maxima wins, and as c exceeds every earlier
+    winner, a max records it (a masked write is far slower)."""
+    best, top = np.zeros(probs.shape[::2], np.min_scalar_type(probs.shape[1] - 1)), probs[:, 0]
+    for c in range(1, probs.shape[1]):
+        np.maximum(best, (probs[:, c] > top) * best.dtype.type(c), out=best)
+        top = np.maximum(top, probs[:, c])
+    return best
 
 
 def _row_norms(values: np.ndarray) -> np.ndarray:

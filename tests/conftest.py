@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 
 from hetfed.config import ExperimentConfig, parse_config
@@ -54,7 +52,7 @@ def kl_div(p, q) -> float:
 
 
 def record_dicts(result):
-    """Flatten RoundRecords the same way the JSONL writer does."""
+    """The lines the JSONL writer writes of RoundRecords."""
     from hetfed.harness import _round_lines
 
-    return [json.dumps(line) for line in _round_lines(result)]
+    return _round_lines(result).splitlines()

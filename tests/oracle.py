@@ -1,6 +1,7 @@
 """Per-model reference for the cohort kernels of hetfed.nn, the
-confidence formulas that hetfed.reweight.confidence_step combines, and
-FedAvg's size-weighted aggregate.
+confidence formulas that hetfed.reweight.confidence_step combines,
+FedAvg's size-weighted aggregate, and the average precision of one row of
+scores.
 
 One model at a time, written from the documented parameter layout and the
 loss formulas: forward pass, cross-entropy, symmetric and mixture-KL
@@ -16,7 +17,9 @@ learning efficiency, the two confidence variants, quality normalization
 and confidence weights) work elementwise, on scalars or arrays alike.
 The aggregate weights each client by its shard size, which
 hetfed.protocol.fedavg_aggregate can leave out because a run gives every
-client one shard size.
+client one shard size. The average precision takes one predictor's
+scores at a time, in the order of floating-point operations that
+hetfed.metrics.pr_auc keeps for each row of a stack.
 """
 
 from dataclasses import dataclass
@@ -256,3 +259,24 @@ def fedavg_aggregate(rows: np.ndarray, sizes) -> np.ndarray:
     for row, w in zip(rows, weights):
         total = total + w * row
     return total
+
+
+# -- ranking ------------------------------------------------------------------
+
+
+def pr_auc(scores, labels) -> float | None:
+    """Average precision of one row of scores over the descending-score
+    step curve, tied scores entering at one threshold; None with zero
+    positives."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels).astype(bool)
+    n_pos = int(y.sum())
+    if n_pos == 0:
+        return None
+    order = np.argsort(-s, kind="stable")  # the order inside a tie is immaterial
+    s_ord, y_ord = s[order], y[order]
+    boundaries = np.flatnonzero(np.r_[s_ord[1:] != s_ord[:-1], True])
+    tp = np.cumsum(y_ord)[boundaries]
+    precision = tp / (boundaries + 1.0)
+    recall = tp / n_pos
+    return float((np.diff(np.r_[0.0, recall]) * precision).sum())

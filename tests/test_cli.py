@@ -443,6 +443,18 @@ class TestFileSources:
         assert "No such file or directory" in err
         assert not (tmp_path / "o").exists()
 
+    def test_non_utf8_csv_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        raw = "label,f0,f1\n0,0.5,0.25\n1,0.75,caf".encode() + b"\xe9\n"
+        (tmp_path / "latin1.csv").write_bytes(raw)
+        argv = ["run", "--config", str(ROOT / "configs" / "base.json"),
+                "--set", "data.source=csv", "--set", 'data.csv_path="latin1.csv"',
+                "--out", "o"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"configuration error: latin1.csv: byte {raw.index(0xE9)}: not valid UTF-8\n"
+        assert not (tmp_path / "o").exists()
+
     def test_imbalanced_binary_world_ranks_above_chance(self, tmp_path, monkeypatch):
         """The fingerprinted CSV world, 15% positives shifted by +0.8 in
         every feature. Its features are centred on ingest; scaled to
@@ -481,6 +493,33 @@ class TestFileSources:
                  (run_dir / harness.ROUNDS_FILE).read_text().splitlines()]
         # binary task: both AUC metrics are defined
         assert all(l["roc_auc"] is not None and l["pr_auc"] is not None for l in lines)
+
+
+class TestRoundsWriter:
+    """rounds.jsonl holds, line by line, json.dumps of each record's dict."""
+
+    def test_lines_are_json_dumps_of_the_records(self):
+        from hetfed.protocol import ClientRoundStats, RoundRecord, RunResult
+
+        values = [None, 0, 7, 0.0, -0.0, 1e-17, 1e16, 0.1, -2.5, 1 / 3,
+                  float("nan"), float("inf"), float("-inf")]
+        records = []
+        for r in range(len(values)):
+            stats = tuple(
+                ClientRoundStats(c, *(values[(r + c + i) % len(values)] for i in range(8)))
+                for c in range(3)
+            )
+            records.append(RoundRecord(r, stats, clamp_events=r % 3))
+        text = harness._round_lines(RunResult(records, 0, [], []))
+        expected = [
+            json.dumps({"round": record.round_idx, "client": s.client_id, "accuracy": s.accuracy,
+                        "roc_auc": s.roc_auc, "pr_auc": s.pr_auc, "mean_sl_loss": s.mean_sl_loss,
+                        "q": s.q, "p": s.p, "f": s.f, "weight": s.weight,
+                        "clamp_events": record.clamp_events})
+            for record in records for s in record.clients
+        ]
+        assert text.endswith("\n")
+        assert text.splitlines() == expected
 
 
 class TestGridExpansion:

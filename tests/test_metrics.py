@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from hetfed import harness, metrics, nn
 from hetfed.errors import ConfigError
 
@@ -271,6 +272,42 @@ class TestPrAuc:
         else:
             assert actual == pytest.approx(expected, abs=1e-9)
             assert 0.0 < actual <= 1.0
+
+
+# Stacks of score rows (K, N) for the stacked average precision.
+PR_STACKS = {
+    "random": lambda rng, k, n: rng.random((k, n)),
+    "tied": lambda rng, k, n: np.round(rng.random((k, n)), int(rng.integers(1, 3))),
+    "saturated": lambda rng, k, n: rng.choice([0.0, 1.0, 0.5], size=(k, n)),
+    "all_equal": lambda rng, k, n: np.full((k, n), 0.25),
+    "rows_equal": lambda rng, k, n: np.broadcast_to(np.round(rng.random(n), 1), (k, n)),
+    "signed": lambda rng, k, n: np.round(rng.normal(size=(k, n)), 1),
+}
+
+
+class TestPrAucStack:
+    """A stack of rows scores in one call, each row with the bits of the
+    per-row reference; rows with different threshold counts mix."""
+
+    @pytest.mark.parametrize("kind", list(PR_STACKS))
+    @pytest.mark.parametrize("n", [2, 9, 40, 300])
+    def test_rows_match_the_row_oracle_bit_for_bit(self, kind, n):
+        rng = np.random.default_rng(n)
+        scores = PR_STACKS[kind](rng, 7, n)
+        labels = np.r_[1, rng.integers(0, 2, size=n - 1)]
+        stacked = metrics.pr_auc(scores, labels)
+        expected = np.array([oracle.pr_auc(row, labels) for row in scores])
+        assert stacked.shape == (7,)
+        assert stacked.tobytes() == expected.tobytes()
+        assert metrics.pr_auc(scores[3], labels) == expected[3]
+
+    def test_no_positive_gives_none(self):
+        assert metrics.pr_auc(np.random.default_rng(0).random((3, 5)), [0] * 5) is None
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_wrong_shapes_raise(self, shape):
+        with pytest.raises(ConfigError, match="equal-length"):
+            metrics.pr_auc(np.zeros(shape), [1, 0, 1, 0])
 
 
 class TestMulticlassRocAuc:

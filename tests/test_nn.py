@@ -110,6 +110,14 @@ class TestSoftmax:
                 probs = nn.softmax_t(logits, tau)
                 assert probs.tobytes() == reduction_softmax(logits, tau).tobytes()
 
+    @pytest.mark.parametrize("classes", [1, 2, 3, 7, 8, 9, 17])
+    def test_class_major_logits_keep_the_row_major_bits(self, classes):
+        logits = np.random.default_rng(classes).normal(size=(4, 13, classes)) * 5
+        for tau in (1.0, 4.0):
+            major = nn.softmax_t(np.ascontiguousarray(logits.transpose(0, 2, 1)), tau, axis=1)
+            assert major.flags.c_contiguous
+            assert major.transpose(0, 2, 1).tobytes() == nn.softmax_t(logits, tau).tobytes()
+
     def test_uniform_on_equal_logits(self):
         assert np.allclose(nn.softmax_t(np.zeros(3), 1.0), 1 / 3)
 

@@ -577,8 +577,9 @@ class TestCohorts:
         )
         group = controller.group
         width = max(protocol._working_width(dims) for dims in group.cohort.dims)
-        # Distillation on the 20 public rows runs rows [0, 3), [3, 6),
-        # [6, 8) over blocks of 2.
+        # Distillation on the 20 public rows, at a budget of three of the
+        # widest clients: the blocks of 2 cost 26, 38, 68 and 20 values a
+        # row per client, so the chunks run rows [0, 5) and [5, 8).
         monkeypatch.setattr(protocol, "_CHUNK_BYTES", 3 * 8 * 20 * width)
         distill = nn.cohort_distill
         parts = []
@@ -589,7 +590,7 @@ class TestCohorts:
 
         monkeypatch.setattr(nn, "cohort_distill", spy)
         [chunked] = controller.run()
-        assert parts[:6] == [(2, 1), (1, 2), (2,)] * 2  # two rounds
+        assert parts[:4] == [(2, 2, 1), (1, 2)] * 2  # two rounds
         assert record_dicts(whole) == record_dicts(chunked)
         for a, b in zip(world_w.clients, world.clients):
             assert a.params.values.tobytes() == b.params.values.tobytes()
@@ -616,6 +617,49 @@ class TestCohorts:
             protocol.run_federation(
                 world.clients, world.features, world.labels, cfg.federation, world.test
             )
+
+
+def cohort_of(widths_and_counts):
+    """A cohort of blocks of one-hidden-layer models (2 -> hidden -> 3)."""
+    models = [nn.init_params(((2, hidden), (hidden, 3)), 0)
+              for hidden, count in widths_and_counts for _ in range(count)]
+    return nn.Cohort.of(models)
+
+
+class TestChunkBounds:
+    """Chunks are sized by their own clients' working widths."""
+
+    def test_one_block_splits_evenly_within_the_budget(self, monkeypatch):
+        cohort = cohort_of([(12, 100)])  # a working width of 44 values a row
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 47 * 8 * 500 * 44)
+        assert protocol._chunk_bounds(cohort, 500) == [(0, 34), (34, 68), (68, 100)]
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1)
+        assert protocol._chunk_bounds(cohort, 500) == [(k, k + 1) for k in range(100)]
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 1 << 40)
+        assert protocol._chunk_bounds(cohort, 500) == [(0, 100)]
+
+    def test_narrow_blocks_take_more_clients(self, monkeypatch):
+        # Working widths of 20 and 104 values a row: 1,600 and 8,320 bytes
+        # a client at 10 rows, on a budget of two wide clients.
+        cohort = cohort_of([(4, 6), (32, 6)])
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", 2 * 8320)
+        assert protocol._chunk_bounds(cohort, 10) == [(0, 6), (6, 8), (8, 10), (10, 12)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_chunks_cover_the_rows_within_the_budget(self, monkeypatch, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [(int(h), int(k)) for h, k in zip(rng.integers(1, 40, size=4),
+                                                   rng.integers(1, 9, size=4))]
+        cohort = cohort_of(blocks)
+        budget = int(rng.integers(1, 60_000))
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", budget)
+        bounds = protocol._chunk_bounds(cohort, 10)
+        costs = np.repeat([8 * 10 * protocol._working_width(d) for d in cohort.dims],
+                          cohort.counts)
+        assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+        assert bounds[-1][1] == len(cohort)
+        for lo, hi in bounds:
+            assert hi == lo + 1 or costs[lo:hi].sum() <= budget
 
 
 class TestShardLossReuse:
@@ -667,6 +711,73 @@ class TestShardLossReuse:
         for prev, rec in zip(result.records, result.records[1:]):
             for before, now in zip(prev.clients, rec.clients):
                 assert now.q == oracle.label_quality(before.mean_sl_loss)
+
+
+def scaled_identity_clients(scales, classes):
+    """Clients of one linear layer, the identity times scales[k], and no
+    bias: client k's logits are the features times scales[k]."""
+    return [
+        protocol.ClientState(k, nn.ModelParams(
+            ((classes, classes),), np.r_[scale * np.eye(classes).ravel(), np.zeros(classes)]
+        ), np.random.default_rng(k))
+        for k, scale in enumerate(scales)
+    ]
+
+
+class TestClassMajorEvaluation:
+    """Evaluation works on class-major (k, C, N) chunks. Every column keeps
+    the bits of the row-major path: softmax_t over (k, N, C) logits,
+    argmax, then roc_auc and the per-row pr_auc, or multiclass_roc_auc."""
+
+    SCALES = [1.0, 2.0, 0.5, 0.0, -1.0]  # 0.0: every score of every row ties
+
+    @staticmethod
+    def clean_split(rng, classes, n=60):
+        z = 3 * rng.normal(size=(n, classes))
+        z[0::5, :2] = np.abs(z[0::5, :1]) + 10  # two classes tie at the top
+        z[1::5] = 0.0  # every class ties
+        z[2::5] = -800.0  # saturated: probabilities of exactly 0.0 and 1.0
+        z[2::5, -1] = 800.0
+        z[3::5] = z[3]  # rows equal to each other
+        labels = np.r_[np.arange(classes), rng.integers(0, classes, size=n - classes)]
+        return data.Dataset(z, labels, classes)
+
+    @pytest.mark.parametrize("chunk_bytes", [1, protocol._CHUNK_BYTES])
+    @pytest.mark.parametrize("classes", [2, 3, 7, 9])  # 9: _class_sum's reduction branch
+    def test_columns_match_the_row_major_path(self, monkeypatch, classes, chunk_bytes):
+        monkeypatch.setattr(protocol, "_CHUNK_BYTES", chunk_bytes)
+        rng = np.random.default_rng(classes)
+        test = self.clean_split(rng, classes)
+        k = len(self.SCALES)
+        group = protocol.ClientGroup.stack(
+            scaled_identity_clients(self.SCALES, classes), rng.normal(size=(k, 20, classes)),
+            rng.integers(0, classes, size=(k, 20)), classes,
+        )
+        split = metrics.OneVsRest.of(test.labels, classes)
+        acc, roc, pr, _ = protocol.evaluate_client(group, test, split, nn.Hyperparams())
+
+        probs = nn.softmax_t(group.cohort.forward(test.features), 1.0)
+        assert acc.tobytes() == metrics.accuracy(probs.argmax(axis=-1), test.labels).tobytes()
+        if classes == 2:
+            expected_roc = metrics.roc_auc(probs[..., 1], test.labels)
+            expected_pr = [oracle.pr_auc(row, test.labels == 1) for row in probs[..., 1]]
+            assert pr.tobytes() == np.array(expected_pr).tobytes()
+        else:
+            expected_roc = metrics.multiclass_roc_auc(probs, test.labels)
+            assert pr is None
+        assert roc.tobytes() == np.asarray(expected_roc).tobytes()
+
+    def test_non_finite_logit_names_the_lowest_client(self):
+        rng = np.random.default_rng(0)
+        test = self.clean_split(rng, 3)
+        # 1e308 times a feature beyond 1 overflows: clients 1 and 3 diverge.
+        clients = scaled_identity_clients([1.0, 1e308, 1.0, 1e308], 3)
+        cfg = small_cfg(strategy="local_only").federation
+        with pytest.raises(NumericError, match=r"^round 0, client 1, phase eval: "
+                           r"softmax input contains non-finite values$"):
+            protocol.run_federation(
+                clients, rng.normal(size=(4, 20, 3)), rng.integers(0, 3, size=(4, 20)), cfg, test
+            )
 
 
 class TestFailureContext:
@@ -815,10 +926,10 @@ class TestDeterminismAndMessages:
         monkeypatch.setattr(protocol, "time", SimpleNamespace(perf_counter=lambda: now[0]))
 
         def ticking(fn, when=lambda *args: True):
-            def call(*args):
+            def call(*args, **kwargs):
                 if when(*args):
                     now[0] += 1.0
-                return fn(*args)
+                return fn(*args, **kwargs)
             return call
 
         if piece == "peer softmax":

@@ -149,6 +149,23 @@ class TestMixedBatches:
             assert timing(run_dir)["batch_cells"] == len(cfgs)
 
 
+class TestChunkBudget:
+    """The chunk budget moves no byte: a mixed-architecture batch writes
+    the same files with one client per chunk, at the default budget and
+    with the whole group in one chunk."""
+
+    def test_every_budget_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        doc = base()
+        grid = {**TestMixedBatches.GRIDS["strategies_and_clients"], "seed": [0]}
+        written = []
+        for budget in (1, protocol._CHUNK_BYTES, 1 << 40):
+            monkeypatch.setattr(protocol, "_CHUNK_BYTES", budget)
+            outcome = harness.run_sweep(doc, grid, tmp_path / str(budget))
+            assert not outcome.failures
+            written.append([files(run_dir) for run_dir in outcome.run_dirs])
+        assert written[0] == written[1] == written[2]
+
+
 class TestBatchWorlds:
     """A batch builds its shared parts once, and every cell's world equals
     the world its config builds alone."""
