@@ -17,10 +17,13 @@ elementwise or row-wise along the class axis, so every model gets the
 bits it would get alone: numpy hands every (rows, fan_in) x (fan_in,
 fan_out) slice of a stack to the same BLAS call and reduces each row
 alike. tests/oracle.py is the per-model reference they are checked
-against. softmax_t and the target gradients reduce over the class axis
-by whole class planes (elementwise maxima and, for 2 to 7 classes, adds),
-which give each row the bits of a reduction along that axis without a
-short inner loop per row; evaluation's softmax takes class-major logits.
+against. The hot passes skip numpy's short inner loop per row: softmax_t, the
+losses and the target gradients reduce over the class axis by whole
+class planes (elementwise maxima and, for 2 to 7 classes, adds), with the
+bits of a reduction along that axis; a bias gradient is an einsum over
+the rows, with np.add.reduce's bits but at width 1; and evaluation's
+forward writes class-major logits, adding the last bias on whole planes.
+A forward that keeps its layer inputs serves cohort_distill's first step.
 """
 
 from dataclasses import dataclass
@@ -124,8 +127,9 @@ def _check_features(x: np.ndarray, dims: LayerDims) -> None:
         raise ConfigError(f"batch has {x.shape[-1]} features, model expects {dims[0][0]}")
 
 
-def _forward(layers, x: np.ndarray) -> list:
-    """Every layer's input activations plus the logits.
+def _forward(layers, x: np.ndarray, out=None) -> list:
+    """Every layer's input activations plus the logits, written into out if
+    given (on a view of class planes, the bias adds along rows, not classes).
 
     The ReLU runs in place, so no pre-activation is kept: a hidden unit's
     pre-activation is positive exactly where its activation is.
@@ -135,6 +139,9 @@ def _forward(layers, x: np.ndarray) -> list:
     last = len(layers) - 1
     for idx, (w, b) in enumerate(layers):
         h = h @ w
+        if idx == last and out is not None:
+            out[...] = h
+            h = out
         h += b[..., np.newaxis, :]
         if idx != last:
             np.maximum(h, 0.0, out=h)
@@ -152,7 +159,7 @@ def softmax_t(logits: np.ndarray, tau: float, axis: int = -1) -> np.ndarray:
 
     Its bits are those of the plain formula: subtract the row max, exp,
     divide by e.sum(axis=-1). Class-major logits, (K, C, N) with axis=1,
-    get the bits of their row-major (K, N, C) copy.
+    get the bits of their row-major (K, N, C) copy; logits are not written.
     """
     if tau <= 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
@@ -161,30 +168,30 @@ def softmax_t(logits: np.ndarray, tau: float, axis: int = -1) -> np.ndarray:
     if not finite.all():
         rows = [] if z.ndim < 3 else np.flatnonzero(~finite.reshape(len(z), -1).all(axis=-1))
         raise NumericError("softmax input contains non-finite values", rows=rows)
-    scaled = z / tau
+    scaled = z if tau == 1.0 else z / tau  # z / 1.0 has the bits of z
     lead = (slice(None),) * (axis % z.ndim)  # class plane c is scaled[lead + (c,)]
     # Whole class planes: a max is exact in any order.
     top = scaled[lead + (0,)]
     for c in range(1, scaled.shape[axis]):
         top = np.maximum(top, scaled[lead + (c,)])
-    scaled -= top[lead + (np.newaxis,)]
-    e = np.exp(scaled, out=scaled)
-    e /= _class_sum(e, axis)
+    e = np.subtract(scaled, top[lead + (np.newaxis,)], out=None if scaled is z else scaled)
+    np.exp(e, out=e)
+    e /= _class_sum(e, axis)[lead + (np.newaxis,)]
     return e
 
 
 def _class_sum(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """a.sum(axis=axis, keepdims=True) with the bits of a sum along a last axis. numpy adds
-    below 8 terms one after another, as the class planes are added here, without its short
-    inner loop per row; more go to numpy, over a copy with the classes last if they are not."""
+    """a.sum(axis=axis) with the bits of a sum along a last axis. numpy adds below 8 terms
+    one after another, as the class planes are added here, without its short inner loop
+    per row; more go to numpy, over a copy with the classes last if they are not."""
     lead = (slice(None),) * (axis % a.ndim)
     if not 1 < a.shape[axis] < 8:
         rows = a if len(lead) == a.ndim - 1 else np.ascontiguousarray(np.moveaxis(a, axis, -1))
-        return np.expand_dims(rows.sum(axis=-1), axis)
-    total = a[lead + (0,)] + a[lead + (1,)]
-    for c in range(2, a.shape[axis]):
+        return rows.sum(axis=-1)
+    total = a[lead + (0,)] + 0.0  # numpy starts from +0.0: a row of -0.0 sums to +0.0
+    for c in range(1, a.shape[axis]):
         total += a[lead + (c,)]
-    return total[lead + (np.newaxis,)]
+    return total
 
 
 def _check_pair(pred, target) -> tuple[np.ndarray, np.ndarray]:
@@ -195,16 +202,16 @@ def _check_pair(pred, target) -> tuple[np.ndarray, np.ndarray]:
     return p, t
 
 
+@np.errstate(divide="ignore")
 def _floored_log(x: np.ndarray, floor: float) -> np.ndarray:
-    # Clamp convention: log(v) is floored at `floor`, so exact zeros and
-    # entries below exp(floor) contribute the same bounded penalty.
-    safe = np.where(x > 0, x, 1.0)
-    return np.maximum(np.where(x > 0, np.log(safe), floor), floor)
+    # Clamp convention: log(v) is floored at `floor`, so entries below
+    # exp(floor), and zeros, negatives and NaN (as log 0), score the same.
+    return np.maximum(np.log(np.where(x > 0, x, 0.0)), floor)
 
 
 def _ce(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Per-row cross entropy -sum(target * log pred), pred clamped at 1e-12."""
-    return -(target * np.log(np.maximum(pred, PROB_FLOOR))).sum(axis=-1)
+    return -_class_sum(target * np.log(np.maximum(pred, PROB_FLOOR)))
 
 
 def sl_loss(pred, target, h: Hyperparams):
@@ -214,7 +221,7 @@ def sl_loss(pred, target, h: Hyperparams):
     floored at h.rce_log_floor. A single distribution gives a scalar.
     """
     p, t = _check_pair(pred, target)
-    rce = -(p * _floored_log(t, h.rce_log_floor)).sum(axis=-1)
+    rce = -_class_sum(p * _floored_log(t, h.rce_log_floor))
     return h.lam * _ce(p, t) + h.gamma * rce
 
 
@@ -260,11 +267,11 @@ def _target_gradient(q, targets, symmetric, h: Hyperparams):
     models' softmax q: the symmetric loss for the models where symmetric
     (K,) holds, else cross-entropy. The mean is over rows."""
     rows = q.shape[-2]
-    ce_grad = q * _class_sum(targets) - targets
+    ce_grad = q * _class_sum(targets)[..., np.newaxis] - targets
     if not symmetric.any():
         return ce_grad / rows
     log_targets = _floored_log(targets, h.rce_log_floor)
-    rce_grad = -q * (log_targets - _class_sum(q * log_targets))
+    rce_grad = -q * (log_targets - _class_sum(q * log_targets)[..., np.newaxis])
     sl_grad = (h.lam * ce_grad + h.gamma * rce_grad) / rows
     if symmetric.all():
         return sl_grad
@@ -286,11 +293,14 @@ def _mixture_gradient(logits: np.ndarray, spec: MixtureKlSpec) -> np.ndarray:
 
 def _backprop(layers, activations, delta, grads) -> None:
     """Each layer's (weight, bias) gradient for the logit gradient delta,
-    written into that layer's views in grads."""
+    written into that layer's views in grads; see the module note."""
     for idx in range(len(layers) - 1, -1, -1):
         gw, gb = grads[idx]
         np.matmul(activations[idx].swapaxes(-1, -2), delta, out=gw)
-        np.add.reduce(delta, axis=-2, out=gb)
+        if gb.shape[-1] == 1:
+            np.add.reduce(delta, axis=-2, out=gb)
+        else:
+            np.einsum("...nc->...c", delta, out=gb)
         if idx > 0:
             delta = delta @ layers[idx][0].swapaxes(-1, -2)
             delta *= activations[idx] > 0
@@ -388,12 +398,14 @@ class Cohort:
         ]
 
     @np.errstate(**_OVERFLOW_IS_CAUGHT_LATER)
-    def forward(self, batch) -> np.ndarray:
-        """Logits (K, N, C), rows in block order.
+    def forward(self, batch, keep: bool = False, classes_first: bool = False):
+        """Logits (K, N, C), rows in block order, or (K, C, N) with classes_first.
 
         batch is one (N, d) matrix shared by all K models or a (K, N, d) stack.
+        With keep, returns (logits, each block's layer inputs) for cohort_distill.
         """
-        return self._pass(self._checked(batch), keep=False)[0]
+        logits, inputs = self._pass(self._checked(batch), keep, classes_first)
+        return (logits, inputs) if keep else logits
 
     def _checked(self, batch) -> np.ndarray:
         x = np.asarray(batch, dtype=np.float64)
@@ -404,22 +416,28 @@ class Cohort:
                 _check_features(x, layer_dims)
         return x
 
-    def _pass(self, x: np.ndarray, keep: bool = True):
-        """The cohort's logits (K, n, C) and, if keep, each block's layer
+    def _pass(self, x: np.ndarray, keep: bool = True, classes_first: bool = False):
+        """The cohort's logits (K, n, C), or with classes_first (K, C, n)
+        written block by block in place, and, if keep, each block's layer
         inputs for backprop."""
+        planes = np.empty((len(self), self.dims[0][-1][1], x.shape[-2])) if classes_first else None
         logits, caches = [], []
         for layers, rows in zip(self._layers, self.rows):
-            *inputs, block_logits = _forward(layers, x if x.ndim == 2 else x[rows])
+            out = None if planes is None else planes[rows].swapaxes(-1, -2)
+            *inputs, block_logits = _forward(layers, x if x.ndim == 2 else x[rows], out)
             logits.append(block_logits)
             if keep:
                 caches.append(inputs)
+        if planes is not None:
+            return planes, caches
         return (logits[0] if len(logits) == 1 else np.concatenate(logits)), caches
 
-    def _descend(self, x: np.ndarray, gradient, grad: "Cohort", lr: float) -> None:
+    def _descend(self, x: np.ndarray, gradient, grad: "Cohort", lr: float, done=None) -> None:
         """One descent step on batch x: gradient(logits) is the loss's logit
-        gradient, backpropagated block by block into grad. The step's
-        arrays are freed when it returns, before a next step's exist."""
-        logits, caches = self._pass(x)
+        gradient, backpropagated block by block into grad, from done if given
+        (a kept forward of x at these parameters). The arrays the step makes
+        are freed when it returns, before a next step's exist."""
+        logits, caches = done or self._pass(x)
         delta = gradient(logits)
         del logits
         for layers, grads, rows, activations in zip(
@@ -467,11 +485,15 @@ def cohort_sgd_epoch(
 
 
 @np.errstate(**_OVERFLOW_IS_CAUGHT_LATER)
-def cohort_distill(cohort: Cohort, x, spec: MixtureKlSpec, steps: int, lr: float) -> None:
+def cohort_distill(
+    cohort: Cohort, x, spec: MixtureKlSpec, steps: int, lr: float, done=None
+) -> None:
     """steps full-batch descent steps of a cohort, in place, on one shared
-    batch x (N, d) against a fixed peer mixture stacked in row order."""
+    batch x (N, d) against a fixed peer mixture stacked in row order; the
+    first starts from done, cohort.forward(x, keep=True), if given."""
     x = cohort._checked(x)
     grad = Cohort(cohort.dims, cohort.counts, np.empty_like(cohort.values))
     for _ in range(steps):
-        cohort._descend(x, lambda z: _mixture_gradient(z, spec), grad, lr)
+        cohort._descend(x, lambda z: _mixture_gradient(z, spec), grad, lr, done)
+        done = None
     cohort._check_finite()

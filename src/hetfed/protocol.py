@@ -361,7 +361,8 @@ def _refine(group: ClientGroup, refined: np.ndarray, s: float, targets: np.ndarr
 
 
 def collaborative_training(
-    group: ClientGroup, public: Dataset, target: nn.MixtureKlSpec, cfg: StrategyConfig
+    group: ClientGroup, public: Dataset, target: nn.MixtureKlSpec, cfg: StrategyConfig,
+    passes: list | None = None,
 ) -> None:
     """Full-batch descent of every client of the group on its weighted KL
     alignment loss against a fixed peer mixture.
@@ -369,7 +370,8 @@ def collaborative_training(
     target is one mixture (N, C) for every client, or a stack (K', N, C)
     whose row p is for the client at position p of the controller's order
     (group.shard); each client's mixture is formed once for all
-    collaborative epochs.
+    collaborative epochs. passes, if given, are the group's kept public
+    forwards at these parameters, one per chunk, popped in chunk order.
     """
     hp = cfg.hyperparams
 
@@ -379,7 +381,8 @@ def collaborative_training(
             spec = nn.MixtureKlSpec(
                 target.mixture[part.shard], target.mass[part.shard], target.tau
             )
-        nn.cohort_distill(part.cohort, public.features, spec, cfg.collab_epochs, hp.lr)
+        done = passes.pop(0) if passes else None
+        nn.cohort_distill(part.cohort, public.features, spec, cfg.collab_epochs, hp.lr, done)
 
     _by_chunk(group, public.size, distill)
 
@@ -396,9 +399,8 @@ def evaluate_client(
     """
 
     def evaluate(part: ClientGroup) -> tuple:
-        # One copy, class-major (k, C, N): every class plane is contiguous.
-        logits = np.ascontiguousarray(part.cohort.forward(test.features).transpose(0, 2, 1))
-        probs = nn.softmax_t(logits, 1.0, axis=1)
+        # Class-major (k, C, N): every class plane is contiguous.
+        probs = nn.softmax_t(part.cohort.forward(test.features, classes_first=True), 1.0, axis=1)
         acc = metrics.accuracy(_class_argmax(probs), test.labels)
         if test.class_count == 2:
             scores = probs[:, 1]
@@ -556,17 +558,19 @@ class Controller:
         rows = np.flatnonzero(np.isin(self._row_cell, cells))
         return rows, self.group if rows.size == len(self.clients) else self.group.gather(rows)
 
-    def _public_logits(self, part: ClientGroup, round_idx: int) -> np.ndarray:
-        """The part's clients' logits on the public set, written into
-        their rows of a (K, N, C) stack in the controller's order."""
+    def _public_logits(self, part: ClientGroup, round_idx: int) -> tuple:
+        """The part's clients' logits on the public set, written into their rows of a
+        (K, N, C) stack in the controller's order, and each chunk's kept forward."""
         x = self.public.features
         logits = np.empty((len(self.clients), len(x), self.test.class_count))
 
-        def forward(chunk: ClientGroup) -> None:
-            logits[chunk.shard] = chunk.cohort.forward(x)
+        def forward(chunk: ClientGroup) -> tuple:
+            kept = chunk.cohort.forward(x, keep=True)
+            logits[chunk.shard] = kept[0]
+            return kept
 
-        self._in_phase("phase1", round_idx, lambda g: _by_chunk(g, len(x), forward), part)
-        return logits
+        passes = self._in_phase("phase1", round_idx, lambda g: _by_chunk(g, len(x), forward), part)
+        return logits, passes
 
     def _stacked(self, specs: dict) -> nn.MixtureKlSpec:
         """Distillation targets per cell as one target: a lone cell's as
@@ -663,7 +667,7 @@ class Controller:
             return steps
 
         if weighted:
-            def phase1(group: ClientGroup):
+            def phase1(group: ClientGroup) -> None:
                 # The previous evaluation already took the shard loss of
                 # these very parameters.
                 (prev_sl, hist), (cur_sl, cur) = group.history, group.evaluated
@@ -674,46 +678,49 @@ class Controller:
                 moved = np.concatenate([_row_norms(c - h) for c, h in pairs])
                 base = np.concatenate([_row_norms(h) for _, h in pairs])
                 ratio = np.divide(moved, base, out=np.zeros_like(base), where=base > 0)
-                return prev_sl, cur_sl, ratio
+                columns = self._by_client((prev_sl, cur_sl, ratio))
+                for c in weighted:
+                    args = [column[self.cells[c]] for column in columns]
+                    steps[c] = reweight.confidence_step(self.flags[c].reweight, *args, hp.eta_conf)
 
-            prev_sl, cur_sl, ratio = self._in_phase(
-                "phase1", round_idx, lambda g: self._by_client(phase1(g))
-            )
+            self._in_phase("phase1", round_idx, phase1)
         rows, part = self._part(hfl)
-        logits = self._public_logits(part, round_idx)
-        with self._timed("phase1"):
-            for c in weighted:
-                cell = self.cells[c]
-                steps[c] = reweight.confidence_step(
-                    self.flags[c].reweight, prev_sl[cell], cur_sl[cell], ratio[cell], hp.eta_conf
-                )
+        logits, passes = self._public_logits(part, round_idx)
         # Each client uploads its logits, and in a weighted cell its report
         # too; the server sends back the consensus or the weights.
         per_client = [3 if c in weighted else 2 for c in hfl]
         self.messages[hfl] += np.array(per_client) * self._cell_sizes[hfl]
 
-        with self._timed("distill"):
+        def mixtures(group: ClientGroup) -> dict:
             tau = hp.temperature
             specs = {}
-            for c in hfl:
-                size = self._cell_sizes[c]
-                if c not in weighted:
-                    consensus = logits[self.cells[c]].mean(axis=0)[np.newaxis]
-                    specs[c] = nn.mixture_spec(nn.softmax_t(consensus, tau), np.ones(1), tau)
-                elif size > 1:
-                    # Each peer is softmaxed once; every client mixes all of
-                    # its cell's peers but itself.
-                    peers = nn.softmax_t(logits[self.cells[c]], tau)
-                    specs[c] = nn.mixture_spec(peers, steps[c][3], tau, np.arange(size))
-            del logits
+            try:
+                for c in hfl:
+                    size = self._cell_sizes[c]
+                    if c not in weighted:
+                        consensus = logits[self.cells[c]].mean(axis=0)[np.newaxis]
+                        specs[c] = nn.mixture_spec(nn.softmax_t(consensus, tau), np.ones(1), tau)
+                    elif size > 1:
+                        # Each peer is softmaxed once; every client mixes all
+                        # of its cell's peers but itself.
+                        peers = nn.softmax_t(logits[self.cells[c]], tau)
+                        specs[c] = nn.mixture_spec(peers, steps[c][3], tau, np.arange(size))
+            except NumericError as exc:  # name the clients whose logits are non-finite
+                exc.rows = [r for r in rows if not np.isfinite(logits[group.shard[r]]).all()]
+                raise
+            return specs
+
+        specs = self._in_phase("distill", round_idx, mixtures)
+        del logits
         if specs:
             if len(specs) < len(hfl):
                 rows, part = self._part(list(specs))
+                passes = None  # phase 1's passes are of another part
             target = self._stacked(specs)
             del specs
             self._in_phase(
                 "distill", round_idx,
-                lambda g: collaborative_training(g, self.public, target, self.cfg), part,
+                lambda g: collaborative_training(g, self.public, target, self.cfg, passes), part,
             )
             if part is not self.group:
                 self.group.cohort.put(rows, part.cohort)

@@ -118,6 +118,18 @@ class TestSoftmax:
             assert major.flags.c_contiguous
             assert major.transpose(0, 2, 1).tobytes() == nn.softmax_t(logits, tau).tobytes()
 
+    @pytest.mark.parametrize("axis", [-1, 1])
+    def test_input_is_not_written(self, axis):
+        z = np.random.default_rng(2).normal(size=(4, 3, 13)) * 5
+        z[0, 0, :4] = -0.0
+        before = z.copy()
+        for tau in (1.0, 4.0):
+            probs = nn.softmax_t(z, tau, axis=axis)
+            assert z.tobytes() == before.tobytes() and not np.shares_memory(probs, z)
+        # At tau 1.0 no quotient is taken; z / 1.0 has the bits of z.
+        rows = nn.softmax_t(np.moveaxis(z, axis, -1), 1.0)
+        assert rows.tobytes() == reduction_softmax(np.moveaxis(z, axis, -1), 1.0).tobytes()
+
     def test_uniform_on_equal_logits(self):
         assert np.allclose(nn.softmax_t(np.zeros(3), 1.0), 1 / 3)
 
@@ -202,6 +214,35 @@ class TestLosses:
         rows = nn.sl_loss(pred, target, h)
         assert rows.shape == (7,)
         assert rows.tolist() == [nn.sl_loss(p, t, h) for p, t in zip(pred, target)]
+
+    def test_single_distribution_gives_a_scalar(self):
+        pred, target = np.array([0.2, 0.5, 0.3]), np.array([0.0, 1.0, 0.0])
+        loss = nn.sl_loss(pred, target, nn.Hyperparams())
+        assert isinstance(loss, np.float64)
+        assert loss == nn.sl_loss(pred[np.newaxis], target[np.newaxis], nn.Hyperparams())[0]
+
+    @pytest.mark.parametrize("classes", [1, 2, 3, 7, 8, 9])
+    def test_sl_keeps_the_bits_of_sums_along_the_class_axis(self, classes):
+        rng = np.random.default_rng(classes)
+        pred = nn.softmax_t(rng.normal(size=(5, 30, classes)) * 4, 1.0)
+        target = rng.dirichlet(np.ones(classes), size=(5, 30))
+        target[rng.random(target.shape) < 0.3] = 0.0
+        target[0, 0] = -0.0
+        pred[0, 1] = target[0, 1] = 0.0  # every term of both sums is -0.0
+        h = nn.Hyperparams()
+        ce = -(target * np.log(np.maximum(pred, nn.PROB_FLOOR))).sum(axis=-1)
+        rce = -(pred * oracle._floored_log(target, h.rce_log_floor)).sum(axis=-1)
+        expected = h.lam * ce + h.gamma * rce
+        assert nn.sl_loss(pred, target, h).tobytes() == expected.tobytes()
+
+    def test_floored_log_keeps_the_oracle_bits(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = [0.0, -0.0, tiny, 3 * tiny, np.finfo(np.float64).tiny, 1e-300, np.exp(-4.0),
+                   0.5, 1.0, 2.0, 1e308, np.inf, -1.0, -tiny, -np.inf, np.nan, -np.nan]
+        x = np.r_[special, np.random.default_rng(3).normal(size=200) * 2]
+        for floor in (-4.0, -1e-3, -800.0):
+            with np.errstate(all="raise"):
+                assert nn._floored_log(x, floor).tobytes() == oracle._floored_log(x, floor).tobytes()
 
     def test_kl_zero_for_identical(self):
         assert kl_div([0.3, 0.7], [0.3, 0.7]) == pytest.approx(0.0, abs=1e-12)
@@ -366,6 +407,30 @@ class TestBackward:
                     fd = central_diff(params, xk, loss, idx)
                     rel = abs(grad[idx] - fd) / max(abs(fd), abs(grad[idx]), 1e-6)
                     assert rel < 1e-4
+
+
+class TestBiasGradient:
+    """A bias gradient has the bits of np.add.reduce(delta, axis=-2)."""
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 7, 12, 32, 128])
+    def test_bias_gradients_match_a_row_reduction(self, width):
+        rng = np.random.default_rng(width)
+        for k, n in ((1, 1), (3, 7), (20, 32), (6, 500), (2, 1500)):
+            dims = ((5, width),)
+            values = rng.normal(size=(k + 2) * nn.param_count(dims))
+            layers = nn._layer_views(values.reshape(k + 2, -1)[:k], dims)
+            delta = rng.normal(size=(k + 2, n, width)) * 10.0 ** rng.integers(-5, 300, (1, n, 1))
+            delta[rng.random(delta.shape) < 0.1] = -0.0
+            delta[k, :, 0] = -0.0  # a column of -0.0 alone sums to -0.0
+            delta = delta[1:k + 1]  # a row slice of a larger stack
+            grad = np.full((k, nn.param_count(dims) + 3), np.nan)
+            grads = nn._layer_views(grad[:, 1:-2], dims)  # gb views a gradient buffer
+            assert not grads[0][1].flags.c_contiguous or k == 1
+            for x in (rng.normal(size=(n, 5)), rng.normal(size=(k, n, 5))):
+                nn._backprop(layers, [x], delta, grads)
+                expected = np.add.reduce(delta, axis=-2)
+                assert grads[0][1].tobytes() == np.ascontiguousarray(expected).tobytes()
+        assert not np.isnan(grad[:, 1:-2]).any() and np.isnan(grad[:, [0, -2, -1]]).all()
 
 
 class TestSgd:
@@ -561,6 +626,34 @@ class TestCohortKernels:
                 keep = np.arange(k) != own[row]
                 params = oracle.descend(params, x, oracle.MixtureKl(peers[keep], w[keep], 4.0), 0.1, 3)
                 assert new.values.tobytes() == params.values.tobytes()
+
+    def test_distill_from_a_kept_forward_keeps_the_bits(self):
+        rng = np.random.default_rng(11)
+        for steps in (0, 1, 2, 3):
+            cohort = self._cohort(rng)
+            x = rng.normal(size=(int(rng.integers(1, 30)), 3))
+            peers = nn.softmax_t(rng.normal(size=(3, len(x), 4)), 4.0)
+            spec = nn.mixture_spec(peers, rng.dirichlet(np.ones(3)), 4.0)
+            fresh, kept = cohort.copy(), cohort.copy()
+            logits, inputs = kept.forward(x, keep=True)
+            assert logits.tobytes() == kept.forward(x).tobytes() and len(inputs) == len(kept.dims)
+            nn.cohort_distill(fresh, x, spec, steps, 0.1)
+            nn.cohort_distill(kept, x, spec, steps, 0.1, (logits, inputs))
+            assert kept.values.tobytes() == fresh.values.tobytes()
+
+    def test_class_major_forward_is_the_transposed_forward(self):
+        rng = np.random.default_rng(12)
+        cohort = self._cohort(rng)
+        while len(cohort.dims) < 2 or min(cohort.counts) < 2:
+            cohort = self._cohort(rng)
+        lo, hi = 1, cohort.counts[0] + 1  # cuts the first and second blocks
+        part = cohort.take(lo, hi)
+        shared = rng.normal(size=(17, 3))
+        for batch in (shared, rng.normal(size=(len(part), 17, 3))):
+            planes = part.forward(batch, classes_first=True)
+            assert planes.flags.c_contiguous and planes.shape == (len(part), 4, 17)
+            assert planes.tobytes() == np.ascontiguousarray(
+                part.forward(batch).transpose(0, 2, 1)).tobytes()
 
     def test_forward_rows_follow_the_blocks(self):
         rng = np.random.default_rng(9)

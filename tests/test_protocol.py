@@ -673,9 +673,9 @@ class TestShardLossReuse:
         forward = nn.Cohort.forward
         calls = []
 
-        def counted(cohort, batch):
+        def counted(cohort, batch, **kwargs):
             calls.append(np.ndim(batch) == 3)  # a stack of shards, not a shared set
-            return forward(cohort, batch)
+            return forward(cohort, batch, **kwargs)
 
         monkeypatch.setattr(nn.Cohort, "forward", counted)
         controller.run()
@@ -683,6 +683,27 @@ class TestShardLossReuse:
         # refinement epoch; neither history seeding nor phase 1 adds any.
         rounds, epochs = 3, 2
         assert sum(calls) == (rounds + 1) + rounds * epochs
+
+    @pytest.mark.parametrize("strategy", ["hetero_distill", "rhfl_plus_eccr"])
+    @pytest.mark.parametrize("collab_epochs", [1, 2])
+    def test_one_public_forward_per_round_and_step(self, monkeypatch, strategy, collab_epochs):
+        cfg = small_cfg(strategy=strategy, rounds=3, collab_epochs=collab_epochs,
+                        data={"clients": 3})
+        world = harness.build_world(cfg)
+        forward = nn._forward
+        calls = []
+
+        def counted(layers, x, *args):
+            calls.append(x is world.public.features)
+            return forward(layers, x, *args)
+
+        monkeypatch.setattr(nn, "_forward", counted)
+        protocol.run_federation(
+            world.clients, world.features, world.labels, cfg.federation, world.test, world.public
+        )
+        # One block in one chunk: phase 1's forward serves the first
+        # distillation step, and each later step makes its own.
+        assert sum(calls) == 3 * collab_epochs
 
     def test_history_and_quality_come_from_the_evaluation(self):
         cfg = small_cfg(strategy="rhfl_plus_eccr", rounds=3, data={"clients": 3})
@@ -802,6 +823,28 @@ class TestFailureContext:
         # Distillation had stepped the cohort before private training failed.
         for client, (params, values) in zip(world.clients, before):
             assert client.params is params and params.values.tobytes() == values
+
+    @pytest.mark.parametrize("strategy", ["hetero_distill", "rhfl_plus_eccr"])
+    def test_non_finite_public_logits_name_the_client(self, monkeypatch, strategy):
+        cfg = load_config([BASE_CONFIG], ["rounds=2", f"strategy={strategy}"])
+        share = protocol.Controller._share
+
+        def diverged(controller, round_idx):
+            # Client 1's parameters blow up after the round-0 evaluation;
+            # the snapshot it took moves with them.
+            group = controller.group
+            row = [c.client_id for c in group.clients].index(1)
+            for cohort in (group.cohort, group.evaluated[1]):
+                cohort.take(row, row + 1).values[:] = 1e300
+            return share(controller, round_idx)
+
+        monkeypatch.setattr(protocol.Controller, "_share", diverged)
+        with warnings.catch_warnings(), pytest.raises(
+            NumericError, match=r"^round 1, client 1, phase distill: softmax input contains "
+                                r"non-finite values$"
+        ):
+            warnings.simplefilter("ignore")
+            harness.run_experiment(cfg)
 
     def test_error_type_is_kept(self):
         world = harness.build_world(small_cfg())

@@ -149,6 +149,32 @@ class TestMixedBatches:
             assert timing(run_dir)["batch_cells"] == len(cfgs)
 
 
+    def test_one_client_weighted_cell_recomputes_the_public_forward(
+        self, tmp_path, monkeypatch, federations
+    ):
+        """A weighted cell of one client gets no mixture, so its batch distills
+        a part gathered without it, which forwards the public set afresh."""
+        kept = []
+        train = protocol.collaborative_training
+
+        def spied(group, public, target, cfg, passes=None):
+            kept.append(passes is not None)
+            return train(group, public, target, cfg, passes)
+
+        monkeypatch.setattr(protocol, "collaborative_training", spied)
+        doc = base()
+        grid = {"strategy": ["hetero_distill", "rhfl_plus_eccr"], "data.clients": [1, 3],
+                "seed": [0]}
+        cfgs = cell_configs(doc, grid)
+        outcome = harness.run_sweep(doc, grid, tmp_path / "batched")
+        assert not outcome.failures and federations == [len(cfgs)]
+        assert kept == [False, False]  # one distillation per round, recomputed
+        for cfg, run_dir in zip(cfgs, outcome.run_dirs):
+            solo = harness.execute_run(cfg, tmp_path / "alone")
+            assert files(run_dir) == files(solo)
+        assert kept[2:] == [True] * 6  # alone, three cells distill from phase 1's forward
+
+
 class TestChunkBudget:
     """The chunk budget moves no byte: a mixed-architecture batch writes
     the same files with one client per chunk, at the default budget and
