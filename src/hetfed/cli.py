@@ -13,11 +13,10 @@ or override sets one.
 
 import argparse
 import ctypes
-import json
 import sys
 
 from . import harness
-from .config import load_config, parse_config
+from .config import load_config, parse_config, read_json
 from .errors import ConfigError, IngestError
 
 # glibc's mallopt parameter numbers, from <malloc.h>.
@@ -97,14 +96,7 @@ def _cmd_sweep(args) -> int:
     if not args.config:
         raise ConfigError("at least one --config file is required")
     resolved = parse_config(args.config, args.overrides)
-    try:
-        with open(args.grid) as fh:
-            grid = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError(f"grid file not found: {args.grid}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"grid file {args.grid} is not valid JSON: {exc}") from None
-    outcome = harness.run_sweep(resolved, grid, args.out)
+    outcome = harness.run_sweep(resolved, read_json(args.grid, "grid file"), args.out)
     for run_dir in outcome.run_dirs:
         print(run_dir)
     if outcome.failures:

@@ -8,9 +8,11 @@ The fully resolved document is echoed into each run directory and can be
 fed back in unchanged to reproduce the run.
 """
 
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 from . import nn
 from .data import NOISE_KINDS, PARTITION_SCHEMES
@@ -85,7 +87,9 @@ SCHEMA = {
 }
 
 
-def _walk_keys(doc: dict, schema: dict, source: str, path: str = ""):
+def _checked(doc: dict, schema: dict, source: str, path: str = "") -> dict:
+    """A copy of doc, its keys checked against the schema, its leaves as _check_leaf gives them."""
+    out = {}
     for key, value in doc.items():
         here = f"{path}.{key}" if path else key
         if key not in schema:
@@ -94,23 +98,25 @@ def _walk_keys(doc: dict, schema: dict, source: str, path: str = ""):
         if isinstance(node, dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"key {here!r} in {source} must be an object")
-            _walk_keys(value, node, source, here)
+            out[key] = _checked(value, node, source, here)
         else:
-            _check_leaf(value, node, here, source)
+            out[key] = _check_leaf(value, node, here, source)
+    return out
 
 
 def _check_leaf(value, field: _Field, path: str, source: str):
+    """value checked, as a float where a float is expected and as a list where a list is."""
     if value is None:
         if field.default is None:
-            return
+            return None
         raise ConfigError(f"key {path!r} in {source} may not be null")
     kind = field.kind
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
+    if kind is list and isinstance(value, tuple):
+        value = list(value)
     if kind is int and isinstance(value, bool):
         raise ConfigError(f"key {path!r} in {source} must be an integer")
-    if kind is list and isinstance(value, (list, tuple)):
-        return
     if not isinstance(value, kind):
         raise ConfigError(
             f"key {path!r} in {source} must be {getattr(kind, '__name__', kind)}"
@@ -119,6 +125,7 @@ def _check_leaf(value, field: _Field, path: str, source: str):
         raise ConfigError(
             f"key {path!r} in {source} must be one of {list(field.choices)}"
         )
+    return value
 
 
 def _deep_merge(base: dict, overlay: dict) -> dict:
@@ -138,12 +145,7 @@ def _fill_defaults(doc: dict, schema: dict, path: str = "") -> dict:
         if isinstance(node, dict):
             out[key] = _fill_defaults(doc.get(key, {}), node, here)
         elif key in doc:
-            value = doc[key]
-            if node.kind is float and isinstance(value, int) and not isinstance(value, bool):
-                value = float(value)
-            if node.kind is list and isinstance(value, tuple):
-                value = list(value)
-            out[key] = value
+            out[key] = doc[key]
         elif node.required:
             raise ConfigError(f"missing required key {here!r}")
         else:
@@ -185,10 +187,21 @@ def apply_overrides(doc: dict, items, source: str) -> dict:
     """
     for item in items:
         key, value = parse_set_override(item) if isinstance(item, str) else item
-        patch = _nest(key, value)
-        _walk_keys(patch, SCHEMA, source)
-        doc = _deep_merge(doc, patch)
+        doc = _deep_merge(doc, _checked(_nest(key, value), SCHEMA, source))
     return doc
+
+
+def read_json(path, what: str):
+    """The JSON document in the file at path; errors name it `what` (say, "grid file")."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"{what} not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{what} {path} cannot be read: {exc}") from None
 
 
 def parse_config(paths, overrides=()) -> dict:
@@ -199,17 +212,10 @@ def parse_config(paths, overrides=()) -> dict:
     """
     merged: dict = {}
     for path in paths:
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+        doc = read_json(path, "config file")
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} must hold a JSON object")
-        _walk_keys(doc, SCHEMA, str(path))
-        merged = _deep_merge(merged, doc)
+        merged = _deep_merge(merged, _checked(doc, SCHEMA, str(path)))
     merged = apply_overrides(merged, overrides, "<cli>")
     if "seed" not in merged and SEED_ENV_VAR in os.environ:
         try:
@@ -287,12 +293,26 @@ class ExperimentConfig:
         )
         return ExperimentConfig(resolved["seed"], federation, data, hidden, resolved)
 
+    @cached_property
+    def echoed(self) -> dict:
+        """resolved_config.json: a copy of resolved, flags made explicit. Shared; do not change."""
+        doc = json.loads(json.dumps(self.resolved))
+        doc["flags"] = asdict(self.federation.flags)
+        return doc
 
-def echo_config(cfg: ExperimentConfig) -> dict:
-    """The resolved document with the ablation flags made explicit."""
-    doc = json.loads(json.dumps(cfg.resolved))
-    doc["flags"] = asdict(cfg.federation.flags)
-    return doc
+    @cached_property
+    def digest(self) -> str:
+        """The first 12 hex digits of the SHA-256 of echoed as compact JSON, keys sorted."""
+        blob = json.dumps(self.echoed, sort_keys=True, separators=(",", ":")).encode()
+        return hashlib.sha256(blob).hexdigest()[:12]
+
+    @cached_property
+    def run_name(self) -> str:
+        """The run directory's name, spelled from the echoed document."""
+        doc = self.echoed
+        noise = doc["data"]["noise"]
+        rate = noise["rate"] if noise["random_range"] is None else "rand"
+        return f"{doc['strategy']}_{noise['kind']}{rate}_s{doc['seed']}_{self.digest}"
 
 
 def load_config(paths, overrides=()) -> ExperimentConfig:

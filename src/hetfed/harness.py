@@ -12,7 +12,6 @@ same resolved config. Wall-clock timings live in a separate
 """
 
 import csv
-import hashlib
 import itertools
 import json
 import os
@@ -27,7 +26,7 @@ import numpy as np
 
 from . import data as datahub
 from . import nn, protocol
-from .config import ExperimentConfig, apply_overrides, echo_config
+from .config import ExperimentConfig, apply_overrides
 from .errors import ConfigError
 
 # Stream tags keep every consumer of the experiment seed independent.
@@ -240,7 +239,7 @@ def _federate(cfgs: list[ExperimentConfig]) -> list[tuple]:
     )
     seconds = time.perf_counter() - started
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    names = [run_dir_name(echo_config(c)) for c in cfgs]
+    names = [c.run_name for c in cfgs]
     for result in results:
         result.total_seconds, result.minor_faults, result.batch_runs = seconds, faults, names
     return list(zip(results, worlds))
@@ -307,23 +306,9 @@ def _batch_key(cfg: ExperimentConfig) -> str | None:
     aggregate are a single run's."""
     if cfg.federation.strategy == "fedavg":
         return None
-    doc = echo_config(cfg)
-    del doc["strategy"], doc["flags"], doc["data"]["clients"], doc["data"]["noise"]
+    doc = {k: v for k, v in cfg.echoed.items() if k not in ("strategy", "flags")}
+    doc["data"] = {k: v for k, v in doc["data"].items() if k not in ("clients", "noise")}
     return json.dumps(doc, sort_keys=True)
-
-
-def config_hash(resolved: dict) -> str:
-    blob = json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
-
-
-def run_dir_name(resolved: dict) -> str:
-    noise = resolved["data"]["noise"]
-    rate = noise["rate"] if noise["random_range"] is None else "rand"
-    return (
-        f"{resolved['strategy']}_{noise['kind']}{rate}_s{resolved['seed']}"
-        f"_{config_hash(resolved)}"
-    )
 
 
 # A rounds.jsonl line as json.dumps writes its dict. str.format spells a float as repr,
@@ -346,12 +331,11 @@ def _round_lines(result: protocol.RunResult) -> str:
     return text
 
 
-def _finished(resolved: dict, out_dir) -> tuple[Path, bool]:
-    """The run directory of a resolved config and whether it holds the
-    finished run."""
-    run_dir = Path(out_dir) / run_dir_name(resolved)
+def _finished(cfg: ExperimentConfig, out_dir) -> tuple[Path, bool]:
+    """The run directory of a config and whether it holds the finished run."""
+    run_dir = Path(out_dir) / cfg.run_name
     done = run_dir / DONE_FILE
-    return run_dir, done.exists() and done.read_text().strip() == config_hash(resolved)
+    return run_dir, done.exists() and done.read_text().strip() == cfg.digest
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -367,24 +351,22 @@ def execute_run(cfg: ExperimentConfig, out_dir, compute=None) -> Path:
     compute(cfg) gives the cell's result and the run_meta.json fields that
     describe its world: computed alone unless given, or by a sweep's batch.
     """
-    resolved = echo_config(cfg)
-    run_dir, finished = _finished(resolved, out_dir)
+    run_dir, finished = _finished(cfg, out_dir)
     if finished:
         return run_dir
-    digest = config_hash(resolved)
     partial = run_dir.with_name(f".{run_dir.name}.partial")
     shutil.rmtree(partial, ignore_errors=True)
     result, world_meta = (compute or _alone)(cfg)
     partial.mkdir(parents=True)
     try:
         (partial / ROUNDS_FILE).write_text(_round_lines(result))
-        _write_json(partial / CONFIG_FILE, resolved)
+        _write_json(partial / CONFIG_FILE, cfg.echoed)
         meta = {
-            "config_hash": digest,
+            "config_hash": cfg.digest,
             "rounds": cfg.federation.rounds,
             "strategy": cfg.federation.strategy,
-            "flags": resolved["flags"],
-            "noise_kind": resolved["data"]["noise"]["kind"],
+            "flags": cfg.echoed["flags"],
+            "noise_kind": cfg.data["noise"]["kind"],
             "messages": result.messages,
             **world_meta,
         }
@@ -398,7 +380,7 @@ def execute_run(cfg: ExperimentConfig, out_dir, compute=None) -> Path:
             "batch_cells": len(result.batch_runs),
             "batch_runs": result.batch_runs,
         })
-        (partial / DONE_FILE).write_text(digest + "\n")
+        (partial / DONE_FILE).write_text(cfg.digest + "\n")
         shutil.rmtree(run_dir, ignore_errors=True)
         os.replace(partial, run_dir)
     except BaseException:
@@ -416,7 +398,13 @@ def expand_grid(grid: dict) -> list[dict]:
         values = grid[key]
         if not isinstance(values, list) or not values:
             raise ConfigError(f"grid axis {key!r} must be a non-empty list")
-        axes.append((GRID_ALIASES.get(key, key), values))
+        dotted = GRID_ALIASES.get(key, key)
+        # Two axes that set one key would keep only the later axis's values.
+        for other, (seen, _) in zip(sorted(grid), axes):
+            if f"{dotted}.".startswith(f"{seen}.") or f"{seen}.".startswith(f"{dotted}."):
+                raise ConfigError(
+                    f"grid axes {other!r} and {key!r} both set {max(seen, dotted, key=len)!r}")
+        axes.append((dotted, values))
     cells = [{}]
     for key, values in axes:
         cells = [{**cell, key: value} for cell in cells for value in values]
@@ -438,7 +426,7 @@ def _computes(cfgs: list, out_dir) -> list:
         key = None if cfg is None else _batch_key(cfg)
         if key is None:
             continue
-        run_dir, finished = _finished(echo_config(cfg), out_dir)
+        run_dir, finished = _finished(cfg, out_dir)
         if not finished:
             groups.setdefault(key, {}).setdefault(run_dir.name, cfg)
     batches = {}
@@ -467,7 +455,7 @@ def run_sweep(base_resolved: dict, grid: dict, out_dir) -> SweepOutcome:
     cfgs = []
     for cell in cells:
         try:
-            doc = apply_overrides(json.loads(json.dumps(base_resolved)), cell.items(), "<grid>")
+            doc = apply_overrides(base_resolved, cell.items(), "<grid>")
             cfgs.append(ExperimentConfig.from_dict(doc))
         except Exception as exc:  # cell failures must not kill the sweep
             cfgs.append(None)

@@ -98,6 +98,16 @@ class TestRunCommand:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
         assert "strategy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"])
+    def test_unreadable_config_file_is_a_config_error(self, tmp_path, capsys, content):
+        """A directory, or a file that is not UTF-8 text, is named and exits 2."""
+        bad = tmp_path / "bad.json"
+        bad.mkdir() if content is None else bad.write_bytes(content)
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config file {bad} cannot be read: ")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("override", [
         "seed=null",
         "archs.hidden_layers=[[0]]",
@@ -188,7 +198,7 @@ class TestRunCommand:
         cfg = ExperimentConfig.from_dict(parse_config([], small_doc(strategy="local_only").items()))
         out = tmp_path / "runs"
         # A killed run's leftovers: hidden, so never discovered, and cleared on rerun.
-        stale = out / f".{harness.run_dir_name(harness.echo_config(cfg))}.partial"
+        stale = out / f".{cfg.run_name}.partial"
         stale.mkdir(parents=True)
         (stale / harness.ROUNDS_FILE).write_text("{}\n")
         assert harness.discover_runs([out]) == []
@@ -291,6 +301,54 @@ class TestSweepCommand:
         report = json.loads((tmp_path / "s" / "sweep_report.json").read_text())
         assert len(report["failed"]) == 1
         assert len([p for p in (tmp_path / "s").iterdir() if p.is_dir()]) == 1
+
+    @pytest.mark.parametrize("option", ["--config", "--grid"])
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{}"])
+    def test_unreadable_file_is_a_config_error(self, tmp_path, capsys, option, content):
+        """A directory, or a file that is not UTF-8 text, is named and exits 2."""
+        files = {"--config": write_cfg(tmp_path, rounds=1), "--grid": self.grid(tmp_path)}
+        bad = tmp_path / "bad.json"
+        bad.mkdir() if content is None else bad.write_bytes(content)
+        files[option] = str(bad)
+        out = tmp_path / "s"
+        argv = ["sweep", "--config", files["--config"], "--grid", files["--grid"], "--out", str(out)]
+        assert main(argv) == 2
+        what = {"--config": "config file", "--grid": "grid file"}[option]
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: {what} {bad} cannot be read: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("axes, named", [
+        ({"mu": [0.1, 0.2], "data.noise.rate": [0.3]}, "'data.noise.rate' and 'mu'"),
+        ({"flags": [{"sl": True}], "flags.sl": [False]}, "'flags' and 'flags.sl'"),
+    ])
+    def test_overlapping_axes_are_a_config_error(self, tmp_path, capsys, axes, named):
+        """Two axes that set one key would run only one axis's values."""
+        cfg = write_cfg(tmp_path, rounds=1)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps(axes))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", cfg, "--grid", str(grid), "--out", str(out)]) == 2
+        assert f"grid axes {named} both set" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_int_in_a_float_key_names_one_run(self, tmp_path):
+        """A grid's 0 and a --set override's 0 for the noise rate are one
+        experiment, so they share one run directory."""
+        cfg = write_cfg(tmp_path, rounds=1)
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"mu": [0]}))
+        out = tmp_path / "s"
+        assert main(["sweep", "--config", cfg, "--grid", str(grid), "--out", str(out)]) == 0
+        [run_dir] = [p for p in out.iterdir() if p.is_dir()]
+        assert "_pairflip0.0_" in run_dir.name
+        echoed = json.loads((run_dir / harness.CONFIG_FILE).read_text())
+        assert repr(echoed["data"]["noise"]["rate"]) == "0.0"
+        stamp = (run_dir / harness.ROUNDS_FILE).stat().st_mtime_ns
+        argv = ["run", "--config", cfg, "--set", "data.noise.rate=0", "--out", str(out)]
+        assert main(argv) == 0
+        assert [p for p in out.iterdir() if p.is_dir()] == [run_dir]
+        assert (run_dir / harness.ROUNDS_FILE).stat().st_mtime_ns == stamp  # skipped
 
     def test_grid_flags_axis(self, tmp_path):
         cfg = write_cfg(tmp_path, rounds=1, strategy="rhfl_plus_eccr")
@@ -540,6 +598,19 @@ class TestGridExpansion:
     def test_empty_axis_rejected(self):
         with pytest.raises(ConfigError):
             harness.expand_grid({"seed": []})
+
+    @pytest.mark.parametrize("axes", [
+        {"mu": [0.1], "data.noise.rate": [0.3]},
+        {"noise_type": ["symmetric"], "data.noise": [{"rate": 0.1}]},
+        {"flags": [{"sl": True}], "flags.sl": [False]},
+    ])
+    def test_axes_that_set_one_key_are_rejected(self, axes):
+        with pytest.raises(ConfigError, match="grid axes .* both set"):
+            harness.expand_grid(axes)
+
+    def test_axes_sharing_only_a_name_prefix_are_kept(self):
+        cells = harness.expand_grid({"data.noise.rate": [0.1], "data.noise.random_range": [None]})
+        assert cells == [{"data.noise.rate": 0.1, "data.noise.random_range": None}]
 
 
 class TestRandomNoiseAssignment:

@@ -5,7 +5,7 @@ import pytest
 from hetfed.config import (
     ExperimentConfig,
     SEED_ENV_VAR,
-    echo_config,
+    apply_overrides,
     load_config,
     parse_config,
     parse_set_override,
@@ -74,6 +74,25 @@ class TestLayering:
         assert parse_config([with_seed])["seed"] == 3
 
 
+class TestOverrides:
+    def test_int_in_a_float_key_becomes_a_float(self):
+        """However a document is resolved, a float key holds a float, so one
+        experiment echoes, hashes and names its run one way."""
+        base = parse_config([], {"seed": 0, "strategy": "local_only"}.items())
+        for doc in (apply_overrides(base, [("data.noise.rate", 0)], "<grid>"),
+                    apply_overrides(base, [("data", {"noise": {"rate": 0}})], "<grid>"),
+                    parse_config([], [*base.items(), ("data.noise.rate", 0)])):
+            assert repr(doc["data"]["noise"]["rate"]) == "0.0"
+        assert repr(base["data"]["noise"]["rate"]) == "0.0"
+        assert apply_overrides(base, [("rounds", 3)], "<grid>")["rounds"] == 3
+
+    def test_input_document_is_not_changed(self):
+        base = parse_config([], {"seed": 0, "strategy": "local_only"}.items())
+        before = json.dumps(base, sort_keys=True)
+        apply_overrides(base, [("data.noise.rate", 0), ("data", {"clients": 3})], "<grid>")
+        assert json.dumps(base, sort_keys=True) == before
+
+
 class TestOverrideParsing:
     def test_json_values(self):
         assert parse_set_override("rounds=5") == ("rounds", 5)
@@ -110,16 +129,16 @@ class TestExperimentConfig:
         cfg = ExperimentConfig.from_dict(
             parse_config([], {"seed": 0, "strategy": "rhfl"}.items())
         )
-        doc = echo_config(cfg)
+        doc = cfg.echoed
         assert doc["flags"] == {"hfl": True, "sl": True, "dlr": False, "reweight": "ccr"}
 
     def test_echo_round_trips(self, tmp_path):
         base = write(tmp_path, "base.json",
                      {"seed": 5, "strategy": "rhfl_plus_eccr", "rounds": 3})
         cfg = load_config([base])
-        echoed = write(tmp_path, "echo.json", echo_config(cfg))
+        echoed = write(tmp_path, "echo.json", cfg.echoed)
         cfg2 = load_config([echoed])
-        assert echo_config(cfg2) == echo_config(cfg)
+        assert cfg2.echoed == cfg.echoed
 
     def test_invalid_noise_range(self):
         with pytest.raises(ConfigError, match="range"):
@@ -138,3 +157,12 @@ class TestExperimentConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(["/no/such/file.json"])
+
+    def test_identity_is_worked_out_once(self):
+        cfg = ExperimentConfig.from_dict(
+            parse_config([], {"seed": 3, "strategy": "rhfl", "data.noise.kind": "symmetric",
+                              "data.noise.rate": 0.2}.items())
+        )
+        assert cfg.echoed is cfg.echoed and cfg.digest is cfg.digest
+        assert cfg.run_name == f"rhfl_symmetric0.2_s3_{cfg.digest}"
+        assert len(cfg.digest) == 12 and int(cfg.digest, 16) >= 0

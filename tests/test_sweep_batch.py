@@ -27,7 +27,7 @@ def base(*overrides):
 
 def cell_configs(doc, grid):
     return [
-        ExperimentConfig.from_dict(apply_overrides(json.loads(json.dumps(doc)), cell.items(), "<grid>"))
+        ExperimentConfig.from_dict(apply_overrides(doc, cell.items(), "<grid>"))
         for cell in harness.expand_grid(grid)
     ]
 
@@ -389,3 +389,30 @@ class TestFailuresAndReruns:
         federations.clear()
         self.sweep(out)
         assert federations == []
+
+
+class TestCellIdentity:
+    GRID = {"strategy": ["local_only", "rhfl"], "mu": [0, 0.1], "seed": [0]}
+
+    def test_run_name_and_digest_name_the_cell_everywhere(self, tmp_path):
+        doc = base("rounds=1")
+        outcome = harness.run_sweep(doc, self.GRID, tmp_path)
+        cfgs = cell_configs(doc, self.GRID)
+        assert [d.name for d in outcome.run_dirs] == [cfg.run_name for cfg in cfgs]
+        for cfg, run_dir in zip(cfgs, outcome.run_dirs):
+            assert (run_dir / harness.DONE_FILE).read_text() == cfg.digest + "\n"
+            meta = json.loads((run_dir / harness.META_FILE).read_text())
+            assert meta["config_hash"] == cfg.digest
+            assert json.loads((run_dir / harness.CONFIG_FILE).read_text()) == cfg.echoed
+
+    def test_sweep_leaves_its_base_document_unchanged(self, tmp_path):
+        doc = base("rounds=1")
+        before = json.dumps(doc, sort_keys=True)
+        harness.run_sweep(doc, self.GRID, tmp_path)
+        assert json.dumps(doc, sort_keys=True) == before
+
+    def test_batch_key_leaves_the_echoed_document_unchanged(self):
+        for cfg in cell_configs(base(), self.GRID):
+            before = json.dumps(cfg.echoed, sort_keys=True)
+            assert harness._batch_key(cfg) is not None
+            assert json.dumps(cfg.echoed, sort_keys=True) == before
