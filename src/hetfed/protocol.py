@@ -17,9 +17,10 @@ loss gradient run once over the logits of every block. Private SGD steps
 the whole group in lockstep, each client on its own batch rows; forward
 passes over whole shards or the public set, and distillation, run the
 group in chunks of consecutive rows, each a view of the group's cohort.
-Public-set work runs over the clients of hfl cells only, on a copy of
-their models that is written back. Every client gets the bits it would
-get alone. FedAvg folds its participants' rows in ascending client id,
+Public-set work runs over the clients that distill only, those of
+hetero_distill cells and of weighted hfl cells of two or more clients, on
+a copy of their models that is written back; their targets travel as one
+per-client stack. Every client gets the bits it would get alone. FedAvg folds its participants' rows in ascending client id,
 which pins the floating-point reduction order and makes whole runs
 bit-reproducible for a fixed seed.
 
@@ -367,8 +368,8 @@ def collaborative_training(
     """Full-batch descent of every client of the group on its weighted KL
     alignment loss against a fixed peer mixture.
 
-    target is one mixture (N, C) for every client, or a stack (K', N, C)
-    whose row p is for the client at position p of the controller's order
+    target is a stack, mixture (K', N, C) and mass (K', 1, 1), whose row p
+    is for the client at position p of the controller's order
     (group.shard); each client's mixture is formed once for all
     collaborative epochs. passes, if given, are the group's kept public
     forwards at these parameters, one per chunk, popped in chunk order.
@@ -376,11 +377,7 @@ def collaborative_training(
     hp = cfg.hyperparams
 
     def distill(part: ClientGroup) -> None:
-        spec = target
-        if target.mixture.ndim == 3:
-            spec = nn.MixtureKlSpec(
-                target.mixture[part.shard], target.mass[part.shard], target.tau
-            )
+        spec = nn.MixtureKlSpec(target.mixture[part.shard], target.mass[part.shard], target.tau)
         done = passes.pop(0) if passes else None
         nn.cohort_distill(part.cohort, public.features, spec, cfg.collab_epochs, hp.lr, done)
 
@@ -448,7 +445,7 @@ class Controller:
     differ only in strategy and flags; `strategies` and `flags` hold them
     per cell. A round's confidence step, peer mixtures, consensus, records
     and message counts are each cell's own. Public logits and distillation
-    run over the clients of hfl cells only, and private SGD over every
+    run over the clients that distill only, and private SGD over every
     client, each with its cell's loss and targets. fedavg runs one cell.
     """
 
@@ -572,20 +569,6 @@ class Controller:
         passes = self._in_phase("phase1", round_idx, lambda g: _by_chunk(g, len(x), forward), part)
         return logits, passes
 
-    def _stacked(self, specs: dict) -> nn.MixtureKlSpec:
-        """Distillation targets per cell as one target: a lone cell's as
-        it is, else each cell's mixture and mass written into its clients'
-        rows of a stack in the controller's order."""
-        if len(self.cells) == 1:
-            return specs[0]
-        first = next(iter(specs.values()))
-        mixture = np.empty((len(self.clients), *first.mixture.shape[-2:]))
-        mass = np.empty((len(self.clients), 1, 1))
-        for c, spec in specs.items():
-            mixture[self.cells[c]] = spec.mixture
-            mass[self.cells[c]] = spec.mass
-        return nn.MixtureKlSpec(mixture, mass, first.tau)
-
     # -- evaluation -------------------------------------------------------
 
     def _eval_round(self, round_idx: int, steps: list | None = None) -> list[RoundRecord]:
@@ -656,8 +639,10 @@ class Controller:
         A hetero_distill cell distills towards the consensus of its
         clients' logits, their own included, with mass 1. Any other hfl
         cell takes a confidence step, and each of its clients distills
-        towards its cell's other clients, weighted. Returns each cell's
-        confidence step, or None.
+        towards its cell's other clients, weighted; a weighted cell of one
+        client has none, so it neither forwards the public set nor distills.
+        Phase 1's public forward serves the first distillation step. Returns
+        each cell's confidence step, or None.
         """
         hp = self.cfg.hyperparams
         steps = [None] * len(self.cells)
@@ -684,46 +669,46 @@ class Controller:
                     steps[c] = reweight.confidence_step(self.flags[c].reweight, *args, hp.eta_conf)
 
             self._in_phase("phase1", round_idx, phase1)
-        rows, part = self._part(hfl)
-        logits, passes = self._public_logits(part, round_idx)
         # Each client uploads its logits, and in a weighted cell its report
         # too; the server sends back the consensus or the weights.
         per_client = [3 if c in weighted else 2 for c in hfl]
         self.messages[hfl] += np.array(per_client) * self._cell_sizes[hfl]
+        # A weighted cell of one client has no peer to distill towards.
+        distilling = [c for c in hfl if c not in weighted or self._cell_sizes[c] > 1]
+        if not distilling:
+            return steps
+        rows, part = self._part(distilling)
+        logits, passes = self._public_logits(part, round_idx)
 
-        def mixtures(group: ClientGroup) -> dict:
+        def mixtures(group: ClientGroup) -> nn.MixtureKlSpec:
             tau = hp.temperature
-            specs = {}
+            mixture, mass = np.empty(logits.shape), np.empty((len(logits), 1, 1))
             try:
-                for c in hfl:
-                    size = self._cell_sizes[c]
-                    if c not in weighted:
-                        consensus = logits[self.cells[c]].mean(axis=0)[np.newaxis]
-                        specs[c] = nn.mixture_spec(nn.softmax_t(consensus, tau), np.ones(1), tau)
-                    elif size > 1:
+                for c in distilling:
+                    cell = self.cells[c]
+                    if c in weighted:
                         # Each peer is softmaxed once; every client mixes all
                         # of its cell's peers but itself.
-                        peers = nn.softmax_t(logits[self.cells[c]], tau)
-                        specs[c] = nn.mixture_spec(peers, steps[c][3], tau, np.arange(size))
+                        peers = nn.softmax_t(logits[cell], tau)
+                        spec = nn.mixture_spec(peers, steps[c][3], tau, np.arange(len(peers)))
+                        mixture[cell], mass[cell] = spec.mixture, spec.mass
+                    else:
+                        # The consensus as one peer of weight 1, with mixture_spec's bits.
+                        mixture[cell] = nn.softmax_t(logits[cell].mean(axis=0), tau)
+                        mass[cell] = 1.0
             except NumericError as exc:  # name the clients whose logits are non-finite
                 exc.rows = [r for r in rows if not np.isfinite(logits[group.shard[r]]).all()]
                 raise
-            return specs
+            return nn.MixtureKlSpec(mixture, mass, tau)
 
-        specs = self._in_phase("distill", round_idx, mixtures)
+        target = self._in_phase("distill", round_idx, mixtures)
         del logits
-        if specs:
-            if len(specs) < len(hfl):
-                rows, part = self._part(list(specs))
-                passes = None  # phase 1's passes are of another part
-            target = self._stacked(specs)
-            del specs
-            self._in_phase(
-                "distill", round_idx,
-                lambda g: collaborative_training(g, self.public, target, self.cfg, passes), part,
-            )
-            if part is not self.group:
-                self.group.cohort.put(rows, part.cohort)
+        self._in_phase(
+            "distill", round_idx,
+            lambda g: collaborative_training(g, self.public, target, self.cfg, passes), part,
+        )
+        if part is not self.group:
+            self.group.cohort.put(rows, part.cohort)
         return steps
 
     # -- top level ---------------------------------------------------------

@@ -299,6 +299,26 @@ class TestLatticeRounds:
         first = float(np.linalg.norm(cur[0] - prev[0])) / float(np.linalg.norm(prev[0]))
         assert ratios[0].tolist() == [first, 0.0, 0.0]
 
+    def test_one_client_weighted_run_forwards_no_public_set(self, monkeypatch):
+        """A weighted cell of one client has no peer to distill towards: its
+        rounds take the confidence step but never forward the public set."""
+        cfg = small_cfg(strategy="rhfl_plus_eccr", data={"clients": 1})
+        world = harness.build_world(cfg)
+        inputs = []
+        forward = nn._forward
+
+        def spied(layers, x, out=None):
+            inputs.append(x)
+            return forward(layers, x, out)
+
+        monkeypatch.setattr(nn, "_forward", spied)
+        [result] = protocol.run_federation(
+            world.clients, world.features, world.labels, cfg.federation, world.test, world.public
+        )
+        assert any(x is world.test.features for x in inputs)  # the spy sees evaluation
+        assert not any(np.shares_memory(x, world.public.features) for x in inputs)
+        assert all(s.weight is not None for record in result.records[1:] for s in record.clients)
+
     def test_dlr_epoch_numbering_matches_schedule(self):
         """Replicate the refinement trajectory by hand, epoch indices 1..T*E."""
         cfg = small_cfg(strategy="rhfl_plus_eccr",
@@ -443,7 +463,9 @@ class TestPeerPath:
             group = protocol.ClientGroup.stack(
                 [client], world.features[[k]], world.labels[[k]], 3
             )
-            target = nn.mixture_spec(peer, np.ones(1), tau)
+            spec = nn.mixture_spec(peer, np.ones(1), tau)
+            # The group's one client reads row 0 of a one-row target stack.
+            target = nn.MixtureKlSpec(spec.mixture[np.newaxis], np.full((1, 1, 1), spec.mass), tau)
             protocol.collaborative_training(group, world.public, target, cfg.federation)
             assert group.cohort.values.tobytes() == expected.values.tobytes()
 

@@ -149,11 +149,12 @@ class TestMixedBatches:
             assert timing(run_dir)["batch_cells"] == len(cfgs)
 
 
-    def test_one_client_weighted_cell_recomputes_the_public_forward(
+    def test_one_client_weighted_cell_reuses_the_public_forward(
         self, tmp_path, monkeypatch, federations
     ):
-        """A weighted cell of one client gets no mixture, so its batch distills
-        a part gathered without it, which forwards the public set afresh."""
+        """A weighted cell of one client gets no mixture, so its batch forwards
+        the public set for the clients that distill only, and the first
+        distillation step reuses that forward."""
         kept = []
         train = protocol.collaborative_training
 
@@ -168,7 +169,7 @@ class TestMixedBatches:
         cfgs = cell_configs(doc, grid)
         outcome = harness.run_sweep(doc, grid, tmp_path / "batched")
         assert not outcome.failures and federations == [len(cfgs)]
-        assert kept == [False, False]  # one distillation per round, recomputed
+        assert kept == [True, True]  # one distillation per round, from phase 1's forward
         for cfg, run_dir in zip(cfgs, outcome.run_dirs):
             solo = harness.execute_run(cfg, tmp_path / "alone")
             assert files(run_dir) == files(solo)
