@@ -1,7 +1,8 @@
 """Experiment harness: config -> world -> run -> files.
 
 Each run writes into a content-addressed directory (a hash of the resolved
-config names it), so repeating a finished cell is a no-op. Files are
+config names it), so repeating a finished cell is a no-op unless the code
+or a data file it read has changed since (see _done_text). Files are
 written into a hidden sibling first, which is renamed into place once
 finished, so a crashed or killed run never leaves a directory that looks
 done; discover_runs skips hidden directories. Per-round
@@ -12,11 +13,14 @@ same resolved config. Wall-clock timings live in a separate
 """
 
 import csv
+import functools
+import hashlib
 import itertools
 import json
 import os
 import resource
 import shutil
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -331,11 +335,51 @@ def _round_lines(result: protocol.RunResult) -> str:
     return text
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 over hetfed's module sources, each one's name and bytes, in name order."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+@functools.cache
+def _file_digest(path: str, mtime_ns: int, size: int) -> str:
+    """SHA-256 of a file's bytes, hashed once per process for each path,
+    modification time and size, so a file edited in place is hashed anew."""
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _done_text(cfg: ExperimentConfig) -> str:
+    """DONE's text: the config's digest, then a SHA-256 over the source
+    digest and the digest of every data file the cell reads."""
+    d = cfg.data
+    h = hashlib.sha256(_source_digest().encode())
+    for key in {"csv": ["csv_path"], "idx": ["idx_images", "idx_labels"]}.get(d["source"], []):
+        stat = os.stat(d[key])
+        h.update(_file_digest(os.path.realpath(d[key]), stat.st_mtime_ns, stat.st_size).encode())
+    return f"{cfg.digest}\n{h.hexdigest()}\n"
+
+
 def _finished(cfg: ExperimentConfig, out_dir) -> tuple[Path, bool]:
-    """The run directory of a config and whether it holds the finished run."""
+    """The run directory of a config and whether it holds the finished run.
+
+    A DONE that names another config, code or data file is stale: it is
+    removed, so the directory no longer looks finished, and the run
+    directory is named on stderr."""
     run_dir = Path(out_dir) / cfg.run_name
     done = run_dir / DONE_FILE
-    return run_dir, done.exists() and done.read_text().strip() == cfg.digest
+    if not done.exists():
+        return run_dir, False
+    try:
+        if done.read_text() == _done_text(cfg):
+            return run_dir, True
+    except OSError:  # a data file the cell read is gone or unreadable
+        pass
+    done.unlink()
+    print(f"stale: {run_dir}", file=sys.stderr)
+    return run_dir, False
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -380,7 +424,7 @@ def execute_run(cfg: ExperimentConfig, out_dir, compute=None) -> Path:
             "batch_cells": len(result.batch_runs),
             "batch_runs": result.batch_runs,
         })
-        (partial / DONE_FILE).write_text(cfg.digest + "\n")
+        (partial / DONE_FILE).write_text(_done_text(cfg))
         shutil.rmtree(run_dir, ignore_errors=True)
         os.replace(partial, run_dir)
     except BaseException:
@@ -418,23 +462,23 @@ class SweepOutcome:
 
 
 def _computes(cfgs: list, out_dir) -> list:
-    """Per config, what execute_run computes it with: a batch shared by the
-    unfinished configs that share a _batch_key with others, else
-    None (alone). A None config is a cell that failed to resolve."""
+    """Per config, whether its cell is finished, and what execute_run
+    computes an unfinished one with: a batch shared by the unfinished
+    configs that share a _batch_key with others, else None (alone). A None
+    config is a cell that failed to resolve. Each cell's DONE is read once,
+    here."""
+    finished = [cfg is not None and _finished(cfg, out_dir)[1] for cfg in cfgs]
     groups: dict[str, dict[str, ExperimentConfig]] = {}
-    for cfg in cfgs:
-        key = None if cfg is None else _batch_key(cfg)
-        if key is None:
-            continue
-        run_dir, finished = _finished(cfg, out_dir)
-        if not finished:
-            groups.setdefault(key, {}).setdefault(run_dir.name, cfg)
+    for cfg, done in zip(cfgs, finished):
+        key = None if cfg is None or done else _batch_key(cfg)
+        if key is not None:
+            groups.setdefault(key, {}).setdefault(cfg.run_name, cfg)
     batches = {}
     for members in groups.values():
         if len(members) > 1:
             batch = _Batch(list(members.values()))
             batches.update((id(cfg), batch) for cfg in batch.cfgs)
-    return [batches.get(id(cfg)) for cfg in cfgs]
+    return [(done, batches.get(id(cfg))) for cfg, done in zip(cfgs, finished)]
 
 
 def run_sweep(base_resolved: dict, grid: dict, out_dir) -> SweepOutcome:
@@ -460,8 +504,11 @@ def run_sweep(base_resolved: dict, grid: dict, out_dir) -> SweepOutcome:
         except Exception as exc:  # cell failures must not kill the sweep
             cfgs.append(None)
             fail(cell, exc)
-    for cell, cfg, compute in zip(cells, cfgs, _computes(cfgs, out_dir)):
+    for cell, cfg, (finished, compute) in zip(cells, cfgs, _computes(cfgs, out_dir)):
         if cfg is None:
+            continue
+        if finished:
+            outcome.run_dirs.append(out_dir / cfg.run_name)
             continue
         try:
             outcome.run_dirs.append(execute_run(cfg, out_dir, compute))

@@ -5,6 +5,7 @@ Each such cell must write the bytes it writes when run alone, fail as it
 fails alone, and a rerun must recompute only what is missing.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -391,6 +392,22 @@ class TestFailuresAndReruns:
         self.sweep(out)
         assert federations == []
 
+    def test_resumed_sweep_reads_each_done_once(self, tmp_path, monkeypatch):
+        grid = {"strategy": ["local_only", "rhfl_plus_eccr"], "mu": [0.1, 0.2]}
+        out = tmp_path / "sweep"
+        first = harness.run_sweep(base(), grid, out)
+        calls = []
+        finished = harness._finished
+
+        def counted(cfg, out_dir):
+            calls.append(cfg.run_name)
+            return finished(cfg, out_dir)
+
+        monkeypatch.setattr(harness, "_finished", counted)
+        again = harness.run_sweep(base(), grid, out)
+        assert again.run_dirs == first.run_dirs and len(first.run_dirs) == 4
+        assert sorted(calls) == sorted(d.name for d in first.run_dirs)  # 4 reads, not 8
+
 
 class TestCellIdentity:
     GRID = {"strategy": ["local_only", "rhfl"], "mu": [0, 0.1], "seed": [0]}
@@ -400,8 +417,12 @@ class TestCellIdentity:
         outcome = harness.run_sweep(doc, self.GRID, tmp_path)
         cfgs = cell_configs(doc, self.GRID)
         assert [d.name for d in outcome.run_dirs] == [cfg.run_name for cfg in cfgs]
+        sources = hashlib.sha256()
+        for path in sorted(Path(harness.__file__).parent.glob("*.py")):
+            sources.update(path.name.encode() + b"\0" + path.read_bytes())
+        code = hashlib.sha256(sources.hexdigest().encode()).hexdigest()  # blobs read no file
         for cfg, run_dir in zip(cfgs, outcome.run_dirs):
-            assert (run_dir / harness.DONE_FILE).read_text() == cfg.digest + "\n"
+            assert (run_dir / harness.DONE_FILE).read_text() == f"{cfg.digest}\n{code}\n"
             meta = json.loads((run_dir / harness.META_FILE).read_text())
             assert meta["config_hash"] == cfg.digest
             assert json.loads((run_dir / harness.CONFIG_FILE).read_text()) == cfg.echoed
@@ -417,3 +438,46 @@ class TestCellIdentity:
             before = json.dumps(cfg.echoed, sort_keys=True)
             assert harness._batch_key(cfg) is not None
             assert json.dumps(cfg.echoed, sort_keys=True) == before
+
+    def test_done_of_other_code_is_recomputed_and_named_stale(self, tmp_path, capsys,
+                                                              federations):
+        doc = base("rounds=1")
+        first = harness.run_sweep(doc, self.GRID, tmp_path)
+        stale = first.run_dirs[1]
+        digest = (stale / harness.DONE_FILE).read_text().splitlines()[0]
+        (stale / harness.DONE_FILE).write_text(f"{digest}\n{'0' * 64}\n")
+        written = [files(d) for d in first.run_dirs]
+        stamps = [(d / harness.ROUNDS_FILE).stat().st_mtime_ns for d in first.run_dirs]
+        capsys.readouterr()
+        federations.clear()
+        again = harness.run_sweep(doc, self.GRID, tmp_path)
+        assert capsys.readouterr().err == f"stale: {stale}\n"
+        assert federations == [1]
+        assert again.run_dirs == first.run_dirs
+        assert [files(d) for d in again.run_dirs] == written
+        for run_dir, stamp in zip(again.run_dirs, stamps):
+            recomputed = (run_dir / harness.ROUNDS_FILE).stat().st_mtime_ns != stamp
+            assert recomputed == (run_dir == stale)
+        code = (first.run_dirs[0] / harness.DONE_FILE).read_text().splitlines()[1]
+        assert (stale / harness.DONE_FILE).read_text() == f"{digest}\n{code}\n"
+
+    def test_edited_csv_recomputes_its_cells(self, tmp_path, capsys, federations):
+        rng = np.random.default_rng(3)
+        rows = [f"{rng.integers(0, 2)},{a:.5f},{b:.5f}" for a, b in rng.normal(size=(300, 2))]
+        csv_path = tmp_path / "toy.csv"
+        csv_path.write_text("label,f0,f1\n" + "\n".join(rows) + "\n")
+        doc = base("rounds=1", "data.source=csv", f"data.csv_path={json.dumps(str(csv_path))}",
+                   "data.classes=2", "data.n_public=20", "data.test_size=60",
+                   "data.shard_size=40")
+        grid = {"strategy": ["local_only", "rhfl"]}
+        first = harness.run_sweep(doc, grid, tmp_path / "sweep")
+        assert not first.failures and federations == [2]
+        capsys.readouterr()
+        harness.run_sweep(doc, grid, tmp_path / "sweep")
+        assert federations == [2] and capsys.readouterr().err == ""  # finished, skipped
+        csv_path.write_text("label,f0,f1\n" + "\n".join(rows[::-1]) + "\n")
+        again = harness.run_sweep(doc, grid, tmp_path / "sweep")
+        assert federations == [2, 2]
+        assert capsys.readouterr().err == "".join(f"stale: {d}\n" for d in first.run_dirs)
+        assert again.run_dirs == first.run_dirs
+        assert all(harness._finished(cfg, tmp_path / "sweep")[1] for cfg in cell_configs(doc, grid))
