@@ -20,9 +20,10 @@ group in chunks of consecutive rows, each a view of the group's cohort.
 Public-set work runs over the clients that distill only, those of
 hetero_distill cells and of weighted hfl cells of two or more clients, on
 a copy of their models that is written back; their targets travel as one
-per-client stack. Every client gets the bits it would get alone. FedAvg folds its participants' rows in ascending client id,
-which pins the floating-point reduction order and makes whole runs
-bit-reproducible for a fixed seed.
+per-client stack. Every client gets the bits it would get alone. FedAvg
+folds its participants' rows in ascending client id, which pins the
+floating-point reduction order and makes whole runs bit-reproducible for
+a fixed seed.
 
 Four strategies are implemented:
 
